@@ -3,7 +3,8 @@
 The CLI command `meanfield-annealer figure --figure fig2` produces the
 full-resolution grid (201 x 101); this demo emits a coarse version of two
 datasets into ./demo_out and prints the transition map extracted from the
-summary sidecars.  The same machinery backs every figure id:
+summary sidecars.  Figure datasets never overwrite existing files, so
+remove ./demo_out before running the demo again.  The same machinery backs every figure id:
 fig2..fig6, fig8..fig10, and appC.
 """
 import json

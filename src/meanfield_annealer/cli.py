@@ -355,6 +355,20 @@ def _task_min_gap(cfg, workers):
     return rows, [], {"min_gap": {"s": s_best, "delta1": d_best}}, False
 
 
+def _task_min_gap_scan(cfg, workers):
+    """Minimum gap as a function of the catalyst strength (figure fig4)."""
+    rows = []
+    s_grid = np.linspace(float(cfg["s_min"]), float(cfg["s_max"]), int(cfg["s_steps"]))
+    for xi in _axis2_values(cfg):
+        spec = build_spec(cfg, xi)
+        s_best, d_best = min_gap(spec, s_grid, int(cfg["n_starts"]), int(cfg["seed"]))
+        state = global_minimize(spec, s_best, int(cfg["n_starts"]), int(cfg["seed"]))
+        g = excitation_gaps(fluctuation_matrix(spec, state))
+        rows.append(_state_row(s_best, xi, state, state.energy, g.delta1,
+                               g.delta2, "both"))
+    return rows, [], {}, False
+
+
 def _task_optimize_xi(cfg, workers):
     if cfg["coupling"] != "dense":
         raise ConfigError("optimize-xi is defined for the dense model only")
@@ -428,12 +442,64 @@ _TASK_RUNNERS = {
     "min-gap": _task_min_gap,
     "optimize-xi": _task_optimize_xi,
     "ed-check": _task_ed_check,
+    "min-gap-scan": _task_min_gap_scan,   # figure datasets only, not in TASKS
 }
+
+
+def _summary_path(out_path):
+    return os.path.splitext(out_path)[0] + ".summary.json"
+
+
+def _write_task(label, cfg, out_path, workers) -> bool:
+    """Run one task and write its CSV and summary sidecar; returns whether
+    a column failed."""
+    t0 = time.time()
+    rows, reports, extra, failed = _TASK_RUNNERS[cfg["task"]](cfg, workers)
+    summary = {
+        "task": label,
+        "transition_reports": reports,
+        "xi_star": extra.get("xi_star"),
+        "wall_time_s": round(time.time() - t0, 3),
+        "versions": _versions(),
+    }
+    for key, value in extra.items():
+        summary.setdefault(key, value)
+    _attach_lambda_reference(summary, cfg, reports)
+    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
+    write_csv(out_path, rows)
+    write_summary(_summary_path(out_path), summary)
+    return failed
+
+
+def _existing_targets(jobs):
+    return [path for _, out_path in jobs
+            for path in (out_path, _summary_path(out_path)) if os.path.exists(path)]
+
+
+def _execute(label, jobs, workers) -> int:
+    """Run (cfg, out_path) jobs and write their outputs; returns the exit
+    code.  Nothing is computed when any target file already exists."""
+    existing = _existing_targets(jobs)
+    if existing:
+        print(f"refusing to overwrite existing output {existing[0]}; "
+              "remove it to rerun", file=sys.stderr)
+        return 2
+    failed = False
+    try:
+        for cfg, out_path in jobs:
+            failed = _write_task(label, cfg, out_path, workers) or failed
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except (ConvergenceError, CatalystRangeError, SizeError, InstabilityError,
+            DegenerateModeError) as err:
+        print(f"solver error: {err}", file=sys.stderr)
+        return 3
+    return 3 if failed else 0
 
 
 def run(config_path, out_dir=None, workers: int = 1) -> int:
     """Execute a config-driven task; returns the process exit code."""
-    t0 = time.time()
     try:
         cfg = load_config(config_path)
     except ConfigError as err:
@@ -442,39 +508,17 @@ def run(config_path, out_dir=None, workers: int = 1) -> int:
     out_path = cfg["output"]
     if out_dir is not None:
         out_path = os.path.join(out_dir, out_path)
-    summary_path = os.path.splitext(out_path)[0] + ".summary.json"
-    if os.path.exists(out_path):
-        print(f"refusing to overwrite existing output {out_path}; "
-              "remove it to rerun", file=sys.stderr)
-        return 2
-    try:
-        rows, reports, extra, failed = _TASK_RUNNERS[cfg["task"]](cfg, workers)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, CatalystRangeError, SizeError, InstabilityError,
-            DegenerateModeError) as err:
-        print(f"solver error: {err}", file=sys.stderr)
-        return 3
-    summary = {
-        "task": cfg["task"],
-        "transition_reports": reports,
-        "xi_star": extra.get("xi_star"),
-        "wall_time_s": round(time.time() - t0, 3),
-        "versions": _versions(),
-    }
-    for key, value in extra.items():
-        if key not in summary:
-            summary[key] = value
-    _attach_lambda_reference(summary, cfg, reports)
-    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
-    write_csv(out_path, rows)
-    write_summary(summary_path, summary)
-    return 3 if failed else 0
+    return _execute(cfg["task"], [(cfg, out_path)], workers)
 
 
 # ---------------------------------------------------------------------------
 # Built-in figure datasets
+
+def _figure_jobs(figure_id, out_dir, s_steps, axis2_steps):
+    """(cfg, out_path) for every file of a named figure."""
+    return [(cfg, os.path.join(out_dir, name))
+            for name, cfg in _figure_configs(figure_id, s_steps, axis2_steps)]
+
 
 def _figure_configs(figure_id, s_steps, axis2_steps):
     base = {
@@ -546,47 +590,19 @@ def emit_figure_dataset(figure_id, out_dir=".", s_steps: int = 201,
                         axis2_steps: int = 101, workers: int = 1):
     """Write the dataset behind a named figure; returns the file paths.
 
-    Default resolutions are 201 s-points by 101 second-axis points.
+    Default resolutions are 201 s-points by 101 second-axis points.  Raises
+    FileExistsError, before computing anything, when a target file exists;
+    a failed column is flagged in its rows, as in ``run``.
     """
-    configs = _figure_configs(figure_id, s_steps, axis2_steps)
-    os.makedirs(out_dir, exist_ok=True)
+    jobs = _figure_jobs(figure_id, out_dir, s_steps, axis2_steps)
+    existing = _existing_targets(jobs)
+    if existing:
+        raise FileExistsError(f"refusing to overwrite existing output {existing[0]}")
     written = []
-    for name, cfg in configs:
-        out_path = os.path.join(out_dir, name)
-        summary_path = os.path.splitext(out_path)[0] + ".summary.json"
-        t0 = time.time()
-        if cfg["task"] == "min-gap-scan":
-            rows, reports = _min_gap_scan(cfg, workers)
-            extra = {}
-        else:
-            rows, reports, extra, _ = _TASK_RUNNERS[cfg["task"]](cfg, workers)
-        summary = {
-            "task": f"figure:{figure_id}",
-            "transition_reports": reports,
-            "xi_star": extra.get("xi_star"),
-            "wall_time_s": round(time.time() - t0, 3),
-            "versions": _versions(),
-        }
-        _attach_lambda_reference(summary, cfg, reports)
-        write_csv(out_path, rows)
-        write_summary(summary_path, summary)
-        written.extend([out_path, summary_path])
+    for cfg, out_path in jobs:
+        _write_task(f"figure:{figure_id}", cfg, out_path, workers)
+        written.extend([out_path, _summary_path(out_path)])
     return written
-
-
-def _min_gap_scan(cfg, workers):
-    """Minimum gap as a function of the catalyst strength."""
-    rows = []
-    reports = []
-    s_grid = np.linspace(float(cfg["s_min"]), float(cfg["s_max"]), int(cfg["s_steps"]))
-    for xi in _axis2_values(cfg):
-        spec = build_spec(cfg, xi)
-        s_best, d_best = min_gap(spec, s_grid, int(cfg["n_starts"]), int(cfg["seed"]))
-        state = global_minimize(spec, s_best, int(cfg["n_starts"]), int(cfg["seed"]))
-        g = excitation_gaps(fluctuation_matrix(spec, state))
-        rows.append(_state_row(s_best, xi, state, state.energy, g.delta1,
-                               g.delta2, "both"))
-    return rows, reports
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +625,8 @@ def main(argv=None) -> int:
             print("config error: --figure is required for the figure task",
                   file=sys.stderr)
             return 2
-        try:
-            emit_figure_dataset(args.figure, out_dir=args.out or ".",
-                                workers=args.workers)
-        except ConfigError as err:
-            print(f"config error: {err}", file=sys.stderr)
-            return 2
-        return 0
+        jobs = _figure_jobs(args.figure, args.out or ".", 201, 101)
+        return _execute(f"figure:{args.figure}", jobs, args.workers)
     if not args.config:
         print("config error: --config is required", file=sys.stderr)
         return 2

@@ -3,9 +3,12 @@
 The pairwise coupling is decoupled through conjugate fields: a 4x4
 effective two-spin Hamiltonian is diagonalized exactly, its (degeneracy
 averaged) ground expectations feed back into the mean-field gradient, and
-the loop is iterated to a fixed point.  Zero temperature is the primary
-path; the finite-temperature free energy is kept as a homotopy device
-for hard points and as a diagnostic.
+the loop is iterated to a fixed point.  The mean-field energy sources no
+y field and the coupling is xx and zz only, so inside the loop that
+Hamiltonian is real symmetric and goes to LAPACK ``eigh``; the public
+builder and ``ground_block`` keep the general complex form.  Zero
+temperature is the primary path; the finite-temperature free energy is
+kept as a homotopy device for hard points and as a diagnostic.
 
 The whole construction takes the decoupling fields to be constant in
 imaginary time.  That is a modeling assumption baked into the equations,
@@ -20,19 +23,17 @@ import numpy as np
 
 from . import transitions
 from .classical import Direction, TransitionReport
-from .eigensolvers import jacobi_eigh
 from .errors import ConvergenceError
 from .model import (Coupling, CouplingMatrix, MagPair, ModelSpec, _coeffs,
                     _sparse_energy, _sparse_grad, coupling_matrix)
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
-_PAULI = (_SX, _SY, _SZ)
-_S1 = [np.kron(p, _I2) for p in _PAULI]
-_S2 = [np.kron(_I2, p) for p in _PAULI]
-_S1S2 = [[np.kron(a, b) for b in _PAULI] for a in _PAULI]
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_I2 = np.eye(2)
+# _S12[c, a]: sigma_a on cluster c; _S1S2[a, b]: sigma_a (x) sigma_b
+_S12 = np.array([[np.kron(p, _I2) for p in _PAULI], [np.kron(_I2, p) for p in _PAULI]])
+_S1S2 = np.array([[np.kron(a, b) for b in _PAULI] for a in _PAULI])
+_OPS = _S12[:, ::2].real.reshape(4, 16)   # X1, Z1, X2, Z2, flattened
+_DEGENERACY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,25 +80,18 @@ def build_effective_hamiltonian(mt: ConjugateFields, K: CouplingMatrix) -> Effec
     if not (np.all(np.isfinite(mt.mt1)) and np.all(np.isfinite(mt.mt2))
             and np.all(np.isfinite(K.K12))):
         raise ValueError("effective Hamiltonian inputs must be finite")
-    H = np.zeros((4, 4), dtype=complex)
-    for a in range(3):
-        if mt.mt1[a]:
-            H -= mt.mt1[a] * _S1[a]
-        if mt.mt2[a]:
-            H -= mt.mt2[a] * _S2[a]
-        for b in range(3):
-            if K.K12[a, b]:
-                H -= K.K12[a, b] * _S1S2[a][b]
+    H = -(np.einsum("ca,caij->ij", np.array([mt.mt1, mt.mt2]), _S12)
+          + np.einsum("ab,abij->ij", K.K12, _S1S2))
     return EffectiveHamiltonian(matrix=H)
 
 
-def ground_block(H: EffectiveHamiltonian, degeneracy_tol: float = 1e-9):
+def ground_block(H: EffectiveHamiltonian, degeneracy_tol: float = _DEGENERACY_TOL):
     """Ground eigenvalue, its degeneracy, and degeneracy-averaged
     single-spin expectations.
 
     Returns (lambda0, g, m1_exp, m2_exp).
     """
-    w, V = jacobi_eigh(H.matrix)
+    w, V = np.linalg.eigh(H.matrix)
     lam0 = float(w[0])
     g = int(np.sum(w < lam0 + degeneracy_tol))
     near = int(np.sum(w < lam0 + 1e-6))
@@ -108,23 +102,32 @@ def ground_block(H: EffectiveHamiltonian, degeneracy_tol: float = 1e-9):
             stacklevel=2,
         )
     vecs = V[:, :g]
-    m1 = np.array([float(np.real(np.einsum("in,ij,jn->", vecs.conj(), _S1[a], vecs))) / g
-                   for a in range(3)])
-    m2 = np.array([float(np.real(np.einsum("in,ij,jn->", vecs.conj(), _S2[a], vecs))) / g
-                   for a in range(3)])
+    m1, m2 = np.einsum("in,caij,jn->ca", vecs.conj(), _S12, vecs).real / g
     return lam0, g, m1, m2
 
 
-def _thermal_block(H: EffectiveHamiltonian, beta: float):
-    w, V = jacobi_eigh(H.matrix)
-    lam0 = float(w[0])
-    weights = np.exp(-beta * (w - lam0))
-    weights /= weights.sum()
-    m1 = np.array([float(np.real(np.einsum("in,ij,jn,n->", V.conj(), _S1[a], V, weights)))
-                   for a in range(3)])
-    m2 = np.array([float(np.real(np.einsum("in,ij,jn,n->", V.conj(), _S2[a], V, weights)))
-                   for a in range(3)])
-    return lam0, w, m1, m2
+def _coupling_part(K: CouplingMatrix) -> np.ndarray:
+    """Real field-free part -sigma1.K12.sigma2; coupling_matrix fills only
+    the xx and zz entries of K12."""
+    return -np.einsum("ab,abij->ij", K.K12[::2, ::2], _S1S2[::2, ::2].real)
+
+
+def _real_hamiltonian(Hc, mt1, mt2) -> np.ndarray:
+    """Hc - mt1.sigma1 - mt2.sigma2 for fields without a y component."""
+    return Hc - (np.concatenate([mt1[::2], mt2[::2]]) @ _OPS).reshape(4, 4)
+
+
+def _expectations(H, beta):
+    """<X1>, <Z1>, <X2>, <Z2> of the real symmetric H, averaged over the
+    ground block (``beta=None``) or in the thermal state at ``beta``."""
+    w, V = np.linalg.eigh(H)
+    if beta is None:
+        g = int(np.count_nonzero(w < w[0] + _DEGENERACY_TOL))
+        P = V[:, :g] @ V[:, :g].T / g
+    else:
+        p = np.exp(-beta * (w - w[0]))
+        P = (V * (p / p.sum())) @ V.T
+    return _OPS @ P.ravel()
 
 
 def conjugate_fields(spec: ModelSpec, s: float, m: MagPair) -> ConjugateFields:
@@ -135,14 +138,15 @@ def conjugate_fields(spec: ModelSpec, s: float, m: MagPair) -> ConjugateFields:
     return ConjugateFields(mt1=-2.0 * g1, mt2=-2.0 * g2)
 
 
-def _energy_density(coeffs, K, m1, m2):
+def _energy_density(coeffs, Hc, m1, m2):
     g1, g2 = _sparse_grad(coeffs, m1, m2)
-    mt1, mt2 = -2.0 * g1, -2.0 * g2
-    H = build_effective_hamiltonian(ConjugateFields(mt1, mt2), K)
-    lam0, g, _, _ = ground_block(H)
+    mt = ConjugateFields(-2.0 * g1, -2.0 * g2)
+    w = np.linalg.eigvalsh(_real_hamiltonian(Hc, mt.mt1, mt.mt2))
+    lam0 = float(w[0])
+    g = int(np.count_nonzero(w < lam0 + _DEGENERACY_TOL))
     hm = _sparse_energy(coeffs, m1, m2)
-    u = 0.5 * (mt1 @ m1 + mt2 @ m2) + hm + 0.5 * lam0
-    return u, lam0, g, ConjugateFields(mt1, mt2)
+    u = 0.5 * (mt.mt1 @ m1 + mt.mt2 @ m2) + hm + 0.5 * lam0
+    return u, lam0, g, mt
 
 
 def solve_saddle(spec: ModelSpec, s: float, init: MagPair, damping: float = 0.5,
@@ -160,20 +164,20 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair, damping: float = 0.5,
     if spec.coupling is not Coupling.SPARSE:
         raise ValueError("solve_saddle requires a sparse-intercluster spec")
     coeffs = _coeffs(spec, s)
-    K = coupling_matrix(spec, s)
-    m1, m2, converged, residual = _iterate(coeffs, K, init.m1, init.m2,
+    Hc = _coupling_part(coupling_matrix(spec, s))
+    m1, m2, converged, residual = _iterate(coeffs, Hc, init.m1, init.m2,
                                            damping, max_iter, tol, beta)
     if not converged and beta is None:
         # homotopy: anneal a smooth finite-temperature loop, then retry
         cur1, cur2 = init.m1, init.m2
         for beta_h in (20.0, 50.0, 100.0, 300.0):
-            h1, h2, ok, _ = _iterate(coeffs, K, cur1, cur2, damping,
+            h1, h2, ok, _ = _iterate(coeffs, Hc, cur1, cur2, damping,
                                      max_iter // 4, max(tol, 1e-9), beta_h)
             if ok:
                 cur1, cur2 = h1, h2
-        m1, m2, converged, residual = _iterate(coeffs, K, cur1, cur2,
+        m1, m2, converged, residual = _iterate(coeffs, Hc, cur1, cur2,
                                                damping, max_iter, tol, None)
-    u, lam0, g, mt = _energy_density(coeffs, K, m1, m2)
+    u, lam0, g, mt = _energy_density(coeffs, Hc, m1, m2)
     g1, g2 = spec.schedule.at(s)
     return SaddleSolution(
         s=float(s), m=MagPair(m1, m2), mt=mt, lambda0=lam0, degeneracy=g,
@@ -182,38 +186,34 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair, damping: float = 0.5,
     )
 
 
-def _iterate(coeffs, K, m1, m2, damping, max_iter, tol, beta):
-    m1 = np.asarray(m1, dtype=float).copy()
-    m2 = np.asarray(m2, dtype=float).copy()
+def _iterate(coeffs, Hc, m1, m2, damping, max_iter, tol, beta):
+    m = np.array([m1, m2], dtype=float)   # rows: clusters; columns: x, y, z
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(Hc))):
+        raise ValueError("effective Hamiltonian inputs must be finite")
+    e = np.zeros((2, 3))                  # <sigma_y> vanishes for a real H
     osc = 0
     prev_sign = 0.0
     residual = np.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # degeneracy warnings mid-iteration
-        for _ in range(max_iter):
-            g1, g2 = _sparse_grad(coeffs, m1, m2)
-            mt = ConjugateFields(-2.0 * g1, -2.0 * g2)
-            H = build_effective_hamiltonian(mt, K)
-            if beta is None:
-                _, _, e1, e2 = ground_block(H)
-            else:
-                _, _, e1, e2 = _thermal_block(H, beta)
-            upd = np.concatenate([e1 - m1, e2 - m2])
-            residual = float(np.abs(upd).max())
-            if residual < tol:
-                return m1, m2, True, residual
-            sign = np.sign(upd[int(np.argmax(np.abs(upd)))])
-            if prev_sign and sign == -prev_sign:
-                osc += 1
-                if osc >= 10:
-                    damping *= 0.5
-                    osc = 0
-            else:
+    for _ in range(max_iter):
+        g1, g2 = _sparse_grad(coeffs, m[0], m[1])
+        H = _real_hamiltonian(Hc, -2.0 * g1, -2.0 * g2)
+        e[:, ::2] = _expectations(H, beta).reshape(2, 2)
+        step = e - m
+        upd = step.ravel()
+        residual = float(np.abs(upd).max())
+        if residual < tol:
+            return m[0], m[1], True, residual
+        sign = np.sign(upd[int(np.argmax(np.abs(upd)))])
+        if prev_sign and sign == -prev_sign:
+            osc += 1
+            if osc >= 10:
+                damping *= 0.5
                 osc = 0
-            prev_sign = sign
-            m1 += damping * (e1 - m1)
-            m2 += damping * (e2 - m2)
-    return m1, m2, False, residual
+        else:
+            osc = 0
+        prev_sign = sign
+        m += damping * step
+    return m[0], m[1], False, residual
 
 
 def free_energy_density(spec: ModelSpec, s: float, mt: ConjugateFields,
@@ -229,9 +229,8 @@ def free_energy_density(spec: ModelSpec, s: float, mt: ConjugateFields,
     if spec.coupling is not Coupling.SPARSE:
         raise ValueError("free energy is defined for the sparse model")
     coeffs = _coeffs(spec, s)
-    K = coupling_matrix(spec, s)
-    H = build_effective_hamiltonian(mt, K)
-    w, _ = jacobi_eigh(H.matrix)
+    H = build_effective_hamiltonian(mt, coupling_matrix(spec, s))
+    w = np.linalg.eigvalsh(H.matrix)
     lam0 = float(w[0])
     hm = _sparse_energy(coeffs, m.m1, m.m2)
     logsum = float(np.log(np.sum(np.exp(-beta * (w - lam0)))))

@@ -219,3 +219,35 @@ def test_missing_values_never_zero(tmp_path):
     for r in rows:
         if "indeterminate" in r["flags"]:
             assert r["m2z"] == ""
+
+
+def test_figure_refuses_existing_output(tmp_path, capsys):
+    kept = tmp_path / "fig8.summary.json"
+    kept.write_text("keep")
+    assert main(["figure", "--figure", "fig8", "--out", str(tmp_path)]) == 2
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert kept.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig8.summary.json"]
+    # a later file of a multi-file figure stops the earlier ones too
+    later = tmp_path / "fig3_xi-4.csv"
+    later.write_text("keep")
+    with pytest.raises(FileExistsError, match="fig3_xi-4.csv"):
+        emit_figure_dataset("fig3", out_dir=str(tmp_path), s_steps=3)
+    assert later.read_text() == "keep"
+    assert not (tmp_path / "fig3_xi0.csv").exists()
+
+
+def test_figure_failed_column_exits_3(tmp_path, monkeypatch):
+    from meanfield_annealer.errors import ConvergenceError
+
+    def failing_analyze(*args, **kwargs):
+        raise ConvergenceError("forced failure")
+
+    monkeypatch.setattr("meanfield_annealer.cli.transitions.analyze", failing_analyze)
+    assert main(["figure", "--figure", "fig8", "--out", str(tmp_path)]) == 3
+    rows = read_rows(tmp_path / "fig8.csv")
+    assert len(rows) == 201 * 101
+    assert all(r["flags"] == "error:ConvergenceError" and r["m2z"] == "" for r in rows)
+    summary = json.loads((tmp_path / "fig8.summary.json").read_text())
+    assert summary["task"] == "figure:fig8"
+    assert not any(rep["found"] for rep in summary["transition_reports"])

@@ -8,6 +8,9 @@ from meanfield_annealer import (ConjugateFields, CouplingMatrix, MagPair,
                                 global_saddle, ground_block, solve_saddle,
                                 sparse_mean_field_density)
 from meanfield_annealer.ed import sparse_ed
+from meanfield_annealer.eigensolvers import jacobi_eigh
+from meanfield_annealer.saddle import (_coupling_part, _expectations,
+                                       _real_hamiltonian)
 
 XHAT = [1.0, 0.0, 0.0]
 ZERO = [0.0, 0.0, 0.0]
@@ -178,3 +181,92 @@ def test_saddle_matches_ed_in_strong_pairwise_regime():
         sol = global_saddle(spec, s)
         ref = sparse_ed(spec, s, 12)
         assert abs(sol.m2z - ref.m2z) < 0.1
+
+
+# Reference for the real fast loop: the general complex Hamiltonian,
+# Jacobi, and one single-spin operator at a time.
+PAULI = [np.array([[0, 1], [1, 0]], dtype=complex),
+         np.array([[0, -1j], [1j, 0]]),
+         np.array([[1, 0], [0, -1]], dtype=complex)]
+SINGLE = ([np.kron(p, np.eye(2)) for p in PAULI]
+          + [np.kron(np.eye(2), p) for p in PAULI])
+
+
+def reference_expectations(mt1, mt2, K, beta):
+    H = build_effective_hamiltonian(ConjugateFields(mt1, mt2), CouplingMatrix(K))
+    w, V = jacobi_eigh(H.matrix)
+    if beta is None:
+        g = int(np.sum(w < w[0] + 1e-9))
+        weights = np.r_[np.full(g, 1.0 / g), np.zeros(4 - g)]
+    else:
+        weights = np.exp(-beta * (w - w[0]))
+        weights /= weights.sum()
+    e = np.array([np.real(np.einsum("in,ij,jn,n->", V.conj(), op, V, weights))
+                  for op in SINGLE])
+    return e[:3], e[3:]
+
+
+def reference_solve(spec, s, init, beta=None, damping=0.5, tol=1e-10):
+    """The damped loop with fields, Hamiltonian and expectations rebuilt on
+    the general path at every step."""
+    K = coupling_matrix(spec, s).K12
+    m1, m2 = init.m1.copy(), init.m2.copy()
+    osc, prev_sign = 0, 0.0
+    for _ in range(10000):
+        cf = conjugate_fields(spec, s, MagPair(m1, m2))
+        e1, e2 = reference_expectations(cf.mt1, cf.mt2, K, beta)
+        upd = np.concatenate([e1 - m1, e2 - m2])
+        if np.abs(upd).max() < tol:
+            return m1, m2
+        sign = np.sign(upd[int(np.argmax(np.abs(upd)))])
+        if prev_sign and sign == -prev_sign:
+            osc += 1
+            if osc >= 10:
+                damping *= 0.5
+                osc = 0
+        else:
+            osc = 0
+        prev_sign = sign
+        m1 = m1 + damping * (e1 - m1)
+        m2 = m2 + damping * (e2 - m2)
+    raise AssertionError("reference loop did not converge")
+
+
+def xz_coupling(kxx, kzz):
+    K = np.zeros((3, 3))
+    K[0, 0], K[2, 2] = kxx, kzz
+    return K
+
+
+@pytest.mark.parametrize("beta", [None, 50.0])
+def test_fast_expectations_match_general_path(rng, beta):
+    cases = [(np.zeros(3), np.zeros(3), np.zeros((3, 3)), 4),
+             (np.array(XHAT), np.zeros(3), np.zeros((3, 3)), 2),
+             (np.zeros(3), np.zeros(3), xz_coupling(0.7, 0.0), 2)]
+    for _ in range(20):
+        mt1, mt2 = rng.standard_normal(3), rng.standard_normal(3)
+        mt1[1] = mt2[1] = 0.0
+        cases.append((mt1, mt2, xz_coupling(*rng.standard_normal(2)), None))
+    for mt1, mt2, K, g in cases:
+        if g is not None and beta is None:
+            assert ground_block(build_effective_hamiltonian(
+                ConjugateFields(mt1, mt2), CouplingMatrix(K)))[1] == g
+        e = _expectations(_real_hamiltonian(_coupling_part(CouplingMatrix(K)),
+                                            mt1, mt2), beta)
+        r1, r2 = reference_expectations(mt1, mt2, K, beta)
+        assert np.abs(e - np.r_[r1[::2], r2[::2]]).max() < 1e-12
+        assert abs(r1[1]) < 1e-12 and abs(r2[1]) < 1e-12
+
+
+@pytest.mark.parametrize("s, xi12, init, beta", [
+    (0.3, 0.0, MagPair([0, 0, 1], [0, 0, 1]), None),
+    (0.6, 4.0, MagPair(XHAT, XHAT), None),
+    (0.8, -7.0, MagPair([0.3, 0.5, 0.8], [0.1, -0.4, 0.9]), None),
+    (0.5, 0.0, MagPair([0, 0, 1], [0, 0, -1]), 50.0),
+])
+def test_solve_saddle_matches_reference_loop(s, xi12, init, beta):
+    spec = ModelSpec.sparse(xi=(0.0, 0.0, xi12))
+    sol = solve_saddle(spec, s, init, beta=beta)
+    assert sol.converged
+    m1, m2 = reference_solve(spec, s, init, beta)
+    assert np.abs(np.r_[sol.m.m1 - m1, sol.m.m2 - m2]).max() < 1e-9
