@@ -1,7 +1,7 @@
 """Mean-field solver suite for two-cluster quantum annealing models.
 
-Dense model: classical ground states on the sphere product, hysteresis
-continuation, first-order transition detection, and harmonic excitation
+Dense model: classical ground states as two angles on the xz torus
+(every minimum has m_y = 0), hysteresis continuation, first-order transition detection, and harmonic excitation
 gaps.  Sparse model: exact decoupling through a two-spin effective
 Hamiltonian iterated to self-consistency.  Both are validated against an
 independent finite-size exact-diagonalization oracle.

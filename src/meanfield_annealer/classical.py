@@ -1,6 +1,7 @@
 """Classical ground states of the dense model.
 
-Minimizes the energy density on the product of two unit spheres, with
+Minimizes the energy density over m_a = (sin theta_a, 0, cos theta_a),
+two angles on the xz torus (every minimum has m_y = 0), with
 deterministic multistart search, warm-started continuation sweeps that
 expose hysteresis, and first-order transition detection by branch-energy
 crossing.
@@ -11,10 +12,8 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from . import transitions
-from .eigensolvers import jacobi_eigh
 from .errors import ConvergenceError
 from .model import MagPair, ModelSpec, _coeffs, _dense_energy, _dense_grad, dense_hessian
 
@@ -26,7 +25,7 @@ class Direction(enum.Enum):
 
 @dataclass(frozen=True)
 class ClassicalState:
-    """A stationary point of h on the two-sphere product."""
+    """A stationary point of h on the two-sphere product (in the xz plane)."""
 
     s: float
     m: MagPair
@@ -55,51 +54,40 @@ class TransitionReport:
 
 
 # ---------------------------------------------------------------------------
-# Charted sphere optimization
+# Damped Newton on the (theta1, theta2) torus
 
-def _chart(m):
-    """Rotation R with R @ x_hat = m, keeping the chart poles 90 deg away."""
-    m = np.asarray(m, dtype=float)
-    n = np.linalg.norm(m)
-    if n < 1e-12:
-        raise ValueError("cannot build a chart at the zero vector")
-    e1 = m / n
-    ref = np.array([0.0, 0.0, 1.0]) if abs(e1[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e3 = ref - (ref @ e1) * e1
-    e3 /= np.linalg.norm(e3)
-    e2 = np.cross(e3, e1)
-    return np.column_stack([e1, e2, e3])
+_EIG_FLOOR = 1e-8   # smallest curvature a Newton step divides by
+_MAX_STEP = 0.5     # rad
 
 
-def _sph(theta, phi):
-    st = np.sin(theta)
-    return np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
+def _unit(th):
+    return np.array([np.sin(th), 0.0, np.cos(th)])
 
 
-def _angles_objective(y, coeffs, R1, R2):
-    th1, ph1, th2, ph2 = y
-    u1 = _sph(th1, ph1)
-    u2 = _sph(th2, ph2)
-    m1 = R1 @ u1
-    m2 = R2 @ u2
-    h = _dense_energy(coeffs, m1, m2)
+def _angles(m: MagPair) -> np.ndarray:
+    return np.array([np.arctan2(m.m1[0], m.m1[2]), np.arctan2(m.m2[0], m.m2[2])])
+
+
+def _tangents(th):
+    """6x2 map from angle steps to (dm1, dm2): t_a = dm_a/dth_a."""
+    T = np.zeros((6, 2))
+    T[0:3, 0] = np.cos(th[0]), 0.0, -np.sin(th[0])
+    T[3:6, 1] = np.cos(th[1]), 0.0, -np.sin(th[1])
+    return T
+
+
+def _angle_terms(coeffs, hess, th):
+    """Energy, angle gradient and angle Hessian at th.
+
+    dE/dth_a = g_a . t_a and, since dt_a/dth_a = -m_a, the Hessian is
+    T^T H T + diag(mu) with mu_a = -g_a . m_a.
+    """
+    m1, m2 = _unit(th[0]), _unit(th[1])
     g1, g2 = _dense_grad(coeffs, m1, m2)
-    d1t = R1 @ np.array([np.cos(th1) * np.cos(ph1), np.cos(th1) * np.sin(ph1), -np.sin(th1)])
-    d1p = R1 @ np.array([-np.sin(th1) * np.sin(ph1), np.sin(th1) * np.cos(ph1), 0.0])
-    d2t = R2 @ np.array([np.cos(th2) * np.cos(ph2), np.cos(th2) * np.sin(ph2), -np.sin(th2)])
-    d2p = R2 @ np.array([-np.sin(th2) * np.sin(ph2), np.sin(th2) * np.cos(ph2), 0.0])
-    return h, np.array([g1 @ d1t, g1 @ d1p, g2 @ d2t, g2 @ d2p])
-
-
-def _tangent_frame(m):
-    t1 = np.cross(np.array([0.0, 0.0, 1.0]), m)
-    n = np.linalg.norm(t1)
-    if n < 1e-6:
-        t1 = np.cross(np.array([0.0, 1.0, 0.0]), m)
-        n = np.linalg.norm(t1)
-    t1 /= n
-    t2 = np.cross(m, t1)
-    return t1, t2
+    T = _tangents(th)
+    mu = np.array([-(g1 @ m1), -(g2 @ m2)])
+    return (_dense_energy(coeffs, m1, m2), T.T @ np.concatenate([g1, g2]),
+            T.T @ hess @ T + np.diag(mu))
 
 
 def _residual(coeffs, m1, m2):
@@ -109,44 +97,6 @@ def _residual(coeffs, m1, m2):
     r1 = g1 + mu1 * m1
     r2 = g2 + mu2 * m2
     return (mu1, mu2), max(float(np.linalg.norm(r1)), float(np.linalg.norm(r2)))
-
-
-def _newton_polish(coeffs, hess, m1, m2, tol, max_iter=40):
-    """Tangent-space Newton on the sphere product; h is quadratic so this
-    converges in a couple of steps once inside the right basin."""
-    for _ in range(max_iter):
-        g1, g2 = _dense_grad(coeffs, m1, m2)
-        mu1 = -float(g1 @ m1)
-        mu2 = -float(g2 @ m2)
-        r1 = g1 + mu1 * m1
-        r2 = g2 + mu2 * m2
-        res = max(np.linalg.norm(r1), np.linalg.norm(r2))
-        if res < 0.01 * tol:
-            break
-        t = [_tangent_frame(m1), _tangent_frame(m2)]
-        T = np.zeros((6, 4))
-        T[0:3, 0] = t[0][0]
-        T[0:3, 1] = t[0][1]
-        T[3:6, 2] = t[1][0]
-        T[3:6, 3] = t[1][1]
-        Hr = T.T @ hess @ T
-        Hr[0, 0] += mu1
-        Hr[1, 1] += mu1
-        Hr[2, 2] += mu2
-        Hr[3, 3] += mu2
-        gr = np.array([g1 @ t[0][0], g1 @ t[0][1], g2 @ t[1][0], g2 @ t[1][1]])
-        try:
-            step = np.linalg.solve(Hr, -gr)
-        except np.linalg.LinAlgError:
-            step = -gr
-        nstep = np.linalg.norm(step)
-        if nstep > 0.5:
-            step *= 0.5 / nstep
-        m1 = m1 + step[0] * t[0][0] + step[1] * t[0][1]
-        m2 = m2 + step[2] * t[1][0] + step[3] * t[1][1]
-        m1 /= np.linalg.norm(m1)
-        m2 /= np.linalg.norm(m2)
-    return m1, m2
 
 
 def _indeterminate_flags(spec: ModelSpec, s: float) -> tuple[bool, bool]:
@@ -159,9 +109,11 @@ def minimize(spec: ModelSpec, s: float, initial: MagPair,
              max_iter: int = 200, tol: float = 1e-10) -> ClassicalState:
     """Local minimum of the dense energy density from the given start.
 
-    Quasi-Newton descent on spherical angles in per-cluster charts centered
-    at the current iterate, re-centering whenever an iterate drifts toward
-    a chart pole, followed by a tangent-space Newton polish.
+    The energy has no y terms and its zz block is negative definite for
+    s > 0, so minima lie in the xz plane: the start is projected to angles
+    th_a = atan2(m_ax, m_az) and damped Newton runs on the two angles.
+    Curvatures enter by absolute value with a floor, steps are capped at
+    0.5 rad and halved until the energy does not rise.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -170,27 +122,25 @@ def minimize(spec: ModelSpec, s: float, initial: MagPair,
         raise ValueError("initial magnetizations must be unit direction vectors")
     coeffs = _coeffs(spec, s)
     hess = dense_hessian(spec, s)
-    m1 = initial.m1 / n1
-    m2 = initial.m2 / n2
-    y0 = np.array([np.pi / 2, 0.0, np.pi / 2, 0.0])
-    # BFGS only needs to land in the right basin; the Newton polish owns
-    # the final digits
-    bfgs_gtol = max(1e-7, 0.01 * tol) if tol >= 1e-12 else 0.01 * tol
-    for _ in range(6):
-        R1, R2 = _chart(m1), _chart(m2)
-        out = _scipy_minimize(
-            _angles_objective, y0, args=(coeffs, R1, R2), jac=True,
-            method="BFGS", options={"gtol": bfgs_gtol, "maxiter": max_iter},
-        )
-        if not np.all(np.isfinite(out.x)):
-            raise ValueError("optimizer produced non-finite iterates")
-        th1, ph1, th2, ph2 = out.x
-        m1 = R1 @ _sph(th1, ph1)
-        m2 = R2 @ _sph(th2, ph2)
-        # re-center when an iterate approaches a chart pole
-        if abs(np.cos(th1)) <= 0.99 and abs(np.cos(th2)) <= 0.99:
+    th = _angles(initial)
+    for _ in range(max_iter):
+        energy, grad, h = _angle_terms(coeffs, hess, th)
+        if np.max(np.abs(grad)) < 0.01 * tol:
             break
-    m1, m2 = _newton_polish(coeffs, hess, m1, m2, tol)
+        w, v = np.linalg.eigh(h)
+        step = -v @ ((v.T @ grad) / np.maximum(np.abs(w), _EIG_FLOOR))
+        n = np.linalg.norm(step)
+        if n > _MAX_STEP:
+            step *= _MAX_STEP / n
+        # a few ulps of slack: near convergence the decrease is below rounding
+        slack = 4 * np.finfo(float).eps * max(1.0, abs(energy))
+        for _ in range(60):
+            trial = th + step
+            if _dense_energy(coeffs, _unit(trial[0]), _unit(trial[1])) <= energy + slack:
+                break
+            step *= 0.5
+        th = trial
+    m1, m2 = _unit(th[0]), _unit(th[1])
     mu, res = _residual(coeffs, m1, m2)
     state = ClassicalState(
         s=float(s), m=MagPair(m1, m2), energy=float(_dense_energy(coeffs, m1, m2)),
@@ -210,25 +160,27 @@ _AXIS_STARTS = [
     (np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.0, 1.0])),
     (np.array([0.0, 0.0, -1.0]), np.array([0.0, 0.0, -1.0])),
     (np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])),
+    # antiparallel transverse points, favoured by a negative xi12
+    (np.array([-1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])),
+    (np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])),
 ]
 
-_KRONECKER_ALPHA = np.array([np.sqrt(2), np.sqrt(3), np.sqrt(5), np.sqrt(7)]) % 1.0
-_KRONECKER_SEED = np.array([np.sqrt(11), np.sqrt(13), np.sqrt(17), np.sqrt(19)]) % 1.0
+_KRONECKER_ALPHA = np.array([np.sqrt(2), np.sqrt(5)]) % 1.0
+_KRONECKER_SEED = np.array([np.sqrt(11), np.sqrt(17)]) % 1.0
 
 
 def start_set(n_starts: int, seed: int = 0) -> list[MagPair]:
-    """Deterministic multistart set: axis sign combinations, the transverse
-    point, then a Kronecker low-discrepancy sequence on the angle torus.
+    """Deterministic multistart set: z-axis sign combinations, the aligned
+    and the two antiparallel transverse points, then a Kronecker
+    low-discrepancy sequence on the angle torus.
 
     The set with a larger n_starts extends (never reshuffles) a smaller one.
     """
     starts = [MagPair(a, b) for a, b in _AXIS_STARTS]
     offset = (seed * _KRONECKER_SEED) % 1.0
     for k in range(max(0, n_starts - len(starts))):
-        u = (offset + (k + 1) * _KRONECKER_ALPHA) % 1.0
-        th1, ph1 = np.pi * u[0], 2 * np.pi * u[1]
-        th2, ph2 = np.pi * u[2], 2 * np.pi * u[3]
-        starts.append(MagPair(_sph(th1, ph1), _sph(th2, ph2)))
+        th = 2 * np.pi * ((offset + (k + 1) * _KRONECKER_ALPHA) % 1.0)
+        starts.append(MagPair(_unit(th[0]), _unit(th[1])))
     return starts[:n_starts]
 
 
@@ -268,21 +220,14 @@ def global_minimize(spec: ModelSpec, s: float, n_starts: int = 8,
 
 
 def is_stable_minimum(spec: ModelSpec, state: ClassicalState, tol: float = 1e-9) -> bool:
-    """Check positive semidefiniteness of the reduced Hessian at a state."""
-    coeffs = _coeffs(spec, state.s)
-    hess = dense_hessian(spec, state.s)
-    m1, m2 = state.m.m1, state.m.m2
-    t = [_tangent_frame(m1), _tangent_frame(m2)]
-    T = np.zeros((6, 4))
-    T[0:3, 0], T[0:3, 1] = t[0][0], t[0][1]
-    T[3:6, 2], T[3:6, 3] = t[1][0], t[1][1]
-    Hr = T.T @ hess @ T
-    Hr[0, 0] += state.mu[0]
-    Hr[1, 1] += state.mu[0]
-    Hr[2, 2] += state.mu[1]
-    Hr[3, 3] += state.mu[1]
-    w, _ = jacobi_eigh(Hr)
-    return bool(w[0] >= -tol)
+    """Check positive semidefiniteness of the reduced Hessian at a state.
+
+    In the xz plane the curvature is the 2x2 angle Hessian; the energy has
+    no y terms, so the curvature out of the plane is mu_a.
+    """
+    T = _tangents(_angles(state.m))
+    h = T.T @ dense_hessian(spec, state.s) @ T + np.diag(state.mu)
+    return bool(np.linalg.eigvalsh(h)[0] >= -tol and min(state.mu) >= -tol)
 
 
 # ---------------------------------------------------------------------------

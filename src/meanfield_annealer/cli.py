@@ -96,8 +96,13 @@ def _validate(cfg):
         raise ConfigError("coupling must be 'dense' or 'sparse'")
     if cfg["placement"] not in PLACEMENTS:
         raise ConfigError(f"placement must be one of {sorted(PLACEMENTS)}")
-    if int(cfg["s_steps"]) < 1 or int(cfg["axis2_steps"]) < 1:
+    for key in ("s_steps", "axis2_steps", "n_starts", "seed"):
+        if not isinstance(cfg[key], int) or isinstance(cfg[key], bool):
+            raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
+    if cfg["s_steps"] < 1 or cfg["axis2_steps"] < 1:
         raise ConfigError("step counts must be >= 1")
+    if cfg["n_starts"] < 8:
+        raise ConfigError("n_starts must be at least 8")
     if not float(cfg["s_min"]) <= float(cfg["s_max"]):
         raise ConfigError("s_min must not exceed s_max")
     if cfg["axis2"] not in (None, "xi", "gamma1", "gamma2"):
@@ -505,6 +510,10 @@ def run(config_path, out_dir=None, workers: int = 1) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    return _run_loaded(cfg, out_dir, workers)
+
+
+def _run_loaded(cfg, out_dir, workers) -> int:
     out_path = cfg["output"]
     if out_dir is not None:
         out_path = os.path.join(out_dir, out_path)
@@ -639,7 +648,7 @@ def main(argv=None) -> int:
         print(f"config error: config task {cfg['task']!r} does not match "
               f"command {args.task!r}", file=sys.stderr)
         return 2
-    return run(args.config, out_dir=args.out, workers=args.workers)
+    return _run_loaded(cfg, args.out, args.workers)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
 from meanfield_annealer import (ConvergenceError, Direction, FixedValue,
-                                MagPair, ModelSpec, dense_gradient,
+                                MagPair, ModelSpec, dense_energy_density,
+                                dense_gradient, dense_hessian,
                                 detect_transition, global_minimize, minimize,
                                 start_set, sweep)
+from meanfield_annealer.classical import is_stable_minimum
 from meanfield_annealer.ed import dense_ed
 
 UP = np.array([0.0, 0.0, 1.0])
@@ -34,8 +37,6 @@ def test_minimize_final_basins(dense_spec):
 
 
 def test_minimize_state_invariants(dense_spec, rng):
-    from meanfield_annealer.classical import is_stable_minimum
-
     for _ in range(20):
         s = rng.uniform(0, 1)
         xi = tuple(rng.uniform(-5, 5, 3))
@@ -53,6 +54,22 @@ def test_minimize_state_invariants(dense_spec, rng):
         # no y component develops at a minimum of a y-free energy
         assert abs(st.m.m1[1]) < 1e-8
         assert abs(st.m.m2[1]) < 1e-8
+
+
+def test_minimize_pure_y_start(dense_spec):
+    # a start with no xz component projects to the angles (0, 0)
+    st = minimize(dense_spec, 0.5, MagPair([0.0, 1.0, 0.0], [0.0, 1.0, 0.0]))
+    assert st.energy == pytest.approx(-0.690426548471, abs=1e-12)
+    assert st.m.m1[1] == 0.0 and st.m.m2[1] == 0.0
+
+
+def test_is_stable_minimum_rejects_saddle(dense_spec):
+    # at s=1 the axis states are stationary; (down, up) has mu1 = -0.25
+    st = minimize(dense_spec, 1.0, MagPair(DOWN, UP))
+    assert np.allclose(st.m.m1, DOWN) and np.allclose(st.m.m2, UP)
+    assert st.mu[0] == pytest.approx(-0.25, abs=1e-12)
+    assert not is_stable_minimum(dense_spec, st)
+    assert is_stable_minimum(dense_spec, minimize(dense_spec, 1.0, MagPair(UP, UP)))
 
 
 def test_minimize_nonconvergence_carries_best(dense_spec):
@@ -98,6 +115,48 @@ def test_global_minimize_refinement_monotone(rng):
         e8 = global_minimize(spec, s, n_starts=8).energy
         e64 = global_minimize(spec, s, n_starts=64).energy
         assert e64 <= e8 + 1e-12
+
+
+def _torus_grid_minimum(spec, s, n=128):
+    """Brute-force minimum over (theta1, theta2): every periodic-grid local
+    minimum polished by Nelder-Mead, lowest energy returned."""
+    zero = MagPair(np.zeros(3), np.zeros(3))
+    e0 = dense_energy_density(spec, s, zero)
+    g0 = np.concatenate(dense_gradient(spec, s, zero))
+    hess = dense_hessian(spec, s)
+
+    def energy(th1, th2):
+        # the energy is quadratic in (m1, m2), so this expansion is exact
+        z = np.zeros_like(th1)
+        m = np.stack([np.sin(th1), z, np.cos(th1), np.sin(th2), z, np.cos(th2)], -1)
+        return e0 + m @ g0 + 0.5 * ((m @ hess) * m).sum(-1)
+
+    th = 2 * np.pi * np.arange(n) / n
+    grid = energy(*np.meshgrid(th, th, indexing="ij"))
+    local = np.ones_like(grid, dtype=bool)
+    for d1 in (-1, 0, 1):
+        for d2 in (-1, 0, 1):
+            if d1 or d2:
+                local &= grid <= np.roll(grid, (d1, d2), axis=(0, 1))
+    best = np.inf
+    for i, j in zip(*np.nonzero(local)):
+        out = scipy_minimize(lambda t: energy(t[0], t[1]), [th[i], th[j]],
+                             method="Nelder-Mead",
+                             options={"xatol": 1e-9, "fatol": 1e-15})
+        best = min(best, float(out.fun))
+    return best
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_global_minimize_matches_torus_grid(seed):
+    rng = np.random.default_rng(1000 + seed)
+    for _ in range(100):
+        xi = tuple(rng.uniform(-6.0, 6.0, 3))
+        s = float(rng.uniform(0.0, 1.0))
+        spec = ModelSpec.dense(xi=xi)
+        st = global_minimize(spec, s, seed=seed)
+        ref = _torus_grid_minimum(spec, s)
+        assert st.energy == pytest.approx(ref, abs=1e-10), (xi, s)
 
 
 def test_start_set_prefix_property():

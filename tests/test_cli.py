@@ -37,6 +37,12 @@ def test_load_config_validation(tmp_path):
         load_config(write_cfg(tmp_path, "t.json", task="fly"))
     with pytest.raises(ConfigError, match="axis2_min"):
         load_config(write_cfg(tmp_path, "a.json", axis2="xi"))
+    with pytest.raises(ConfigError, match="n_starts must be at least 8"):
+        load_config(write_cfg(tmp_path, "n.json", s_steps=5, n_starts=4))
+    for key, value in (("s_steps", "five"), ("axis2_steps", 2.5),
+                       ("n_starts", None), ("seed", "x"), ("seed", True)):
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            load_config(write_cfg(tmp_path, "i.json", **{key: value}))
 
 
 def test_scan_csv_layout_and_summary(tmp_path):
@@ -93,6 +99,10 @@ def test_main_exit_codes(tmp_path, capsys):
     # task mismatch between command line and config
     assert main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "does not match" in capsys.readouterr().err
+    # malformed values are config errors, not tracebacks
+    bad = write_cfg(tmp_path, "bad.json", **{**SMALL_SCAN, "seed": "x"})
+    assert main(["scan", "--config", bad, "--out", str(tmp_path)]) == 2
+    assert "seed must be an integer" in capsys.readouterr().err
 
 
 def test_malformed_json_writes_nothing(tmp_path):
