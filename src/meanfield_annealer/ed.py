@@ -4,8 +4,9 @@ The dense model conserves the per-cluster total spin, so its low-energy
 physics at size N lives in a product of two spin-(N/4) multiplets of
 dimension (N/2+1)^2; that sector Hamiltonian is built from ladder matrix
 elements.  The sparse model has no such reduction and is diagonalized in
-the full 2^N space at small N.  Both feed the in-repo Jacobi/Lanczos
-solvers and return energies, ground magnetizations, and the gap.
+the full 2^N space at small N.  Small problems go to LAPACK ``eigh``,
+larger ones to the in-repo Lanczos; both return energies, ground
+magnetizations, and the gap.
 """
 from __future__ import annotations
 
@@ -14,12 +15,12 @@ from typing import Callable
 
 import numpy as np
 
-from .eigensolvers import jacobi_eigh, lanczos_lowest
+from .eigensolvers import lanczos_lowest
 from .errors import SizeError
 from .model import Coupling, ModelSpec, _coeffs
 
 _DENSE_BUDGET = 1100       # max dimension for materialized sector matrices
-_JACOBI_LIMIT = 200        # dense Jacobi below, Lanczos above
+_EIGH_LIMIT = 200          # dense eigh below, Lanczos above
 _SPARSE_LIMIT_N = 14
 
 
@@ -270,10 +271,11 @@ def ed_solve(H, k: int = 2, tol: float = 1e-12, max_iter: int | None = None,
              seed: int = 7) -> EDResult:
     """Lowest-k eigenpairs and ground-state magnetizations.
 
-    Accepts an EDOperator or a plain sector matrix.  Jacobi handles
-    dimensions up to 200; Lanczos with full reorthogonalization takes over
-    above that, falling back to the dense path on breakdown when the size
-    allows.  Ground states degenerate within 1e-10 are averaged.
+    Accepts an EDOperator or a plain sector matrix.  Dense ``eigh``
+    handles dimensions up to 200; Lanczos with full reorthogonalization
+    takes over above that, falling back to dense ``eigh`` on breakdown
+    when the size allows (dim <= 4096).  Ground states degenerate within
+    1e-10 are averaged.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -284,9 +286,9 @@ def ed_solve(H, k: int = 2, tol: float = 1e-12, max_iter: int | None = None,
         m1d, m2d = _sector_diags_from_dim(M.shape[0])
         op = EDOperator(dim=M.shape[0], matvec=lambda v, _M=M: _M @ v,
                         m1z_diag=m1d, m2z_diag=m2d)
-    if op.dim <= _JACOBI_LIMIT:
+    if op.dim <= _EIGH_LIMIT:
         M = H if isinstance(H, np.ndarray) else op.to_dense()
-        w, V = jacobi_eigh(np.asarray(M, dtype=float))
+        w, V = np.linalg.eigh(np.asarray(M, dtype=float))
         w, V = w[:k], V[:, :k]
     else:
         try:
@@ -294,7 +296,7 @@ def ed_solve(H, k: int = 2, tol: float = 1e-12, max_iter: int | None = None,
                                   max_iter=max_iter, seed=seed)
         except SizeError:
             if op.dim <= 4096:
-                w, V = jacobi_eigh(op.to_dense())
+                w, V = np.linalg.eigh(op.to_dense())
                 w, V = w[:k], V[:, :k]
             else:
                 raise
@@ -310,7 +312,7 @@ def ed_solve(H, k: int = 2, tol: float = 1e-12, max_iter: int | None = None,
 def dense_ed(spec: ModelSpec, s: float, N: int, k: int = 2, **kw) -> EDResult:
     """Sector ED of the dense model, choosing the solver by size."""
     op = build_dense_sector_operator(spec, s, N)
-    if op.dim <= _JACOBI_LIMIT:
+    if op.dim <= _EIGH_LIMIT:
         return ed_solve(build_dense_sector_hamiltonian(spec, s, N), k=k, **kw)
     return ed_solve(op, k=k, **kw)
 

@@ -1,12 +1,10 @@
-"""Self-contained eigensolvers used by the gap and oracle modules.
+"""Eigensolvers used by the gap and oracle modules.
 
-Three solvers live here so the oracle path stays independent of external
-eigenpackages:
-
-* cyclic Jacobi for real-symmetric / complex-Hermitian matrices,
-* Lanczos with full reorthogonalization on top of a matvec, with the
-  tridiagonal eigenproblem handled by Sturm-sequence bisection and
-  inverse iteration,
+* cyclic Jacobi for real-symmetric / complex-Hermitian matrices, kept as
+  an independent reference for tests and acceptance checks,
+* Lanczos with full (DGKS) reorthogonalization on top of a matvec, with
+  the small tridiagonal eigenproblem handed to LAPACK (``dstebz`` +
+  ``dstein``),
 * a dense general complex eigensolver (Hessenberg reduction plus shifted
   QR) with left-eigenvector extraction by nullspace elimination, sized
   for the 4x4 fluctuation problem but written for any small n.
@@ -81,124 +79,89 @@ def jacobi_eigh(A: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
 
 
 # ---------------------------------------------------------------------------
-# Symmetric tridiagonal eigenproblem
+# Symmetric tridiagonal eigenproblem (LAPACK; scipy is imported on first use
+# so that importing the package does not load it)
 
-def _sturm_count(alpha, beta2, x):
-    """Number of eigenvalues of the tridiagonal (alpha, beta) below x."""
-    count = 0
-    d = 1.0
-    for i in range(len(alpha)):
-        d = alpha[i] - x - (beta2[i - 1] / d if i > 0 else 0.0)
-        if d == 0.0:
-            d = -1e-300
-        if d < 0.0:
-            count += 1
-    return count
+def _dstebz_lowest(alpha, beta, k: int, tol: float):
+    """LAPACK ``dstebz`` for the k lowest eigenvalues: (values grouped by
+    block, ascending within a block; full-length iblock; full-length isplit)."""
+    from scipy.linalg.lapack import dstebz
+
+    m, w, iblock, isplit, info = dstebz(alpha, beta, 2, 0.0, 0.0, 1, k, tol, b"B")
+    if info:
+        raise np.linalg.LinAlgError(f"dstebz failed (info={info})")
+    return w[:m], iblock, isplit
 
 
 def tridiag_lowest(alpha, beta, k: int, tol: float = 1e-14):
-    """Lowest k eigenvalues of a symmetric tridiagonal matrix by bisection."""
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    n = len(alpha)
-    k = min(k, n)
-    beta2 = beta * beta
-    radius = float(np.abs(alpha).max() + (2.0 * np.abs(beta).max() if len(beta) else 0.0))
-    eigs = np.empty(k)
-    for j in range(1, k + 1):
-        lo, hi = -radius - 1.0, radius + 1.0
-        while hi - lo > tol * max(1.0, abs(lo), abs(hi)):
-            mid = 0.5 * (lo + hi)
-            if _sturm_count(alpha, beta2, mid) >= j:
-                hi = mid
-            else:
-                lo = mid
-        eigs[j - 1] = 0.5 * (lo + hi)
-    return eigs
+    """Lowest k eigenvalues of a symmetric tridiagonal matrix, ascending.
 
-
-def _solve_shifted_tridiag(alpha, beta, shift, rhs):
-    """Solve (T - shift I) x = rhs by banded elimination with partial pivoting.
-
-    Pivoting introduces one extra superdiagonal of fill-in.
+    Bisection by index in LAPACK ``dstebz``; ``tol`` is the absolute width
+    at which an eigenvalue counts as located (dstebz also stops at 2 ulp).
     """
-    n = len(alpha)
-    d = (alpha - shift).astype(float).copy()
-    u1 = np.zeros(n)
-    if n > 1:
-        u1[: n - 1] = beta
-    u2 = np.zeros(n)
-    sub = beta.astype(float).copy() if n > 1 else np.zeros(0)
-    x = np.asarray(rhs, dtype=float).copy()
-    for i in range(n - 1):
-        row_i = (d[i], u1[i], u2[i])
-        row_n = (sub[i], d[i + 1], u1[i + 1] if i + 1 < n - 1 else 0.0)
-        if abs(row_n[0]) > abs(row_i[0]):
-            d[i], u1[i], u2[i] = row_n
-            elim, dnext, unext = row_i
-            x[i], x[i + 1] = x[i + 1], x[i]
-        else:
-            elim, dnext, unext = row_n
-        if d[i] == 0.0:
-            d[i] = 1e-300
-        f = elim / d[i]
-        d[i + 1] = dnext - f * u1[i]
-        if i + 1 < n - 1:
-            u1[i + 1] = unext - f * u2[i]
-        x[i + 1] -= f * x[i]
-    if d[n - 1] == 0.0:
-        d[n - 1] = 1e-300
-    out = np.zeros(n)
-    out[n - 1] = x[n - 1] / d[n - 1]
-    for i in range(n - 2, -1, -1):
-        acc = x[i] - u1[i] * out[i + 1]
-        if i + 2 < n:
-            acc -= u2[i] * out[i + 2]
-        out[i] = acc / d[i]
-    return out
+    alpha = np.asarray(alpha, dtype=float)
+    w, _, _ = _dstebz_lowest(alpha, np.asarray(beta, dtype=float), min(k, len(alpha)), tol)
+    return np.sort(w)
 
 
 def tridiag_eigvecs(alpha, beta, lams, seed: int = 977, cluster_tol: float = 1e-9):
-    """Eigenvectors for the given tridiagonal eigenvalues by inverse iteration.
+    """Orthonormal eigenvectors (columns) for the lowest eigenvalues ``lams``.
 
-    Vectors belonging to clustered eigenvalues are orthogonalized against
-    each other between iterations.
+    ``lams`` are the len(lams) lowest eigenvalues in ascending order, as
+    tridiag_lowest returns them.  LAPACK ``dstein`` runs inverse iteration
+    from each of them and reorthogonalizes vectors within a cluster, on the
+    block split that ``dstebz`` reports.  ``seed`` and ``cluster_tol`` have
+    no effect: dstein fixes its own start vectors and cluster criterion.
     """
+    from scipy.linalg.lapack import dstein
+
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    n = len(alpha)
-    rng = np.random.default_rng(seed)
-    scale = max(1.0, float(np.abs(alpha).max()), float(np.abs(beta).max()) if len(beta) else 0.0)
-    vecs = []
-    for i, lam in enumerate(lams):
-        near = [p for p in range(i) if abs(lams[p] - lam) < cluster_tol * scale]
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        shift = lam + 1e-13 * scale
-        for _ in range(4):
-            v = _solve_shifted_tridiag(alpha, beta, shift, v)
-            for p in near:
-                v -= (vecs[p] @ v) * vecs[p]
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                v = rng.standard_normal(n)
-                nv = np.linalg.norm(v)
-            v /= nv
-        vecs.append(v)
-    return np.array(vecs).T
+    w, iblock, isplit = _dstebz_lowest(alpha, beta, len(lams), 0.0)
+    # dstein wants the values grouped by block; order[i] is the block-order
+    # position of the i-th lowest eigenvalue
+    order = np.argsort(w, kind="stable")
+    grouped = np.empty(len(w))
+    grouped[order] = lams
+    z, info = dstein(alpha, beta, grouped, iblock, isplit)
+    if info:
+        raise np.linalg.LinAlgError(f"dstein failed (info={info})")
+    return z[:, order]
 
 
 # ---------------------------------------------------------------------------
 # Lanczos with full reorthogonalization
+
+_BLOCK_ROWS = 64  # Krylov basis storage grows by blocks of this many vectors
+
+
+def _leading_rows(blocks, n: int):
+    """(offset, rows) over the blocks holding the first n basis vectors."""
+    for i, blk in enumerate(blocks):
+        start = i * _BLOCK_ROWS
+        if start >= n:
+            return
+        yield start, blk[: n - start]
+
+
+def _project_out(blocks, n: int, w: np.ndarray) -> None:
+    """One Gram-Schmidt pass of w against the first n basis vectors, in place."""
+    for _, rows in _leading_rows(blocks, n):
+        w -= rows.T @ (rows @ w)
+
 
 def lanczos_lowest(matvec, dim: int, k: int = 2, tol: float = 1e-12,
                    max_iter: int | None = None, seed: int = 7,
                    want_vectors: bool = True):
     """Lowest-k eigenpairs of a symmetric operator given by its matvec.
 
-    Full reorthogonalization against the whole Krylov basis keeps Ritz
-    values clean enough to resolve small gaps.  Returns (w, V); V holds
-    Ritz vectors as columns, or None when ``want_vectors`` is false.
+    Every new Krylov vector is reorthogonalized against the whole basis,
+    which keeps Ritz values clean enough to resolve small gaps.  One
+    Gram-Schmidt pass is made, and a second one only when the first removed
+    more than a 1 - 1/sqrt(2) share of the norm (Daniel, Gragg, Kaufman &
+    Stewart, Math. Comp. 30, 1976).  The basis is stored in blocks of 64
+    vectors, allocated as they fill.  Returns (w, V); V holds Ritz vectors
+    as columns, or None when ``want_vectors`` is false.
 
     Raises SizeError when repeated breakdowns prevent convergence.
     """
@@ -206,25 +169,37 @@ def lanczos_lowest(matvec, dim: int, k: int = 2, tol: float = 1e-12,
         max_iter = min(dim, 500)
     max_iter = min(max_iter, dim)
     rng = np.random.default_rng(seed)
+    blocks: list[np.ndarray] = []
+
+    def store(j, v):
+        if j % _BLOCK_ROWS == 0:
+            blocks.append(np.empty((min(_BLOCK_ROWS, max_iter - j), dim)))
+        blocks[-1][j % _BLOCK_ROWS] = v
+
+    def row(j):
+        return blocks[j // _BLOCK_ROWS][j % _BLOCK_ROWS]
+
     q = rng.standard_normal(dim)
-    q /= np.linalg.norm(q)
-    basis = np.empty((max_iter, dim))
-    basis[0] = q
+    store(0, q / np.linalg.norm(q))
     alpha: list[float] = []
     beta: list[float] = []
     prev = None
     restarts = 0
     j = 0
     while j < max_iter:
-        w = matvec(basis[j])
-        a = float(basis[j] @ w)
+        v = row(j)
+        w = matvec(v)
+        a = float(v @ w)
         alpha.append(a)
-        w = w - a * basis[j]
+        w = w - a * v
         if j > 0:
-            w = w - beta[-1] * basis[j - 1]
-        for _ in range(2):
-            w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
+            w -= beta[-1] * row(j - 1)
+        before = float(np.linalg.norm(w))
+        _project_out(blocks, j + 1, w)
         b = float(np.linalg.norm(w))
+        if b < before / np.sqrt(2.0):
+            _project_out(blocks, j + 1, w)
+            b = float(np.linalg.norm(w))
         j += 1
         if j >= max(2 * k + 2, 6) and (j % 10 == 0 or j == max_iter or b < 1e-13):
             vals = tridiag_lowest(np.array(alpha), np.array(beta), k)
@@ -241,25 +216,28 @@ def lanczos_lowest(matvec, dim: int, k: int = 2, tol: float = 1e-12,
                 raise SizeError("Lanczos breakdown: invariant subspace too small")
             q = rng.standard_normal(dim)
             for _ in range(2):
-                q -= basis[:j].T @ (basis[:j] @ q)
+                _project_out(blocks, j, q)
             nq = np.linalg.norm(q)
             if nq < 1e-10:
                 break
             if j < max_iter:
-                basis[j] = q / nq
+                store(j, q / nq)
                 beta.append(0.0)
             continue
         if j < max_iter:
-            basis[j] = w / b
+            store(j, w / b)
             beta.append(b)
+    m = len(alpha)
     alpha_arr = np.array(alpha)
-    beta_arr = np.array(beta[: len(alpha_arr) - 1])
-    kk = min(k, len(alpha_arr))
+    beta_arr = np.array(beta[: m - 1])
+    kk = min(k, m)
     vals = tridiag_lowest(alpha_arr, beta_arr, kk)
     if not want_vectors:
         return vals, None
-    y = tridiag_eigvecs(alpha_arr, beta_arr, vals, seed=seed + 1)
-    vecs = basis[: len(alpha_arr)].T @ y
+    y = tridiag_eigvecs(alpha_arr, beta_arr, vals)
+    vecs = np.zeros((dim, kk))
+    for start, rows in _leading_rows(blocks, m):
+        vecs += rows.T @ y[start : start + len(rows)]
     vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
     for i in range(kk):
         vals[i] = float(vecs[:, i] @ matvec(vecs[:, i]))

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from meanfield_annealer import (ModelSpec, SectorSpec, SizeError,
+from meanfield_annealer import (EDOperator, ModelSpec, SectorSpec, SizeError,
                                 build_dense_full_operator,
                                 build_dense_sector_hamiltonian,
                                 build_dense_sector_operator,
@@ -72,6 +72,19 @@ def test_jacobi_and_lanczos_paths_agree(dense_spec):
     dense_path = ed_solve(build_dense_sector_hamiltonian(dense_spec, 0.6, 20))
     w, _ = lanczos_lowest(op.matvec, op.dim, k=2, tol=1e-13)
     assert np.abs(w - dense_path.energies).max() < 1e-9
+
+
+def test_ed_solve_breakdown_falls_back_to_eigh():
+    # a multiple of the identity: every Krylov space breaks down after one
+    # step, Lanczos gives up after three restarts and dense eigh takes over
+    dim = 300
+    z = np.linspace(-1.0, 1.0, dim)
+    op = EDOperator(dim=dim, matvec=lambda v: -1.5 * v, m1z_diag=z, m2z_diag=-z)
+    with pytest.raises(SizeError):
+        lanczos_lowest(op.matvec, dim, k=2)
+    r = ed_solve(op)
+    assert np.abs(r.energies - (-1.5)).max() < 1e-14
+    assert abs(r.gap) < 1e-14
 
 
 def test_ed_solve_validation(dense_spec):

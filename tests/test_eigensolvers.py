@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from meanfield_annealer import ModelSpec, build_dense_sector_operator
 from meanfield_annealer.eigensolvers import (eig_general, jacobi_eigh,
                                              lanczos_lowest, null_basis,
-                                             tridiag_lowest)
+                                             tridiag_eigvecs, tridiag_lowest)
 
 
 def test_jacobi_real_symmetric(rng):
@@ -39,6 +45,32 @@ def test_tridiag_lowest(rng):
     assert np.abs(w - np.linalg.eigvalsh(T)[:6]).max() < 1e-11
 
 
+def _tridiag_case(name, rng):
+    if name == "random":
+        return rng.standard_normal(80), rng.standard_normal(79)
+    if name == "split":
+        # a zero off-diagonal splits T into two blocks whose eigenvalues
+        # interleave; LAPACK reports them grouped by block
+        b = rng.standard_normal(79)
+        b[40] = 0.0
+        return rng.standard_normal(80), b
+    # negated Wilkinson W21+: lowest pair 7e-14 apart
+    return -np.abs(np.arange(21) - 10.0), -np.ones(20)
+
+
+@pytest.mark.parametrize("case", ["random", "split", "wilkinson"])
+def test_tridiag_solvers_match_eigh(case, rng):
+    a, b = _tridiag_case(case, rng)
+    T = np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+    ref = np.linalg.eigvalsh(T)[:6]
+    w = tridiag_lowest(a, b, 6)
+    assert np.abs(w - ref).max() < 1e-12
+    Z = tridiag_eigvecs(a, b, w)
+    assert Z.shape == (len(a), 6)
+    assert np.abs(Z.T @ Z - np.eye(6)).max() < 1e-12
+    assert np.abs(T @ Z - Z * w).max() < 1e-12
+
+
 def test_lanczos_against_dense(rng):
     n = 350
     A = rng.standard_normal((n, n))
@@ -58,6 +90,41 @@ def test_lanczos_small_gap(rng):
     w, _ = lanczos_lowest(lambda v: A @ v, 302, k=2, tol=1e-13)
     assert abs(w[0] - 0.0) < 1e-8
     assert abs(w[1] - 1e-4) < 1e-8
+
+
+@pytest.mark.parametrize("s", [0.2, 0.8])
+def test_lanczos_ritz_pairs_on_sector(s, dense_spec):
+    op = build_dense_sector_operator(dense_spec, s, 40)
+    w, V = lanczos_lowest(op.matvec, op.dim, k=2)
+    assert V.shape == (op.dim, 2)
+    assert np.abs(V.T @ V - np.eye(2)).max() < 1e-12
+    for i in range(2):
+        assert np.linalg.norm(op.matvec(V[:, i]) - w[i] * V[:, i]) < 1e-6
+
+
+def test_lanczos_basis_grows_with_use():
+    # a 500-vector basis reserved up front would take 500 * dim * 8 bytes
+    dim = 200_000
+    d = np.concatenate([[0.0, 0.5], np.linspace(2.0, 3.0, dim - 2)])
+    tracemalloc.start()
+    try:
+        w, _ = lanczos_lowest(lambda v: d * v, dim, k=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(w - [0.0, 0.5]).max() < 1e-10
+    assert peak < 500 * dim * 8 / 4
+
+
+def test_package_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, meanfield_annealer; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_eig_general_random(rng):
