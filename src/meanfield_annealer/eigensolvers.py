@@ -79,19 +79,8 @@ def jacobi_eigh(A: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
 
 
 # ---------------------------------------------------------------------------
-# Symmetric tridiagonal eigenproblem (LAPACK; scipy is imported on first use
-# so that importing the package does not load it)
-
-def _dstebz_lowest(alpha, beta, k: int, tol: float):
-    """LAPACK ``dstebz`` for the k lowest eigenvalues: (values grouped by
-    block, ascending within a block; full-length iblock; full-length isplit)."""
-    from scipy.linalg.lapack import dstebz
-
-    m, w, iblock, isplit, info = dstebz(alpha, beta, 2, 0.0, 0.0, 1, k, tol, b"B")
-    if info:
-        raise np.linalg.LinAlgError(f"dstebz failed (info={info})")
-    return w[:m], iblock, isplit
-
+# Symmetric tridiagonal eigenproblem (LAPACK through scipy, imported on first
+# use so that importing the package does not load it)
 
 def tridiag_lowest(alpha, beta, k: int, tol: float = 1e-14):
     """Lowest k eigenvalues of a symmetric tridiagonal matrix, ascending.
@@ -99,56 +88,27 @@ def tridiag_lowest(alpha, beta, k: int, tol: float = 1e-14):
     Bisection by index in LAPACK ``dstebz``; ``tol`` is the absolute width
     at which an eigenvalue counts as located (dstebz also stops at 2 ulp).
     """
-    alpha = np.asarray(alpha, dtype=float)
-    w, _, _ = _dstebz_lowest(alpha, np.asarray(beta, dtype=float), min(k, len(alpha)), tol)
-    return np.sort(w)
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    k = min(k, len(alpha))
+    return eigvalsh_tridiagonal(alpha, beta, select="i", select_range=(0, k - 1),
+                                tol=tol, lapack_driver="stebz")
 
 
-def tridiag_eigvecs(alpha, beta, lams, seed: int = 977, cluster_tol: float = 1e-9):
-    """Orthonormal eigenvectors (columns) for the lowest eigenvalues ``lams``.
+def tridiag_eigvecs(alpha, beta, lams):
+    """Orthonormal eigenvectors (columns) for the len(lams) lowest eigenvalues.
 
-    ``lams`` are the len(lams) lowest eigenvalues in ascending order, as
-    tridiag_lowest returns them.  LAPACK ``dstein`` runs inverse iteration
-    from each of them and reorthogonalizes vectors within a cluster, on the
-    block split that ``dstebz`` reports.  ``seed`` and ``cluster_tol`` have
-    no effect: dstein fixes its own start vectors and cluster criterion.
+    LAPACK ``dstebz`` locates them and ``dstein`` runs inverse iteration,
+    reorthogonalizing vectors within a cluster.
     """
-    from scipy.linalg.lapack import dstein
+    from scipy.linalg import eigh_tridiagonal
 
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    w, iblock, isplit = _dstebz_lowest(alpha, beta, len(lams), 0.0)
-    # dstein wants the values grouped by block; order[i] is the block-order
-    # position of the i-th lowest eigenvalue
-    order = np.argsort(w, kind="stable")
-    grouped = np.empty(len(w))
-    grouped[order] = lams
-    z, info = dstein(alpha, beta, grouped, iblock, isplit)
-    if info:
-        raise np.linalg.LinAlgError(f"dstein failed (info={info})")
-    return z[:, order]
+    return eigh_tridiagonal(alpha, beta, select="i", select_range=(0, len(lams) - 1),
+                            lapack_driver="stebz")[1]
 
 
 # ---------------------------------------------------------------------------
 # Lanczos with full reorthogonalization
-
-_BLOCK_ROWS = 64  # Krylov basis storage grows by blocks of this many vectors
-
-
-def _leading_rows(blocks, n: int):
-    """(offset, rows) over the blocks holding the first n basis vectors."""
-    for i, blk in enumerate(blocks):
-        start = i * _BLOCK_ROWS
-        if start >= n:
-            return
-        yield start, blk[: n - start]
-
-
-def _project_out(blocks, n: int, w: np.ndarray) -> None:
-    """One Gram-Schmidt pass of w against the first n basis vectors, in place."""
-    for _, rows in _leading_rows(blocks, n):
-        w -= rows.T @ (rows @ w)
-
 
 def lanczos_lowest(matvec, dim: int, k: int = 2, tol: float = 1e-12,
                    max_iter: int | None = None, seed: int = 7,
@@ -159,8 +119,7 @@ def lanczos_lowest(matvec, dim: int, k: int = 2, tol: float = 1e-12,
     which keeps Ritz values clean enough to resolve small gaps.  One
     Gram-Schmidt pass is made, and a second one only when the first removed
     more than a 1 - 1/sqrt(2) share of the norm (Daniel, Gragg, Kaufman &
-    Stewart, Math. Comp. 30, 1976).  The basis is stored in blocks of 64
-    vectors, allocated as they fill.  Returns (w, V); V holds Ritz vectors
+    Stewart, Math. Comp. 30, 1976).  Returns (w, V); V holds Ritz vectors
     as columns, or None when ``want_vectors`` is false.
 
     Raises SizeError when repeated breakdowns prevent convergence.
@@ -169,36 +128,27 @@ def lanczos_lowest(matvec, dim: int, k: int = 2, tol: float = 1e-12,
         max_iter = min(dim, 500)
     max_iter = min(max_iter, dim)
     rng = np.random.default_rng(seed)
-    blocks: list[np.ndarray] = []
-
-    def store(j, v):
-        if j % _BLOCK_ROWS == 0:
-            blocks.append(np.empty((min(_BLOCK_ROWS, max_iter - j), dim)))
-        blocks[-1][j % _BLOCK_ROWS] = v
-
-    def row(j):
-        return blocks[j // _BLOCK_ROWS][j % _BLOCK_ROWS]
-
     q = rng.standard_normal(dim)
-    store(0, q / np.linalg.norm(q))
+    q /= np.linalg.norm(q)
+    basis = np.empty((max_iter, dim))
+    basis[0] = q
     alpha: list[float] = []
     beta: list[float] = []
     prev = None
     restarts = 0
     j = 0
     while j < max_iter:
-        v = row(j)
-        w = matvec(v)
-        a = float(v @ w)
+        w = matvec(basis[j])
+        a = float(basis[j] @ w)
         alpha.append(a)
-        w = w - a * v
+        w = w - a * basis[j]
         if j > 0:
-            w -= beta[-1] * row(j - 1)
+            w = w - beta[-1] * basis[j - 1]
         before = float(np.linalg.norm(w))
-        _project_out(blocks, j + 1, w)
+        w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
         b = float(np.linalg.norm(w))
         if b < before / np.sqrt(2.0):
-            _project_out(blocks, j + 1, w)
+            w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
             b = float(np.linalg.norm(w))
         j += 1
         if j >= max(2 * k + 2, 6) and (j % 10 == 0 or j == max_iter or b < 1e-13):
@@ -216,28 +166,27 @@ def lanczos_lowest(matvec, dim: int, k: int = 2, tol: float = 1e-12,
                 raise SizeError("Lanczos breakdown: invariant subspace too small")
             q = rng.standard_normal(dim)
             for _ in range(2):
-                _project_out(blocks, j, q)
+                q -= basis[:j].T @ (basis[:j] @ q)
             nq = np.linalg.norm(q)
             if nq < 1e-10:
                 break
             if j < max_iter:
-                store(j, q / nq)
+                basis[j] = q / nq
                 beta.append(0.0)
             continue
         if j < max_iter:
-            store(j, w / b)
+            basis[j] = w / b
             beta.append(b)
-    m = len(alpha)
     alpha_arr = np.array(alpha)
-    beta_arr = np.array(beta[: m - 1])
-    kk = min(k, m)
+    beta_arr = np.array(beta[: len(alpha_arr) - 1])
+    kk = min(k, len(alpha_arr))
     vals = tridiag_lowest(alpha_arr, beta_arr, kk)
     if not want_vectors:
         return vals, None
     y = tridiag_eigvecs(alpha_arr, beta_arr, vals)
-    vecs = np.zeros((dim, kk))
-    for start, rows in _leading_rows(blocks, m):
-        vecs += rows.T @ y[start : start + len(rows)]
+    # y.T @ basis, not basis.T @ y: OpenBLAS packs a transposed basis into
+    # per-thread gemm buffers, tens of MiB resident with two threads
+    vecs = (y.T @ basis[: len(alpha_arr)]).T
     vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
     for i in range(kk):
         vals[i] = float(vecs[:, i] @ matvec(vecs[:, i]))
