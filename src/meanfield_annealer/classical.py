@@ -1,21 +1,26 @@
 """Classical ground states of the dense model.
 
 Minimizes the energy density over m_a = (sin theta_a, 0, cos theta_a),
-two angles on the xz torus (every minimum has m_y = 0), with
-deterministic multistart search, warm-started continuation sweeps that
-expose hysteresis, and first-order transition detection by branch-energy
+two angles on the xz torus (every minimum has m_y = 0), by damped Newton
+written as one scalar kernel on Python floats, with deterministic
+multistart search, warm-started continuation sweeps that expose
+hysteresis, and first-order transition detection by branch-energy
 crossing.
 """
 from __future__ import annotations
 
 import enum
+import functools
+import sys
 from dataclasses import dataclass
+from math import atan2, copysign, cos, hypot, sin
+from typing import NamedTuple
 
 import numpy as np
 
 from . import transitions
 from .errors import ConvergenceError
-from .model import MagPair, ModelSpec, _coeffs, _dense_energy, _dense_grad, dense_hessian
+from .model import MagPair, ModelSpec, _coeffs
 
 
 class Direction(enum.Enum):
@@ -55,48 +60,127 @@ class TransitionReport:
 
 # ---------------------------------------------------------------------------
 # Damped Newton on the (theta1, theta2) torus
+#
+# The kernel works on Python floats: with m_a = (x_a, 0, z_a) =
+# (sin th_a, 0, cos th_a) the energy, its Cartesian gradient and the 2x2
+# angle Hessian are a handful of scalar products, where numpy's per-call
+# overhead on 2-vectors and 6x6 arrays would cost more than the algebra.
 
 _EIG_FLOOR = 1e-8   # smallest curvature a Newton step divides by
 _MAX_STEP = 0.5     # rad
+_MAX_ITER = 200
+_FOUR_ULPS = 4 * sys.float_info.epsilon
+
+
+def _fold(spec: ModelSpec, s: float) -> tuple:
+    """Energy coefficients at (spec, s) as plain floats for the kernel."""
+    c = _coeffs(spec, s)
+    return (c.s / 2.0, c.s / 4.0, c.h1, c.h2, c.a1, c.a2, c.c11, c.c22, c.c12)
+
+
+def _energy(k, x1, z1, x2, z2):
+    s2, s4, h1, h2, a1, a2, c11, c22, c12 = k
+    return (-s2 * (h1 * z1 + h2 * z2) - s4 * (z1 * z1 + z2 * z2 + z1 * z2)
+            - a1 * x1 - a2 * x2 - (c11 * x1 * x1 + c22 * x2 * x2 + c12 * x1 * x2))
+
+
+def _grad(k, x1, z1, x2, z2):
+    """(dE/dm1x, dE/dm1z, dE/dm2x, dE/dm2z); the y components vanish."""
+    s2, s4, h1, h2, a1, a2, c11, c22, c12 = k
+    return (-a1 - 2.0 * c11 * x1 - c12 * x2, -s2 * h1 - s4 * (2.0 * z1 + z2),
+            -a2 - 2.0 * c22 * x2 - c12 * x1, -s2 * h2 - s4 * (2.0 * z2 + z1))
+
+
+def _angle_hessian(k, x1, z1, x2, z2, mu1, mu2):
+    """Entries (h11, h12, h22) of T^T H T + diag(mu).
+
+    T maps angle steps to (dm1, dm2) through t_a = (z_a, 0, -x_a), and H
+    has six nonzero entries: xx -2 c11, -2 c22, -c12 and zz -s/2, -s/2,
+    -s/4 (see ``dense_hessian``).
+    """
+    s2, s4, _, _, _, _, c11, c22, c12 = k
+    return (-2.0 * c11 * z1 * z1 - s2 * x1 * x1 + mu1,
+            -c12 * z1 * z2 - s4 * x1 * x2,
+            -2.0 * c22 * z2 * z2 - s2 * x2 * x2 + mu2)
+
+
+class _Point(NamedTuple):
+    """Where a Newton run ended: angles, energy, multipliers, residual."""
+
+    t1: float
+    t2: float
+    energy: float
+    mu: tuple[float, float]
+    residual: float
+
+    @property
+    def m2z(self) -> float:
+        return cos(self.t2)
+
+
+def _newton(k, t1, t2, max_iter, tol) -> _Point:
+    """Damped Newton from the angles (t1, t2); returns where it ended.
+
+    Hessian eigenvalues enter by absolute value with a floor, steps are
+    capped at 0.5 rad and halved until the energy rises by at most 4 ulps.
+    """
+    for _ in range(max_iter):
+        x1, z1, x2, z2 = sin(t1), cos(t1), sin(t2), cos(t2)
+        energy = _energy(k, x1, z1, x2, z2)
+        g1x, g1z, g2x, g2z = _grad(k, x1, z1, x2, z2)
+        d1 = g1x * z1 - g1z * x1    # dE/dth_a = g_a . t_a
+        d2 = g2x * z2 - g2z * x2
+        if max(abs(d1), abs(d2)) < 0.01 * tol:
+            break
+        h11, h12, h22 = _angle_hessian(k, x1, z1, x2, z2,
+                                       -(g1x * x1 + g1z * z1), -(g2x * x2 + g2z * z2))
+        # Jacobi rotation: eigenpairs (h11 - t h12, (c, -sn)) and (h22 + t h12, (sn, c))
+        if h12 == 0.0:
+            t = 0.0
+        else:
+            tau = (h22 - h11) / (2.0 * h12)
+            t = copysign(1.0, tau) / (abs(tau) + hypot(1.0, tau))
+        c = 1.0 / hypot(1.0, t)
+        sn = t * c
+        p1 = (c * d1 - sn * d2) / max(abs(h11 - t * h12), _EIG_FLOOR)
+        p2 = (sn * d1 + c * d2) / max(abs(h22 + t * h12), _EIG_FLOOR)
+        step1 = -(c * p1 + sn * p2)
+        step2 = sn * p1 - c * p2
+        n = hypot(step1, step2)
+        if n > _MAX_STEP:
+            step1 *= _MAX_STEP / n
+            step2 *= _MAX_STEP / n
+        # a few ulps of slack: near convergence the decrease is below rounding
+        bound = energy + _FOUR_ULPS * max(1.0, abs(energy))
+        for _ in range(60):
+            u1, u2 = t1 + step1, t2 + step2
+            if _energy(k, sin(u1), cos(u1), sin(u2), cos(u2)) <= bound:
+                break
+            step1 *= 0.5
+            step2 *= 0.5
+        t1, t2 = u1, u2
+    x1, z1, x2, z2 = sin(t1), cos(t1), sin(t2), cos(t2)
+    g1x, g1z, g2x, g2z = _grad(k, x1, z1, x2, z2)
+    # mu_a = -g_a . m_a; the residual is the part of g_a off m_a
+    mu1 = -(g1x * x1 + g1z * z1)
+    mu2 = -(g2x * x2 + g2z * z2)
+    res = max(hypot(g1x + mu1 * x1, g1z + mu1 * z1), hypot(g2x + mu2 * x2, g2z + mu2 * z2))
+    return _Point(t1, t2, _energy(k, x1, z1, x2, z2), (mu1, mu2), res)
 
 
 def _unit(th):
-    return np.array([np.sin(th), 0.0, np.cos(th)])
+    return np.array([sin(th), 0.0, cos(th)])
 
 
-def _angles(m: MagPair) -> np.ndarray:
-    return np.array([np.arctan2(m.m1[0], m.m1[2]), np.arctan2(m.m2[0], m.m2[2])])
+def _angles(m: MagPair) -> tuple[float, float]:
+    return atan2(m.m1[0], m.m1[2]), atan2(m.m2[0], m.m2[2])
 
 
-def _tangents(th):
-    """6x2 map from angle steps to (dm1, dm2): t_a = dm_a/dth_a."""
-    T = np.zeros((6, 2))
-    T[0:3, 0] = np.cos(th[0]), 0.0, -np.sin(th[0])
-    T[3:6, 1] = np.cos(th[1]), 0.0, -np.sin(th[1])
-    return T
-
-
-def _angle_terms(coeffs, hess, th):
-    """Energy, angle gradient and angle Hessian at th.
-
-    dE/dth_a = g_a . t_a and, since dt_a/dth_a = -m_a, the Hessian is
-    T^T H T + diag(mu) with mu_a = -g_a . m_a.
-    """
-    m1, m2 = _unit(th[0]), _unit(th[1])
-    g1, g2 = _dense_grad(coeffs, m1, m2)
-    T = _tangents(th)
-    mu = np.array([-(g1 @ m1), -(g2 @ m2)])
-    return (_dense_energy(coeffs, m1, m2), T.T @ np.concatenate([g1, g2]),
-            T.T @ hess @ T + np.diag(mu))
-
-
-def _residual(coeffs, m1, m2):
-    g1, g2 = _dense_grad(coeffs, m1, m2)
-    mu1 = -float(g1 @ m1)
-    mu2 = -float(g2 @ m2)
-    r1 = g1 + mu1 * m1
-    r2 = g2 + mu2 * m2
-    return (mu1, mu2), max(float(np.linalg.norm(r1)), float(np.linalg.norm(r2)))
+def _state(spec: ModelSpec, s: float, p: _Point) -> ClassicalState:
+    return ClassicalState(
+        s=float(s), m=MagPair(_unit(p.t1), _unit(p.t2)), energy=p.energy,
+        mu=p.mu, residual=p.residual, indeterminate=_indeterminate_flags(spec, s),
+    )
 
 
 def _indeterminate_flags(spec: ModelSpec, s: float) -> tuple[bool, bool]:
@@ -106,49 +190,24 @@ def _indeterminate_flags(spec: ModelSpec, s: float) -> tuple[bool, bool]:
 
 
 def minimize(spec: ModelSpec, s: float, initial: MagPair,
-             max_iter: int = 200, tol: float = 1e-10) -> ClassicalState:
+             max_iter: int = _MAX_ITER, tol: float = 1e-10) -> ClassicalState:
     """Local minimum of the dense energy density from the given start.
 
     The energy has no y terms and its zz block is negative definite for
     s > 0, so minima lie in the xz plane: the start is projected to angles
-    th_a = atan2(m_ax, m_az) and damped Newton runs on the two angles.
-    Curvatures enter by absolute value with a floor, steps are capped at
-    0.5 rad and halved until the energy does not rise.
+    th_a = atan2(m_ax, m_az) and damped Newton runs on the two angles
+    (``_newton``, shared with ``global_minimize``).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     n1, n2 = initial.norms()
     if n1 < 1e-6 or n2 < 1e-6:
         raise ValueError("initial magnetizations must be unit direction vectors")
-    coeffs = _coeffs(spec, s)
-    hess = dense_hessian(spec, s)
-    th = _angles(initial)
-    for _ in range(max_iter):
-        energy, grad, h = _angle_terms(coeffs, hess, th)
-        if np.max(np.abs(grad)) < 0.01 * tol:
-            break
-        w, v = np.linalg.eigh(h)
-        step = -v @ ((v.T @ grad) / np.maximum(np.abs(w), _EIG_FLOOR))
-        n = np.linalg.norm(step)
-        if n > _MAX_STEP:
-            step *= _MAX_STEP / n
-        # a few ulps of slack: near convergence the decrease is below rounding
-        slack = 4 * np.finfo(float).eps * max(1.0, abs(energy))
-        for _ in range(60):
-            trial = th + step
-            if _dense_energy(coeffs, _unit(trial[0]), _unit(trial[1])) <= energy + slack:
-                break
-            step *= 0.5
-        th = trial
-    m1, m2 = _unit(th[0]), _unit(th[1])
-    mu, res = _residual(coeffs, m1, m2)
-    state = ClassicalState(
-        s=float(s), m=MagPair(m1, m2), energy=float(_dense_energy(coeffs, m1, m2)),
-        mu=mu, residual=res, indeterminate=_indeterminate_flags(spec, s),
-    )
-    if res >= tol:
+    p = _newton(_fold(spec, s), *_angles(initial), max_iter, tol)
+    state = _state(spec, s, p)
+    if p.residual >= tol:
         raise ConvergenceError(
-            f"minimize did not reach residual {tol:g} at s={s:g} (got {res:g})",
+            f"minimize did not reach residual {tol:g} at s={s:g} (got {p.residual:g})",
             best=state,
         )
     return state
@@ -184,7 +243,8 @@ def start_set(n_starts: int, seed: int = 0) -> list[MagPair]:
     return starts[:n_starts]
 
 
-def _better(a: ClassicalState | None, b: ClassicalState) -> ClassicalState:
+def _better(a, b):
+    """The lower of two minima; energy ties within 1e-12 go to larger m2z."""
     if a is None:
         return b
     if b.energy < a.energy - 1e-12:
@@ -194,29 +254,37 @@ def _better(a: ClassicalState | None, b: ClassicalState) -> ClassicalState:
     return a
 
 
+@functools.lru_cache(maxsize=32)
+def _start_angles(n_starts: int, seed: int) -> tuple[tuple[float, float], ...]:
+    return tuple(_angles(start) for start in start_set(n_starts, seed))
+
+
 def global_minimize(spec: ModelSpec, s: float, n_starts: int = 8,
                     seed: int = 0, tol: float = 1e-10) -> ClassicalState:
     """Lowest minimum over the deterministic start set.
 
-    Energy ties within 1e-12 are broken toward larger m2z.
+    The coefficients are folded once and every start runs the same Newton
+    kernel as ``minimize``; starts that miss the residual tolerance are
+    skipped.  Energy ties within 1e-12 are broken toward larger m2z.
     """
     if n_starts < 8:
         raise ValueError("n_starts must be at least 8")
-    best = None
-    failures = []
-    for start in start_set(n_starts, seed):
-        try:
-            st = minimize(spec, s, start, tol=tol)
-        except ConvergenceError as err:
-            failures.append(err)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    k = _fold(spec, s)
+    best = failed = None
+    for t1, t2 in _start_angles(n_starts, seed):
+        p = _newton(k, t1, t2, _MAX_ITER, tol)
+        if p.residual >= tol:
+            failed = p
             continue
-        best = _better(best, st)
+        best = _better(best, p)
     if best is None:
         raise ConvergenceError(
             f"all {n_starts} starts failed to converge at s={s:g}",
-            best=failures[-1].best if failures else None,
+            best=_state(spec, s, failed),
         )
-    return best
+    return _state(spec, s, best)
 
 
 def is_stable_minimum(spec: ModelSpec, state: ClassicalState, tol: float = 1e-9) -> bool:
@@ -225,9 +293,11 @@ def is_stable_minimum(spec: ModelSpec, state: ClassicalState, tol: float = 1e-9)
     In the xz plane the curvature is the 2x2 angle Hessian; the energy has
     no y terms, so the curvature out of the plane is mu_a.
     """
-    T = _tangents(_angles(state.m))
-    h = T.T @ dense_hessian(spec, state.s) @ T + np.diag(state.mu)
-    return bool(np.linalg.eigvalsh(h)[0] >= -tol and min(state.mu) >= -tol)
+    t1, t2 = _angles(state.m)
+    h11, h12, h22 = _angle_hessian(_fold(spec, state.s), sin(t1), cos(t1), sin(t2), cos(t2),
+                                   *state.mu)
+    lowest = 0.5 * (h11 + h22) - hypot(0.5 * (h11 - h22), h12)
+    return bool(lowest >= -tol and min(state.mu) >= -tol)
 
 
 # ---------------------------------------------------------------------------

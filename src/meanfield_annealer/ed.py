@@ -275,7 +275,8 @@ def ed_solve(H, k: int = 2, tol: float = 1e-12, max_iter: int | None = None,
     handles dimensions up to 200; Lanczos with full reorthogonalization
     takes over above that, falling back to dense ``eigh`` on breakdown
     when the size allows (dim <= 4096).  Ground states degenerate within
-    1e-10 are averaged.
+    1e-10 are averaged: over the whole multiplet on the ``eigh`` paths,
+    which see the full spectrum, and over the k Lanczos pairs otherwise.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -289,7 +290,6 @@ def ed_solve(H, k: int = 2, tol: float = 1e-12, max_iter: int | None = None,
     if op.dim <= _EIGH_LIMIT:
         M = H if isinstance(H, np.ndarray) else op.to_dense()
         w, V = np.linalg.eigh(np.asarray(M, dtype=float))
-        w, V = w[:k], V[:, :k]
     else:
         try:
             w, V = lanczos_lowest(op.matvec, op.dim, k=k, tol=tol,
@@ -297,7 +297,6 @@ def ed_solve(H, k: int = 2, tol: float = 1e-12, max_iter: int | None = None,
         except SizeError:
             if op.dim <= 4096:
                 w, V = np.linalg.eigh(op.to_dense())
-                w, V = w[:k], V[:, :k]
             else:
                 raise
     # degeneracy-averaged ground expectations

@@ -6,8 +6,8 @@
   the small tridiagonal eigenproblem handed to LAPACK (``dstebz`` +
   ``dstein``),
 * a dense general complex eigensolver (Hessenberg reduction plus shifted
-  QR) with left-eigenvector extraction by nullspace elimination, sized
-  for the 4x4 fluctuation problem but written for any small n.
+  QR) and a nullspace by Gaussian elimination, kept as references for
+  tests and acceptance checks; the gap path itself runs on LAPACK.
 """
 from __future__ import annotations
 

@@ -63,6 +63,67 @@ def test_minimize_pure_y_start(dense_spec):
     assert st.m.m1[1] == 0.0 and st.m.m2[1] == 0.0
 
 
+def _reference_newton(spec, s, initial, max_iter=200, tol=1e-10):
+    """The same damped Newton on numpy arrays: angle gradient T^T g and
+    Hessian T^T H T + diag(mu) from a 6x2 tangent map, eigh of the 2x2.
+    Returns (angles, energy, mu)."""
+    hess = dense_hessian(spec, s)
+
+    def unit(t):
+        return np.array([np.sin(t), 0.0, np.cos(t)])
+
+    def terms(th):
+        m = MagPair(unit(th[0]), unit(th[1]))
+        g1, g2 = dense_gradient(spec, s, m)
+        T = np.zeros((6, 2))
+        T[0:3, 0] = np.cos(th[0]), 0.0, -np.sin(th[0])
+        T[3:6, 1] = np.cos(th[1]), 0.0, -np.sin(th[1])
+        mu = np.array([-(g1 @ m.m1), -(g2 @ m.m2)])
+        return (dense_energy_density(spec, s, m), T.T @ np.concatenate([g1, g2]),
+                T.T @ hess @ T + np.diag(mu), mu)
+
+    th = np.array([np.arctan2(initial.m1[0], initial.m1[2]),
+                   np.arctan2(initial.m2[0], initial.m2[2])])
+    for _ in range(max_iter):
+        energy, grad, h, _ = terms(th)
+        if np.max(np.abs(grad)) < 0.01 * tol:
+            break
+        w, v = np.linalg.eigh(h)
+        step = -v @ ((v.T @ grad) / np.maximum(np.abs(w), 1e-8))
+        n = np.linalg.norm(step)
+        if n > 0.5:
+            step *= 0.5 / n
+        slack = 4 * np.finfo(float).eps * max(1.0, abs(energy))
+        for _ in range(60):
+            trial = th + step
+            if dense_energy_density(spec, s, MagPair(unit(trial[0]), unit(trial[1]))) \
+                    <= energy + slack:
+                break
+            step *= 0.5
+        th = trial
+    energy, _, _, mu = terms(th)
+    return th, energy, mu
+
+
+def test_minimize_matches_reference_newton():
+    rng = np.random.default_rng(77)
+    cases = [(0.0, 0.0, 0.0, 0.0, MagPair(rng.standard_normal(3), rng.standard_normal(3))),
+             (1.5, -2.0, -4.0, 0.0, MagPair(XHAT, UP)),
+             (0.0, 0.0, -4.0, 0.5, MagPair([0.0, 1.0, 0.0], [0.0, 1.0, 0.0])),
+             (0.0, 0.0, 0.0, 1.0, MagPair(DOWN, UP))]
+    for _ in range(40):
+        cases.append((*rng.uniform(-6.0, 6.0, 3), float(rng.uniform(0.0, 1.0)),
+                      MagPair(rng.standard_normal(3), rng.standard_normal(3))))
+    for xi11, xi22, xi12, s, init in cases:
+        spec = ModelSpec.dense(xi=(xi11, xi22, xi12))
+        st = minimize(spec, s, init)
+        th, energy, mu = _reference_newton(spec, s, init)
+        angles = np.arctan2([st.m.m1[0], st.m.m2[0]], [st.m.m1[2], st.m.m2[2]])
+        assert np.abs(np.angle(np.exp(1j * (angles - th)))).max() < 1e-12, (xi11, xi22, xi12, s)
+        assert st.energy == pytest.approx(energy, abs=1e-12)
+        assert np.abs(np.array(st.mu) - mu).max() < 1e-12
+
+
 def test_is_stable_minimum_rejects_saddle(dense_spec):
     # at s=1 the axis states are stationary; (down, up) has mu1 = -0.25
     st = minimize(dense_spec, 1.0, MagPair(DOWN, UP))

@@ -87,6 +87,20 @@ def test_ed_solve_breakdown_falls_back_to_eigh():
     assert abs(r.gap) < 1e-14
 
 
+@pytest.mark.parametrize("dim", [150, 300])
+def test_ed_solve_averages_whole_ground_multiplet(dim, rng):
+    # every state of -1.5 I is a ground state, so on both eigh paths (dense
+    # below 200, breakdown fallback above) the degeneracy-averaged
+    # magnetizations are the uniform averages of the diagonals, whichever
+    # k eigenvectors eigh happens to return first
+    z1, z2 = rng.uniform(-1.0, 1.0, dim), rng.uniform(-1.0, 1.0, dim)
+    op = EDOperator(dim=dim, matvec=lambda v: -1.5 * v, m1z_diag=z1, m2z_diag=z2)
+    r = ed_solve(op)
+    assert r.m1z == pytest.approx(z1.mean(), abs=1e-12)
+    assert r.m2z == pytest.approx(z2.mean(), abs=1e-12)
+    assert len(r.energies) == 2
+
+
 def test_ed_solve_validation(dense_spec):
     H = build_dense_sector_hamiltonian(dense_spec, 0.5, 4)
     with pytest.raises(ValueError):

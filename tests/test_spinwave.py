@@ -5,8 +5,8 @@ from meanfield_annealer import (CatalystRangeError, ClassicalState,
                                 DegenerateModeError, InstabilityError, MagPair,
                                 ModelSpec, StationarityError, excitation_gaps,
                                 fluctuation_matrix, gap_profile, gaps_at,
-                                global_minimize, local_frame, min_gap,
-                                optimize_catalyst, rotate_frame)
+                                dense_hessian, global_minimize, local_frame,
+                                min_gap, optimize_catalyst, rotate_frame)
 from meanfield_annealer.ed import dense_ed, extrapolate_gap, gap_sequence
 from meanfield_annealer.spinwave import FluctuationMatrix, _golden_section
 
@@ -68,6 +68,26 @@ def test_spectrum_pairing_random_specs(rng):
         assert np.abs(ev.imag).max() < 1e-8
         re = np.sort(ev.real)
         assert np.abs(re + re[::-1]).max() < 1e-8
+
+
+def test_excitation_gaps_match_colpa_closed_form(rng):
+    # with m_a = (sin th_a, 0, cos th_a) the modes decouple into in-plane
+    # (x) and out-of-plane (y) quadratures: A - B = diag(mu) and
+    # A + B = diag(mu) + h_xx with h_xx = T^T H T, t_a = (cos th_a, 0,
+    # -sin th_a), so omega^2 = eig(diag(mu) (diag(mu) + h_xx)) (Colpa,
+    # Physica A 93, 1978)
+    for _ in range(60):
+        spec = ModelSpec.dense(xi=tuple(rng.uniform(-6.0, 6.0, 3)))
+        st = global_minimize(spec, float(rng.uniform(0.0, 1.0)))
+        th = np.arctan2([st.m.m1[0], st.m.m2[0]], [st.m.m1[2], st.m.m2[2]])
+        T = np.zeros((6, 2))
+        T[0:3, 0] = np.cos(th[0]), 0.0, -np.sin(th[0])
+        T[3:6, 1] = np.cos(th[1]), 0.0, -np.sin(th[1])
+        M = np.diag(st.mu)
+        omega2 = np.sort(np.linalg.eigvals(M @ (M + T.T @ dense_hessian(spec, st.s) @ T)).real)
+        g = excitation_gaps(fluctuation_matrix(spec, st))
+        assert g.delta1 == pytest.approx(4.0 * np.sqrt(omega2[0]), abs=1e-10)
+        assert g.delta2 == pytest.approx(4.0 * np.sqrt(omega2[1]), abs=1e-10)
 
 
 def test_gap_endpoints(dense_spec):
