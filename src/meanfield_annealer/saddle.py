@@ -1,14 +1,28 @@
 """Self-consistent solution of the sparse-intercluster model.
 
 The pairwise coupling is decoupled through conjugate fields: a 4x4
-effective two-spin Hamiltonian is diagonalized exactly, its (degeneracy
-averaged) ground expectations feed back into the mean-field gradient, and
-the loop is iterated to a fixed point.  The mean-field energy sources no
-y field and the coupling is xx and zz only, so inside the loop that
-Hamiltonian is real symmetric and goes to LAPACK ``eigh``; the public
-builder and ``ground_block`` keep the general complex form.  Zero
-temperature is the primary path; the finite-temperature free energy is
-kept as a homotopy device for hard points and as a diagnostic.
+effective two-spin Hamiltonian is diagonalized exactly, and its (degeneracy
+averaged) ground expectations e(x) of X1, Z1, X2, Z2 must reproduce
+x = (m1x, m1z, m2x, m2z).  The mean-field energy sources no y field and the
+coupling is xx and zz only, so inside the loop that Hamiltonian is real
+symmetric and goes to LAPACK ``eigh``; the public builder and
+``ground_block`` keep the general complex form.  The conjugate fields are
+affine in x, mt = b + D x with D = diag(4 c11, s, 4 c22, s).
+
+The fixed point x = e(x) is found in two stages.  A damped iteration
+x <- x + d (e(x) - x) runs until max|e(x) - x| < ``_NEWTON_SWITCH``; it
+selects the basin.  At zero temperature Newton on F(x) = e(x) - x then
+finishes the solve, with the Jacobian J = chi D - I taken from the same
+``eigh``: chi_ij = d e_i / d mt_j is the static linear response of the
+ground state.  A Newton iterate is accepted only when the ground state is
+non-degenerate and lambda_max(chi D) < 1, the condition under which the
+damped map is locally attracting.  Newton runs past ``tol`` until the
+residual reaches the rounding floor or stops falling, so a converged
+solution sits on its fixed point, not tol/(1 - rho) from it for a damped
+map of slope rho.  On a rejected iterate, or a Newton step that fails to
+lower the residual above ``tol``, the damped loop resumes from the
+iterate it had before Newton and finishes alone.  Finite temperature (a
+homotopy device for hard points, and a diagnostic) stays purely damped.
 
 The whole construction takes the decoupling fields to be constant in
 imaginary time.  That is a modeling assumption baked into the equations,
@@ -34,6 +48,11 @@ _S12 = np.array([[np.kron(p, _I2) for p in _PAULI], [np.kron(_I2, p) for p in _P
 _S1S2 = np.array([[np.kron(a, b) for b in _PAULI] for a in _PAULI])
 _OPS = _S12[:, ::2].real.reshape(4, 16)   # X1, Z1, X2, Z2, flattened
 _DEGENERACY_TOL = 1e-9
+# Residual max|e(x) - x| below which the zero-temperature loop hands over
+# from damped steps to Newton steps.
+_NEWTON_SWITCH = 1e-4
+# Residual at which e(x), computed for |x| <= 1, has no digits left to gain.
+_ROUNDING_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -120,7 +139,11 @@ def _real_hamiltonian(Hc, mt1, mt2) -> np.ndarray:
 def _expectations(H, beta):
     """<X1>, <Z1>, <X2>, <Z2> of the real symmetric H, averaged over the
     ground block (``beta=None``) or in the thermal state at ``beta``."""
-    w, V = np.linalg.eigh(H)
+    return _average(*np.linalg.eigh(H), beta)
+
+
+def _average(w, V, beta):
+    """``_expectations`` from the eigenpairs (w ascending, V columns)."""
     if beta is None:
         g = int(np.count_nonzero(w < w[0] + _DEGENERACY_TOL))
         P = V[:, :g] @ V[:, :g].T / g
@@ -128,6 +151,26 @@ def _expectations(H, beta):
         p = np.exp(-beta * (w - w[0]))
         P = (V * (p / p.sum())) @ V.T
     return _OPS @ P.ravel()
+
+
+def _response(w, V):
+    """Factor B (4x3) of the static susceptibility chi = B B^T of a
+    non-degenerate ground state.
+
+    chi_ij = d<O_i>/d mt_j = 2 sum_{n>0} <0|O_i|n><n|O_j|0> / (E_n - E_0)
+    for H = H0 - sum_j mt_j O_j (second-order perturbation theory), with O
+    = X1, Z1, X2, Z2; chi is symmetric positive semidefinite.
+    """
+    A = (_OPS.reshape(4, 4, 4) @ V[:, 0]) @ V[:, 1:]   # A[i, n-1] = <n|O_i|0>
+    return A * np.sqrt(2.0 / (w[1:] - w[0]))
+
+
+def _field_map(coeffs):
+    """(b, D) with mt = b + D * x for x = (m1x, m1z, m2x, m2z): the conjugate
+    fields -2 dh_m/dm of ``model._sparse_grad``, term for term."""
+    c = coeffs
+    return (np.array([2.0 * c.a1, c.s * c.h1, 2.0 * c.a2, c.s * c.h2]),
+            np.array([4.0 * c.c11, c.s, 4.0 * c.c22, c.s]))
 
 
 def conjugate_fields(spec: ModelSpec, s: float, m: MagPair) -> ConjugateFields:
@@ -152,12 +195,19 @@ def _energy_density(coeffs, Hc, m1, m2):
 def solve_saddle(spec: ModelSpec, s: float, init: MagPair, damping: float = 0.5,
                  max_iter: int = 10000, tol: float = 1e-10,
                  beta: float | None = None) -> SaddleSolution:
-    """Damped fixed-point iteration of the self-consistency loop.
+    """Self-consistent solution reached from ``init``.
 
-    m is relaxed toward the effective-model expectation at every step;
-    oscillations trigger automatic damping reduction, and persistent
-    non-convergence falls back to a finite-temperature homotopy before
-    reporting converged=False.  ``beta=None`` is the zero-temperature path.
+    Damped fixed-point steps relax m toward the effective-model expectation;
+    oscillations trigger automatic damping reduction.  At zero temperature
+    (``beta=None``) the loop switches to Newton steps once the residual is
+    below ``_NEWTON_SWITCH``, accepts them only at non-degenerate points
+    with lambda_max(chi D) < 1, keeps stepping past ``tol`` until the
+    residual reaches ``_ROUNDING_FLOOR`` or stops falling, and otherwise
+    falls back to the damped loop from where Newton began.  Persistent non-convergence falls back to
+    a finite-temperature homotopy (purely damped) before reporting
+    converged=False.  A converged solution's ``residual`` is max|e(m) - m|
+    at the returned m.  The y components of ``init`` are dropped: they
+    source no field and the fixed point has none.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must be in (0, 1]")
@@ -165,18 +215,20 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair, damping: float = 0.5,
         raise ValueError("solve_saddle requires a sparse-intercluster spec")
     coeffs = _coeffs(spec, s)
     Hc = _coupling_part(coupling_matrix(spec, s))
-    m1, m2, converged, residual = _iterate(coeffs, Hc, init.m1, init.m2,
-                                           damping, max_iter, tol, beta)
+    x0 = np.concatenate([init.m1[::2], init.m2[::2]])
+    x, converged, residual = _iterate(coeffs, Hc, x0, damping, max_iter, tol, beta)
     if not converged and beta is None:
         # homotopy: anneal a smooth finite-temperature loop, then retry
-        cur1, cur2 = init.m1, init.m2
+        cur = x0
         for beta_h in (20.0, 50.0, 100.0, 300.0):
-            h1, h2, ok, _ = _iterate(coeffs, Hc, cur1, cur2, damping,
-                                     max_iter // 4, max(tol, 1e-9), beta_h)
+            h, ok, _ = _iterate(coeffs, Hc, cur, damping, max_iter // 4,
+                                max(tol, 1e-9), beta_h)
             if ok:
-                cur1, cur2 = h1, h2
-        m1, m2, converged, residual = _iterate(coeffs, Hc, cur1, cur2,
-                                               damping, max_iter, tol, None)
+                cur = h
+        x, converged, residual = _iterate(coeffs, Hc, cur, damping, max_iter,
+                                          tol, None)
+    m1 = np.array([x[0], 0.0, x[1]])
+    m2 = np.array([x[2], 0.0, x[3]])
     u, lam0, g, mt = _energy_density(coeffs, Hc, m1, m2)
     g1, g2 = spec.schedule.at(s)
     return SaddleSolution(
@@ -186,24 +238,52 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair, damping: float = 0.5,
     )
 
 
-def _iterate(coeffs, Hc, m1, m2, damping, max_iter, tol, beta):
-    m = np.array([m1, m2], dtype=float)   # rows: clusters; columns: x, y, z
-    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(Hc))):
+def _iterate(coeffs, Hc, x, damping, max_iter, tol, beta):
+    """Fixed point of x = e(x); returns (x, converged, max|e(x) - x| at x)."""
+    x = np.array(x, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(Hc))):
         raise ValueError("effective Hamiltonian inputs must be finite")
-    e = np.zeros((2, 3))                  # <sigma_y> vanishes for a real H
+    b, D = _field_map(coeffs)
+    newton = beta is None
+    start = None                  # (x, step, top, residual) where Newton began
+    last = None                   # last accepted Newton iterate, its residual
     osc = 0
     prev_sign = 0.0
     residual = np.inf
     for _ in range(max_iter):
-        g1, g2 = _sparse_grad(coeffs, m[0], m[1])
-        H = _real_hamiltonian(Hc, -2.0 * g1, -2.0 * g2)
-        e[:, ::2] = _expectations(H, beta).reshape(2, 2)
-        step = e - m
-        upd = step.ravel()
-        residual = float(np.abs(upd).max())
+        w, V = np.linalg.eigh(Hc - ((b + D * x) @ _OPS).reshape(4, 4))
+        step = _average(w, V, beta) - x
+        size = np.abs(step)
+        top = int(size.argmax())
+        residual = float(size[top])
+        if newton and residual < _NEWTON_SWITCH:
+            # a Newton iterate must lower the residual and have a
+            # non-degenerate ground state
+            accept = ((last is None or residual < last[1])
+                      and w[1] >= w[0] + _DEGENERACY_TOL)
+            if accept:
+                B = _response(w, V)
+                # chi D = B B^T D shares its nonzero eigenvalues with the
+                # symmetric M = B^T D B, and (I - chi D)^-1 = I + B (I - M)^-1 B^T D
+                mu, Q = np.linalg.eigh(B.T @ (D[:, None] * B))
+                accept = mu[-1] < 1.0
+            if accept:
+                if residual < min(tol, _ROUNDING_FLOOR):
+                    return x, True, residual  # nothing left for Newton to gain
+                if start is None:
+                    start = (x.copy(), step, top, residual)
+                last = (x.copy(), residual)
+                x += step + B @ (Q @ ((Q.T @ (B.T @ (D * step))) / (1.0 - mu)))
+                continue
+            if last is not None and last[1] < tol:
+                return last[0], True, last[1]
+            # rejected: resume the damped loop where Newton began
+            newton = False
+            if start is not None:
+                x, step, top, residual = start
         if residual < tol:
-            return m[0], m[1], True, residual
-        sign = np.sign(upd[int(np.argmax(np.abs(upd)))])
+            return x, True, residual
+        sign = np.sign(step[top])
         if prev_sign and sign == -prev_sign:
             osc += 1
             if osc >= 10:
@@ -212,8 +292,10 @@ def _iterate(coeffs, Hc, m1, m2, damping, max_iter, tol, beta):
         else:
             osc = 0
         prev_sign = sign
-        m += damping * step
-    return m[0], m[1], False, residual
+        x += damping * step
+    if last is not None and last[1] < tol:
+        return last[0], True, last[1]
+    return x, False, residual
 
 
 def free_energy_density(spec: ModelSpec, s: float, mt: ConjugateFields,

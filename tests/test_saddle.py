@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from meanfield_annealer import (ConjugateFields, CouplingMatrix, MagPair,
-                                ModelSpec, build_effective_hamiltonian,
+from meanfield_annealer import (ConjugateFields, CouplingMatrix, Direction,
+                                MagPair, ModelSpec, build_effective_hamiltonian,
                                 conjugate_fields, coupling_matrix,
                                 detect_transition_sparse, free_energy_density,
                                 global_saddle, ground_block, solve_saddle,
-                                sparse_mean_field_density)
+                                sparse_mean_field_density, sweep_sparse)
+from meanfield_annealer import saddle
 from meanfield_annealer.ed import sparse_ed
 from meanfield_annealer.eigensolvers import jacobi_eigh
+from meanfield_annealer.model import FixedValue, _coeffs
 from meanfield_annealer.saddle import (_coupling_part, _expectations,
-                                       _real_hamiltonian)
+                                       _field_map, _real_hamiltonian,
+                                       _response)
 
 XHAT = [1.0, 0.0, 0.0]
 ZERO = [0.0, 0.0, 0.0]
@@ -270,3 +273,155 @@ def test_solve_saddle_matches_reference_loop(s, xi12, init, beta):
     assert sol.converged
     m1, m2 = reference_solve(spec, s, init, beta)
     assert np.abs(np.r_[sol.m.m1 - m1, sol.m.m2 - m2]).max() < 1e-9
+
+
+# -- Newton finish: linear response, stability gate, fallback ---------------
+
+def response_at(spec, s, x):
+    """F(x) = e(x) - x, chi and D at x = (m1x, m1z, m2x, m2z) on the fast path."""
+    b, D = _field_map(_coeffs(spec, s))
+    mt = b + D * x
+    H = _real_hamiltonian(_coupling_part(coupling_matrix(spec, s)),
+                          np.r_[mt[0], 0.0, mt[1]], np.r_[mt[2], 0.0, mt[3]])
+    w, V = np.linalg.eigh(H)
+    B = _response(w, V)
+    return _expectations(H, None) - x, B @ B.T, D
+
+
+def lambda_max(spec, s, x):
+    _, chi, D = response_at(spec, s, x)
+    return float(np.linalg.eigvals(chi * D).real.max())
+
+
+def as_x(m):
+    return np.r_[m.m1[::2], m.m2[::2]]
+
+
+def general_F(spec, s, x):
+    """e(x) - x through the public complex builder and ground_block."""
+    m = MagPair([x[0], 0.0, x[1]], [x[2], 0.0, x[3]])
+    H = build_effective_hamiltonian(conjugate_fields(spec, s, m),
+                                    coupling_matrix(spec, s))
+    _, g, e1, e2 = ground_block(H)
+    assert g == 1
+    return np.r_[e1[::2], e2[::2]] - x
+
+
+def test_linear_response_jacobian_matches_finite_differences(rng):
+    h = 1e-6
+    points = 0
+    while points < 24:
+        xi = rng.uniform(-8.0, 8.0, 3)
+        s = rng.uniform(0.02, 0.98)
+        x = rng.uniform(-1.0, 1.0, 4)
+        spec = ModelSpec.sparse(xi=tuple(xi))
+        b, D = _field_map(_coeffs(spec, s))
+        Hc = _coupling_part(coupling_matrix(spec, s))
+
+        def H_of(mt):
+            return _real_hamiltonian(Hc, np.r_[mt[0], 0.0, mt[1]],
+                                     np.r_[mt[2], 0.0, mt[3]])
+
+        w = np.linalg.eigvalsh(H_of(b + D * x))
+        if w[1] - w[0] < 1e-2:
+            continue
+        points += 1
+        F, chi, _ = response_at(spec, s, x)
+        assert np.abs(F - general_F(spec, s, x)).max() < 1e-12
+        J = chi * D - np.eye(4)
+        J_fd = np.empty((4, 4))
+        chi_fd = np.empty((4, 4))
+        mt = b + D * x
+        for j in range(4):
+            dx = np.zeros(4)
+            dx[j] = h
+            J_fd[:, j] = (general_F(spec, s, x + dx) - general_F(spec, s, x - dx)) / (2 * h)
+            chi_fd[:, j] = (_expectations(H_of(mt + dx), None)
+                            - _expectations(H_of(mt - dx), None)) / (2 * h)
+        assert np.abs(J - J_fd).max() <= 1e-6 * np.abs(J).max()
+        assert np.abs(chi - chi_fd).max() <= 1e-6 * np.abs(chi).max()
+        # the measured response itself is symmetric positive semidefinite
+        assert np.abs(chi_fd - chi_fd.T).max() <= 1e-6 * np.abs(chi).max()
+        assert np.linalg.eigvalsh(chi_fd + chi_fd.T).min() >= -1e-6 * np.abs(chi).max()
+        assert np.allclose(chi, chi.T, rtol=0, atol=1e-14)
+
+
+def test_newton_gate_rejects_unstable_middle_fixed_point():
+    # xi12 = 0 coexistence window: two stable branches and an unstable
+    # fixed point between them, reached here by plain Newton
+    spec = ModelSpec.sparse()
+    s = 0.72
+    up = as_x(solve_saddle(spec, s, MagPair([0, 0, 1], [0, 0, 1])).m)
+    down = as_x(solve_saddle(spec, s, MagPair([0, 0, 1], [0, 0, -1])).m)
+    assert np.abs(up - down).max() > 1.0
+    mid = (up + down) / 2
+    for _ in range(30):
+        F, chi, D = response_at(spec, s, mid)
+        mid = mid - np.linalg.solve(chi * D - np.eye(4), F)
+    assert np.abs(response_at(spec, s, mid)[0]).max() < 1e-13
+    assert lambda_max(spec, s, mid) >= 1.0
+    for sign in (1.0, -1.0):
+        start = mid + sign * np.array([0.0, 0.0, 0.0, 1e-6])
+        sol = solve_saddle(spec, s, MagPair([start[0], 0, start[1]],
+                                            [start[2], 0, start[3]]))
+        assert sol.converged and sol.residual < 1e-10
+        x = as_x(sol.m)
+        assert np.abs(x - mid).max() > 0.1
+        assert lambda_max(spec, s, x) < 1.0
+        assert min(np.abs(x - up).max(), np.abs(x - down).max()) < 1e-9
+
+
+def test_degenerate_ground_block_keeps_damped_answer():
+    # gamma1 = 1 at s = 0 leaves cluster 1 without a field: a doubly
+    # degenerate ground block, where the response is undefined
+    spec = ModelSpec.sparse(gamma1=FixedValue(1.0))
+    init = MagPair([0, 0, 1], [0, 0, 1])
+    sol = solve_saddle(spec, 0.0, init)
+    assert sol.converged and sol.degeneracy == 2
+    m1, m2 = reference_solve(spec, 0.0, init)
+    assert np.abs(np.r_[sol.m.m1 - m1, sol.m.m2 - m2]).max() < 1e-15
+    # the damped loop stops one step short of zero; Newton would not
+    assert 0.0 < np.abs(sol.m.m1).max() < 1e-10
+
+
+def test_failed_newton_finish_resumes_the_damped_loop(monkeypatch):
+    # With chi forced to zero the Newton step is the undamped step
+    # x <- e(x), which overshoots on this total-catalyst map (the damped loop
+    # halves its damping here): the residual grows, and the solve must go on
+    # with the damped loop from the iterate Newton began at.
+    monkeypatch.setattr(saddle, "_response", lambda w, V: np.zeros((4, 3)))
+    spec = ModelSpec.sparse(xi=(-5.0, -5.0, -10.0))
+    init = MagPair([0, 0, 1], [0, 0, 1])
+    for s in (0.205, 0.3):
+        sol = solve_saddle(spec, s, init)
+        assert sol.converged
+        m1, m2 = reference_solve(spec, s, init)
+        assert np.abs(np.r_[sol.m.m1 - m1, sol.m.m2 - m2]).max() < 1e-14
+
+
+@pytest.mark.parametrize("xi12", [0.0, 4.0, -4.0, 8.0, -7.0])
+def test_sparse_scan_solutions_pass_the_gate(xi12):
+    spec = ModelSpec.sparse(xi=(0.0, 0.0, xi12))
+    grid = np.linspace(0.0, 1.0, 21)
+    for direction in (Direction.FORWARD, Direction.BACKWARD):
+        for sol in sweep_sparse(spec, grid, direction):
+            assert sol.converged and sol.degeneracy == 1
+            assert lambda_max(spec, sol.s, as_x(sol.m)) < 1.0
+
+
+@pytest.mark.parametrize("spec, s", [
+    (ModelSpec.sparse(gamma2=FixedValue(0.25)), 0.7),       # fig10_weak
+    (ModelSpec.sparse(xi=(0.0, 0.0, 7.5)), 0.675),          # fig8
+    (ModelSpec.sparse(xi=(0.0, 7.5, 0.0)), 0.875),          # fig9_weak
+])
+def test_default_tol_solution_sits_on_the_fixed_point(spec, s):
+    # rows where a map slope near 1 left the plain damped loop 1.3-1.5e-9
+    # from its fixed point at the default tol
+    sol = global_saddle(spec, s)
+    tight = solve_saddle(spec, s, sol.m, tol=1e-15)
+    assert tight.converged
+    assert np.abs(np.r_[sol.m.m1 - tight.m.m1, sol.m.m2 - tight.m.m2]).max() < 1e-12
+    assert sol.residual == pytest.approx(np.abs(general_F(spec, s, as_x(sol.m))).max(),
+                                         abs=1e-15)
+    m1, m2 = reference_solve(spec, s, sol.m, tol=1e-14)
+    assert np.abs(np.r_[sol.m.m1 - m1, sol.m.m2 - m2]).max() < 1e-12
