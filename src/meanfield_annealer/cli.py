@@ -89,6 +89,15 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_unit(x) -> bool:
+    """A JSON number in [0, 1]."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and 0.0 <= x <= 1.0
+
+
 def _validate(cfg):
     if cfg["task"] not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {cfg['task']!r}")
@@ -97,13 +106,16 @@ def _validate(cfg):
     if cfg["placement"] not in PLACEMENTS:
         raise ConfigError(f"placement must be one of {sorted(PLACEMENTS)}")
     for key in ("s_steps", "axis2_steps", "n_starts", "seed"):
-        if not isinstance(cfg[key], int) or isinstance(cfg[key], bool):
+        if not _is_int(cfg[key]):
             raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
     if cfg["s_steps"] < 1 or cfg["axis2_steps"] < 1:
         raise ConfigError("step counts must be >= 1")
     if cfg["n_starts"] < 8:
         raise ConfigError("n_starts must be at least 8")
-    if not float(cfg["s_min"]) <= float(cfg["s_max"]):
+    for key in ("s_min", "s_max"):
+        if not _is_unit(cfg[key]):
+            raise ConfigError(f"{key} must be a number in [0, 1], got {cfg[key]!r}")
+    if not cfg["s_min"] <= cfg["s_max"]:
         raise ConfigError("s_min must not exceed s_max")
     if cfg["axis2"] not in (None, "xi", "gamma1", "gamma2"):
         raise ConfigError("axis2 must be null, 'xi', 'gamma1', or 'gamma2'")
@@ -116,6 +128,22 @@ def _validate(cfg):
         v = cfg[key]
         if v != "s" and not isinstance(v, (int, float)):
             raise ConfigError(f"{key} must be 's' or a number")
+    points = cfg["ed_s_points"]
+    if not isinstance(points, list) or not all(_is_unit(x) for x in points):
+        raise ConfigError(f"ed_s_points must be a list of numbers in [0, 1], got {points!r}")
+    sizes = cfg["ed_sizes"]
+    if not (isinstance(sizes, list) and sizes
+            and all(_is_int(n) and 0 < n <= 2000 and n % 4 == 0 for n in sizes)):
+        raise ConfigError("ed_sizes must be a non-empty list of positive multiples of 4 "
+                          f"up to 2000, got {sizes!r}")
+    n = cfg["ed_n"]
+    if cfg["coupling"] == "dense":
+        ok, what = _is_int(n) and 0 < n <= 2000 and n % 4 == 0, "a multiple of 4 up to 2000"
+    else:
+        ok, what = _is_int(n) and 0 < n <= 14 and n % 2 == 0, "an even integer up to 14"
+    if n is not None and not ok:
+        raise ConfigError(f"ed_n must be null or, for the {cfg['coupling']} model, "
+                          f"{what}; got {n!r}")
 
 
 def _schedule(value):

@@ -2,11 +2,13 @@
 
 The dense model conserves the per-cluster total spin, so its low-energy
 physics at size N lives in a product of two spin-(N/4) multiplets of
-dimension (N/2+1)^2; that sector Hamiltonian is built from ladder matrix
-elements.  The sparse model has no such reduction and is diagonalized in
-the full 2^N space at small N.  Small problems go to LAPACK ``eigh``,
-larger ones to the in-repo Lanczos; both return energies, ground
-magnetizations, and the gap.
+dimension (N/2+1)^2; that sector Hamiltonian is a sum of Kronecker
+products of the tridiagonal ladder matrix.  The sparse model has no such
+reduction and is diagonalized in the full 2^N space at small N, where
+every term flips a fixed set of bits.  Both are ``scipy.sparse`` CSR
+matrices (imported on the first build) with about 9 nonzeros per sector
+row.  Small problems go to LAPACK ``eigh``, larger ones to the in-repo
+Lanczos; both return energies, ground magnetizations, and the gap.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .errors import SizeError
 from .model import Coupling, ModelSpec, _coeffs
 
 _DENSE_BUDGET = 1100       # max dimension for materialized sector matrices
+_MATERIALIZE_LIMIT = 4096  # max dimension EDOperator.to_dense will fill
 _EIGH_LIMIT = 200          # dense eigh below, Lanczos above
 _SPARSE_LIMIT_N = 14
 
@@ -51,7 +54,11 @@ class EDResult:
 
 @dataclass(frozen=True)
 class EDOperator:
-    """Matrix-free symmetric operator with magnetization diagonals."""
+    """Symmetric operator given by its matvec, with magnetization diagonals.
+
+    The ``build_*`` functions pass the ``dot`` of a CSR matrix, which
+    also takes a block of column vectors.
+    """
 
     dim: int
     matvec: Callable[[np.ndarray], np.ndarray]
@@ -59,30 +66,21 @@ class EDOperator:
     m2z_diag: np.ndarray
 
     def to_dense(self) -> np.ndarray:
-        if self.dim > 4096:
+        if self.dim > _MATERIALIZE_LIMIT:
             raise SizeError(f"refusing to materialize a {self.dim}-dim operator")
-        out = np.empty((self.dim, self.dim))
-        e = np.zeros(self.dim)
-        for j in range(self.dim):
-            e[j] = 1.0
-            out[:, j] = self.matvec(e)
-            e[j] = 0.0
+        out = np.asarray(self.matvec(np.eye(self.dim)))
         return 0.5 * (out + out.T)
 
 
-def _ladder_x(d: int, S: float) -> np.ndarray:
-    """Matrix of m^x = S^x / S in the |S, m> basis, ascending m."""
-    m = np.arange(d) - S
-    off = 0.5 * np.sqrt(S * (S + 1.0) - m[:-1] * (m[:-1] + 1.0)) / S
-    X = np.zeros((d, d))
-    idx = np.arange(d - 1)
-    X[idx + 1, idx] = off
-    X[idx, idx + 1] = off
-    return X
-
-
 def build_dense_sector_operator(spec: ModelSpec, s: float, N: int) -> EDOperator:
-    """Sector Hamiltonian of the dense model as a matrix-free operator."""
+    """Sector Hamiltonian of the dense model as a CSR operator.
+
+    Index i*d + j holds cluster-1 level i and cluster-2 level j, ascending
+    m, so cluster-1 operators act as kron(A, I) and cluster-2 ones as
+    kron(I, A), with X = S^x / S the tridiagonal ladder matrix.
+    """
+    import scipy.sparse as sp
+
     if spec.coupling is not Coupling.DENSE:
         raise ValueError("sector reduction applies to the dense model")
     sector = SectorSpec.for_size(N)
@@ -91,64 +89,72 @@ def build_dense_sector_operator(spec: ModelSpec, s: float, N: int) -> EDOperator
     c = _coeffs(spec, s)
     d = N // 2 + 1
     S = sector.S
-    mz = (np.arange(d) - S) / S
-    X = _ladder_x(d, S)
-    X2 = X @ X
+    m = np.arange(d) - S
+    mz = m / S
+    off = 0.5 * np.sqrt(S * (S + 1.0) - m[:-1] * (m[:-1] + 1.0)) / S
+    X = sp.diags([off, off], [-1, 1], format="csr")
+    eye = sp.identity(d, format="csr")
     W = N * (
         -(c.s / 2.0) * (c.h1 * mz[:, None] + c.h2 * mz[None, :])
         - (c.s / 4.0) * (mz[:, None] ** 2 + mz[None, :] ** 2 + mz[:, None] * mz[None, :])
     )
-    a1 = N * c.a1
-    a2 = N * c.a2
-    k11 = N * c.c11
-    k22 = N * c.c22
-    k12 = N * c.c12
-
-    def matvec(v):
-        P = v.reshape(d, d)
-        out = W * P
-        out -= a1 * (X @ P) + a2 * (P @ X)
-        if k11:
-            out -= k11 * (X2 @ P)
-        if k22:
-            out -= k22 * (P @ X2)
-        if k12:
-            out -= k12 * (X @ P @ X)
-        return out.ravel()
-
-    m1z_diag = np.repeat(mz, d)
-    m2z_diag = np.tile(mz, d)
-    return EDOperator(dim=d * d, matvec=matvec, m1z_diag=m1z_diag, m2z_diag=m2z_diag)
+    H = sp.diags(W.ravel(), format="csr")
+    for coeff, A, B in ((c.a1, X, eye), (c.a2, eye, X), (c.c11, X @ X, eye),
+                        (c.c22, eye, X @ X), (c.c12, X, X)):
+        if coeff:
+            H = H - (N * coeff) * sp.kron(A, B, format="csr")
+    return EDOperator(dim=d * d, matvec=H.dot, m1z_diag=np.repeat(mz, d),
+                      m2z_diag=np.tile(mz, d))
 
 
 def build_dense_sector_hamiltonian(spec: ModelSpec, s: float, N: int) -> np.ndarray:
     """Materialized sector matrix; real symmetric by construction.
 
     Dense storage is limited to dim <= 1100; larger sizes must use the
-    matrix-free operator.
+    CSR operator.
     """
-    op = build_dense_sector_operator(spec, s, N)
-    if op.dim > _DENSE_BUDGET:
+    dim = SectorSpec.for_size(N).dim
+    if dim > _DENSE_BUDGET:
         raise SizeError(
-            f"sector dimension {op.dim} exceeds the dense budget {_DENSE_BUDGET}; "
+            f"sector dimension {dim} exceeds the dense budget {_DENSE_BUDGET}; "
             "use build_dense_sector_operator"
         )
-    out = np.empty((op.dim, op.dim))
-    e = np.zeros(op.dim)
-    for j in range(op.dim):
-        e[j] = 1.0
-        out[:, j] = op.matvec(e)
-        e[j] = 0.0
-    return 0.5 * (out + out.T)
+    return build_dense_sector_operator(spec, s, N).to_dense()
 
 
-def _spin_z_table(N: int) -> np.ndarray:
+def _full_space_table(N: int) -> np.ndarray:
+    """Spin-z table (2^N, N) of +-1, row i holding the bits of i."""
+    if N % 2 != 0 or N <= 0:
+        raise ValueError("N must be a positive even integer")
+    if N > _SPARSE_LIMIT_N:
+        raise SizeError(f"N={N} exceeds the full-space limit N<={_SPARSE_LIMIT_N}")
     idx = np.arange(1 << N)
     return 1 - 2 * ((idx[:, None] >> np.arange(N)[None, :]) & 1)
 
 
+def _flip_operator(diag, flips, m1z, m2z) -> EDOperator:
+    """CSR operator with diagonal `diag` and H[i, i ^ mask] = coeff for
+    each (mask, coeff) in `flips`; masks are distinct and nonzero, so
+    every row holds 1 + len(flips) entries, the diagonal first."""
+    import scipy.sparse as sp
+
+    dim = diag.size
+    width = 1 + len(flips)
+    idx = np.arange(dim, dtype=np.int32)
+    indices = np.empty((dim, width), dtype=np.int32)
+    data = np.empty((dim, width))
+    indices[:, 0] = idx
+    data[:, 0] = diag
+    for j, (mask, coeff) in enumerate(flips, start=1):
+        indices[:, j] = idx ^ mask
+        data[:, j] = coeff
+    indptr = np.arange(0, dim * width + 1, width, dtype=np.int32)
+    H = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(dim, dim))
+    return EDOperator(dim=dim, matvec=H.dot, m1z_diag=m1z, m2z_diag=m2z)
+
+
 def build_sparse_full_hamiltonian(spec: ModelSpec, s: float, N: int) -> EDOperator:
-    """Full 2^N Hamiltonian of the sparse model, as a matrix-free operator.
+    """Full 2^N Hamiltonian of the sparse model, as a CSR operator.
 
     Site r of cluster 1 is bit r; site r of cluster 2 is bit N/2 + r, and
     the pairwise coupling ties bit r to bit N/2 + r.
@@ -156,14 +162,9 @@ def build_sparse_full_hamiltonian(spec: ModelSpec, s: float, N: int) -> EDOperat
     if spec.coupling is not Coupling.SPARSE:
         raise ValueError("full-space builder applies to the sparse model")
     N = int(N)
-    if N % 2 != 0 or N <= 0:
-        raise ValueError("N must be a positive even integer")
-    if N > _SPARSE_LIMIT_N:
-        raise SizeError(f"N={N} exceeds the full-space limit N<={_SPARSE_LIMIT_N}")
+    sz = _full_space_table(N)
     c = _coeffs(spec, s)
     n2 = N // 2
-    dim = 1 << N
-    sz = _spin_z_table(N)
     z1 = sz[:, :n2].sum(axis=1).astype(float)
     z2 = sz[:, n2:].sum(axis=1).astype(float)
     diag = -c.s * (c.h1 * z1 + c.h2 * z2)
@@ -172,33 +173,24 @@ def build_sparse_full_hamiltonian(spec: ModelSpec, s: float, N: int) -> EDOperat
     # transverse fields and catalysts flip bits; coefficients per flip mask
     cs = c.s * (1.0 - c.s)
     xi11, xi22, xi12 = spec.catalyst.xi11, spec.catalyst.xi22, spec.catalyst.xi12
-    terms: list[tuple[int, float]] = []
+    flips: list[tuple[int, float]] = []
     for r in range(n2):
-        terms.append((1 << r, -2.0 * c.a1))
-        terms.append((1 << (n2 + r), -2.0 * c.a2))
+        flips.append((1 << r, -2.0 * c.a1))
+        flips.append((1 << (n2 + r), -2.0 * c.a2))
     if xi11:
         diag += -cs * xi11 / N * n2  # r = r' diagonal of the intracluster sum
         for r in range(n2):
             for rp in range(r + 1, n2):
-                terms.append(((1 << r) | (1 << rp), -2.0 * cs * xi11 / N))
+                flips.append(((1 << r) | (1 << rp), -2.0 * cs * xi11 / N))
     if xi22:
         diag += -cs * xi22 / N * n2
         for r in range(n2):
             for rp in range(r + 1, n2):
-                terms.append(((1 << (n2 + r)) | (1 << (n2 + rp)), -2.0 * cs * xi22 / N))
+                flips.append(((1 << (n2 + r)) | (1 << (n2 + rp)), -2.0 * cs * xi22 / N))
     if xi12:
         for r in range(n2):
-            terms.append(((1 << r) | (1 << (n2 + r)), -cs * xi12 / 2.0))
-    idx = np.arange(dim)
-    flips = [(idx ^ mask, coeff) for mask, coeff in terms]
-
-    def matvec(v):
-        out = diag * v
-        for perm, coeff in flips:
-            out += coeff * v[perm]
-        return out
-
-    return EDOperator(dim=dim, matvec=matvec, m1z_diag=z1 / n2, m2z_diag=z2 / n2)
+            flips.append(((1 << r) | (1 << (n2 + r)), -cs * xi12 / 2.0))
+    return _flip_operator(diag, flips, z1 / n2, z2 / n2)
 
 
 def build_dense_full_operator(spec: ModelSpec, s: float, N: int) -> EDOperator:
@@ -206,99 +198,60 @@ def build_dense_full_operator(spec: ModelSpec, s: float, N: int) -> EDOperator:
     if spec.coupling is not Coupling.DENSE:
         raise ValueError("builder applies to the dense model")
     N = int(N)
-    if N % 2 != 0 or N <= 0:
-        raise ValueError("N must be a positive even integer")
-    if N > _SPARSE_LIMIT_N:
-        raise SizeError(f"N={N} exceeds the full-space limit N<={_SPARSE_LIMIT_N}")
+    sz = _full_space_table(N)
     c = _coeffs(spec, s)
     n2 = N // 2
-    dim = 1 << N
-    sz = _spin_z_table(N)
     m1z = sz[:, :n2].sum(axis=1) * (2.0 / N)
     m2z = sz[:, n2:].sum(axis=1) * (2.0 / N)
     diag = N * (
         -(c.s / 2.0) * (c.h1 * m1z + c.h2 * m2z)
         - (c.s / 4.0) * (m1z ** 2 + m2z ** 2 + m1z * m2z)
     )
-    terms: dict[int, float] = {}
-
-    def add(mask, coeff):
-        terms[mask] = terms.get(mask, 0.0) + coeff
-
     w = 2.0 / N  # single sigma^x inside m^x
+    flips: list[tuple[int, float]] = []
     for r in range(n2):
-        add(1 << r, N * (-c.a1) * w)
-        add(1 << (n2 + r), N * (-c.a2) * w)
+        flips.append((1 << r, N * (-c.a1) * w))
+        flips.append((1 << (n2 + r), N * (-c.a2) * w))
     if spec.catalyst.xi11:
         diag = diag + N * (-c.c11) * w * w * n2
         for r in range(n2):
             for rp in range(r + 1, n2):
-                add((1 << r) | (1 << rp), 2.0 * N * (-c.c11) * w * w)
+                flips.append(((1 << r) | (1 << rp), 2.0 * N * (-c.c11) * w * w))
     if spec.catalyst.xi22:
         diag = diag + N * (-c.c22) * w * w * n2
         for r in range(n2):
             for rp in range(r + 1, n2):
-                add((1 << (n2 + r)) | (1 << (n2 + rp)), 2.0 * N * (-c.c22) * w * w)
+                flips.append(((1 << (n2 + r)) | (1 << (n2 + rp)), 2.0 * N * (-c.c22) * w * w))
     if spec.catalyst.xi12:
         for r in range(n2):
             for rp in range(n2):
-                add((1 << r) | (1 << (n2 + rp)), N * (-c.c12) * w * w)
-    idx = np.arange(dim)
-    flips = [(idx ^ mask, coeff) for mask, coeff in terms.items()]
-
-    def matvec(v):
-        out = diag * v
-        for perm, coeff in flips:
-            out += coeff * v[perm]
-        return out
-
-    return EDOperator(dim=dim, matvec=matvec, m1z_diag=m1z, m2z_diag=m2z)
+                flips.append(((1 << r) | (1 << (n2 + rp)), N * (-c.c12) * w * w))
+    return _flip_operator(diag, flips, m1z, m2z)
 
 
-def _sector_diags_from_dim(dim: int):
-    d = int(round(np.sqrt(dim)))
-    if d * d != dim:
-        raise ValueError(
-            "cannot infer the sector layout from a plain matrix of this size; "
-            "pass an EDOperator instead"
-        )
-    S = (d - 1) / 2.0
-    mz = (np.arange(d) - S) / S
-    return np.repeat(mz, d), np.tile(mz, d)
-
-
-def ed_solve(H, k: int = 2, tol: float = 1e-12, max_iter: int | None = None,
+def ed_solve(op: EDOperator, k: int = 2, tol: float = 1e-12, max_iter: int | None = None,
              seed: int = 7) -> EDResult:
-    """Lowest-k eigenpairs and ground-state magnetizations.
+    """Lowest-k eigenpairs and ground-state magnetizations of an EDOperator.
 
-    Accepts an EDOperator or a plain sector matrix.  Dense ``eigh``
-    handles dimensions up to 200; Lanczos with full reorthogonalization
-    takes over above that, falling back to dense ``eigh`` on breakdown
-    when the size allows (dim <= 4096).  Ground states degenerate within
-    1e-10 are averaged: over the whole multiplet on the ``eigh`` paths,
-    which see the full spectrum, and over the k Lanczos pairs otherwise.
+    Dense ``eigh`` on ``op.to_dense()`` handles dimensions up to 200;
+    Lanczos with full reorthogonalization takes over above that, falling
+    back to dense ``eigh`` on breakdown when the size allows (dim <= 4096).
+    Ground states degenerate within 1e-10 are averaged: over the whole
+    multiplet on the ``eigh`` paths, which see the full spectrum, and over
+    the k Lanczos pairs otherwise.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if isinstance(H, EDOperator):
-        op = H
-    else:
-        M = np.asarray(H, dtype=float)
-        m1d, m2d = _sector_diags_from_dim(M.shape[0])
-        op = EDOperator(dim=M.shape[0], matvec=lambda v, _M=M: _M @ v,
-                        m1z_diag=m1d, m2z_diag=m2d)
     if op.dim <= _EIGH_LIMIT:
-        M = H if isinstance(H, np.ndarray) else op.to_dense()
-        w, V = np.linalg.eigh(np.asarray(M, dtype=float))
+        w, V = np.linalg.eigh(op.to_dense())
     else:
         try:
             w, V = lanczos_lowest(op.matvec, op.dim, k=k, tol=tol,
                                   max_iter=max_iter, seed=seed)
         except SizeError:
-            if op.dim <= 4096:
-                w, V = np.linalg.eigh(op.to_dense())
-            else:
+            if op.dim > _MATERIALIZE_LIMIT:
                 raise
+            w, V = np.linalg.eigh(op.to_dense())
     # degeneracy-averaged ground expectations
     nground = max(1, int(np.sum(w < w[0] + 1e-10)))
     P = (V[:, :nground] ** 2).sum(axis=1) / nground
@@ -309,11 +262,8 @@ def ed_solve(H, k: int = 2, tol: float = 1e-12, max_iter: int | None = None,
 
 
 def dense_ed(spec: ModelSpec, s: float, N: int, k: int = 2, **kw) -> EDResult:
-    """Sector ED of the dense model, choosing the solver by size."""
-    op = build_dense_sector_operator(spec, s, N)
-    if op.dim <= _EIGH_LIMIT:
-        return ed_solve(build_dense_sector_hamiltonian(spec, s, N), k=k, **kw)
-    return ed_solve(op, k=k, **kw)
+    """Sector ED of the dense model; ``ed_solve`` picks the solver by size."""
+    return ed_solve(build_dense_sector_operator(spec, s, N), k=k, **kw)
 
 
 def sparse_ed(spec: ModelSpec, s: float, N: int, k: int = 2, **kw) -> EDResult:

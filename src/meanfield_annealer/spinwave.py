@@ -12,6 +12,7 @@ of the catalyst strength.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -73,14 +74,12 @@ def local_frame(m) -> LocalFrame:
     if n < 1e-12:
         raise ValueError("cannot build a frame at the zero vector")
     m = m / n
-    ey = np.cross(np.array([0.0, 0.0, 1.0]), m)
-    ny = np.linalg.norm(ey)
-    if ny > 1e-6:
-        ey = ey / ny
-    else:
-        ey = np.array([0.0, 1.0, 0.0])
-    ex = np.cross(ey, m)
-    return LocalFrame(ex=ex, ey=ey, ez=m)
+    mx, my, mz = m.tolist()
+    r = math.hypot(mx, my)
+    # ey = z x m / r, ex = ey x m, with ey's z component zero
+    yx, yy = (-my / r, mx / r) if r > 1e-6 else (0.0, 1.0)
+    ex = np.array([yy * mz, -yx * mz, yx * my - yy * mx])
+    return LocalFrame(ex=ex, ey=np.array([yx, yy, 0.0]), ez=m)
 
 
 def rotate_frame(frame: LocalFrame, angle: float) -> LocalFrame:
@@ -108,26 +107,26 @@ def fluctuation_matrix(spec: ModelSpec, state: ClassicalState,
     if frames is None:
         frames = (local_frame(state.m.m1), local_frame(state.m.m2))
     hess = dense_hessian(spec, state.s)
-    blocks = [[hess[0:3, 0:3], hess[0:3, 3:6]], [hess[3:6, 0:3], hess[3:6, 3:6]]]
-    ax = [frames[0].ex, frames[1].ex]
-    ay = [frames[0].ey, frames[1].ey]
-
-    def proj(a, b, va, vb):
-        return float(va[a] @ blocks[a][b] @ vb[b])
-
-    hxx = np.array([[proj(a, b, ax, ax) for b in range(2)] for a in range(2)])
-    hyy = np.array([[proj(a, b, ay, ay) for b in range(2)] for a in range(2)])
-    hxy = np.array([[float(ax[a] @ blocks[a][b] @ ay[b]) for b in range(2)] for a in range(2)])
+    # 6x2 frame matrices: column a holds cluster a's frame vector in rows 3a:3a+3
+    Px = np.zeros((6, 2))
+    Py = np.zeros((6, 2))
+    for a in range(2):
+        Px[3 * a:3 * a + 3, a] = frames[a].ex
+        Py[3 * a:3 * a + 3, a] = frames[a].ey
+    hxx = Px.T @ hess @ Px
+    hyy = Py.T @ hess @ Py
+    hxy = Px.T @ hess @ Py
     sym_defect = max(abs(hxx[0, 1] - hxx[1, 0]), abs(hyy[0, 1] - hyy[1, 0]))
     if sym_defect > 1e-10:
         raise ValueError(f"frame-projected Hessian lost its symmetry ({sym_defect:g})")
     zplus = (hxx + hyy - 1j * (hxy - hxy.T)) / 2.0
     zminus = (hxx - hyy - 1j * (hxy + hxy.T)) / 2.0
-    M = np.diag(state.mu).astype(complex)
-    E = np.block([
-        [M + zplus, np.conj(zminus)],
-        [-zminus, -M - np.conj(zplus)],
-    ])
+    M = np.diag(state.mu)
+    E = np.empty((4, 4), dtype=complex)
+    E[:2, :2] = M + zplus
+    E[:2, 2:] = np.conj(zminus)
+    E[2:, :2] = -zminus
+    E[2:, 2:] = -M - np.conj(zplus)
     return FluctuationMatrix(matrix=E, mu=state.mu, zplus=zplus, zminus=zminus)
 
 

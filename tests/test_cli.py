@@ -43,6 +43,27 @@ def test_load_config_validation(tmp_path):
                        ("n_starts", None), ("seed", "x"), ("seed", True)):
         with pytest.raises(ConfigError, match=f"{key} must be an integer"):
             load_config(write_cfg(tmp_path, "i.json", **{key: value}))
+    for key, value in (("s_min", -0.5), ("s_max", 1.5), ("s_min", "0.2"), ("s_max", None)):
+        with pytest.raises(ConfigError, match=f"{key} must be a number in"):
+            load_config(write_cfg(tmp_path, "s.json", **{key: value}))
+    for value in ([1.5], [-0.1], ["0.2"], [True], 0.5, None):
+        with pytest.raises(ConfigError, match="ed_s_points must be a list"):
+            load_config(write_cfg(tmp_path, "p.json", ed_s_points=value))
+    for value in (100, [], [100, 102], [0], [2004], [100.0], [True], None):
+        with pytest.raises(ConfigError, match="ed_sizes must be a non-empty list"):
+            load_config(write_cfg(tmp_path, "z.json", ed_sizes=value))
+    for coupling, value in (("dense", 6), ("dense", 0), ("dense", 2004), ("dense", 200.0),
+                            ("dense", "200"), ("sparse", 7), ("sparse", 16),
+                            ("sparse", -2), ("sparse", True)):
+        with pytest.raises(ConfigError, match=f"ed_n must be null or, for the {coupling}"):
+            load_config(write_cfg(tmp_path, "e.json", coupling=coupling, ed_n=value))
+    for coupling, value in (("dense", None), ("dense", 4), ("dense", 2000),
+                            ("sparse", None), ("sparse", 2), ("sparse", 14)):
+        cfg = load_config(write_cfg(tmp_path, "ok.json", coupling=coupling, ed_n=value))
+        assert cfg["ed_n"] == value
+    cfg = load_config(write_cfg(tmp_path, "ok.json", s_min=0, s_max=1, ed_s_points=[0, 0.5, 1],
+                                ed_sizes=[4, 2000]))
+    assert cfg["ed_sizes"] == [4, 2000]
 
 
 def test_scan_csv_layout_and_summary(tmp_path):
@@ -103,6 +124,12 @@ def test_main_exit_codes(tmp_path, capsys):
     bad = write_cfg(tmp_path, "bad.json", **{**SMALL_SCAN, "seed": "x"})
     assert main(["scan", "--config", bad, "--out", str(tmp_path)]) == 2
     assert "seed must be an integer" in capsys.readouterr().err
+    for task, key, value in (("ed-check", "ed_n", 6), ("ed-check", "ed_sizes", 100),
+                             ("ed-check", "ed_s_points", [1.5]), ("scan", "s_min", -0.5)):
+        bad = write_cfg(tmp_path, "bad.json", task=task, output="bad.csv", **{key: value})
+        assert main([task, "--config", bad, "--out", str(tmp_path)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def test_malformed_json_writes_nothing(tmp_path):

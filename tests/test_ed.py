@@ -1,10 +1,11 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
-from meanfield_annealer import (EDOperator, ModelSpec, SectorSpec, SizeError,
-                                build_dense_full_operator,
+from meanfield_annealer import (EDOperator, FixedValue, ModelSpec, SectorSpec,
+                                SizeError, build_dense_full_operator,
                                 build_dense_sector_hamiltonian,
                                 build_dense_sector_operator,
                                 build_sparse_full_hamiltonian, dense_ed,
@@ -44,7 +45,7 @@ def test_sector_matrix_small_size(dense_spec):
     brute = _classical_problem_energies(dense_spec, 4)
     assert H.diagonal().min() == pytest.approx(brute.min(), abs=1e-12)
     assert H.diagonal().min() == pytest.approx(-4.02, abs=1e-12)
-    r = ed_solve(build_dense_sector_hamiltonian(dense_spec, 0.0, 4))
+    r = ed_solve(build_dense_sector_operator(dense_spec, 0.0, 4))
     assert r.energies[0] == pytest.approx(-4.0, abs=1e-10)
 
 
@@ -58,6 +59,78 @@ def test_sector_subset_of_full_spectrum(s):
         assert min(abs(wfull - x)) < 1e-10
 
 
+
+def _pauli_site(op, r, N):
+    """op on site r of N, with site r as bit r of the basis index (kron puts
+    its first factor on the most significant bit)."""
+    mats = [np.eye(2)] * N
+    mats[N - 1 - r] = op
+    return functools.reduce(np.kron, mats)
+
+
+def _dense_energy_operator(spec, s, N, X1, X2, Z1, Z2):
+    """N h(M1, M2) with the classical polynomial's operator ordering."""
+    g1, g2 = spec.schedule.at(s)
+    w = s * (1.0 - s) / 4.0
+    cat = spec.catalyst
+    h = (-(s / 2.0) * (spec.fields.h1 * Z1 + spec.fields.h2 * Z2)
+         - (s / 4.0) * (Z1 @ Z1 + Z2 @ Z2 + Z1 @ Z2)
+         - (1.0 - g1) / 2.0 * X1 - (1.0 - g2) / 2.0 * X2
+         - w * (cat.xi11 * X1 @ X1 + cat.xi22 * X2 @ X2 + cat.xi12 * X1 @ X2))
+    return N * h
+
+
+# each of a1, a2, c11, c22, c12 nonzero in some case; gamma = 1 switches
+# a cluster's transverse field off
+SECTOR_CASES = [
+    ((0.0, 0.0, 0.0), None, None),
+    ((1.3, 0.0, 0.0), None, FixedValue(1.0)),
+    ((0.0, -0.7, 0.0), FixedValue(1.0), None),
+    ((0.0, 0.0, -4.0), FixedValue(0.3), None),
+    ((1.3, -0.7, -2.1), None, FixedValue(0.6)),
+]
+
+
+@pytest.mark.parametrize("N", [4, 8, 20])
+@pytest.mark.parametrize("xi,gamma1,gamma2", SECTOR_CASES)
+def test_sector_operator_matches_kron_construction(N, xi, gamma1, gamma2, rng):
+    spec = ModelSpec.dense(xi=xi, gamma1=gamma1, gamma2=gamma2)
+    s = 0.37
+    S = N / 4.0
+    d = N // 2 + 1
+    m = np.arange(d) - S
+    raise_ = np.diag(np.sqrt(S * (S + 1.0) - m[:-1] * (m[:-1] + 1.0)), -1)  # S^+
+    X = (raise_ + raise_.T) / (2.0 * S)
+    Z = np.diag(m / S)
+    eye = np.eye(d)
+    Z1, Z2 = np.kron(Z, eye), np.kron(eye, Z)
+    H = _dense_energy_operator(spec, s, N, np.kron(X, eye), np.kron(eye, X), Z1, Z2)
+    op = build_dense_sector_operator(spec, s, N)
+    assert op.dim == d * d
+    assert np.array_equal(op.m1z_diag, Z1.diagonal())
+    assert np.array_equal(op.m2z_diag, Z2.diagonal())
+    assert np.abs(op.to_dense() - H).max() < 1e-12
+    for _ in range(3):
+        v = rng.standard_normal(op.dim)
+        assert np.abs(op.matvec(v) - H @ v).max() < 1e-12
+
+
+def test_dense_full_operator_matches_pauli_kron(rng):
+    N, n2, s = 6, 3, 0.43
+    spec = ModelSpec.dense(xi=(1.3, -0.7, -2.1))
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.diag([1.0, -1.0])
+    X1, Z1, X2, Z2 = (sum(_pauli_site(p, r, N) for r in sites) * (2.0 / N)
+                      for sites in (range(n2), range(n2, N)) for p in (sx, sz))
+    H = _dense_energy_operator(spec, s, N, X1, X2, Z1, Z2)
+    op = build_dense_full_operator(spec, s, N)
+    assert np.abs(op.to_dense() - H).max() < 1e-12
+    assert np.array_equal(op.m1z_diag, Z1.diagonal())
+    assert np.array_equal(op.m2z_diag, Z2.diagonal())
+    for _ in range(3):
+        v = rng.standard_normal(op.dim)
+        assert np.abs(op.matvec(v) - H @ v).max() < 1e-12
+
 def test_sector_ground_matches_classical(dense_spec):
     r = dense_ed(dense_spec, 0.2, 100)
     st = global_minimize(dense_spec, 0.2)
@@ -66,10 +139,10 @@ def test_sector_ground_matches_classical(dense_spec):
 
 
 def test_jacobi_and_lanczos_paths_agree(dense_spec):
-    # dim 121 sector runs through Jacobi; force the Lanczos path on the
+    # dim 121 sector runs through dense eigh; force the Lanczos path on the
     # operator and compare
     op = build_dense_sector_operator(dense_spec, 0.6, 20)
-    dense_path = ed_solve(build_dense_sector_hamiltonian(dense_spec, 0.6, 20))
+    dense_path = ed_solve(op)
     w, _ = lanczos_lowest(op.matvec, op.dim, k=2, tol=1e-13)
     assert np.abs(w - dense_path.energies).max() < 1e-9
 
@@ -102,11 +175,8 @@ def test_ed_solve_averages_whole_ground_multiplet(dim, rng):
 
 
 def test_ed_solve_validation(dense_spec):
-    H = build_dense_sector_hamiltonian(dense_spec, 0.5, 4)
     with pytest.raises(ValueError):
-        ed_solve(H, k=1)
-    with pytest.raises(ValueError):
-        ed_solve(np.zeros((10, 10)))  # not a sector dimension
+        ed_solve(build_dense_sector_operator(dense_spec, 0.5, 4), k=1)
     with pytest.raises(SizeError):
         build_dense_sector_hamiltonian(dense_spec, 0.5, 68)
     with pytest.raises(SizeError):
@@ -128,8 +198,6 @@ def test_sparse_full_small_cases(sparse_spec):
 
 def test_sparse_full_matches_brute_force(sparse_spec, rng):
     # independent dense construction from explicit Pauli kron products
-    import functools
-
     sx = np.array([[0, 1], [1, 0]], dtype=float)
     sz = np.array([[1, 0], [0, -1]], dtype=float)
     eye = np.eye(2)
