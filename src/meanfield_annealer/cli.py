@@ -25,8 +25,8 @@ from .errors import (CatalystRangeError, ConfigError, ConvergenceError,
                      DegenerateModeError, InstabilityError, SizeError)
 from .model import ClusterFields, Coupling, FixedValue, Identity, ModelSpec
 from .saddle import _saddle_solver, global_saddle
-from .spinwave import (excitation_gaps, fluctuation_matrix, gaps_at, min_gap,
-                       optimize_catalyst)
+from .spinwave import (excitation_gaps, fluctuation_matrix, gap_or_flag, gaps_at,
+                       min_gap, optimize_catalyst)
 
 CSV_HEADER = ["s", "axis2", "m1x", "m1z", "m2x", "m2z", "energy",
               "delta1", "delta2", "branch", "flags"]
@@ -93,9 +93,15 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_number(x) -> bool:
+    """A JSON number within the finite float range (not NaN)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
 def _is_unit(x) -> bool:
     """A JSON number in [0, 1]."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and 0.0 <= x <= 1.0
+    return _is_number(x) and 0.0 <= x <= 1.0
 
 
 def _validate(cfg):
@@ -117,17 +123,27 @@ def _validate(cfg):
             raise ConfigError(f"{key} must be a number in [0, 1], got {cfg[key]!r}")
     if not cfg["s_min"] <= cfg["s_max"]:
         raise ConfigError("s_min must not exceed s_max")
+    for key in ("xi", "h1", "h2", "jump_threshold", "xi_min", "xi_max", "tol_xi"):
+        if not _is_number(cfg[key]):
+            raise ConfigError(f"{key} must be a finite number, got {cfg[key]!r}")
+    if cfg["tol_xi"] <= 0:
+        raise ConfigError(f"tol_xi must be positive, got {cfg['tol_xi']!r}")
+    if not isinstance(cfg["gaps"], bool):
+        raise ConfigError(f"gaps must be true or false, got {cfg['gaps']!r}")
+    for key in ("axis2_min", "axis2_max"):
+        if cfg[key] is not None and not _is_number(cfg[key]):
+            raise ConfigError(f"{key} must be null or a finite number, got {cfg[key]!r}")
     if cfg["axis2"] not in (None, "xi", "gamma1", "gamma2"):
         raise ConfigError("axis2 must be null, 'xi', 'gamma1', or 'gamma2'")
     if cfg["axis2"] is not None:
         if cfg["axis2_min"] is None or cfg["axis2_max"] is None:
             raise ConfigError("axis2_min and axis2_max are required with axis2")
-        if not float(cfg["axis2_min"]) <= float(cfg["axis2_max"]):
+        if not cfg["axis2_min"] <= cfg["axis2_max"]:
             raise ConfigError("axis2_min must not exceed axis2_max")
     for key in ("gamma1", "gamma2"):
         v = cfg[key]
-        if v != "s" and not isinstance(v, (int, float)):
-            raise ConfigError(f"{key} must be 's' or a number")
+        if v != "s" and not _is_number(v):
+            raise ConfigError(f"{key} must be 's' or a finite number")
     points = cfg["ed_s_points"]
     if not isinstance(points, list) or not all(_is_unit(x) for x in points):
         raise ConfigError(f"ed_s_points must be a list of numbers in [0, 1], got {points!r}")
@@ -300,15 +316,7 @@ def _scan_column(args):
     for s, state, tag in zip(analysis.s_grid, analysis.equilibrium,
                              analysis.branch_tags):
         energy = solver.energy(state)
-        d1 = d2 = None
-        flags = ""
-        if dense and cfg["gaps"]:
-            try:
-                g = excitation_gaps(fluctuation_matrix(spec, state))
-                d1, d2 = g.delta1, g.delta2
-            except (InstabilityError, DegenerateModeError) as err:
-                flags = ("instability" if isinstance(err, InstabilityError)
-                         else "degenerate")
+        d1, d2, flags = gap_or_flag(spec, state) if dense and cfg["gaps"] else (None, None, "")
         rows.append(_state_row(float(s), axis2_value, state, energy, d1, d2,
                                tag, flags))
     report = TransitionReport(analysis.found, analysis.s_star,
@@ -364,13 +372,7 @@ def _task_gap(cfg, workers):
             rows.append(Row(s=float(s), flags="error:ConvergenceError"))
             failed = True
             continue
-        d1 = d2 = None
-        flags = ""
-        try:
-            g = excitation_gaps(fluctuation_matrix(spec, state))
-            d1, d2 = g.delta1, g.delta2
-        except (InstabilityError, DegenerateModeError) as err:
-            flags = "instability" if isinstance(err, InstabilityError) else "degenerate"
+        d1, d2, flags = gap_or_flag(spec, state)
         rows.append(_state_row(float(s), None, state, state.energy, d1, d2,
                                "both", flags))
     return rows, [], {}, failed

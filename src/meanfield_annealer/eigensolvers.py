@@ -111,8 +111,7 @@ def tridiag_eigvecs(alpha, beta, lams):
 # Lanczos with full reorthogonalization
 
 def lanczos_lowest(matvec, dim: int, k: int = 2, tol: float = 1e-12,
-                   max_iter: int | None = None, seed: int = 7,
-                   want_vectors: bool = True):
+                   max_iter: int | None = None, seed: int = 7):
     """Lowest-k eigenpairs of a symmetric operator given by its matvec.
 
     Every new Krylov vector is reorthogonalized against the whole basis,
@@ -120,7 +119,7 @@ def lanczos_lowest(matvec, dim: int, k: int = 2, tol: float = 1e-12,
     Gram-Schmidt pass is made, and a second one only when the first removed
     more than a 1 - 1/sqrt(2) share of the norm (Daniel, Gragg, Kaufman &
     Stewart, Math. Comp. 30, 1976).  Returns (w, V); V holds Ritz vectors
-    as columns, or None when ``want_vectors`` is false.
+    as columns.
 
     Raises SizeError when repeated breakdowns prevent convergence.
     """
@@ -181,8 +180,6 @@ def lanczos_lowest(matvec, dim: int, k: int = 2, tol: float = 1e-12,
     beta_arr = np.array(beta[: len(alpha_arr) - 1])
     kk = min(k, len(alpha_arr))
     vals = tridiag_lowest(alpha_arr, beta_arr, kk)
-    if not want_vectors:
-        return vals, None
     y = tridiag_eigvecs(alpha_arr, beta_arr, vals)
     # y.T @ basis, not basis.T @ y: OpenBLAS packs a transposed basis into
     # per-thread gemm buffers, tens of MiB resident with two threads

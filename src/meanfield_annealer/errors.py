@@ -25,7 +25,7 @@ class InstabilityError(RuntimeError):
 
 
 class DegenerateModeError(RuntimeError):
-    """A quasi-particle eigenvector cannot be normalized (zero mode)."""
+    """A zero or negative fluctuation mode: no quasi-particle vector normalizes."""
 
 
 class CatalystRangeError(ValueError):

@@ -2,10 +2,12 @@
 
 Harmonic fluctuations around a stable minimum are organized by a local
 frame per cluster; their normal modes are the eigenvalues of a 4x4
-non-Hermitian block matrix whose non-negative eigenvalues, times four,
-give the two gap branches.  The eigenvalues come from LAPACK
-(``numpy.linalg.eigvals``) and the left eigenvectors from the nullspace
-of the SVD; for in-plane minima the gaps equal the Colpa closed form
+non-Hermitian block matrix E whose positive eigenvalues, times four,
+give the two gap branches.  At a stable minimum sigma3 E is Hermitian
+positive definite, so Colpa's method finds the frequencies and the
+normalized left eigenvectors with two Hermitian ``numpy.linalg.eigh``
+calls; ``eigvals`` runs only to classify a failure.  For in-plane
+minima the gaps equal the Colpa closed form
 4 sqrt(eig(diag(mu) (diag(mu) + h_xx))), which the tests check.
 Includes gap profiling over the anneal and golden-section optimization
 of the catalyst strength.
@@ -130,65 +132,60 @@ def fluctuation_matrix(spec: ModelSpec, state: ClassicalState,
     return FluctuationMatrix(matrix=E, mu=state.mu, zplus=zplus, zminus=zminus)
 
 
-def _pseudo_norm(psi: np.ndarray) -> float:
-    u, v = psi[:2], psi[2:]
-    return float(np.linalg.norm(u) ** 2 - np.linalg.norm(v) ** 2)
-
-
-def _pseudo_inner(psi_a: np.ndarray, psi_b: np.ndarray) -> complex:
-    # B(a, b) = u_b^H u_a - v_b^H v_a
-    return complex(psi_b[:2].conj() @ psi_a[:2] - psi_b[2:].conj() @ psi_a[2:])
+_SIGMA3 = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 def excitation_gaps(F: FluctuationMatrix) -> GapSpectrum:
-    """Gap branches from the fluctuation matrix.
+    """Gap branches from the fluctuation matrix by Colpa's method.
 
-    Checks realness and +/- pairing of the spectrum, takes the two
-    non-negative mode frequencies, and normalizes the corresponding left
-    eigenvectors to the indefinite metric (+1 norm), orthogonalizing
-    inside degenerate clusters.
+    At a stable minimum H = sigma3 E is Hermitian positive definite.  With
+    H = K^H K, the Hermitian K sigma3 K^H has the spectrum of E, and its
+    two positive eigenvalues are the mode frequencies (Colpa, Physica A 93,
+    1978).  The rows of ``eigvecs`` are the left eigenvectors of E with
+    indefinite norm +1, pseudo-orthogonal also inside a degenerate pair.
+    When H is not positive definite, E's spectrum tells an unstable state
+    (non-real frequencies) from a zero or negative mode.
     """
     E = F.matrix
     scale = max(float(np.abs(E).max()), 1.0)
-    eig = np.linalg.eigvals(E)
-    if float(np.abs(eig.imag).max()) > IMAG_TOL * scale:
-        raise InstabilityError(
-            f"fluctuation spectrum has imaginary parts up to {np.abs(eig.imag).max():g}; "
-            "the underlying state is not a stable minimum"
-        )
-    re = np.sort(eig.real)
-    pair_defect = float(np.abs(re + re[::-1]).max())
-    if pair_defect > IMAG_TOL * scale:
-        raise InstabilityError(f"fluctuation spectrum is not +/- paired ({pair_defect:g})")
-    eps = re[2:]  # the two non-negative frequencies, ascending
-
-    # left eigenvectors: (E^T - eps I) psi = 0, clustering degeneracies; the
-    # nullspace is spanned by the conjugated right singular vectors of the
-    # `mult` smallest singular values
-    clusters = []
-    if eps[1] - eps[0] < 1e-8 * scale:
-        clusters.append((0.5 * (eps[0] + eps[1]), 2))
-    else:
-        clusters.append((eps[0], 1))
-        clusters.append((eps[1], 1))
-    vecs: list[np.ndarray] = []
-    for lam, mult in clusters:
-        raw = np.linalg.svd(E.T - lam * np.eye(4))[2][4 - mult:].conj()
-        kept: list[np.ndarray] = []
-        for psi in raw:
-            for prev in kept:
-                coeff = _pseudo_inner(psi, prev)
-                psi = psi - coeff * prev
-            nrm = _pseudo_norm(psi)
-            if nrm <= 1e-10:
-                raise DegenerateModeError(
-                    "eigenvector has vanishing indefinite norm; zero or "
-                    "unstable mode encountered"
-                )
-            kept.append(psi / np.sqrt(nrm))
-        vecs.extend(kept)
+    lam, Q = np.linalg.eigh(_SIGMA3[:, None] * E)
+    if lam[0] <= 1e-10 * scale:
+        imag = float(np.abs(np.linalg.eigvals(E).imag).max())
+        if imag > IMAG_TOL * scale:
+            raise InstabilityError(
+                f"fluctuation spectrum has imaginary parts up to {imag:g}; "
+                "the underlying state is not a stable minimum"
+            )
+        raise DegenerateModeError("fluctuation form is not positive definite: "
+                                  "zero or negative mode encountered")
+    K = np.sqrt(lam)[:, None] * Q.conj().T  # H = K^H K
+    # einsum, not @: a complex 4x4 @ goes to BLAS zgemm, after which the
+    # next global_minimize ran about 1.5x slower (OpenBLAS 0.3.31, Haswell
+    # kernels).  K sigma3 K^H is formed as sqrt(lam_i lam_j) (Q^H sigma3 Q)_ij,
+    # which keeps a diagonal H, as at s = 0, exact.
+    W = np.sqrt(np.outer(lam, lam)) * np.einsum("ki,k,kj->ij", Q.conj(), _SIGMA3, Q)
+    w, U = np.linalg.eigh(W)
+    eps = w[2:]  # the two positive frequencies, ascending
+    # psi_n = K^T conj(u_n) / sqrt(eps_n): psi^T E = eps psi^T, psi^H sigma3 psi = 1
+    psi = np.einsum("kn,ki->ni", U[:, 2:].conj(), K) / np.sqrt(eps)[:, None]
     return GapSpectrum(delta1=float(4.0 * eps[0]), delta2=float(4.0 * eps[1]),
-                       eigvecs=np.array(vecs[:2]))
+                       eigvecs=psi)
+
+
+def gap_or_flag(spec: ModelSpec,
+                state: ClassicalState) -> tuple[float | None, float | None, str]:
+    """(delta1, delta2, "") at a stable state, else (None, None, flag).
+
+    The flag is "instability" or "degenerate" after the error
+    ``excitation_gaps`` raised.
+    """
+    try:
+        g = excitation_gaps(fluctuation_matrix(spec, state))
+    except InstabilityError:
+        return None, None, "instability"
+    except DegenerateModeError:
+        return None, None, "degenerate"
+    return g.delta1, g.delta2, ""
 
 
 def gaps_at(spec: ModelSpec, s: float, n_starts: int = 8, seed: int = 0) -> GapSpectrum:
@@ -205,15 +202,11 @@ def gap_profile(spec: ModelSpec, s_grid, n_starts: int = 8, seed: int = 0) -> li
     """
     out = []
     for s in np.asarray(s_grid, dtype=float):
-        try:
-            state = global_minimize(spec, float(s), n_starts, seed)
-            g = excitation_gaps(fluctuation_matrix(spec, state))
-            flag = "indeterminate" if any(state.indeterminate) else ""
-            out.append(GapPoint(float(s), g.delta1, g.delta2, flag))
-        except (InstabilityError, DegenerateModeError) as err:
-            out.append(GapPoint(float(s), None, None,
-                                "instability" if isinstance(err, InstabilityError)
-                                else "degenerate"))
+        state = global_minimize(spec, float(s), n_starts, seed)
+        d1, d2, flag = gap_or_flag(spec, state)
+        if not flag and any(state.indeterminate):
+            flag = "indeterminate"
+        out.append(GapPoint(float(s), d1, d2, flag))
     return out
 
 
@@ -222,6 +215,8 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 def _golden_section(f, lo, hi, tol):
     """Golden-section minimization of f on [lo, hi]; returns (x, f(x))."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     a, b = float(lo), float(hi)
     if b < a:
         a, b = b, a

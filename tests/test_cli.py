@@ -124,8 +124,16 @@ def test_main_exit_codes(tmp_path, capsys):
     bad = write_cfg(tmp_path, "bad.json", **{**SMALL_SCAN, "seed": "x"})
     assert main(["scan", "--config", bad, "--out", str(tmp_path)]) == 2
     assert "seed must be an integer" in capsys.readouterr().err
+    nan = float("nan")  # json.dumps writes NaN, which json.load reads back
     for task, key, value in (("ed-check", "ed_n", 6), ("ed-check", "ed_sizes", 100),
-                             ("ed-check", "ed_s_points", [1.5]), ("scan", "s_min", -0.5)):
+                             ("ed-check", "ed_s_points", [1.5]), ("scan", "s_min", -0.5),
+                             ("scan", "xi", "x"), ("scan", "xi", 10 ** 400),
+                             ("scan", "h1", "x"), ("scan", "h2", nan),
+                             ("scan", "axis2_min", "x"), ("scan", "axis2_max", nan),
+                             ("scan", "jump_threshold", "x"), ("scan", "gaps", "no"),
+                             ("scan", "gamma2", nan), ("optimize-xi", "xi_min", "x"),
+                             ("optimize-xi", "xi_max", nan), ("optimize-xi", "tol_xi", "x"),
+                             ("optimize-xi", "tol_xi", 0.0), ("optimize-xi", "tol_xi", -0.1)):
         bad = write_cfg(tmp_path, "bad.json", task=task, output="bad.csv", **{key: value})
         assert main([task, "--config", bad, "--out", str(tmp_path)]) == 2
         assert f"{key} must be" in capsys.readouterr().err

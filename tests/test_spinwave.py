@@ -121,18 +121,31 @@ def test_gap_extrapolation_at_clean_points():
 
 
 def test_pseudo_orthonormality(rng):
-    for s in (0.2, 0.45, 0.75):
-        spec = ModelSpec.dense(xi=(1.5, -2.0, -3.0))
+    # the rows of eigvecs are left eigenvectors of E with unit indefinite
+    # norm; s = 0 is the degenerate pair delta1 = delta2 = 2, and rotated
+    # frames make E complex
+    spec = ModelSpec.dense(xi=(1.5, -2.0, -3.0))
+    for s in (0.0, 0.2, 0.45, 0.75):
         st = global_minimize(spec, s)
-        g = excitation_gaps(fluctuation_matrix(spec, st))
-        u = g.eigvecs[:, :2]
-        v = g.eigvecs[:, 2:]
-        for a in range(2):
-            assert abs(np.linalg.norm(u[a]) ** 2 - np.linalg.norm(v[a]) ** 2 - 1) < 1e-8
-        assert abs(u[1].conj() @ u[0] - v[1].conj() @ v[0]) < 1e-8
-        for a in range(2):
-            for b in range(2):
-                assert abs(u[a] @ v[b] - v[a] @ u[b]) < 1e-8
+        rotated = (rotate_frame(local_frame(st.m.m1), 0.7),
+                   rotate_frame(local_frame(st.m.m2), -1.9))
+        for frames in (None, rotated):
+            F = fluctuation_matrix(spec, st, frames=frames)
+            g = excitation_gaps(F)
+            if s == 0.0:
+                assert g.delta1 == pytest.approx(g.delta2, abs=1e-12)
+            elif frames is rotated:
+                assert np.abs(F.matrix.imag).max() > 1e-3
+            for psi, delta in zip(g.eigvecs, (g.delta1, g.delta2)):
+                assert np.abs(F.matrix.T @ psi - 0.25 * delta * psi).max() < 1e-10
+            u = g.eigvecs[:, :2]
+            v = g.eigvecs[:, 2:]
+            for a in range(2):
+                assert abs(np.linalg.norm(u[a]) ** 2 - np.linalg.norm(v[a]) ** 2 - 1) < 1e-8
+            assert abs(u[1].conj() @ u[0] - v[1].conj() @ v[0]) < 1e-8
+            for a in range(2):
+                for b in range(2):
+                    assert abs(u[a] @ v[b] - v[a] @ u[b]) < 1e-8
 
 
 def test_frame_rotation_invariance(rng):
@@ -209,6 +222,21 @@ def test_golden_section_on_quadratic():
     x, f = _golden_section(lambda t: (t - 0.37) ** 2 + 1.0, 0.0, 1.0, 1e-7)
     assert abs(x - 0.37) < 1e-6
     assert f == pytest.approx(1.0, abs=1e-10)
+
+
+def test_golden_section_rejects_nonpositive_tol():
+    # `while b - a > tol` would never end
+    for tol in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            _golden_section(lambda t: t * t, -1.0, 1.0, tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        min_gap(ModelSpec.dense(xi=(0.0, 0.0, -4.0)), [0.4, 0.5, 0.6], tol_s=0.0)
+
+    def family(xi):
+        raise AssertionError("tol is checked before any xi is evaluated")
+
+    with pytest.raises(ValueError, match="tol must be positive"):
+        optimize_catalyst(family, (-5.0, -3.0), tol_xi=0.0)
 
 
 def test_min_gap_positive_in_window():
