@@ -9,9 +9,8 @@ independent finite-size exact-diagonalization oracle.
 
 __version__ = "0.1.0"
 
-from .classical import (ClassicalState, Direction, SweepResult, TransitionReport,
-                        detect_transition, global_minimize, minimize, start_set,
-                        sweep)
+from .classical import (ClassicalState, Direction, SweepResult, detect_transition,
+                        global_minimize, minimize, start_set, sweep)
 from .ed import (EDOperator, EDResult, SectorSpec, build_dense_full_operator,
                  build_dense_sector_hamiltonian, build_dense_sector_operator,
                  build_sparse_full_hamiltonian, dense_ed, ed_solve,
@@ -32,6 +31,7 @@ from .spinwave import (FluctuationMatrix, GapPoint, GapSpectrum, LocalFrame,
                        excitation_gaps, fluctuation_matrix, gap_profile,
                        gaps_at, local_frame, min_gap, optimize_catalyst,
                        rotate_frame)
+from .transitions import TransitionReport
 
 __all__ = [
     "__version__",

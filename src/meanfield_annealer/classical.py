@@ -21,6 +21,7 @@ import numpy as np
 from . import transitions
 from .errors import ConvergenceError
 from .model import MagPair, ModelSpec, _coeffs
+from .transitions import TransitionReport
 
 
 class Direction(enum.Enum):
@@ -48,14 +49,6 @@ class ClassicalState:
 class SweepResult:
     states: list[ClassicalState]
     direction: Direction
-
-
-@dataclass(frozen=True)
-class TransitionReport:
-    found: bool
-    s_star: float
-    jump_m2z: float
-    hysteresis_width: float
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +341,12 @@ def detect_transition(spec: ModelSpec, s_grid=None, jump_threshold: float = 0.5,
                       tol: float = 1e-10) -> TransitionReport:
     """First-order transition verdict on [min(s_grid), max(s_grid)].
 
-    Runs forward and backward sweeps, finds the branch-coexistence window,
-    bisects the branch-energy crossing to locate s*, and reports the weak
-    cluster magnetization jump across it.
+    Runs forward and backward sweeps, bisects the grid interval with the
+    largest equilibrium weak-cluster magnetization jump to locate s*, and
+    reports the jump across it (see ``transitions.analyze``).
     """
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, 101)
     s_grid = transitions.check_grid(s_grid)
     solver = _warm_solver(spec, n_starts, seed, tol)
-    found, s_star, jump, width = transitions.detect(solver, s_grid, jump_threshold)
-    return TransitionReport(found=found, s_star=s_star, jump_m2z=jump,
-                            hysteresis_width=width)
+    return transitions.detect(solver, s_grid, jump_threshold)

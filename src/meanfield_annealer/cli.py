@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, transitions
-from .classical import TransitionReport, _warm_solver, global_minimize
+from .classical import _warm_solver, global_minimize
 from .ed import dense_ed, extrapolate_gap, gap_sequence, sparse_ed
 from .errors import (CatalystRangeError, ConfigError, ConvergenceError,
                      DegenerateModeError, InstabilityError, SizeError)
@@ -39,6 +39,7 @@ PLACEMENTS = {
 }
 
 TASKS = ("scan", "gap", "min-gap", "optimize-xi", "ed-check")
+MAX_STEPS = 100_000  # largest s_steps / axis2_steps a config may ask for
 
 _DEFAULTS = {
     "task": "scan",
@@ -114,8 +115,9 @@ def _validate(cfg):
     for key in ("s_steps", "axis2_steps", "n_starts", "seed"):
         if not _is_int(cfg[key]):
             raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
-    if cfg["s_steps"] < 1 or cfg["axis2_steps"] < 1:
-        raise ConfigError("step counts must be >= 1")
+    for key in ("s_steps", "axis2_steps"):
+        if not 1 <= cfg[key] <= MAX_STEPS:
+            raise ConfigError(f"{key} must be between 1 and {MAX_STEPS}, got {cfg[key]!r}")
     if cfg["n_starts"] < 8:
         raise ConfigError("n_starts must be at least 8")
     for key in ("s_min", "s_max"):
@@ -312,16 +314,14 @@ def _scan_column(args):
             rows.append(Row(s=float(s), axis2=axis2_value,
                             flags=f"error:{type(err).__name__}"))
         return axis2_value, rows, _report_dict(
-            axis2_value, TransitionReport(False, float("nan"), 0.0, 0.0)), True
+            axis2_value, transitions.TransitionReport(False, float("nan"), 0.0, 0.0)), True
     for s, state, tag in zip(analysis.s_grid, analysis.equilibrium,
                              analysis.branch_tags):
         energy = solver.energy(state)
         d1, d2, flags = gap_or_flag(spec, state) if dense and cfg["gaps"] else (None, None, "")
         rows.append(_state_row(float(s), axis2_value, state, energy, d1, d2,
                                tag, flags))
-    report = TransitionReport(analysis.found, analysis.s_star,
-                              analysis.jump_m2z, analysis.hysteresis_width)
-    return axis2_value, rows, _report_dict(axis2_value, report), failed
+    return axis2_value, rows, _report_dict(axis2_value, analysis.report), failed
 
 
 def _run_columns(cfg, axis2_values, workers):

@@ -36,10 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transitions
-from .classical import Direction, TransitionReport
+from .classical import Direction
 from .errors import ConvergenceError
 from .model import (Coupling, CouplingMatrix, MagPair, ModelSpec, _coeffs,
                     _sparse_energy, _sparse_grad, coupling_matrix)
+from .transitions import TransitionReport
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _I2 = np.eye(2)
@@ -392,6 +393,4 @@ def detect_transition_sparse(spec: ModelSpec, s_grid=None,
         s_grid = np.linspace(0.0, 1.0, 101)
     s_grid = transitions.check_grid(s_grid)
     solver = _saddle_solver(spec, damping, tol)
-    found, s_star, jump, width = transitions.detect(solver, s_grid, jump_threshold)
-    return TransitionReport(found=found, s_star=s_star, jump_m2z=jump,
-                            hysteresis_width=width)
+    return transitions.detect(solver, s_grid, jump_threshold)

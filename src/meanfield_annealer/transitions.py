@@ -1,9 +1,13 @@
 """Branch continuation and first-order transition detection.
 
 Shared between the dense classical solver and the sparse saddle solver:
-both expose warm-started and global point solves through a PointSolver,
-and a transition is declared when two solution branches coexist and their
-energies cross with a large weak-cluster magnetization jump.
+both expose warm-started and global point solves through a PointSolver.
+A forward and a backward continuation sweep give two branches; the lower
+of the two at each grid point is the equilibrium.  The grid interval with
+the largest equilibrium weak-cluster magnetization jump is the only
+candidate: bisection inside it, from its two end states, locates the
+branch-energy crossing (or the edge where one branch dies), and a
+transition is declared when the m2z jump across that point stays large.
 """
 from __future__ import annotations
 
@@ -70,16 +74,21 @@ def branch_sweep(solver: PointSolver, s_grid: np.ndarray, forward: bool = True,
 
 
 @dataclass(frozen=True)
+class TransitionReport:
+    found: bool
+    s_star: float           # NaN exactly when found is False
+    jump_m2z: float
+    hysteresis_width: float
+
+
+@dataclass(frozen=True)
 class BranchAnalysis:
     s_grid: np.ndarray
     forward: list
     backward: list          # ascending order, aligned with s_grid
     equilibrium: list
     branch_tags: list[str]  # "both" | "forward" | "backward"
-    found: bool
-    s_star: float
-    jump_m2z: float
-    hysteresis_width: float
+    report: TransitionReport
 
 
 def _equilibrium(solver, fstates, bstates):
@@ -100,10 +109,14 @@ def _equilibrium(solver, fstates, bstates):
 
 
 def _bisect_crossing(solver, s_lo, s_hi, state_b, state_a, tol_s=1e-6):
-    """Locate the branch-energy crossing inside [s_lo, s_hi].
+    """Locate the equilibrium switch from the low-s to the high-s branch.
 
     state_b anchors the low-s branch at s_lo, state_a the high-s branch at
-    s_hi; both must coexist with E_b < E_a at s_lo and E_b > E_a at s_hi.
+    s_hi.  Where both branches solve at the probe point the energies pick
+    the side; where one branch died, the two solves merge and the surviving
+    solve becomes the anchor on the side it keeps, so a smooth crossover
+    closes the bracket onto one branch and its jump shrinks to zero.
+    Returns the bracket midpoint and the final low-s and high-s anchors.
     """
     lo, hi = s_lo, s_hi
     anchor_b, anchor_a = state_b, state_a
@@ -113,144 +126,69 @@ def _bisect_crossing(solver, s_lo, s_hi, state_b, state_a, tol_s=1e-6):
         st_a = solver.warm(sm, anchor_a)
         if abs(solver.m2z(st_b) - solver.m2z(st_a)) < COEXIST_TOL:
             # one branch died inside the bracket; shrink toward its side
-            merged = st_b
-            da = abs(solver.m2z(merged) - solver.m2z(anchor_a))
-            db = abs(solver.m2z(merged) - solver.m2z(anchor_b))
+            da = abs(solver.m2z(st_b) - solver.m2z(anchor_a))
+            db = abs(solver.m2z(st_b) - solver.m2z(anchor_b))
             if da < db:
-                hi = sm
+                hi, anchor_a = sm, st_a
             else:
-                lo = sm
-            continue
-        if solver.energy(st_b) - solver.energy(st_a) > 0.0:
-            hi = sm
-            anchor_a = st_a
-            anchor_b = st_b
+                lo, anchor_b = sm, st_b
+        elif solver.energy(st_b) - solver.energy(st_a) > 0.0:
+            hi, anchor_b, anchor_a = sm, st_b, st_a
         else:
-            lo = sm
-            anchor_a = st_a
-            anchor_b = st_b
+            lo, anchor_b, anchor_a = sm, st_b, st_a
     return 0.5 * (lo + hi), anchor_b, anchor_a
 
 
-def _bisect_branch_edge(solver, s_known, s_missing, anchor, tol_s=1e-6):
-    """Bisect the s where a branch appears/disappears.
-
-    The branch exists at s_known (state ``anchor``) and is gone at
-    s_missing.  Existence at a probe point is judged by the warm solve
-    staying in the anchor's basin.
-    """
-    lo, hi = (s_missing, s_known) if s_missing < s_known else (s_known, s_missing)
-    exists_low = s_known < s_missing
-    cur = anchor
-    while hi - lo > tol_s:
-        sm = 0.5 * (lo + hi)
-        st = solver.warm(sm, cur)
-        stays = abs(solver.m2z(st) - solver.m2z(cur)) <= COEXIST_TOL
-        if stays:
-            cur = st
-            if exists_low:
-                lo = sm
-            else:
-                hi = sm
-        else:
-            if exists_low:
-                hi = sm
-            else:
-                lo = sm
-    return 0.5 * (lo + hi), cur
+def _window_width(s_grid, coexist, i) -> float:
+    """Span of the coexistence run touching grid interval (i, i+1), or 0."""
+    touching = [j for j in (i, i + 1) if coexist[j]]
+    if not touching:
+        return 0.0
+    lo, hi = touching[0], touching[-1]
+    while lo > 0 and coexist[lo - 1]:
+        lo -= 1
+    while hi < len(coexist) - 1 and coexist[hi + 1]:
+        hi += 1
+    return float(s_grid[hi] - s_grid[lo])
 
 
 def analyze(solver: PointSolver, s_grid, jump_threshold: float = 0.5,
-            refresh_every: int = 10, _refined: bool = False) -> BranchAnalysis:
+            refresh_every: int = 10) -> BranchAnalysis:
+    """Sweep both ways, then judge the largest equilibrium m2z jump.
+
+    The grid interval (i, i+1) with the largest jump is bisected from
+    equilibrium[i] (low-s branch) and equilibrium[i+1] (high-s branch).
+    The verdict is the m2z jump between the two states the bisection ends
+    on, s* the midpoint of its final bracket, and the hysteresis width the
+    span of the coexistence window touching the interval (0 if none).  A
+    grid jump below ``jump_threshold`` is reported as no transition
+    without bisecting.
+    """
     s_grid = check_grid(s_grid)
     fstates = branch_sweep(solver, s_grid, forward=True, refresh_every=refresh_every)
     bstates = branch_sweep(solver, s_grid, forward=False, refresh_every=refresh_every)[::-1]
     eq, tags = _equilibrium(solver, fstates, bstates)
 
-    def result(found, s_star, jump, width):
-        return BranchAnalysis(
-            s_grid=s_grid, forward=fstates, backward=bstates, equilibrium=eq,
-            branch_tags=tags, found=found, s_star=s_star, jump_m2z=jump,
-            hysteresis_width=width,
-        )
+    def result(jump, width=0.0, s_star=float("nan")):
+        found = bool(jump > jump_threshold)
+        report = TransitionReport(found, float(s_star) if found else float("nan"),
+                                  float(jump), width)
+        return BranchAnalysis(s_grid=s_grid, forward=fstates, backward=bstates,
+                              equilibrium=eq, branch_tags=tags, report=report)
 
     if len(s_grid) < 2:
-        return result(False, float("nan"), 0.0, 0.0)
-
-    m2f = np.array([solver.m2z(st) for st in fstates])
-    m2b = np.array([solver.m2z(st) for st in bstates])
-    coexist = np.abs(m2f - m2b) > COEXIST_TOL
-    windows = _contiguous(coexist)
-
-    if not windows:
-        m2eq = np.array([solver.m2z(st) for st in eq])
-        jumps = np.abs(np.diff(m2eq))
-        i = int(np.argmax(jumps))
-        jmax = float(jumps[i])
-        if jmax < jump_threshold:
-            return result(False, float("nan"), jmax, 0.0)
-        if not _refined:
-            local = np.linspace(s_grid[max(i - 1, 0)], s_grid[min(i + 2, len(s_grid) - 1)], 41)
-            local = np.unique(local)
-            sub = analyze(solver, local, jump_threshold, refresh_every, _refined=True)
-            if sub.found or sub.jump_m2z < jump_threshold:
-                return result(sub.found, sub.s_star, sub.jump_m2z, sub.hysteresis_width)
-        # steep equilibrium jump with no resolvable coexistence window
-        s_star = 0.5 * (s_grid[i] + s_grid[i + 1])
-        return result(True, float(s_star), jmax, 0.0)
-
-    # widest-separation window wins if there are several
-    best = max(windows, key=lambda w: np.abs(m2f[w[0]: w[1] + 1] - m2b[w[0]: w[1] + 1]).max())
-    lo_i, hi_i = best
-    width = float(s_grid[hi_i] - s_grid[lo_i])
-    delta = np.array([
-        solver.energy(fstates[i]) - solver.energy(bstates[i])
-        for i in range(lo_i, hi_i + 1)
-    ])
-    if delta[0] < 0.0 and delta[-1] > 0.0:
-        krel = int(np.argmax(delta > 0.0))
-        k = lo_i + krel
-        s_star, st_b, st_a = _bisect_crossing(
-            solver, float(s_grid[k - 1]), float(s_grid[k]),
-            fstates[k - 1], bstates[k],
-        )
-    elif delta[0] >= 0.0:
-        # high-s branch is already lower when it first appears: the
-        # equilibrium jump sits at that branch's low-s edge
-        if lo_i == 0:
-            s_star, st_a = float(s_grid[lo_i]), bstates[lo_i]
-        else:
-            s_star, st_a = _bisect_branch_edge(
-                solver, float(s_grid[lo_i]), float(s_grid[lo_i - 1]), bstates[lo_i])
-        st_b = solver.warm(s_star, fstates[max(lo_i - 1, 0)])
-    else:
-        # low-s branch stays lower until it dies at the window's high edge
-        if hi_i == len(s_grid) - 1:
-            s_star, st_b = float(s_grid[hi_i]), fstates[hi_i]
-        else:
-            s_star, st_b = _bisect_branch_edge(
-                solver, float(s_grid[hi_i]), float(s_grid[hi_i + 1]), fstates[hi_i])
-        st_a = solver.warm(s_star, bstates[min(hi_i + 1, len(s_grid) - 1)])
-    jump = float(abs(solver.m2z(st_a) - solver.m2z(st_b)))
-    return result(bool(jump > jump_threshold), float(s_star), jump, width)
+        return result(0.0)
+    jumps = np.abs(np.diff([solver.m2z(st) for st in eq]))
+    i = int(np.argmax(jumps))
+    width = _window_width(s_grid, [t != "both" for t in tags], i)
+    if jumps[i] < jump_threshold:
+        return result(jumps[i], width)
+    s_star, st_b, st_a = _bisect_crossing(
+        solver, float(s_grid[i]), float(s_grid[i + 1]), eq[i], eq[i + 1])
+    return result(abs(solver.m2z(st_a) - solver.m2z(st_b)), width, s_star)
 
 
 def detect(solver: PointSolver, s_grid, jump_threshold: float = 0.5,
-           refresh_every: int = 10):
-    """Convenience wrapper returning (found, s_star, jump_m2z, width)."""
-    a = analyze(solver, s_grid, jump_threshold, refresh_every)
-    return a.found, a.s_star, a.jump_m2z, a.hysteresis_width
-
-
-def _contiguous(mask: np.ndarray) -> list[tuple[int, int]]:
-    runs = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask) - 1))
-    return runs
+           refresh_every: int = 10) -> TransitionReport:
+    """The transition verdict of ``analyze`` without the branches."""
+    return analyze(solver, s_grid, jump_threshold, refresh_every).report

@@ -19,6 +19,15 @@ def sparse_spec():
     return ModelSpec.sparse()
 
 
+def assert_same_verdict(coarse, fine):
+    """Two transition reports agree on found and, to 1e-5, on s*."""
+    assert coarse.found == fine.found
+    if fine.found:
+        assert abs(coarse.s_star - fine.s_star) < 1e-5
+    else:
+        assert np.isnan(coarse.s_star) and np.isnan(fine.s_star)
+
+
 def random_unit(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)

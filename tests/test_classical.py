@@ -9,6 +9,7 @@ from meanfield_annealer import (ConvergenceError, Direction, FixedValue,
                                 start_set, sweep)
 from meanfield_annealer.classical import is_stable_minimum
 from meanfield_annealer.ed import dense_ed
+from conftest import assert_same_verdict
 
 UP = np.array([0.0, 0.0, 1.0])
 DOWN = np.array([0.0, 0.0, -1.0])
@@ -281,6 +282,17 @@ def test_detect_transition_on_subrange_grids(dense_spec):
     rep = detect_transition(dense_spec, np.linspace(0.0, 0.4, 41))
     assert not rep.found
     assert rep.jump_m2z < 0.05
+
+
+@pytest.mark.parametrize("xi, coarse, fine", [
+    ((0.0, 0.0, -10.0), 11, 101),
+    ((-6.0, 0.0, 0.0), 21, 101),   # steep crossover, no transition
+    ((0.0, 0.0, -6.0), 101, 401),  # the jump sits just past a grid point
+], ids=["xi12=-10", "xi11=-6", "xi12=-6"])
+def test_detect_transition_verdict_independent_of_grid(xi, coarse, fine):
+    spec = ModelSpec.dense(xi=xi)
+    assert_same_verdict(detect_transition(spec, np.linspace(0.0, 1.0, coarse)),
+                        detect_transition(spec, np.linspace(0.0, 1.0, fine)))
 
 
 @pytest.mark.parametrize("xi", [-4.0, 4.0])

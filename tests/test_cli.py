@@ -3,8 +3,8 @@ import json
 
 import pytest
 
-from meanfield_annealer.cli import (CSV_HEADER, emit_figure_dataset, load_config,
-                                    main, run)
+from meanfield_annealer.cli import (CSV_HEADER, MAX_STEPS, emit_figure_dataset,
+                                    load_config, main, run)
 from meanfield_annealer.errors import ConfigError
 
 
@@ -133,7 +133,10 @@ def test_main_exit_codes(tmp_path, capsys):
                              ("scan", "jump_threshold", "x"), ("scan", "gaps", "no"),
                              ("scan", "gamma2", nan), ("optimize-xi", "xi_min", "x"),
                              ("optimize-xi", "xi_max", nan), ("optimize-xi", "tol_xi", "x"),
-                             ("optimize-xi", "tol_xi", 0.0), ("optimize-xi", "tol_xi", -0.1)):
+                             ("optimize-xi", "tol_xi", 0.0), ("optimize-xi", "tol_xi", -0.1),
+                             ("scan", "s_steps", 0), ("scan", "s_steps", 10 ** 400),
+                             ("scan", "axis2_steps", 10 ** 400),
+                             ("scan", "axis2_steps", MAX_STEPS + 1)):
         bad = write_cfg(tmp_path, "bad.json", task=task, output="bad.csv", **{key: value})
         assert main([task, "--config", bad, "--out", str(tmp_path)]) == 2
         assert f"{key} must be" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from meanfield_annealer.model import FixedValue, _coeffs
 from meanfield_annealer.saddle import (_coupling_part, _expectations,
                                        _field_map, _real_hamiltonian,
                                        _response)
+from conftest import assert_same_verdict
 
 XHAT = [1.0, 0.0, 0.0]
 ZERO = [0.0, 0.0, 0.0]
@@ -174,6 +175,23 @@ def test_detect_sparse_baseline(sparse_spec):
     assert rep.found
     assert rep.jump_m2z > 0.5
     assert 0.70 < rep.s_star < 0.74
+
+
+@pytest.mark.parametrize("xi12, coarse", [(4.0, 11), (-4.0, 21)])
+def test_detect_sparse_verdict_independent_of_grid(xi12, coarse):
+    spec = ModelSpec.sparse(xi=(0.0, 0.0, xi12))
+    assert_same_verdict(detect_transition_sparse(spec, np.linspace(0.0, 1.0, coarse)),
+                        detect_transition_sparse(spec, np.linspace(0.0, 1.0, 101)))
+
+
+def test_detect_sparse_smooth_crossover_on_coarse_grid():
+    # 11 points make the smooth xi12=8 crossover a large grid jump; the
+    # bisection must close onto one branch instead of keeping that jump
+    rep = detect_transition_sparse(ModelSpec.sparse(xi=(0.0, 0.0, 8.0)),
+                                   np.linspace(0.0, 1.0, 11))
+    assert not rep.found
+    assert np.isnan(rep.s_star)
+    assert rep.jump_m2z < 0.05
 
 
 def test_saddle_matches_ed_in_strong_pairwise_regime():
