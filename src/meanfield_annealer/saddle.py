@@ -10,19 +10,24 @@ symmetric and goes to LAPACK ``eigh``; the public builder and
 affine in x, mt = b + D x with D = diag(4 c11, s, 4 c22, s).
 
 The fixed point x = e(x) is found in two stages.  A damped iteration
-x <- x + d (e(x) - x) runs until max|e(x) - x| < ``_NEWTON_SWITCH``; it
-selects the basin.  At zero temperature Newton on F(x) = e(x) - x then
+x <- x + d (e(x) - x) runs until max|e(x) - x| < ``_NEWTON_SWITCH`` (1e-2);
+it selects the basin.  At zero temperature Newton on F(x) = e(x) - x then
 finishes the solve, with the Jacobian J = chi D - I taken from the same
 ``eigh``: chi_ij = d e_i / d mt_j is the static linear response of the
 ground state.  A Newton iterate is accepted only when the ground state is
-non-degenerate and lambda_max(chi D) < 1, the condition under which the
-damped map is locally attracting.  Newton runs past ``tol`` until the
-residual reaches the rounding floor or stops falling, so a converged
-solution sits on its fixed point, not tol/(1 - rho) from it for a damped
-map of slope rho.  On a rejected iterate, or a Newton step that fails to
-lower the residual above ``tol``, the damped loop resumes from the
-iterate it had before Newton and finishes alone.  Finite temperature (a
-homotopy device for hard points, and a diagnostic) stays purely damped.
+non-degenerate, lambda_max(chi D) < 1 (the condition under which the
+damped map is locally attracting) and the residual has fallen since the
+previous iterate.  Newton runs past ``tol`` until the residual reaches the
+rounding floor or stops falling, so a converged solution sits on its fixed
+point, not tol/(1 - rho) from it for a damped map of slope rho.  A
+rejected iterate sends the damped loop back to the iterate it had before
+Newton, so the damped trajectory, and with it the basin, is the one the
+damped loop alone would follow.  After a first rejection Newton may start
+again once the residual is below min(``_NEWTON_REARM``, 0.01 x the residual
+where the first attempt began); a second rejection leaves the damped loop
+to finish alone.  Finite temperature (a homotopy device for hard points,
+and a diagnostic) stays purely damped.  Every 4x4 and 3x3 symmetric
+eigenproblem in the loop is one direct LAPACK ``dsyevd`` call.
 
 The whole construction takes the decoupling fields to be constant in
 imaginary time.  That is a modeling assumption baked into the equations,
@@ -30,6 +35,7 @@ not a property this module verifies.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -50,8 +56,10 @@ _S1S2 = np.array([[np.kron(a, b) for b in _PAULI] for a in _PAULI])
 _OPS = _S12[:, ::2].real.reshape(4, 16)   # X1, Z1, X2, Z2, flattened
 _DEGENERACY_TOL = 1e-9
 # Residual max|e(x) - x| below which the zero-temperature loop hands over
-# from damped steps to Newton steps.
-_NEWTON_SWITCH = 1e-4
+# from damped steps to Newton steps, and the cap on the residual at which it
+# hands over again after a rejected Newton iterate.
+_NEWTON_SWITCH = 1e-2
+_NEWTON_REARM = 1e-4
 # Residual at which e(x), computed for |x| <= 1, has no digits left to gain.
 _ROUNDING_FLOOR = 1e-15
 
@@ -137,10 +145,27 @@ def _real_hamiltonian(Hc, mt1, mt2) -> np.ndarray:
     return Hc - (np.concatenate([mt1[::2], mt2[::2]]) @ _OPS).reshape(4, 4)
 
 
+@functools.cache
+def _dsyevd():
+    # imported on first use: importing the package loads no scipy
+    from scipy.linalg.lapack import dsyevd
+    return dsyevd
+
+
+def _eigh(a):
+    """``np.linalg.eigh(a)`` of a small real symmetric matrix (lower
+    triangle) as one LAPACK call; numpy's per-call overhead is most of the
+    cost of a 4x4."""
+    w, V, info = _dsyevd()(a, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dsyevd failed with info={info}")
+    return w, V
+
+
 def _expectations(H, beta):
     """<X1>, <Z1>, <X2>, <Z2> of the real symmetric H, averaged over the
     ground block (``beta=None``) or in the thermal state at ``beta``."""
-    return _average(*np.linalg.eigh(H), beta)
+    return _average(*_eigh(H), beta)
 
 
 def _average(w, V, beta):
@@ -201,17 +226,25 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair, damping: float = 0.5,
     Damped fixed-point steps relax m toward the effective-model expectation;
     oscillations trigger automatic damping reduction.  At zero temperature
     (``beta=None``) the loop switches to Newton steps once the residual is
-    below ``_NEWTON_SWITCH``, accepts them only at non-degenerate points
-    with lambda_max(chi D) < 1, keeps stepping past ``tol`` until the
-    residual reaches ``_ROUNDING_FLOOR`` or stops falling, and otherwise
-    falls back to the damped loop from where Newton began.  Persistent non-convergence falls back to
-    a finite-temperature homotopy (purely damped) before reporting
+    below ``_NEWTON_SWITCH`` (1e-2), accepts them only at non-degenerate
+    points with lambda_max(chi D) < 1 and a falling residual, and keeps
+    stepping past ``tol`` until the residual reaches ``_ROUNDING_FLOOR`` or
+    stops falling.  A rejected Newton iterate sends the damped loop back to
+    where Newton began; Newton may try once more below min(1e-4, 0.01 x the
+    residual where it first began), and a second rejection leaves the damped
+    loop to finish alone.  Persistent non-convergence falls back to a
+    finite-temperature homotopy (purely damped) before reporting
     converged=False.  A converged solution's ``residual`` is max|e(m) - m|
     at the returned m.  The y components of ``init`` are dropped: they
-    source no field and the fixed point has none.
+    source no field and the fixed point has none.  ``tol`` must be positive
+    and ``max_iter`` at least 1.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must be in (0, 1]")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     if spec.coupling is not Coupling.SPARSE:
         raise ValueError("solve_saddle requires a sparse-intercluster spec")
     coeffs = _coeffs(spec, s)
@@ -245,19 +278,21 @@ def _iterate(coeffs, Hc, x, damping, max_iter, tol, beta):
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(Hc))):
         raise ValueError("effective Hamiltonian inputs must be finite")
     b, D = _field_map(coeffs)
-    newton = beta is None
+    # residual below which a Newton step may be tried; 0 turns Newton off
+    switch = _NEWTON_SWITCH if beta is None else 0.0
+    rejected = False
     start = None                  # (x, step, top, residual) where Newton began
     last = None                   # last accepted Newton iterate, its residual
     osc = 0
     prev_sign = 0.0
     residual = np.inf
     for _ in range(max_iter):
-        w, V = np.linalg.eigh(Hc - ((b + D * x) @ _OPS).reshape(4, 4))
+        w, V = _eigh(Hc - ((b + D * x) @ _OPS).reshape(4, 4))
         step = _average(w, V, beta) - x
         size = np.abs(step)
         top = int(size.argmax())
         residual = float(size[top])
-        if newton and residual < _NEWTON_SWITCH:
+        if residual < switch:
             # a Newton iterate must lower the residual and have a
             # non-degenerate ground state
             accept = ((last is None or residual < last[1])
@@ -266,7 +301,7 @@ def _iterate(coeffs, Hc, x, damping, max_iter, tol, beta):
                 B = _response(w, V)
                 # chi D = B B^T D shares its nonzero eigenvalues with the
                 # symmetric M = B^T D B, and (I - chi D)^-1 = I + B (I - M)^-1 B^T D
-                mu, Q = np.linalg.eigh(B.T @ (D[:, None] * B))
+                mu, Q = _eigh(B.T @ (D[:, None] * B))
                 accept = mu[-1] < 1.0
             if accept:
                 if residual < min(tol, _ROUNDING_FLOOR):
@@ -278,10 +313,14 @@ def _iterate(coeffs, Hc, x, damping, max_iter, tol, beta):
                 continue
             if last is not None and last[1] < tol:
                 return last[0], True, last[1]
-            # rejected: resume the damped loop where Newton began
-            newton = False
+            # rejected: resume the damped loop where Newton began, and let
+            # Newton try once more nearer the fixed point
+            began = residual if start is None else start[3]
+            switch = 0.0 if rejected else min(_NEWTON_REARM, 0.01 * began)
+            rejected = True
             if start is not None:
                 x, step, top, residual = start
+            start = last = None
         if residual < tol:
             return x, True, residual
         sign = np.sign(step[top])

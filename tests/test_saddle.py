@@ -109,6 +109,18 @@ def test_solve_saddle_start_fixed_point(sparse_spec):
     assert sol.u == pytest.approx(-1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")},
+    {"max_iter": 0}, {"max_iter": -5},
+], ids=["tol=0", "tol=-1", "tol=nan", "max_iter=0", "max_iter=-5"])
+def test_solve_saddle_rejects_invalid_tol_and_max_iter(sparse_spec, kwargs):
+    with pytest.raises(ValueError):
+        solve_saddle(sparse_spec, 0.5, MagPair(XHAT, XHAT), **kwargs)
+    if "tol" in kwargs:
+        with pytest.raises(ValueError):
+            global_saddle(sparse_spec, 0.5, tol=kwargs["tol"])
+
+
 def test_solve_saddle_final_energy(sparse_spec):
     sol = solve_saddle(sparse_spec, 1.0, MagPair([0.1, 0, 0.95], [0.1, 0, 0.95]))
     assert sol.converged
@@ -415,6 +427,55 @@ def test_failed_newton_finish_resumes_the_damped_loop(monkeypatch):
         assert sol.converged
         m1, m2 = reference_solve(spec, s, init)
         assert np.abs(np.r_[sol.m.m1 - m1, sol.m.m2 - m2]).max() < 1e-14
+
+
+def test_newton_finish_rearms_after_one_rejection(monkeypatch):
+    # The first Newton attempt gets a response with lambda_max(chi D) = 4,
+    # which the gate rejects; the damped loop goes on, and the second
+    # attempt, with the true response, must still finish the solve at the
+    # rounding level (unforced solves on this column end at 1e-16 to 3e-15)
+    # instead of leaving it to the damped loop, which stops below tol = 1e-10.
+    response = saddle._response
+    calls = {"unstable": 0, "true": 0}
+
+    def unstable_once(w, V):
+        if calls["unstable"] == 0:
+            calls["unstable"] += 1
+            B = np.zeros((4, 3))
+            B[1, 0] = 2.0 / np.sqrt(s)     # chi D = 4 on m1z, where D = s
+            return B
+        calls["true"] += 1
+        return response(w, V)
+
+    spec = ModelSpec.sparse(xi=(-5.0, -5.0, -10.0))
+    init = MagPair([0, 0, 1], [0, 0, 1])
+    for s in (0.205, 0.3):
+        calls.update(unstable=0, true=0)
+        with monkeypatch.context() as mp:
+            mp.setattr(saddle, "_response", unstable_once)
+            sol = solve_saddle(spec, s, init)
+        assert calls["unstable"] == 1 and calls["true"] >= 1
+        assert sol.converged and sol.residual <= 1e-14
+        with monkeypatch.context() as mp:
+            mp.setattr(saddle, "_NEWTON_SWITCH", 0.0)
+            ref = solve_saddle(spec, s, init, tol=1e-13)
+        assert np.abs(np.r_[sol.m.m1 - ref.m.m1, sol.m.m2 - ref.m.m2]).max() < 1e-10
+
+
+@pytest.mark.parametrize("xi", [(0.0, 0.0, -4.0), (-5.0, -5.0, -10.0), (-10.0, 0.0, 0.0)],
+                         ids=["xi12=-4", "total=-10", "xi11=-10"])
+def test_newton_handover_keeps_damped_basin(monkeypatch, xi):
+    # Newton takes over from residual 1e-2; every solve must still end on
+    # the fixed point the damped loop alone selects from the same start
+    spec = ModelSpec.sparse(xi=xi)
+    grid = np.linspace(0.0, 1.0, 11)
+    solved = {(s, i): solve_saddle(spec, s, init)
+              for s in grid for i, init in enumerate(saddle._SADDLE_INITS)}
+    monkeypatch.setattr(saddle, "_NEWTON_SWITCH", 0.0)
+    for (s, i), sol in solved.items():
+        ref = solve_saddle(spec, s, saddle._SADDLE_INITS[i], tol=1e-13)
+        assert sol.converged and ref.converged
+        assert np.abs(np.r_[sol.m.m1 - ref.m.m1, sol.m.m2 - ref.m.m2]).max() < 1e-10, (s, i)
 
 
 @pytest.mark.parametrize("xi12", [0.0, 4.0, -4.0, 8.0, -7.0])
