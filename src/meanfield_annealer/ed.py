@@ -7,8 +7,10 @@ products of the tridiagonal ladder matrix.  The sparse model has no such
 reduction and is diagonalized in the full 2^N space at small N, where
 every term flips a fixed set of bits.  Both are ``scipy.sparse`` CSR
 matrices (imported on the first build) with about 9 nonzeros per sector
-row.  Small problems go to LAPACK ``eigh``, larger ones to the in-repo
-Lanczos; both return energies, ground magnetizations, and the gap.
+row.  Small problems go to LAPACK ``eigh``, larger ones to ARPACK's
+implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``), whose
+Krylov basis stays at a fixed number of vectors whatever the dimension;
+both return energies, ground magnetizations, and the gap.
 """
 from __future__ import annotations
 
@@ -17,13 +19,12 @@ from typing import Callable
 
 import numpy as np
 
-from .eigensolvers import lanczos_lowest
-from .errors import SizeError
+from .errors import ConvergenceError, SizeError
 from .model import Coupling, ModelSpec, _coeffs
 
 _DENSE_BUDGET = 1100       # max dimension for materialized sector matrices
 _MATERIALIZE_LIMIT = 4096  # max dimension EDOperator.to_dense will fill
-_EIGH_LIMIT = 200          # dense eigh below, Lanczos above
+_EIGH_LIMIT = 200          # dense eigh below, ARPACK above
 _SPARSE_LIMIT_N = 14
 
 
@@ -229,28 +230,36 @@ def build_dense_full_operator(spec: ModelSpec, s: float, N: int) -> EDOperator:
     return _flip_operator(diag, flips, m1z, m2z)
 
 
-def ed_solve(op: EDOperator, k: int = 2, tol: float = 1e-12, max_iter: int | None = None,
-             seed: int = 7) -> EDResult:
+def ed_solve(op: EDOperator, k: int = 2, tol: float = 1e-12, seed: int = 7) -> EDResult:
     """Lowest-k eigenpairs and ground-state magnetizations of an EDOperator.
 
     Dense ``eigh`` on ``op.to_dense()`` handles dimensions up to 200;
-    Lanczos with full reorthogonalization takes over above that, falling
-    back to dense ``eigh`` on breakdown when the size allows (dim <= 4096).
-    Ground states degenerate within 1e-10 are averaged: over the whole
-    multiplet on the ``eigh`` paths, which see the full spectrum, and over
-    the k Lanczos pairs otherwise.
+    ARPACK ``eigsh`` (smallest algebraic, relative accuracy ``tol``) takes
+    over above that, from a Gaussian start vector drawn with ``seed`` so
+    that no symmetry sector is missed and reruns are identical.  Ground
+    states degenerate within 1e-10 are averaged over the whole multiplet:
+    when all k ARPACK values are degenerate the multiplet may be larger
+    than k, so the solve is redone with dense ``eigh`` if the size allows
+    (dim <= 4096), and averaged over the k pairs otherwise.
+
+    Raises ConvergenceError when ARPACK does not converge.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     if op.dim <= _EIGH_LIMIT:
         w, V = np.linalg.eigh(op.to_dense())
     else:
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+        A = LinearOperator((op.dim, op.dim), matvec=op.matvec, dtype=float)
+        v0 = np.random.default_rng(seed).standard_normal(op.dim)
         try:
-            w, V = lanczos_lowest(op.matvec, op.dim, k=k, tol=tol,
-                                  max_iter=max_iter, seed=seed)
-        except SizeError:
-            if op.dim > _MATERIALIZE_LIMIT:
-                raise
+            w, V = eigsh(A, k=k, which="SA", tol=tol, v0=v0)
+        except ArpackNoConvergence as err:
+            raise ConvergenceError(f"ARPACK did not converge at dim {op.dim}: {err}") from err
+        order = np.argsort(w)
+        w, V = w[order], V[:, order]
+        if w[-1] < w[0] + 1e-10 and op.dim <= _MATERIALIZE_LIMIT:
             w, V = np.linalg.eigh(op.to_dense())
     # degeneracy-averaged ground expectations
     nground = max(1, int(np.sum(w < w[0] + 1e-10)))

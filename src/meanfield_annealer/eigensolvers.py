@@ -1,13 +1,12 @@
-"""Eigensolvers used by the gap and oracle modules.
+"""Reference eigensolvers for tests and acceptance checks.
 
-* cyclic Jacobi for real-symmetric / complex-Hermitian matrices, kept as
-  an independent reference for tests and acceptance checks,
+* cyclic Jacobi for real-symmetric / complex-Hermitian matrices,
 * Lanczos with full (DGKS) reorthogonalization on top of a matvec, with
   the small tridiagonal eigenproblem handed to LAPACK (``dstebz`` +
-  ``dstein``),
+  ``dstein``); the ED oracle itself runs on ARPACK,
 * a dense general complex eigensolver (Hessenberg reduction plus shifted
-  QR) and a nullspace by Gaussian elimination, kept as references for
-  tests and acceptance checks; the gap path itself runs on LAPACK.
+  QR) and a nullspace by Gaussian elimination; the gap path itself runs
+  on LAPACK.
 """
 from __future__ import annotations
 

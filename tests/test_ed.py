@@ -1,11 +1,14 @@
 import functools
 import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from meanfield_annealer import (EDOperator, FixedValue, ModelSpec, SectorSpec,
-                                SizeError, build_dense_full_operator,
+from meanfield_annealer import (ConvergenceError, EDOperator, FixedValue,
+                                ModelSpec, SectorSpec, SizeError,
+                                build_dense_full_operator,
                                 build_dense_sector_hamiltonian,
                                 build_dense_sector_operator,
                                 build_sparse_full_hamiltonian, dense_ed,
@@ -149,7 +152,8 @@ def test_jacobi_and_lanczos_paths_agree(dense_spec):
 
 def test_ed_solve_breakdown_falls_back_to_eigh():
     # a multiple of the identity: every Krylov space breaks down after one
-    # step, Lanczos gives up after three restarts and dense eigh takes over
+    # step, so the reference Lanczos gives up after three restarts; ARPACK
+    # returns k equal values, and ed_solve redoes the solve with dense eigh
     dim = 300
     z = np.linspace(-1.0, 1.0, dim)
     op = EDOperator(dim=dim, matvec=lambda v: -1.5 * v, m1z_diag=z, m2z_diag=-z)
@@ -163,15 +167,67 @@ def test_ed_solve_breakdown_falls_back_to_eigh():
 @pytest.mark.parametrize("dim", [150, 300])
 def test_ed_solve_averages_whole_ground_multiplet(dim, rng):
     # every state of -1.5 I is a ground state, so on both eigh paths (dense
-    # below 200, breakdown fallback above) the degeneracy-averaged
-    # magnetizations are the uniform averages of the diagonals, whichever
-    # k eigenvectors eigh happens to return first
+    # below 200, the redo after k degenerate ARPACK values above) the
+    # degeneracy-averaged magnetizations are the uniform averages of the
+    # diagonals, whichever k eigenvectors eigh happens to return first
     z1, z2 = rng.uniform(-1.0, 1.0, dim), rng.uniform(-1.0, 1.0, dim)
     op = EDOperator(dim=dim, matvec=lambda v: -1.5 * v, m1z_diag=z1, m2z_diag=z2)
     r = ed_solve(op)
     assert r.m1z == pytest.approx(z1.mean(), abs=1e-12)
     assert r.m2z == pytest.approx(z2.mean(), abs=1e-12)
     assert len(r.energies) == 2
+
+
+def test_arpack_path_matches_dense_eigh_at_n12():
+    from scipy.linalg import eigh
+
+    # s=0.8 has the smallest N=12 gap of the sparse oracle checks
+    spec = ModelSpec.sparse(xi=(0.0, 0.0, 2.0))
+    op = build_sparse_full_hamiltonian(spec, 0.8, 12)
+    r = sparse_ed(spec, 0.8, 12)
+    w, V = eigh(op.to_dense(), subset_by_index=[0, 1], overwrite_a=True)
+    assert w[1] - w[0] > 1e-3  # nondegenerate ground state
+    assert np.abs(r.energies - w).max() < 1e-9
+    assert r.gap == pytest.approx(w[1] - w[0], abs=1e-9)
+    assert r.m2z == pytest.approx(float(V[:, 0] ** 2 @ op.m2z_diag), abs=1e-9)
+
+
+def test_arpack_path_matches_lanczos_at_n300():
+    op = build_dense_sector_operator(ModelSpec.dense(xi=(0.0, 0.0, -4.0)), 0.2, 300)
+    w, _ = lanczos_lowest(op.matvec, op.dim, k=2, tol=1e-13)
+    assert np.abs(ed_solve(op).energies - w).max() < 1e-9
+
+
+def test_arpack_krylov_memory_is_bounded():
+    # the reference Lanczos kept every Krylov vector: a 160 MiB peak at N=400
+    spec = ModelSpec.dense(xi=(0.0, 0.0, -4.0))
+    dense_ed(spec, 0.2, 40)  # load scipy outside the measurement
+    tracemalloc.start()
+    try:
+        dense_ed(spec, 0.2, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+
+
+def test_arpack_no_convergence_is_a_convergence_error(tmp_path, monkeypatch, capsys):
+    import scipy.sparse.linalg
+
+    from meanfield_annealer.cli import run
+
+    def no_convergence(A, k, **kw):
+        raise scipy.sparse.linalg.ArpackNoConvergence("forced", np.zeros(0),
+                                                      np.zeros((A.shape[0], 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(ConvergenceError, match="ARPACK"):
+        dense_ed(ModelSpec.dense(), 0.2, 40)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(task="ed-check", xi=-4.0, ed_sizes=[40, 100],
+                                   ed_s_points=[0.2], ed_n=100, output="ed.csv")))
+    assert run(str(cfg), out_dir=str(tmp_path)) == 3
+    assert "solver error: ARPACK did not converge" in capsys.readouterr().err
 
 
 def test_ed_solve_validation(dense_spec):
