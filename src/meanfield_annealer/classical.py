@@ -305,34 +305,25 @@ def _warm_solver(spec: ModelSpec, n_starts: int, seed: int, tol: float):
         except ConvergenceError:
             return global_minimize(spec, s, n_starts, seed, tol)
 
-    def solve_global(s):
-        return global_minimize(spec, s, n_starts, seed, tol)
-
     return transitions.PointSolver(
         warm=solve_warm,
-        global_=solve_global,
         energy=lambda st: st.energy,
         m2z=lambda st: st.m2z,
     )
 
 
 def sweep(spec: ModelSpec, s_grid, direction: Direction = Direction.FORWARD,
-          n_starts: int = 8, refresh_every: int = 10, seed: int = 0,
-          tol: float = 1e-10) -> SweepResult:
+          n_starts: int = 8, seed: int = 0, tol: float = 1e-10) -> SweepResult:
     """Continuation along the grid with warm starts.
 
     Warm starts follow a solution branch past the point where it stops
-    being global; a global refresh every ``refresh_every`` points re-anchors
-    the sweep only when the warm iterate already left its branch.  Forward
-    and backward sweeps disagreeing inside a window is the hysteresis
-    signal.
+    being global.  Forward and backward sweeps disagreeing inside a window
+    is the hysteresis signal.
     """
     s_grid = transitions.check_grid(s_grid)
     solver = _warm_solver(spec, n_starts, seed, tol)
-    states = transitions.branch_sweep(
-        solver, s_grid, forward=(direction is Direction.FORWARD),
-        refresh_every=refresh_every,
-    )
+    states = transitions.branch_sweep(solver, s_grid,
+                                      forward=(direction is Direction.FORWARD))
     return SweepResult(states=states, direction=direction)
 
 

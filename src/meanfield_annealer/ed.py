@@ -15,7 +15,7 @@ both return energies, ground magnetizations, and the gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -57,20 +57,23 @@ class EDResult:
 class EDOperator:
     """Symmetric operator given by its matvec, with magnetization diagonals.
 
-    The ``build_*`` functions pass the ``dot`` of a CSR matrix, which
-    also takes a block of column vectors.
+    The ``build_*`` functions pass a CSR ``matrix`` (exactly symmetric) and
+    its ``dot``; an operator given by a matvec alone is materialized by
+    applying it to the identity.
     """
 
     dim: int
     matvec: Callable[[np.ndarray], np.ndarray]
     m1z_diag: np.ndarray
     m2z_diag: np.ndarray
+    matrix: Any = None
 
     def to_dense(self) -> np.ndarray:
         if self.dim > _MATERIALIZE_LIMIT:
             raise SizeError(f"refusing to materialize a {self.dim}-dim operator")
-        out = np.asarray(self.matvec(np.eye(self.dim)))
-        return 0.5 * (out + out.T)
+        if self.matrix is None:
+            return np.asarray(self.matvec(np.eye(self.dim)))
+        return self.matrix.toarray()
 
 
 def build_dense_sector_operator(spec: ModelSpec, s: float, N: int) -> EDOperator:
@@ -105,7 +108,7 @@ def build_dense_sector_operator(spec: ModelSpec, s: float, N: int) -> EDOperator
         if coeff:
             H = H - (N * coeff) * sp.kron(A, B, format="csr")
     return EDOperator(dim=d * d, matvec=H.dot, m1z_diag=np.repeat(mz, d),
-                      m2z_diag=np.tile(mz, d))
+                      m2z_diag=np.tile(mz, d), matrix=H)
 
 
 def build_dense_sector_hamiltonian(spec: ModelSpec, s: float, N: int) -> np.ndarray:
@@ -151,7 +154,7 @@ def _flip_operator(diag, flips, m1z, m2z) -> EDOperator:
         data[:, j] = coeff
     indptr = np.arange(0, dim * width + 1, width, dtype=np.int32)
     H = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(dim, dim))
-    return EDOperator(dim=dim, matvec=H.dot, m1z_diag=m1z, m2z_diag=m2z)
+    return EDOperator(dim=dim, matvec=H.dot, m1z_diag=m1z, m2z_diag=m2z, matrix=H)
 
 
 def build_sparse_full_hamiltonian(spec: ModelSpec, s: float, N: int) -> EDOperator:

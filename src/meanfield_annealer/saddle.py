@@ -9,12 +9,15 @@ symmetric and goes to LAPACK ``eigh``; the public builder and
 ``ground_block`` keep the general complex form.  The conjugate fields are
 affine in x, mt = b + D x with D = diag(4 c11, s, 4 c22, s).
 
-The fixed point x = e(x) is found in two stages.  A damped iteration
-x <- x + d (e(x) - x) runs until max|e(x) - x| < ``_NEWTON_SWITCH`` (1e-2);
-it selects the basin.  At zero temperature Newton on F(x) = e(x) - x then
-finishes the solve, with the Jacobian J = chi D - I taken from the same
-``eigh``: chi_ij = d e_i / d mt_j is the static linear response of the
-ground state.  A Newton iterate is accepted only when the ground state is
+The fixed point x = e(x) is found at zero temperature by Newton on
+F(x) = e(x) - x, with the Jacobian J = chi D - I taken from the loop's
+``eigh``.  A global solve (from a fixed start, as in ``global_saddle``)
+first runs the damped iteration x <- x + d (e(x) - x) until
+max|e(x) - x| < ``_NEWTON_SWITCH`` (1e-2); that selects the basin.  A warm
+solve, continued from a neighbouring solution that already sits in its
+basin, tries Newton from the first iterate.  In the Jacobian,
+chi_ij = d e_i / d mt_j is the static linear response of the ground
+state.  A Newton iterate is accepted only when the ground state is
 non-degenerate, lambda_max(chi D) < 1 (the condition under which the
 damped map is locally attracting) and the residual has fallen since the
 previous iterate.  Newton runs past ``tol`` until the residual reaches the
@@ -27,7 +30,9 @@ again once the residual is below min(``_NEWTON_REARM``, 0.01 x the residual
 where the first attempt began); a second rejection leaves the damped loop
 to finish alone.  Finite temperature (a homotopy device for hard points,
 and a diagnostic) stays purely damped.  Every 4x4 and 3x3 symmetric
-eigenproblem in the loop is one direct LAPACK ``dsyevd`` call.
+eigenproblem in the loop is one direct LAPACK ``dsyevd`` call, and a
+converged solve takes lambda0, the degeneracy and u from the eigenvalues
+the loop already holds at the returned x.
 
 The whole construction takes the decoupling fields to be constant in
 imaginary time.  That is a modeling assumption baked into the equations,
@@ -207,10 +212,13 @@ def conjugate_fields(spec: ModelSpec, s: float, m: MagPair) -> ConjugateFields:
     return ConjugateFields(mt1=-2.0 * g1, mt2=-2.0 * g2)
 
 
-def _energy_density(coeffs, Hc, m1, m2):
+def _energy_density(coeffs, Hc, m1, m2, w=None):
+    """(u, lambda0, degeneracy, mt) at m; ``w``, the effective-Hamiltonian
+    eigenvalues at m when the caller holds them, saves the eigensolve."""
     g1, g2 = _sparse_grad(coeffs, m1, m2)
     mt = ConjugateFields(-2.0 * g1, -2.0 * g2)
-    w = np.linalg.eigvalsh(_real_hamiltonian(Hc, mt.mt1, mt.mt2))
+    if w is None:
+        w = np.linalg.eigvalsh(_real_hamiltonian(Hc, mt.mt1, mt.mt2))
     lam0 = float(w[0])
     g = int(np.count_nonzero(w < lam0 + _DEGENERACY_TOL))
     hm = _sparse_energy(coeffs, m1, m2)
@@ -218,26 +226,30 @@ def _energy_density(coeffs, Hc, m1, m2):
     return u, lam0, g, mt
 
 
-def solve_saddle(spec: ModelSpec, s: float, init: MagPair, damping: float = 0.5,
-                 max_iter: int = 10000, tol: float = 1e-10,
+def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
+                 damping: float = 0.5, max_iter: int = 10000, tol: float = 1e-10,
                  beta: float | None = None) -> SaddleSolution:
     """Self-consistent solution reached from ``init``.
 
     Damped fixed-point steps relax m toward the effective-model expectation;
     oscillations trigger automatic damping reduction.  At zero temperature
-    (``beta=None``) the loop switches to Newton steps once the residual is
-    below ``_NEWTON_SWITCH`` (1e-2), accepts them only at non-degenerate
-    points with lambda_max(chi D) < 1 and a falling residual, and keeps
-    stepping past ``tol`` until the residual reaches ``_ROUNDING_FLOOR`` or
-    stops falling.  A rejected Newton iterate sends the damped loop back to
+    (``beta=None``) the loop takes Newton steps, accepts them only at
+    non-degenerate points with lambda_max(chi D) < 1 and a falling residual,
+    and keeps stepping past ``tol`` until the residual reaches
+    ``_ROUNDING_FLOOR`` or stops falling.  From a MagPair (a global start)
+    the damped loop first brings the residual below ``_NEWTON_SWITCH``
+    (1e-2), which selects the basin.  From a SaddleSolution (a warm start
+    from a neighbouring solve, already in its basin) Newton starts at the
+    first iterate.  A rejected Newton iterate sends the damped loop back to
     where Newton began; Newton may try once more below min(1e-4, 0.01 x the
     residual where it first began), and a second rejection leaves the damped
     loop to finish alone.  Persistent non-convergence falls back to a
     finite-temperature homotopy (purely damped) before reporting
     converged=False.  A converged solution's ``residual`` is max|e(m) - m|
-    at the returned m.  The y components of ``init`` are dropped: they
-    source no field and the fixed point has none.  ``tol`` must be positive
-    and ``max_iter`` at least 1.
+    at the returned m, and its lambda0, degeneracy and u come from the
+    loop's last eigenvalues there.  The y components of ``init`` are
+    dropped: they source no field and the fixed point has none.  ``tol``
+    must be positive and ``max_iter`` at least 1.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must be in (0, 1]")
@@ -249,21 +261,24 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair, damping: float = 0.5,
         raise ValueError("solve_saddle requires a sparse-intercluster spec")
     coeffs = _coeffs(spec, s)
     Hc = _coupling_part(coupling_matrix(spec, s))
-    x0 = np.concatenate([init.m1[::2], init.m2[::2]])
-    x, converged, residual = _iterate(coeffs, Hc, x0, damping, max_iter, tol, beta)
+    warm = isinstance(init, SaddleSolution)
+    m = init.m if warm else init
+    x0 = np.concatenate([m.m1[::2], m.m2[::2]])
+    x, converged, residual, w = _iterate(coeffs, Hc, x0, damping, max_iter, tol, beta,
+                                         np.inf if warm else _NEWTON_SWITCH)
     if not converged and beta is None:
         # homotopy: anneal a smooth finite-temperature loop, then retry
         cur = x0
         for beta_h in (20.0, 50.0, 100.0, 300.0):
-            h, ok, _ = _iterate(coeffs, Hc, cur, damping, max_iter // 4,
-                                max(tol, 1e-9), beta_h)
+            h, ok, *_ = _iterate(coeffs, Hc, cur, damping, max_iter // 4,
+                                 max(tol, 1e-9), beta_h, 0.0)
             if ok:
                 cur = h
-        x, converged, residual = _iterate(coeffs, Hc, cur, damping, max_iter,
-                                          tol, None)
+        x, converged, residual, w = _iterate(coeffs, Hc, cur, damping, max_iter,
+                                             tol, None, _NEWTON_SWITCH)
     m1 = np.array([x[0], 0.0, x[1]])
     m2 = np.array([x[2], 0.0, x[3]])
-    u, lam0, g, mt = _energy_density(coeffs, Hc, m1, m2)
+    u, lam0, g, mt = _energy_density(coeffs, Hc, m1, m2, w)
     g1, g2 = spec.schedule.at(s)
     return SaddleSolution(
         s=float(s), m=MagPair(m1, m2), mt=mt, lambda0=lam0, degeneracy=g,
@@ -272,17 +287,22 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair, damping: float = 0.5,
     )
 
 
-def _iterate(coeffs, Hc, x, damping, max_iter, tol, beta):
-    """Fixed point of x = e(x); returns (x, converged, max|e(x) - x| at x)."""
+def _iterate(coeffs, Hc, x, damping, max_iter, tol, beta, switch):
+    """Fixed point of x = e(x), with Newton tried below residual ``switch``.
+
+    Returns (x, converged, max|e(x) - x| at x, w), where w holds the
+    eigenvalues of the effective Hamiltonian at the returned x when
+    converged and is None otherwise.
+    """
     x = np.array(x, dtype=float)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(Hc))):
         raise ValueError("effective Hamiltonian inputs must be finite")
     b, D = _field_map(coeffs)
-    # residual below which a Newton step may be tried; 0 turns Newton off
-    switch = _NEWTON_SWITCH if beta is None else 0.0
+    if beta is not None:
+        switch = 0.0              # finite temperature stays damped
     rejected = False
-    start = None                  # (x, step, top, residual) where Newton began
-    last = None                   # last accepted Newton iterate, its residual
+    start = None                  # (x, step, top, residual, w) where Newton began
+    last = None                   # last accepted Newton iterate, its residual, w
     osc = 0
     prev_sign = 0.0
     residual = np.inf
@@ -305,24 +325,24 @@ def _iterate(coeffs, Hc, x, damping, max_iter, tol, beta):
                 accept = mu[-1] < 1.0
             if accept:
                 if residual < min(tol, _ROUNDING_FLOOR):
-                    return x, True, residual  # nothing left for Newton to gain
+                    return x, True, residual, w  # nothing left for Newton to gain
                 if start is None:
-                    start = (x.copy(), step, top, residual)
-                last = (x.copy(), residual)
+                    start = (x.copy(), step, top, residual, w)
+                last = (x.copy(), residual, w)
                 x += step + B @ (Q @ ((Q.T @ (B.T @ (D * step))) / (1.0 - mu)))
                 continue
             if last is not None and last[1] < tol:
-                return last[0], True, last[1]
+                return last[0], True, last[1], last[2]
             # rejected: resume the damped loop where Newton began, and let
             # Newton try once more nearer the fixed point
             began = residual if start is None else start[3]
             switch = 0.0 if rejected else min(_NEWTON_REARM, 0.01 * began)
             rejected = True
             if start is not None:
-                x, step, top, residual = start
+                x, step, top, residual, w = start
             start = last = None
         if residual < tol:
-            return x, True, residual
+            return x, True, residual, w
         sign = np.sign(step[top])
         if prev_sign and sign == -prev_sign:
             osc += 1
@@ -334,8 +354,8 @@ def _iterate(coeffs, Hc, x, damping, max_iter, tol, beta):
         prev_sign = sign
         x += damping * step
     if last is not None and last[1] < tol:
-        return last[0], True, last[1]
-    return x, False, residual
+        return last[0], True, last[1], last[2]
+    return x, False, residual, None
 
 
 def free_energy_density(spec: ModelSpec, s: float, mt: ConjugateFields,
@@ -395,29 +415,25 @@ def _saddle_solver(spec: ModelSpec, damping: float, tol: float):
     def solve_warm(s, prev: SaddleSolution | None):
         if prev is None:
             return global_saddle(spec, s, damping, tol)
-        sol = solve_saddle(spec, s, prev.m, damping=damping, tol=tol)
+        sol = solve_saddle(spec, s, prev, damping=damping, tol=tol)
         if not sol.converged:
             return global_saddle(spec, s, damping, tol)
         return sol
 
     return transitions.PointSolver(
         warm=solve_warm,
-        global_=lambda s: global_saddle(spec, s, damping, tol),
         energy=lambda sol: sol.u,
         m2z=lambda sol: sol.m2z,
     )
 
 
 def sweep_sparse(spec: ModelSpec, s_grid, direction: Direction = Direction.FORWARD,
-                 damping: float = 0.5, refresh_every: int = 10,
-                 tol: float = 1e-10) -> list[SaddleSolution]:
+                 damping: float = 0.5, tol: float = 1e-10) -> list[SaddleSolution]:
     """Warm-started continuation of the saddle solution along the grid."""
     s_grid = transitions.check_grid(s_grid)
     solver = _saddle_solver(spec, damping, tol)
-    return transitions.branch_sweep(
-        solver, s_grid, forward=(direction is Direction.FORWARD),
-        refresh_every=refresh_every,
-    )
+    return transitions.branch_sweep(solver, s_grid,
+                                    forward=(direction is Direction.FORWARD))
 
 
 def detect_transition_sparse(spec: ModelSpec, s_grid=None,

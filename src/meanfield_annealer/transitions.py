@@ -1,7 +1,7 @@
 """Branch continuation and first-order transition detection.
 
 Shared between the dense classical solver and the sparse saddle solver:
-both expose warm-started and global point solves through a PointSolver.
+both expose warm-started point solves through a PointSolver.
 A forward and a backward continuation sweep give two branches; the lower
 of the two at each grid point is the equilibrium.  The grid interval with
 the largest equilibrium weak-cluster magnetization jump is the only
@@ -24,13 +24,12 @@ TIE_TOL = 1e-12
 class PointSolver:
     """Adapter over a per-point solver.
 
-    warm(s, prev_state_or_None) continues a branch; global_(s) performs the
-    multistart equilibrium solve; energy/m2z extract the branch comparator
+    warm(s, prev_state_or_None) continues a branch (None asks for the
+    multistart equilibrium solve); energy/m2z extract the branch comparator
     and the jump observable from a state.
     """
 
     warm: Callable[[float, Any], Any]
-    global_: Callable[[float], Any]
     energy: Callable[[Any], float]
     m2z: Callable[[Any], float]
 
@@ -46,30 +45,19 @@ def check_grid(s_grid) -> np.ndarray:
     return grid
 
 
-def branch_sweep(solver: PointSolver, s_grid: np.ndarray, forward: bool = True,
-                 refresh_every: int = 10) -> list:
+def branch_sweep(solver: PointSolver, s_grid: np.ndarray, forward: bool = True) -> list:
     """Warm-started continuation along the grid, in traversal order.
 
-    The sweep follows its branch as long as the warm solve stays in the
-    same basin.  Every ``refresh_every`` points a global solve re-anchors
-    the sweep, but only when the warm iterate already jumped basins; a
-    branch deliberately tracked past the energy crossing is kept, which is
-    what exposes hysteresis.
+    The first point is a global solve; every later one continues from its
+    neighbour, so the sweep follows its branch past the energy crossing,
+    which is what exposes hysteresis.
     """
     indices = range(len(s_grid)) if forward else range(len(s_grid) - 1, -1, -1)
     states = []
     prev = None
-    for step, i in enumerate(indices):
-        s = float(s_grid[i])
-        st = solver.warm(s, prev)
-        if prev is not None and refresh_every and step % refresh_every == 0:
-            jumped = abs(solver.m2z(st) - solver.m2z(prev)) > COEXIST_TOL
-            if jumped:
-                g = solver.global_(s)
-                if solver.energy(g) < solver.energy(st) - TIE_TOL:
-                    st = g
-        states.append(st)
-        prev = st
+    for i in indices:
+        prev = solver.warm(float(s_grid[i]), prev)
+        states.append(prev)
     return states
 
 
@@ -152,8 +140,7 @@ def _window_width(s_grid, coexist, i) -> float:
     return float(s_grid[hi] - s_grid[lo])
 
 
-def analyze(solver: PointSolver, s_grid, jump_threshold: float = 0.5,
-            refresh_every: int = 10) -> BranchAnalysis:
+def analyze(solver: PointSolver, s_grid, jump_threshold: float = 0.5) -> BranchAnalysis:
     """Sweep both ways, then judge the largest equilibrium m2z jump.
 
     The grid interval (i, i+1) with the largest jump is bisected from
@@ -165,8 +152,8 @@ def analyze(solver: PointSolver, s_grid, jump_threshold: float = 0.5,
     without bisecting.
     """
     s_grid = check_grid(s_grid)
-    fstates = branch_sweep(solver, s_grid, forward=True, refresh_every=refresh_every)
-    bstates = branch_sweep(solver, s_grid, forward=False, refresh_every=refresh_every)[::-1]
+    fstates = branch_sweep(solver, s_grid, forward=True)
+    bstates = branch_sweep(solver, s_grid, forward=False)[::-1]
     eq, tags = _equilibrium(solver, fstates, bstates)
 
     def result(jump, width=0.0, s_star=float("nan")):
@@ -188,7 +175,6 @@ def analyze(solver: PointSolver, s_grid, jump_threshold: float = 0.5,
     return result(abs(solver.m2z(st_a) - solver.m2z(st_b)), width, s_star)
 
 
-def detect(solver: PointSolver, s_grid, jump_threshold: float = 0.5,
-           refresh_every: int = 10) -> TransitionReport:
+def detect(solver: PointSolver, s_grid, jump_threshold: float = 0.5) -> TransitionReport:
     """The transition verdict of ``analyze`` without the branches."""
-    return analyze(solver, s_grid, jump_threshold, refresh_every).report
+    return analyze(solver, s_grid, jump_threshold).report

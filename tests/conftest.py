@@ -28,6 +28,13 @@ def assert_same_verdict(coarse, fine):
         assert np.isnan(coarse.s_star) and np.isnan(fine.s_star)
 
 
+def assert_width_within_two_steps(coarse, fine, coarse_steps):
+    """Two reports on [0, 1] agree on the hysteresis width within two steps
+    of the coarse grid of ``coarse_steps`` points."""
+    step = 1.0 / (coarse_steps - 1)
+    assert abs(coarse.hysteresis_width - fine.hysteresis_width) <= 2.0 * step + 1e-12
+
+
 def random_unit(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)

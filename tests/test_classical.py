@@ -9,7 +9,7 @@ from meanfield_annealer import (ConvergenceError, Direction, FixedValue,
                                 start_set, sweep)
 from meanfield_annealer.classical import is_stable_minimum
 from meanfield_annealer.ed import dense_ed
-from conftest import assert_same_verdict
+from conftest import assert_same_verdict, assert_width_within_two_steps
 
 UP = np.array([0.0, 0.0, 1.0])
 DOWN = np.array([0.0, 0.0, -1.0])
@@ -293,6 +293,15 @@ def test_detect_transition_verdict_independent_of_grid(xi, coarse, fine):
     spec = ModelSpec.dense(xi=xi)
     assert_same_verdict(detect_transition(spec, np.linspace(0.0, 1.0, coarse)),
                         detect_transition(spec, np.linspace(0.0, 1.0, fine)))
+
+
+def test_hysteresis_width_independent_of_grid():
+    # fig2 xi12 = -8: near s = 0.7 the forward branch moves about 0.05 in
+    # m2z per 201-point step, more than COEXIST_TOL; the sweep must still
+    # follow it to the end of the coexistence window
+    spec = ModelSpec.dense(xi=(0.0, 0.0, -8.0))
+    assert_width_within_two_steps(detect_transition(spec, np.linspace(0.0, 1.0, 201)),
+                                  detect_transition(spec, np.linspace(0.0, 1.0, 401)), 201)
 
 
 @pytest.mark.parametrize("xi", [-4.0, 4.0])

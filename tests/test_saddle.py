@@ -14,7 +14,7 @@ from meanfield_annealer.model import FixedValue, _coeffs
 from meanfield_annealer.saddle import (_coupling_part, _expectations,
                                        _field_map, _real_hamiltonian,
                                        _response)
-from conftest import assert_same_verdict
+from conftest import assert_same_verdict, assert_width_within_two_steps
 
 XHAT = [1.0, 0.0, 0.0]
 ZERO = [0.0, 0.0, 0.0]
@@ -194,6 +194,27 @@ def test_detect_sparse_verdict_independent_of_grid(xi12, coarse):
     spec = ModelSpec.sparse(xi=(0.0, 0.0, xi12))
     assert_same_verdict(detect_transition_sparse(spec, np.linspace(0.0, 1.0, coarse)),
                         detect_transition_sparse(spec, np.linspace(0.0, 1.0, 101)))
+
+
+def test_sparse_hysteresis_width_independent_of_grid():
+    # on 21 points the forward sweep must keep the m2z < 0 branch past
+    # s = 0.5, where its m2z moves by about 0.1 per grid step, as it does
+    # on 101 points
+    spec = ModelSpec.sparse(xi=(0.0, 0.0, -4.0))
+    coarse = detect_transition_sparse(spec, np.linspace(0.0, 1.0, 21))
+    fine = detect_transition_sparse(spec, np.linspace(0.0, 1.0, 101))
+    assert coarse.hysteresis_width > 0.0
+    assert_width_within_two_steps(coarse, fine, 21)
+
+
+def test_total_catalyst_s_star_at_sector_jump():
+    # appC_sparse xi = -10: the sector-ED ground-state m2z jumps between
+    # s = 0.160 and 0.165 at N = 40, 80 and 160; the backward sweep and the
+    # bisection must stay on the high-s branch down to there
+    rep = detect_transition_sparse(ModelSpec.sparse(xi=(-5.0, -5.0, -10.0)),
+                                   np.linspace(0.0, 1.0, 41))
+    assert rep.found
+    assert 0.155 <= rep.s_star <= 0.170
 
 
 def test_detect_sparse_smooth_crossover_on_coarse_grid():
@@ -504,3 +525,22 @@ def test_default_tol_solution_sits_on_the_fixed_point(spec, s):
                                          abs=1e-15)
     m1, m2 = reference_solve(spec, s, sol.m, tol=1e-14)
     assert np.abs(np.r_[sol.m.m1 - m1, sol.m.m2 - m2]).max() < 1e-12
+
+
+def test_solution_energy_reuses_the_loop_eigenvalues(rng):
+    # lambda0, the degeneracy and u of a converged solve come from the last
+    # eigenvalues of its loop; they must equal a fresh eigensolve at the
+    # returned m, for global and for warm (Newton-first) solves
+    cases = [(ModelSpec.sparse(gamma1=FixedValue(1.0)), 0.0)]   # degeneracy 2
+    cases += [(ModelSpec.sparse(xi=tuple(rng.uniform(-10.0, 10.0, 3))), rng.uniform(0.0, 0.95))
+              for _ in range(12)]
+    for spec, s in cases:
+        glob = global_saddle(spec, s)
+        for sol in (glob, solve_saddle(spec, s + 0.01, glob)):
+            assert sol.converged
+            u, lam0, g, _ = saddle._energy_density(
+                _coeffs(spec, sol.s), _coupling_part(coupling_matrix(spec, sol.s)),
+                sol.m.m1, sol.m.m2)
+            assert abs(sol.u - u) <= 1e-13
+            assert abs(sol.lambda0 - lam0) <= 1e-13
+            assert sol.degeneracy == g
