@@ -2,7 +2,7 @@
 
 Minimizes the energy density over m_a = (sin theta_a, 0, cos theta_a),
 two angles on the xz torus (every minimum has m_y = 0), by damped Newton
-written as one scalar kernel on Python floats, with deterministic
+on Python floats over the model's dense kernel, with deterministic
 multistart search, warm-started continuation sweeps that expose
 hysteresis, and first-order transition detection by branch-energy
 crossing.
@@ -20,7 +20,8 @@ import numpy as np
 
 from . import transitions
 from .errors import ConvergenceError
-from .model import MagPair, ModelSpec, _coeffs
+from .model import (MagPair, ModelSpec, _angle_hessian, _coeffs, _energy, _grad,
+                    _indeterminate_flags)
 from .transitions import TransitionReport
 
 
@@ -52,49 +53,13 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# Damped Newton on the (theta1, theta2) torus
-#
-# The kernel works on Python floats: with m_a = (x_a, 0, z_a) =
-# (sin th_a, 0, cos th_a) the energy, its Cartesian gradient and the 2x2
-# angle Hessian are a handful of scalar products, where numpy's per-call
-# overhead on 2-vectors and 6x6 arrays would cost more than the algebra.
+# Damped Newton on the (theta1, theta2) torus, on Python floats through the
+# model's dense kernel with m_a = (x_a, 0, z_a) = (sin th_a, 0, cos th_a)
 
 _EIG_FLOOR = 1e-8   # smallest curvature a Newton step divides by
 _MAX_STEP = 0.5     # rad
 _MAX_ITER = 200
 _FOUR_ULPS = 4 * sys.float_info.epsilon
-
-
-def _fold(spec: ModelSpec, s: float) -> tuple:
-    """Energy coefficients at (spec, s) as plain floats for the kernel."""
-    c = _coeffs(spec, s)
-    return (c.s / 2.0, c.s / 4.0, c.h1, c.h2, c.a1, c.a2, c.c11, c.c22, c.c12)
-
-
-def _energy(k, x1, z1, x2, z2):
-    s2, s4, h1, h2, a1, a2, c11, c22, c12 = k
-    return (-s2 * (h1 * z1 + h2 * z2) - s4 * (z1 * z1 + z2 * z2 + z1 * z2)
-            - a1 * x1 - a2 * x2 - (c11 * x1 * x1 + c22 * x2 * x2 + c12 * x1 * x2))
-
-
-def _grad(k, x1, z1, x2, z2):
-    """(dE/dm1x, dE/dm1z, dE/dm2x, dE/dm2z); the y components vanish."""
-    s2, s4, h1, h2, a1, a2, c11, c22, c12 = k
-    return (-a1 - 2.0 * c11 * x1 - c12 * x2, -s2 * h1 - s4 * (2.0 * z1 + z2),
-            -a2 - 2.0 * c22 * x2 - c12 * x1, -s2 * h2 - s4 * (2.0 * z2 + z1))
-
-
-def _angle_hessian(k, x1, z1, x2, z2, mu1, mu2):
-    """Entries (h11, h12, h22) of T^T H T + diag(mu).
-
-    T maps angle steps to (dm1, dm2) through t_a = (z_a, 0, -x_a), and H
-    has six nonzero entries: xx -2 c11, -2 c22, -c12 and zz -s/2, -s/2,
-    -s/4 (see ``dense_hessian``).
-    """
-    s2, s4, _, _, _, _, c11, c22, c12 = k
-    return (-2.0 * c11 * z1 * z1 - s2 * x1 * x1 + mu1,
-            -c12 * z1 * z2 - s4 * x1 * x2,
-            -2.0 * c22 * z2 * z2 - s2 * x2 * x2 + mu2)
 
 
 class _Point(NamedTuple):
@@ -117,6 +82,7 @@ def _newton(k, t1, t2, max_iter, tol) -> _Point:
     Hessian eigenvalues enter by absolute value with a floor, steps are
     capped at 0.5 rad and halved until the energy rises by at most 4 ulps.
     """
+    k = tuple(k)   # the kernel's unpack of an exact tuple skips the generic iterator path
     for _ in range(max_iter):
         x1, z1, x2, z2 = sin(t1), cos(t1), sin(t2), cos(t2)
         energy = _energy(k, x1, z1, x2, z2)
@@ -176,12 +142,6 @@ def _state(spec: ModelSpec, s: float, p: _Point) -> ClassicalState:
     )
 
 
-def _indeterminate_flags(spec: ModelSpec, s: float) -> tuple[bool, bool]:
-    # nothing couples to a cluster when s = 0 and its transverse field is off
-    g1, g2 = spec.schedule.at(s)
-    return (s == 0.0 and g1 == 1.0, s == 0.0 and g2 == 1.0)
-
-
 def minimize(spec: ModelSpec, s: float, initial: MagPair,
              max_iter: int = _MAX_ITER, tol: float = 1e-10) -> ClassicalState:
     """Local minimum of the dense energy density from the given start.
@@ -196,7 +156,7 @@ def minimize(spec: ModelSpec, s: float, initial: MagPair,
     n1, n2 = initial.norms()
     if n1 < 1e-6 or n2 < 1e-6:
         raise ValueError("initial magnetizations must be unit direction vectors")
-    p = _newton(_fold(spec, s), *_angles(initial), max_iter, tol)
+    p = _newton(_coeffs(spec, s), *_angles(initial), max_iter, tol)
     state = _state(spec, s, p)
     if p.residual >= tol:
         raise ConvergenceError(
@@ -264,7 +224,7 @@ def global_minimize(spec: ModelSpec, s: float, n_starts: int = 8,
         raise ValueError("n_starts must be at least 8")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    k = _fold(spec, s)
+    k = _coeffs(spec, s)
     best = failed = None
     for t1, t2 in _start_angles(n_starts, seed):
         p = _newton(k, t1, t2, _MAX_ITER, tol)
@@ -287,7 +247,7 @@ def is_stable_minimum(spec: ModelSpec, state: ClassicalState, tol: float = 1e-9)
     no y terms, so the curvature out of the plane is mu_a.
     """
     t1, t2 = _angles(state.m)
-    h11, h12, h22 = _angle_hessian(_fold(spec, state.s), sin(t1), cos(t1), sin(t2), cos(t2),
+    h11, h12, h22 = _angle_hessian(_coeffs(spec, state.s), sin(t1), cos(t1), sin(t2), cos(t2),
                                    *state.mu)
     lowest = 0.5 * (h11 + h22) - hypot(0.5 * (h11 - h22), h12)
     return bool(lowest >= -tol and min(state.mu) >= -tol)
@@ -296,14 +256,14 @@ def is_stable_minimum(spec: ModelSpec, state: ClassicalState, tol: float = 1e-9)
 # ---------------------------------------------------------------------------
 # Continuation sweeps and transition detection
 
-def _warm_solver(spec: ModelSpec, n_starts: int, seed: int, tol: float):
+def _warm_solver(spec: ModelSpec, n_starts: int, seed: int):
     def solve_warm(s, prev: ClassicalState | None):
         if prev is None:
-            return global_minimize(spec, s, n_starts, seed, tol)
+            return global_minimize(spec, s, n_starts, seed)
         try:
-            return minimize(spec, s, prev.m, tol=tol)
+            return minimize(spec, s, prev.m)
         except ConvergenceError:
-            return global_minimize(spec, s, n_starts, seed, tol)
+            return global_minimize(spec, s, n_starts, seed)
 
     return transitions.PointSolver(
         warm=solve_warm,
@@ -313,7 +273,7 @@ def _warm_solver(spec: ModelSpec, n_starts: int, seed: int, tol: float):
 
 
 def sweep(spec: ModelSpec, s_grid, direction: Direction = Direction.FORWARD,
-          n_starts: int = 8, seed: int = 0, tol: float = 1e-10) -> SweepResult:
+          n_starts: int = 8, seed: int = 0) -> SweepResult:
     """Continuation along the grid with warm starts.
 
     Warm starts follow a solution branch past the point where it stops
@@ -321,15 +281,14 @@ def sweep(spec: ModelSpec, s_grid, direction: Direction = Direction.FORWARD,
     is the hysteresis signal.
     """
     s_grid = transitions.check_grid(s_grid)
-    solver = _warm_solver(spec, n_starts, seed, tol)
+    solver = _warm_solver(spec, n_starts, seed)
     states = transitions.branch_sweep(solver, s_grid,
                                       forward=(direction is Direction.FORWARD))
     return SweepResult(states=states, direction=direction)
 
 
 def detect_transition(spec: ModelSpec, s_grid=None, jump_threshold: float = 0.5,
-                      n_starts: int = 8, seed: int = 0,
-                      tol: float = 1e-10) -> TransitionReport:
+                      n_starts: int = 8, seed: int = 0) -> TransitionReport:
     """First-order transition verdict on [min(s_grid), max(s_grid)].
 
     Runs forward and backward sweeps, bisects the grid interval with the
@@ -338,6 +297,5 @@ def detect_transition(spec: ModelSpec, s_grid=None, jump_threshold: float = 0.5,
     """
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, 101)
-    s_grid = transitions.check_grid(s_grid)
-    solver = _warm_solver(spec, n_starts, seed, tol)
+    solver = _warm_solver(spec, n_starts, seed)
     return transitions.detect(solver, s_grid, jump_threshold)

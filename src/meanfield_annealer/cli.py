@@ -147,13 +147,16 @@ def _validate(cfg):
         if v != "s" and not _is_number(v):
             raise ConfigError(f"{key} must be 's' or a finite number")
     points = cfg["ed_s_points"]
-    if not isinstance(points, list) or not all(_is_unit(x) for x in points):
-        raise ConfigError(f"ed_s_points must be a list of numbers in [0, 1], got {points!r}")
+    if not (isinstance(points, list) and points and all(_is_unit(x) for x in points)):
+        raise ConfigError("ed_s_points must be a list of at least one number in [0, 1], "
+                          f"got {points!r}")
     sizes = cfg["ed_sizes"]
-    if not (isinstance(sizes, list) and sizes
-            and all(_is_int(n) and 0 < n <= 2000 and n % 4 == 0 for n in sizes)):
+    # the gap extrapolation fits a line in 1/N, which one size does not fix
+    if not (isinstance(sizes, list)
+            and all(_is_int(n) and 0 < n <= 2000 and n % 4 == 0 for n in sizes)
+            and len(set(sizes)) >= 2):
         raise ConfigError("ed_sizes must be a non-empty list of positive multiples of 4 "
-                          f"up to 2000, got {sizes!r}")
+                          f"up to 2000 with at least two distinct sizes, got {sizes!r}")
     n = cfg["ed_n"]
     if cfg["coupling"] == "dense":
         ok, what = _is_int(n) and 0 < n <= 2000 and n % 4 == 0, "a multiple of 4 up to 2000"
@@ -301,9 +304,9 @@ def _scan_column(args):
     n_starts = int(cfg["n_starts"])
     seed = int(cfg["seed"])
     if dense:
-        solver = _warm_solver(spec, n_starts, seed, 1e-10)
+        solver = _warm_solver(spec, n_starts, seed)
     else:
-        solver = _saddle_solver(spec, 0.5, 1e-10)
+        solver = _saddle_solver(spec)
     rows = []
     failed = False
     try:

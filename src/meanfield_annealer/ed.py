@@ -5,9 +5,12 @@ physics at size N lives in a product of two spin-(N/4) multiplets of
 dimension (N/2+1)^2; that sector Hamiltonian is a sum of Kronecker
 products of the tridiagonal ladder matrix.  The sparse model has no such
 reduction and is diagonalized in the full 2^N space at small N, where
-every term flips a fixed set of bits.  Both are ``scipy.sparse`` CSR
-matrices (imported on the first build) with about 9 nonzeros per sector
-row.  Small problems go to LAPACK ``eigh``, larger ones to ARPACK's
+every term flips a fixed set of bits.  One full-space builder serves both
+couplings, which differ only in the intercluster adjacency: site r to
+site r at weight 1/2 (sparse), every pair at weight 1/N (dense, a test
+reference for the sector).  All are ``scipy.sparse`` CSR matrices
+(imported on the first build), a sector row with about 9 nonzeros.
+Small problems go to LAPACK ``eigh``, larger ones to ARPACK's
 implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``), whose
 Krylov basis stays at a fixed number of vectors whatever the dimension;
 both return energies, ground magnetizations, and the gap.
@@ -26,6 +29,7 @@ _DENSE_BUDGET = 1100       # max dimension for materialized sector matrices
 _MATERIALIZE_LIMIT = 4096  # max dimension EDOperator.to_dense will fill
 _EIGH_LIMIT = 200          # dense eigh below, ARPACK above
 _SPARSE_LIMIT_N = 14
+_ARPACK_SEED = 7           # seed of the Gaussian ARPACK start vector
 
 
 @dataclass(frozen=True)
@@ -99,8 +103,8 @@ def build_dense_sector_operator(spec: ModelSpec, s: float, N: int) -> EDOperator
     X = sp.diags([off, off], [-1, 1], format="csr")
     eye = sp.identity(d, format="csr")
     W = N * (
-        -(c.s / 2.0) * (c.h1 * mz[:, None] + c.h2 * mz[None, :])
-        - (c.s / 4.0) * (mz[:, None] ** 2 + mz[None, :] ** 2 + mz[:, None] * mz[None, :])
+        -c.s2 * (c.h1 * mz[:, None] + c.h2 * mz[None, :])
+        - c.s4 * (mz[:, None] ** 2 + mz[None, :] ** 2 + mz[:, None] * mz[None, :])
     )
     H = sp.diags(W.ravel(), format="csr")
     for coeff, A, B in ((c.a1, X, eye), (c.a2, eye, X), (c.c11, X @ X, eye),
@@ -136,44 +140,28 @@ def _full_space_table(N: int) -> np.ndarray:
     return 1 - 2 * ((idx[:, None] >> np.arange(N)[None, :]) & 1)
 
 
-def _flip_operator(diag, flips, m1z, m2z) -> EDOperator:
-    """CSR operator with diagonal `diag` and H[i, i ^ mask] = coeff for
-    each (mask, coeff) in `flips`; masks are distinct and nonzero, so
-    every row holds 1 + len(flips) entries, the diagonal first."""
+def _full_space_operator(spec: ModelSpec, s: float, N: int, pairs) -> EDOperator:
+    """Full 2^N Hamiltonian of either model, as a CSR operator.
+
+    Site r of cluster 1 is bit r, site r of cluster 2 bit N/2 + r.  The two
+    models differ only in the intercluster pairs (i, j) of bits, each with
+    zz weight -s w and xx weight -s(1-s) xi12 w; both spread the same total
+    weight N/4 over their pairs.  Row i holds H[i, i] and then
+    H[i, i ^ mask] for each flip mask, all distinct and nonzero.
+    """
     import scipy.sparse as sp
 
-    dim = diag.size
-    width = 1 + len(flips)
-    idx = np.arange(dim, dtype=np.int32)
-    indices = np.empty((dim, width), dtype=np.int32)
-    data = np.empty((dim, width))
-    indices[:, 0] = idx
-    data[:, 0] = diag
-    for j, (mask, coeff) in enumerate(flips, start=1):
-        indices[:, j] = idx ^ mask
-        data[:, j] = coeff
-    indptr = np.arange(0, dim * width + 1, width, dtype=np.int32)
-    H = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(dim, dim))
-    return EDOperator(dim=dim, matvec=H.dot, m1z_diag=m1z, m2z_diag=m2z, matrix=H)
-
-
-def build_sparse_full_hamiltonian(spec: ModelSpec, s: float, N: int) -> EDOperator:
-    """Full 2^N Hamiltonian of the sparse model, as a CSR operator.
-
-    Site r of cluster 1 is bit r; site r of cluster 2 is bit N/2 + r, and
-    the pairwise coupling ties bit r to bit N/2 + r.
-    """
-    if spec.coupling is not Coupling.SPARSE:
-        raise ValueError("full-space builder applies to the sparse model")
     N = int(N)
     sz = _full_space_table(N)
+    w = N / (4 * len(pairs))   # exactly 1/2 one-to-one, the rounded 1/N all-to-all
     c = _coeffs(spec, s)
     n2 = N // 2
     z1 = sz[:, :n2].sum(axis=1).astype(float)
     z2 = sz[:, n2:].sum(axis=1).astype(float)
+    i, j = np.array(pairs).T
     diag = -c.s * (c.h1 * z1 + c.h2 * z2)
     diag += -(c.s / N) * (z1 * z1 + z2 * z2)
-    diag += -(c.s / 2.0) * (sz[:, :n2] * sz[:, n2:]).sum(axis=1)
+    diag += -(c.s * w) * (sz[:, i] * sz[:, j]).sum(axis=1)
     # transverse fields and catalysts flip bits; coefficients per flip mask
     cs = c.s * (1.0 - c.s)
     xi11, xi22, xi12 = spec.catalyst.xi11, spec.catalyst.xi22, spec.catalyst.xi12
@@ -181,64 +169,54 @@ def build_sparse_full_hamiltonian(spec: ModelSpec, s: float, N: int) -> EDOperat
     for r in range(n2):
         flips.append((1 << r, -2.0 * c.a1))
         flips.append((1 << (n2 + r), -2.0 * c.a2))
-    if xi11:
-        diag += -cs * xi11 / N * n2  # r = r' diagonal of the intracluster sum
-        for r in range(n2):
-            for rp in range(r + 1, n2):
-                flips.append(((1 << r) | (1 << rp), -2.0 * cs * xi11 / N))
-    if xi22:
-        diag += -cs * xi22 / N * n2
-        for r in range(n2):
-            for rp in range(r + 1, n2):
-                flips.append(((1 << (n2 + r)) | (1 << (n2 + rp)), -2.0 * cs * xi22 / N))
+    for xi, off in ((xi11, 0), (xi22, n2)):   # intracluster catalysts
+        if xi:
+            diag += -cs * xi / N * n2  # r = r' diagonal of the intracluster sum
+            for r in range(n2):
+                for rp in range(r + 1, n2):
+                    flips.append(((1 << (off + r)) | (1 << (off + rp)), -2.0 * cs * xi / N))
     if xi12:
-        for r in range(n2):
-            flips.append(((1 << r) | (1 << (n2 + r)), -cs * xi12 / 2.0))
-    return _flip_operator(diag, flips, z1 / n2, z2 / n2)
+        for a, b in pairs:
+            flips.append(((1 << a) | (1 << b), -cs * xi12 * w))
+    dim = diag.size
+    width = 1 + len(flips)
+    idx = np.arange(dim, dtype=np.int32)
+    indices = np.empty((dim, width), dtype=np.int32)
+    data = np.empty((dim, width))
+    indices[:, 0] = idx
+    data[:, 0] = diag
+    for k, (mask, coeff) in enumerate(flips, start=1):
+        indices[:, k] = idx ^ mask
+        data[:, k] = coeff
+    indptr = np.arange(0, dim * width + 1, width, dtype=np.int32)
+    H = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(dim, dim))
+    return EDOperator(dim=dim, matvec=H.dot, m1z_diag=z1 / n2, m2z_diag=z2 / n2, matrix=H)
+
+
+def build_sparse_full_hamiltonian(spec: ModelSpec, s: float, N: int) -> EDOperator:
+    """Full 2^N Hamiltonian of the sparse model, as a CSR operator: site r
+    of cluster 1 couples to site r of cluster 2 only, with weight 1/2."""
+    if spec.coupling is not Coupling.SPARSE:
+        raise ValueError("full-space builder applies to the sparse model")
+    n2 = int(N) // 2
+    return _full_space_operator(spec, s, N, [(r, n2 + r) for r in range(n2)])
 
 
 def build_dense_full_operator(spec: ModelSpec, s: float, N: int) -> EDOperator:
-    """Full 2^N Hamiltonian of the dense model (sector-validation helper)."""
+    """Full 2^N Hamiltonian of the dense model (sector-validation helper):
+    every site of cluster 1 couples to every site of cluster 2, weight 1/N."""
     if spec.coupling is not Coupling.DENSE:
         raise ValueError("builder applies to the dense model")
-    N = int(N)
-    sz = _full_space_table(N)
-    c = _coeffs(spec, s)
-    n2 = N // 2
-    m1z = sz[:, :n2].sum(axis=1) * (2.0 / N)
-    m2z = sz[:, n2:].sum(axis=1) * (2.0 / N)
-    diag = N * (
-        -(c.s / 2.0) * (c.h1 * m1z + c.h2 * m2z)
-        - (c.s / 4.0) * (m1z ** 2 + m2z ** 2 + m1z * m2z)
-    )
-    w = 2.0 / N  # single sigma^x inside m^x
-    flips: list[tuple[int, float]] = []
-    for r in range(n2):
-        flips.append((1 << r, N * (-c.a1) * w))
-        flips.append((1 << (n2 + r), N * (-c.a2) * w))
-    if spec.catalyst.xi11:
-        diag = diag + N * (-c.c11) * w * w * n2
-        for r in range(n2):
-            for rp in range(r + 1, n2):
-                flips.append(((1 << r) | (1 << rp), 2.0 * N * (-c.c11) * w * w))
-    if spec.catalyst.xi22:
-        diag = diag + N * (-c.c22) * w * w * n2
-        for r in range(n2):
-            for rp in range(r + 1, n2):
-                flips.append(((1 << (n2 + r)) | (1 << (n2 + rp)), 2.0 * N * (-c.c22) * w * w))
-    if spec.catalyst.xi12:
-        for r in range(n2):
-            for rp in range(n2):
-                flips.append(((1 << r) | (1 << (n2 + rp)), N * (-c.c12) * w * w))
-    return _flip_operator(diag, flips, m1z, m2z)
+    n2 = int(N) // 2
+    return _full_space_operator(spec, s, N, [(r, n2 + rp) for r in range(n2) for rp in range(n2)])
 
 
-def ed_solve(op: EDOperator, k: int = 2, tol: float = 1e-12, seed: int = 7) -> EDResult:
+def ed_solve(op: EDOperator, k: int = 2, tol: float = 1e-12) -> EDResult:
     """Lowest-k eigenpairs and ground-state magnetizations of an EDOperator.
 
     Dense ``eigh`` on ``op.to_dense()`` handles dimensions up to 200;
     ARPACK ``eigsh`` (smallest algebraic, relative accuracy ``tol``) takes
-    over above that, from a Gaussian start vector drawn with ``seed`` so
+    over above that, from a Gaussian start vector drawn with a fixed seed so
     that no symmetry sector is missed and reruns are identical.  Ground
     states degenerate within 1e-10 are averaged over the whole multiplet:
     when all k ARPACK values are degenerate the multiplet may be larger
@@ -255,7 +233,7 @@ def ed_solve(op: EDOperator, k: int = 2, tol: float = 1e-12, seed: int = 7) -> E
         from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
         A = LinearOperator((op.dim, op.dim), matvec=op.matvec, dtype=float)
-        v0 = np.random.default_rng(seed).standard_normal(op.dim)
+        v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(op.dim)
         try:
             w, V = eigsh(A, k=k, which="SA", tol=tol, v0=v0)
         except ArpackNoConvergence as err:
@@ -283,13 +261,19 @@ def sparse_ed(spec: ModelSpec, s: float, N: int, k: int = 2, **kw) -> EDResult:
     return ed_solve(build_sparse_full_hamiltonian(spec, s, N), k=k, **kw)
 
 
-def gap_sequence(spec: ModelSpec, s: float, sizes, **kw) -> np.ndarray:
+def gap_sequence(spec: ModelSpec, s: float, sizes) -> np.ndarray:
     """ED gaps at the given system sizes (dense sector path)."""
-    return np.array([dense_ed(spec, s, int(N), **kw).gap for N in sizes])
+    return np.array([dense_ed(spec, s, int(N)).gap for N in sizes])
 
 
 def extrapolate_gap(sizes, gaps) -> float:
-    """Intercept of the least-squares linear fit of gap against 1/N."""
+    """Intercept of the least-squares linear fit of gap against 1/N.
+
+    A line through one size has no defined intercept, so fewer than two
+    distinct sizes raise ValueError.
+    """
+    if len(set(sizes)) < 2:
+        raise ValueError(f"extrapolation needs at least two distinct sizes, got {list(sizes)}")
     x = 1.0 / np.asarray(sizes, dtype=float)
     y = np.asarray(gaps, dtype=float)
     A = np.column_stack([x, np.ones_like(x)])

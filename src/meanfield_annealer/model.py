@@ -5,12 +5,17 @@ mean-field / pairwise-coupling split of the sparse model, all as pure
 functions of (s, m1, m2).  Magnetizations are 3-vectors; the energy
 polynomial is defined for any m (the unit sphere is where the physics
 lives, but finite-difference probes may step off it).
+
+This module is the only statement of each model's coefficients, energy
+polynomial and sparse conjugate fields (``_field_map``): the classical
+and saddle solvers run the same kernels as the public functions here.
 """
 from __future__ import annotations
 
 import enum
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,15 +160,17 @@ def _check_s(s: float) -> float:
     return s
 
 
-@dataclass(frozen=True)
-class _Coeffs:
-    """Scalar coefficients of the energy polynomial at fixed (spec, s).
+class _Coeffs(NamedTuple):
+    """Scalar coefficients of both energy polynomials at fixed (spec, s).
 
     Solvers evaluate the energy and gradient many times per (spec, s), so
-    the schedule and catalyst prefactors are folded once here.
+    the schedule and catalyst prefactors are folded once here; as a tuple
+    the dense kernel unpacks them into plain floats.
     """
 
     s: float
+    s2: float    # s/2 and s/4, the zz weights
+    s4: float
     h1: float
     h2: float
     a1: float    # transverse-field weight (1 - gamma1)/2
@@ -180,6 +187,8 @@ def _coeffs(spec: ModelSpec, s: float) -> _Coeffs:
     cat = spec.catalyst
     return _Coeffs(
         s=s,
+        s2=s / 2.0,
+        s4=s / 4.0,
         h1=spec.fields.h1,
         h2=spec.fields.h2,
         a1=(1.0 - g1) / 2.0,
@@ -190,65 +199,44 @@ def _coeffs(spec: ModelSpec, s: float) -> _Coeffs:
     )
 
 
-def _dense_energy(c: _Coeffs, m1, m2) -> float:
-    m1x, m1z = m1[0], m1[2]
-    m2x, m2z = m2[0], m2[2]
-    return (
-        -(c.s / 2.0) * (c.h1 * m1z + c.h2 * m2z)
-        - (c.s / 4.0) * (m1z * m1z + m2z * m2z + m1z * m2z)
-        - c.a1 * m1x
-        - c.a2 * m2x
-        - (c.c11 * m1x * m1x + c.c22 * m2x * m2x + c.c12 * m1x * m2x)
-    )
+def _indeterminate_flags(spec: ModelSpec, s: float) -> tuple[bool, bool]:
+    # nothing couples to a cluster when s = 0 and its transverse field is off
+    g1, g2 = spec.schedule.at(s)
+    return (s == 0.0 and g1 == 1.0, s == 0.0 and g2 == 1.0)
 
 
-def _dense_grad(c: _Coeffs, m1, m2):
-    m1x, m1z = m1[0], m1[2]
-    m2x, m2z = m2[0], m2[2]
-    g1 = np.array([
-        -c.a1 - 2.0 * c.c11 * m1x - c.c12 * m2x,
-        0.0,
-        -(c.s / 2.0) * c.h1 - (c.s / 4.0) * (2.0 * m1z + m2z),
-    ])
-    g2 = np.array([
-        -c.a2 - 2.0 * c.c22 * m2x - c.c12 * m1x,
-        0.0,
-        -(c.s / 2.0) * c.h2 - (c.s / 4.0) * (2.0 * m2z + m1z),
-    ])
-    return g1, g2
+# ---------------------------------------------------------------------------
+# Dense kernel on Python floats at m_a = (x_a, 0, z_a); the classical Newton
+# loop calls it so often that numpy's per-call overhead would dominate
+
+def _energy(c: _Coeffs, x1, z1, x2, z2):
+    _, s2, s4, h1, h2, a1, a2, c11, c22, c12 = c
+    return (-s2 * (h1 * z1 + h2 * z2) - s4 * (z1 * z1 + z2 * z2 + z1 * z2)
+            - a1 * x1 - a2 * x2 - (c11 * x1 * x1 + c22 * x2 * x2 + c12 * x1 * x2))
 
 
-def _sparse_energy(c: _Coeffs, m1, m2) -> float:
-    m1x, m1z = m1[0], m1[2]
-    m2x, m2z = m2[0], m2[2]
-    return (
-        -(c.s / 2.0) * (c.h1 * m1z + c.h2 * m2z)
-        - (c.s / 4.0) * (m1z * m1z + m2z * m2z)
-        - c.a1 * m1x
-        - c.a2 * m2x
-        - (c.c11 * m1x * m1x + c.c22 * m2x * m2x)
-    )
+def _grad(c: _Coeffs, x1, z1, x2, z2):
+    """(dE/dm1x, dE/dm1z, dE/dm2x, dE/dm2z); the y components vanish."""
+    _, s2, s4, h1, h2, a1, a2, c11, c22, c12 = c
+    return (-a1 - 2.0 * c11 * x1 - c12 * x2, -s2 * h1 - s4 * (2.0 * z1 + z2),
+            -a2 - 2.0 * c22 * x2 - c12 * x1, -s2 * h2 - s4 * (2.0 * z2 + z1))
 
 
-def _sparse_grad(c: _Coeffs, m1, m2):
-    m1x, m1z = m1[0], m1[2]
-    m2x, m2z = m2[0], m2[2]
-    g1 = np.array([
-        -c.a1 - 2.0 * c.c11 * m1x,
-        0.0,
-        -(c.s / 2.0) * c.h1 - (c.s / 2.0) * m1z,
-    ])
-    g2 = np.array([
-        -c.a2 - 2.0 * c.c22 * m2x,
-        0.0,
-        -(c.s / 2.0) * c.h2 - (c.s / 2.0) * m2z,
-    ])
-    return g1, g2
+def _angle_hessian(c: _Coeffs, x1, z1, x2, z2, mu1, mu2):
+    """Entries (h11, h12, h22) of T^T H T + diag(mu) at m_a = (sin th_a, 0, cos th_a).
+
+    T maps angle steps to (dm1, dm2) through t_a = (z_a, 0, -x_a), and H
+    is ``dense_hessian``, whose six nonzero entries are written out here.
+    """
+    _, s2, s4, _, _, _, _, c11, c22, c12 = c
+    return (-2.0 * c11 * z1 * z1 - s2 * x1 * x1 + mu1,
+            -c12 * z1 * z2 - s4 * x1 * x2,
+            -2.0 * c22 * z2 * z2 - s2 * x2 * x2 + mu2)
 
 
 def dense_energy_density(spec: ModelSpec, s: float, m: MagPair) -> float:
     """Intensive energy h = H/N of the dense model at (s, m1, m2)."""
-    return float(_dense_energy(_coeffs(spec, s), m.m1, m.m2))
+    return float(_energy(_coeffs(spec, s), m.m1[0], m.m1[2], m.m2[0], m.m2[2]))
 
 
 def dense_gradient(spec: ModelSpec, s: float, m: MagPair):
@@ -256,7 +244,8 @@ def dense_gradient(spec: ModelSpec, s: float, m: MagPair):
 
     Returns (dh/dm1, dh/dm2) as 3-vectors.
     """
-    return _dense_grad(_coeffs(spec, s), m.m1, m.m2)
+    g1x, g1z, g2x, g2z = _grad(_coeffs(spec, s), m.m1[0], m.m1[2], m.m2[0], m.m2[2])
+    return np.array([g1x, 0.0, g1z]), np.array([g2x, 0.0, g2z])
 
 
 def dense_hessian(spec: ModelSpec, s: float, m: MagPair | None = None) -> np.ndarray:
@@ -267,12 +256,38 @@ def dense_hessian(spec: ModelSpec, s: float, m: MagPair | None = None) -> np.nda
     """
     c = _coeffs(spec, s)
     H = np.zeros((6, 6))
-    H[2, 2] = H[5, 5] = -c.s / 2.0
-    H[2, 5] = H[5, 2] = -c.s / 4.0
+    H[2, 2] = H[5, 5] = -c.s2
+    H[2, 5] = H[5, 2] = -c.s4
     H[0, 0] = -2.0 * c.c11
     H[3, 3] = -2.0 * c.c22
     H[0, 3] = H[3, 0] = -c.c12
     return H
+
+
+def _sparse_energy(c: _Coeffs, m1, m2) -> float:
+    m1x, m1z = m1[0], m1[2]
+    m2x, m2z = m2[0], m2[2]
+    return (
+        -c.s2 * (c.h1 * m1z + c.h2 * m2z)
+        - c.s4 * (m1z * m1z + m2z * m2z)
+        - c.a1 * m1x
+        - c.a2 * m2x
+        - (c.c11 * m1x * m1x + c.c22 * m2x * m2x)
+    )
+
+
+def _field_map(c: _Coeffs):
+    """(b, D) with the conjugate fields mt = -2 dh_m/dm = b + D * x for
+    x = (m1x, m1z, m2x, m2z); D = diag(4 c11, s, 4 c22, s)."""
+    return (np.array([2.0 * c.a1, c.s * c.h1, 2.0 * c.a2, c.s * c.h2]),
+            np.array([4.0 * c.c11, c.s, 4.0 * c.c22, c.s]))
+
+
+def _conjugate_fields(c: _Coeffs, m1, m2):
+    """The field map at (m1, m2), as 3-vectors (mt1, mt2) with no y part."""
+    b, D = _field_map(c)
+    mt = b + D * np.array([m1[0], m1[2], m2[0], m2[2]])
+    return np.array([mt[0], 0.0, mt[1]]), np.array([mt[2], 0.0, mt[3]])
 
 
 def _require_sparse(spec: ModelSpec):
@@ -289,7 +304,8 @@ def sparse_mean_field_density(spec: ModelSpec, s: float, m: MagPair) -> float:
 def sparse_mean_field_gradient(spec: ModelSpec, s: float, m: MagPair):
     """Analytic gradient of h_m; returns (dh_m/dm1, dh_m/dm2)."""
     _require_sparse(spec)
-    return _sparse_grad(_coeffs(spec, s), m.m1, m.m2)
+    mt1, mt2 = _conjugate_fields(_coeffs(spec, s), m.m1, m.m2)
+    return mt1 / -2.0, mt2 / -2.0
 
 
 def coupling_matrix(spec: ModelSpec, s: float) -> CouplingMatrix:

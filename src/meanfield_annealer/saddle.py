@@ -7,7 +7,8 @@ x = (m1x, m1z, m2x, m2z).  The mean-field energy sources no y field and the
 coupling is xx and zz only, so inside the loop that Hamiltonian is real
 symmetric and goes to LAPACK ``eigh``; the public builder and
 ``ground_block`` keep the general complex form.  The conjugate fields are
-affine in x, mt = b + D x with D = diag(4 c11, s, 4 c22, s).
+affine in x, mt = b + D x with D = diag(4 c11, s, 4 c22, s); the map is
+``model._field_map``, the one statement of them.
 
 The fixed point x = e(x) is found at zero temperature by Newton on
 F(x) = e(x) - x, with the Jacobian J = chi D - I taken from the loop's
@@ -49,8 +50,8 @@ import numpy as np
 from . import transitions
 from .classical import Direction
 from .errors import ConvergenceError
-from .model import (Coupling, CouplingMatrix, MagPair, ModelSpec, _coeffs,
-                    _sparse_energy, _sparse_grad, coupling_matrix)
+from .model import (Coupling, CouplingMatrix, MagPair, ModelSpec, _coeffs, _conjugate_fields,
+                    _field_map, _indeterminate_flags, _sparse_energy, coupling_matrix)
 from .transitions import TransitionReport
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -60,6 +61,7 @@ _S12 = np.array([[np.kron(p, _I2) for p in _PAULI], [np.kron(_I2, p) for p in _P
 _S1S2 = np.array([[np.kron(a, b) for b in _PAULI] for a in _PAULI])
 _OPS = _S12[:, ::2].real.reshape(4, 16)   # X1, Z1, X2, Z2, flattened
 _DEGENERACY_TOL = 1e-9
+_DAMPING = 0.5        # initial step fraction of the damped loop
 # Residual max|e(x) - x| below which the zero-temperature loop hands over
 # from damped steps to Newton steps, and the cap on the residual at which it
 # hands over again after a rejected Newton iterate.
@@ -118,7 +120,7 @@ def build_effective_hamiltonian(mt: ConjugateFields, K: CouplingMatrix) -> Effec
     return EffectiveHamiltonian(matrix=H)
 
 
-def ground_block(H: EffectiveHamiltonian, degeneracy_tol: float = _DEGENERACY_TOL):
+def ground_block(H: EffectiveHamiltonian):
     """Ground eigenvalue, its degeneracy, and degeneracy-averaged
     single-spin expectations.
 
@@ -126,7 +128,7 @@ def ground_block(H: EffectiveHamiltonian, degeneracy_tol: float = _DEGENERACY_TO
     """
     w, V = np.linalg.eigh(H.matrix)
     lam0 = float(w[0])
-    g = int(np.sum(w < lam0 + degeneracy_tol))
+    g = int(np.sum(w < lam0 + _DEGENERACY_TOL))
     near = int(np.sum(w < lam0 + 1e-6))
     if near > g:
         warnings.warn(
@@ -196,27 +198,17 @@ def _response(w, V):
     return A * np.sqrt(2.0 / (w[1:] - w[0]))
 
 
-def _field_map(coeffs):
-    """(b, D) with mt = b + D * x for x = (m1x, m1z, m2x, m2z): the conjugate
-    fields -2 dh_m/dm of ``model._sparse_grad``, term for term."""
-    c = coeffs
-    return (np.array([2.0 * c.a1, c.s * c.h1, 2.0 * c.a2, c.s * c.h2]),
-            np.array([4.0 * c.c11, c.s, 4.0 * c.c22, c.s]))
-
-
 def conjugate_fields(spec: ModelSpec, s: float, m: MagPair) -> ConjugateFields:
     """Fields conjugate to the magnetizations: -2 d(h_m)/dm_a for two clusters."""
     if spec.coupling is not Coupling.SPARSE:
         raise ValueError("conjugate fields are defined for the sparse model")
-    g1, g2 = _sparse_grad(_coeffs(spec, s), m.m1, m.m2)
-    return ConjugateFields(mt1=-2.0 * g1, mt2=-2.0 * g2)
+    return ConjugateFields(*_conjugate_fields(_coeffs(spec, s), m.m1, m.m2))
 
 
 def _energy_density(coeffs, Hc, m1, m2, w=None):
     """(u, lambda0, degeneracy, mt) at m; ``w``, the effective-Hamiltonian
     eigenvalues at m when the caller holds them, saves the eigensolve."""
-    g1, g2 = _sparse_grad(coeffs, m1, m2)
-    mt = ConjugateFields(-2.0 * g1, -2.0 * g2)
+    mt = ConjugateFields(*_conjugate_fields(coeffs, m1, m2))
     if w is None:
         w = np.linalg.eigvalsh(_real_hamiltonian(Hc, mt.mt1, mt.mt2))
     lam0 = float(w[0])
@@ -227,7 +219,7 @@ def _energy_density(coeffs, Hc, m1, m2, w=None):
 
 
 def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
-                 damping: float = 0.5, max_iter: int = 10000, tol: float = 1e-10,
+                 max_iter: int = 10000, tol: float = 1e-10,
                  beta: float | None = None) -> SaddleSolution:
     """Self-consistent solution reached from ``init``.
 
@@ -251,8 +243,6 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
     dropped: they source no field and the fixed point has none.  ``tol``
     must be positive and ``max_iter`` at least 1.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must be in (0, 1]")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
@@ -264,30 +254,29 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
     warm = isinstance(init, SaddleSolution)
     m = init.m if warm else init
     x0 = np.concatenate([m.m1[::2], m.m2[::2]])
-    x, converged, residual, w = _iterate(coeffs, Hc, x0, damping, max_iter, tol, beta,
+    x, converged, residual, w = _iterate(coeffs, Hc, x0, max_iter, tol, beta,
                                          np.inf if warm else _NEWTON_SWITCH)
     if not converged and beta is None:
         # homotopy: anneal a smooth finite-temperature loop, then retry
         cur = x0
         for beta_h in (20.0, 50.0, 100.0, 300.0):
-            h, ok, *_ = _iterate(coeffs, Hc, cur, damping, max_iter // 4,
+            h, ok, *_ = _iterate(coeffs, Hc, cur, max_iter // 4,
                                  max(tol, 1e-9), beta_h, 0.0)
             if ok:
                 cur = h
-        x, converged, residual, w = _iterate(coeffs, Hc, cur, damping, max_iter,
-                                             tol, None, _NEWTON_SWITCH)
+        x, converged, residual, w = _iterate(coeffs, Hc, cur, max_iter, tol, None,
+                                             _NEWTON_SWITCH)
     m1 = np.array([x[0], 0.0, x[1]])
     m2 = np.array([x[2], 0.0, x[3]])
     u, lam0, g, mt = _energy_density(coeffs, Hc, m1, m2, w)
-    g1, g2 = spec.schedule.at(s)
     return SaddleSolution(
         s=float(s), m=MagPair(m1, m2), mt=mt, lambda0=lam0, degeneracy=g,
         u=float(u), converged=bool(converged), residual=float(residual),
-        indeterminate=(s == 0.0 and g1 == 1.0, s == 0.0 and g2 == 1.0),
+        indeterminate=_indeterminate_flags(spec, s),
     )
 
 
-def _iterate(coeffs, Hc, x, damping, max_iter, tol, beta, switch):
+def _iterate(coeffs, Hc, x, max_iter, tol, beta, switch):
     """Fixed point of x = e(x), with Newton tried below residual ``switch``.
 
     Returns (x, converged, max|e(x) - x| at x, w), where w holds the
@@ -298,6 +287,7 @@ def _iterate(coeffs, Hc, x, damping, max_iter, tol, beta, switch):
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(Hc))):
         raise ValueError("effective Hamiltonian inputs must be finite")
     b, D = _field_map(coeffs)
+    damping = _DAMPING
     if beta is not None:
         switch = 0.0              # finite temperature stays damped
     rejected = False
@@ -389,8 +379,7 @@ _SADDLE_INITS = [
 ]
 
 
-def global_saddle(spec: ModelSpec, s: float, damping: float = 0.5,
-                  tol: float = 1e-10) -> SaddleSolution:
+def global_saddle(spec: ModelSpec, s: float, tol: float = 1e-10) -> SaddleSolution:
     """Best converged solution over the standard init set, compared by u.
 
     Ties within 1e-12 go to the larger weak-cluster magnetization.
@@ -398,7 +387,7 @@ def global_saddle(spec: ModelSpec, s: float, damping: float = 0.5,
     best = None
     last = None
     for init in _SADDLE_INITS:
-        sol = solve_saddle(spec, s, init, damping=damping, tol=tol)
+        sol = solve_saddle(spec, s, init, tol=tol)
         last = sol
         if not sol.converged:
             continue
@@ -411,13 +400,13 @@ def global_saddle(spec: ModelSpec, s: float, damping: float = 0.5,
     return best
 
 
-def _saddle_solver(spec: ModelSpec, damping: float, tol: float):
+def _saddle_solver(spec: ModelSpec):
     def solve_warm(s, prev: SaddleSolution | None):
         if prev is None:
-            return global_saddle(spec, s, damping, tol)
-        sol = solve_saddle(spec, s, prev, damping=damping, tol=tol)
+            return global_saddle(spec, s)
+        sol = solve_saddle(spec, s, prev)
         if not sol.converged:
-            return global_saddle(spec, s, damping, tol)
+            return global_saddle(spec, s)
         return sol
 
     return transitions.PointSolver(
@@ -427,18 +416,17 @@ def _saddle_solver(spec: ModelSpec, damping: float, tol: float):
     )
 
 
-def sweep_sparse(spec: ModelSpec, s_grid, direction: Direction = Direction.FORWARD,
-                 damping: float = 0.5, tol: float = 1e-10) -> list[SaddleSolution]:
+def sweep_sparse(spec: ModelSpec, s_grid,
+                 direction: Direction = Direction.FORWARD) -> list[SaddleSolution]:
     """Warm-started continuation of the saddle solution along the grid."""
     s_grid = transitions.check_grid(s_grid)
-    solver = _saddle_solver(spec, damping, tol)
+    solver = _saddle_solver(spec)
     return transitions.branch_sweep(solver, s_grid,
                                     forward=(direction is Direction.FORWARD))
 
 
 def detect_transition_sparse(spec: ModelSpec, s_grid=None,
-                             jump_threshold: float = 0.5, damping: float = 0.5,
-                             tol: float = 1e-10) -> TransitionReport:
+                             jump_threshold: float = 0.5) -> TransitionReport:
     """First-order transition verdict for the sparse model.
 
     Same branch-crossing logic as the dense detector with the ground-state
@@ -446,6 +434,5 @@ def detect_transition_sparse(spec: ModelSpec, s_grid=None,
     """
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, 101)
-    s_grid = transitions.check_grid(s_grid)
-    solver = _saddle_solver(spec, damping, tol)
+    solver = _saddle_solver(spec)
     return transitions.detect(solver, s_grid, jump_threshold)

@@ -46,10 +46,10 @@ def test_load_config_validation(tmp_path):
     for key, value in (("s_min", -0.5), ("s_max", 1.5), ("s_min", "0.2"), ("s_max", None)):
         with pytest.raises(ConfigError, match=f"{key} must be a number in"):
             load_config(write_cfg(tmp_path, "s.json", **{key: value}))
-    for value in ([1.5], [-0.1], ["0.2"], [True], 0.5, None):
+    for value in ([1.5], [-0.1], ["0.2"], [True], 0.5, None, []):
         with pytest.raises(ConfigError, match="ed_s_points must be a list"):
             load_config(write_cfg(tmp_path, "p.json", ed_s_points=value))
-    for value in (100, [], [100, 102], [0], [2004], [100.0], [True], None):
+    for value in (100, [], [100, 102], [0], [2004], [100.0], [True], None, [100], [100, 100]):
         with pytest.raises(ConfigError, match="ed_sizes must be a non-empty list"):
             load_config(write_cfg(tmp_path, "z.json", ed_sizes=value))
     for coupling, value in (("dense", 6), ("dense", 0), ("dense", 2004), ("dense", 200.0),
@@ -126,7 +126,9 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "seed must be an integer" in capsys.readouterr().err
     nan = float("nan")  # json.dumps writes NaN, which json.load reads back
     for task, key, value in (("ed-check", "ed_n", 6), ("ed-check", "ed_sizes", 100),
-                             ("ed-check", "ed_s_points", [1.5]), ("scan", "s_min", -0.5),
+                             ("ed-check", "ed_s_points", [1.5]), ("ed-check", "ed_sizes", [100]),
+                             ("ed-check", "ed_sizes", [100, 100]), ("ed-check", "ed_s_points", []),
+                             ("scan", "s_min", -0.5),
                              ("scan", "xi", "x"), ("scan", "xi", 10 ** 400),
                              ("scan", "h1", "x"), ("scan", "h2", nan),
                              ("scan", "axis2_min", "x"), ("scan", "axis2_max", nan),

@@ -12,8 +12,8 @@ from meanfield_annealer import (ConvergenceError, EDOperator, FixedValue,
                                 build_dense_sector_hamiltonian,
                                 build_dense_sector_operator,
                                 build_sparse_full_hamiltonian, dense_ed,
-                                detect_transition,
-                                ed_solve, global_minimize, sparse_ed)
+                                detect_transition, ed_solve, extrapolate_gap,
+                                global_minimize, sparse_ed)
 from meanfield_annealer.eigensolvers import jacobi_eigh, lanczos_lowest
 
 
@@ -237,6 +237,14 @@ def test_ed_solve_validation(dense_spec):
         build_dense_sector_hamiltonian(dense_spec, 0.5, 68)
     with pytest.raises(SizeError):
         build_dense_sector_operator(dense_spec, 0.5, 2004)
+
+
+def test_extrapolate_gap_needs_two_sizes():
+    # one distinct size fixes no line in 1/N; lstsq would return its
+    # minimum-norm answer instead of an intercept
+    for sizes, gaps in (([100], [0.5]), ([100, 100], [0.5, 0.5])):
+        with pytest.raises(ValueError, match="two distinct sizes"):
+            extrapolate_gap(sizes, gaps)
 
 
 def test_sparse_full_small_cases(sparse_spec):

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from meanfield_annealer import (CatalystConfig, ClusterFields, FixedValue,
-                                Identity, MagPair, ModelSpec, coupling_matrix,
-                                dense_energy_density, dense_gradient,
-                                dense_hessian, sparse_mean_field_density,
+                                Identity, MagPair, ModelSpec,
+                                build_dense_full_operator,
+                                build_sparse_full_hamiltonian, conjugate_fields,
+                                coupling_matrix, dense_energy_density,
+                                dense_gradient, dense_hessian, global_minimize,
+                                minimize, solve_saddle,
+                                sparse_mean_field_density,
                                 sparse_mean_field_gradient)
 from conftest import central_diff, random_pair
 
@@ -184,3 +188,27 @@ def test_schedules():
 def test_spec_requires_two_clusters():
     with pytest.raises(ValueError):
         ModelSpec(clusters=3)
+
+
+def test_dense_and_sparse_full_operators_coincide_at_two_sites(rng):
+    # with one site per cluster the all-to-all and one-to-one intercluster
+    # couplings are the same single pair, at the same weight 1/N = 1/2
+    for _ in range(20):
+        xi = tuple(rng.uniform(-6, 6, 3))
+        s = rng.uniform(0, 1)
+        dense = build_dense_full_operator(ModelSpec.dense(xi=xi), s, 2).to_dense()
+        sparse = build_sparse_full_hamiltonian(ModelSpec.sparse(xi=xi), s, 2).to_dense()
+        assert np.abs(dense - sparse).max() < 1e-14
+
+
+def test_solvers_and_public_functions_read_one_polynomial(rng):
+    for _ in range(20):
+        xi = tuple(rng.uniform(-6, 6, 3))
+        s = rng.uniform(0.05, 1)
+        dense = ModelSpec.dense(xi=xi)
+        for state in (minimize(dense, s, random_pair(rng)), global_minimize(dense, s)):
+            assert state.energy == dense_energy_density(dense, s, state.m)
+        sparse = ModelSpec.sparse(xi=xi)
+        sol = solve_saddle(sparse, s, random_pair(rng))
+        mt = conjugate_fields(sparse, s, sol.m)
+        assert np.array_equal(sol.mt.mt1, mt.mt1) and np.array_equal(sol.mt.mt2, mt.mt2)
