@@ -1,20 +1,23 @@
 """Command-line front end: config-driven scans, gap profiles, catalyst
 optimization, oracle checks, and built-in figure datasets.
 
-Experiment configs are flat JSON objects.  Every run writes an RFC-4180
-style CSV (fixed column order, 12 significant digits, missing values as
-empty fields) plus a JSON summary sidecar.  Exit codes: 0 success, 2
-config error, 3 solver error.
+Experiment configs are flat JSON objects, checked in full when they load;
+``gap``, ``min-gap`` and ``optimize-xi`` are defined for the dense model
+only, so a sparse config for them is a config error.  Every run writes an
+RFC-4180 style CSV (fixed column order, 12 significant digits, missing
+values as empty fields) plus a JSON summary sidecar.  Scan columns go to a
+pool of ``--workers`` processes (at least 1, never more than the columns).
+Exit codes: 0 success, 2 config error, 3 solver error.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import multiprocessing
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +30,6 @@ from .model import ClusterFields, Coupling, FixedValue, Identity, ModelSpec
 from .saddle import _saddle_solver, global_saddle
 from .spinwave import (excitation_gaps, fluctuation_matrix, gap_or_flag, gaps_at,
                        min_gap, optimize_catalyst)
-
-CSV_HEADER = ["s", "axis2", "m1x", "m1z", "m2x", "m2z", "energy",
-              "delta1", "delta2", "branch", "flags"]
 
 PLACEMENTS = {
     "intercluster": lambda xi: (0.0, 0.0, xi),
@@ -69,6 +69,32 @@ _DEFAULTS = {
     "ed_s_points": [0.2, 0.8],
     "ed_n": None,
 }
+
+# Built-in figure datasets: id -> [(file name, overrides of _DEFAULTS)].  Each
+# file scans s over [0, 1] at the requested resolution, gaps off unless set.
+_XI_WIDE = {"axis2": "xi", "axis2_min": -10.0, "axis2_max": 10.0}
+_UNIT = {"axis2_min": 0.0, "axis2_max": 1.0}
+FIGURES = {
+    "fig2": [("fig2.csv", {"axis2": "xi", "axis2_min": -10.0, "axis2_max": 2.0})],
+    "fig3": [(f"fig3_xi{tag}.csv", {"task": "gap", "xi": xi, "gaps": True})
+             for tag, xi in (("0", 0.0), ("-4", -4.0), ("-10", -10.0))],
+    "fig4": [("fig4.csv", {"task": "min-gap-scan", "axis2": "xi",
+                           "axis2_min": -5.0, "axis2_max": -3.0})],
+    "fig5": [("fig5_strong.csv", {**_XI_WIDE, "placement": "strong_intra"}),
+             ("fig5_weak.csv", {**_XI_WIDE, "placement": "weak_intra"})],
+    "fig6": [("fig6_strong.csv", {**_UNIT, "axis2": "gamma1"}),
+             ("fig6_weak.csv", {**_UNIT, "axis2": "gamma2"})],
+    "fig8": [("fig8.csv", {**_XI_WIDE, "coupling": "sparse"})],
+    "fig9": [("fig9_strong.csv", {**_XI_WIDE, "coupling": "sparse",
+                                  "placement": "strong_intra"}),
+             ("fig9_weak.csv", {**_XI_WIDE, "coupling": "sparse",
+                                "placement": "weak_intra"})],
+    "fig10": [("fig10_strong.csv", {**_UNIT, "coupling": "sparse", "axis2": "gamma1"}),
+              ("fig10_weak.csv", {**_UNIT, "coupling": "sparse", "axis2": "gamma2"})],
+    "appC": [("appC_dense.csv", {**_XI_WIDE, "placement": "total"}),
+             ("appC_sparse.csv", {**_XI_WIDE, "coupling": "sparse", "placement": "total"})],
+}
+FIGURE_IDS = tuple(FIGURES)
 
 
 def load_config(path) -> dict:
@@ -110,6 +136,8 @@ def _validate(cfg):
         raise ConfigError(f"task must be one of {TASKS}, got {cfg['task']!r}")
     if cfg["coupling"] not in ("dense", "sparse"):
         raise ConfigError("coupling must be 'dense' or 'sparse'")
+    if cfg["task"] in ("gap", "min-gap", "optimize-xi") and cfg["coupling"] != "dense":
+        raise ConfigError(f"task {cfg['task']!r} is defined for the dense model only")
     if cfg["placement"] not in PLACEMENTS:
         raise ConfigError(f"placement must be one of {sorted(PLACEMENTS)}")
     for key in ("s_steps", "axis2_steps", "n_starts", "seed"):
@@ -186,6 +214,19 @@ def build_spec(cfg, axis2_value=None) -> ModelSpec:
     return factory(xi=xis, fields=fields, gamma1=_schedule(g1), gamma2=_schedule(g2))
 
 
+def _s_grid(cfg):
+    return np.linspace(float(cfg["s_min"]), float(cfg["s_max"]), int(cfg["s_steps"]))
+
+
+def _axis2_values(cfg):
+    if cfg["axis2"] is None:
+        return [None]
+    steps = int(cfg["axis2_steps"])
+    if steps == 1:
+        return [float(cfg["axis2_min"])]
+    return list(np.linspace(float(cfg["axis2_min"]), float(cfg["axis2_max"]), steps))
+
+
 # ---------------------------------------------------------------------------
 # Row formatting
 
@@ -200,7 +241,7 @@ def _fmt(x) -> str:
     return f"{x:.12g}"
 
 
-@dataclass
+@dataclasses.dataclass
 class Row:
     s: float | None
     axis2: float | None = None
@@ -215,9 +256,10 @@ class Row:
     flags: str = ""
 
     def fields(self):
-        return [_fmt(self.s), _fmt(self.axis2), _fmt(self.m1x), _fmt(self.m1z),
-                _fmt(self.m2x), _fmt(self.m2z), _fmt(self.energy),
-                _fmt(self.delta1), _fmt(self.delta2), self.branch, self.flags]
+        return [_fmt(getattr(self, name)) for name in CSV_HEADER]
+
+
+CSV_HEADER = [f.name for f in dataclasses.fields(Row)]
 
 
 def write_csv(path, rows):
@@ -271,12 +313,9 @@ def _attach_lambda_reference(summary, cfg, reports):
     summary["lambda_reference"] = {"mapping": "lambda = -xi/2", "values": values}
 
 
-# ---------------------------------------------------------------------------
-# Column scans
-
 def _state_row(s, axis2_value, state, energy, delta1=None, delta2=None,
                branch="", flags=""):
-    ind = getattr(state, "indeterminate", (False, False))
+    ind = state.indeterminate
     flag_list = [f for f in [flags] if f]
     if any(ind):
         flag_list.append("indeterminate")
@@ -293,82 +332,56 @@ def _state_row(s, axis2_value, state, energy, delta1=None, delta2=None,
     )
 
 
+# ---------------------------------------------------------------------------
+# Tasks: each runner takes (cfg, workers) and returns (rows, transition
+# reports, extra summary entries, whether a column failed)
+
 def _scan_column(args):
     (cfg, axis2_value) = args
     spec = build_spec(cfg, axis2_value)
-    s_grid = np.linspace(float(cfg["s_min"]), float(cfg["s_max"]), int(cfg["s_steps"]))
+    s_grid = _s_grid(cfg)
     if len(s_grid) > 1:
         s_grid = np.unique(s_grid)
     dense = spec.coupling is Coupling.DENSE
-    threshold = float(cfg["jump_threshold"])
-    n_starts = int(cfg["n_starts"])
-    seed = int(cfg["seed"])
     if dense:
-        solver = _warm_solver(spec, n_starts, seed)
+        solver = _warm_solver(spec, int(cfg["n_starts"]), int(cfg["seed"]))
     else:
         solver = _saddle_solver(spec)
-    rows = []
-    failed = False
     try:
-        analysis = transitions.analyze(solver, s_grid, threshold)
+        analysis = transitions.analyze(solver, s_grid, float(cfg["jump_threshold"]))
     except (ConvergenceError, InstabilityError, DegenerateModeError, SizeError) as err:
         # column fault barrier: flag every point, keep scanning other columns
-        for s in s_grid:
-            rows.append(Row(s=float(s), axis2=axis2_value,
-                            flags=f"error:{type(err).__name__}"))
-        return axis2_value, rows, _report_dict(
+        rows = [Row(s=float(s), axis2=axis2_value, flags=f"error:{type(err).__name__}")
+                for s in s_grid]
+        return rows, _report_dict(
             axis2_value, transitions.TransitionReport(False, float("nan"), 0.0, 0.0)), True
+    rows = []
     for s, state, tag in zip(analysis.s_grid, analysis.equilibrium,
                              analysis.branch_tags):
         energy = solver.energy(state)
         d1, d2, flags = gap_or_flag(spec, state) if dense and cfg["gaps"] else (None, None, "")
         rows.append(_state_row(float(s), axis2_value, state, energy, d1, d2,
                                tag, flags))
-    return axis2_value, rows, _report_dict(axis2_value, analysis.report), failed
+    return rows, _report_dict(axis2_value, analysis.report), False
 
 
-def _run_columns(cfg, axis2_values, workers):
-    jobs = [(cfg, v) for v in axis2_values]
-    if workers > 1 and len(jobs) > 1:
+def _task_scan(cfg, workers):
+    jobs = [(cfg, v) for v in _axis2_values(cfg)]
+    workers = min(workers, len(jobs))
+    if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_scan_column, jobs)
     else:
         results = [_scan_column(j) for j in jobs]
-    rows = []
-    reports = []
-    failed = False
-    for _, r, rep, f in results:  # already in deterministic axis order
-        rows.extend(r)
-        reports.append(rep)
-        failed = failed or f
-    return rows, reports, failed
-
-
-def _axis2_values(cfg):
-    if cfg["axis2"] is None:
-        return [None]
-    steps = int(cfg["axis2_steps"])
-    if steps == 1:
-        return [float(cfg["axis2_min"])]
-    return list(np.linspace(float(cfg["axis2_min"]), float(cfg["axis2_max"]), steps))
-
-
-# ---------------------------------------------------------------------------
-# Tasks
-
-def _task_scan(cfg, workers):
-    rows, reports, failed = _run_columns(cfg, _axis2_values(cfg), workers)
-    return rows, reports, {}, failed
+    columns, reports, failed = zip(*results)  # already in deterministic axis order
+    return [row for col in columns for row in col], list(reports), {}, any(failed)
 
 
 def _task_gap(cfg, workers):
-    if cfg["coupling"] != "dense":
-        raise ConfigError("gap profiles are defined for the dense model only")
     spec = build_spec(cfg)
-    s_grid = np.linspace(float(cfg["s_min"]), float(cfg["s_max"]), int(cfg["s_steps"]))
     rows = []
     failed = False
-    for s in s_grid:
+    for s in _s_grid(cfg):
         try:
             state = global_minimize(spec, float(s), int(cfg["n_starts"]), int(cfg["seed"]))
         except ConvergenceError:
@@ -381,96 +394,66 @@ def _task_gap(cfg, workers):
     return rows, [], {}, failed
 
 
-def _task_min_gap(cfg, workers):
-    if cfg["coupling"] != "dense":
-        raise ConfigError("min-gap is defined for the dense model only")
-    spec = build_spec(cfg)
-    s_grid = np.linspace(float(cfg["s_min"]), float(cfg["s_max"]), int(cfg["s_steps"]))
-    s_best, d_best = min_gap(spec, s_grid, int(cfg["n_starts"]), int(cfg["seed"]))
-    state = global_minimize(spec, s_best, int(cfg["n_starts"]), int(cfg["seed"]))
+def _min_gap_row(cfg, axis2_value):
+    """The state at the minimum harmonic gap over the s grid, as a row,
+    and the gap minimum."""
+    spec = build_spec(cfg, axis2_value)
+    n_starts, seed = int(cfg["n_starts"]), int(cfg["seed"])
+    s_best, d_best = min_gap(spec, _s_grid(cfg), n_starts, seed)
+    state = global_minimize(spec, s_best, n_starts, seed)
     g = excitation_gaps(fluctuation_matrix(spec, state))
-    rows = [_state_row(s_best, None, state, state.energy, g.delta1, g.delta2, "both")]
-    return rows, [], {"min_gap": {"s": s_best, "delta1": d_best}}, False
+    return _state_row(s_best, axis2_value, state, state.energy, g.delta1, g.delta2,
+                      "both"), d_best
+
+
+def _task_min_gap(cfg, workers):
+    row, d_best = _min_gap_row(cfg, None)
+    return [row], [], {"min_gap": {"s": row.s, "delta1": d_best}}, False
 
 
 def _task_min_gap_scan(cfg, workers):
     """Minimum gap as a function of the catalyst strength (figure fig4)."""
-    rows = []
-    s_grid = np.linspace(float(cfg["s_min"]), float(cfg["s_max"]), int(cfg["s_steps"]))
-    for xi in _axis2_values(cfg):
-        spec = build_spec(cfg, xi)
-        s_best, d_best = min_gap(spec, s_grid, int(cfg["n_starts"]), int(cfg["seed"]))
-        state = global_minimize(spec, s_best, int(cfg["n_starts"]), int(cfg["seed"]))
-        g = excitation_gaps(fluctuation_matrix(spec, state))
-        rows.append(_state_row(s_best, xi, state, state.energy, g.delta1,
-                               g.delta2, "both"))
-    return rows, [], {}, False
+    return [_min_gap_row(cfg, xi)[0] for xi in _axis2_values(cfg)], [], {}, False
 
 
 def _task_optimize_xi(cfg, workers):
-    if cfg["coupling"] != "dense":
-        raise ConfigError("optimize-xi is defined for the dense model only")
-    placement = PLACEMENTS[cfg["placement"]]
-    fields = ClusterFields(h1=float(cfg["h1"]), h2=float(cfg["h2"]))
-
-    def family(xi):
-        return ModelSpec.dense(xi=placement(xi), fields=fields,
-                               gamma1=_schedule(cfg["gamma1"]),
-                               gamma2=_schedule(cfg["gamma2"]))
-
-    s_grid = np.linspace(float(cfg["s_min"]), float(cfg["s_max"]), int(cfg["s_steps"]))
     xi_star, gap_star = optimize_catalyst(
-        family, (float(cfg["xi_min"]), float(cfg["xi_max"])),
-        tol_xi=float(cfg["tol_xi"]), s_grid=s_grid,
+        lambda xi: build_spec({**cfg, "xi": xi, "axis2": None}),
+        (float(cfg["xi_min"]), float(cfg["xi_max"])),
+        tol_xi=float(cfg["tol_xi"]), s_grid=_s_grid(cfg),
         n_starts=int(cfg["n_starts"]), seed=int(cfg["seed"]),
     )
-    rows = [Row(s=None, axis2=xi_star, delta1=gap_star, branch="", flags="")]
-    extra = {"xi_star": xi_star, "min_gap_at_xi_star": gap_star}
-    return rows, [], extra, False
+    rows = [Row(s=None, axis2=xi_star, delta1=gap_star)]
+    return rows, [], {"xi_star": xi_star, "min_gap_at_xi_star": gap_star}, False
 
 
 def _task_ed_check(cfg, workers):
     spec = build_spec(cfg)
     seed = int(cfg["seed"])
     n_starts = int(cfg["n_starts"])
-    sizes = [int(n) for n in cfg["ed_sizes"]]
-    s_points = [float(s) for s in cfg["ed_s_points"]]
-    rows = []
-    comparisons = []
-    if spec.coupling is Coupling.DENSE:
-        n_mag = int(cfg["ed_n"] or 200)
-        for s in s_points:
-            state = global_minimize(spec, s, n_starts, seed)
-            oracle = dense_ed(spec, s, n_mag)
-            comparisons.append({
-                "quantity": "m2z", "s": s, "N": n_mag,
-                "model": state.m2z, "oracle": oracle.m2z,
-                "abs_diff": abs(state.m2z - oracle.m2z),
-            })
-        for s in s_points:
-            gaps = gap_sequence(spec, s, sizes)
-            extrap = extrapolate_gap(sizes, gaps)
-            d1 = gaps_at(spec, s, n_starts, seed).delta1
-            comparisons.append({
-                "quantity": "gap_extrapolated", "s": s, "N": sizes,
-                "model": d1, "oracle": extrap,
-                "abs_diff": abs(d1 - extrap),
-            })
+    dense = spec.coupling is Coupling.DENSE
+    if dense:
+        n_mag, oracle = int(cfg["ed_n"] or 200), dense_ed
+        solve = lambda s: global_minimize(spec, s, n_starts, seed)
     else:
-        n_mag = int(cfg["ed_n"] or 12)
+        n_mag, oracle = int(cfg["ed_n"] or 12), sparse_ed
+        solve = lambda s: global_saddle(spec, s)
+
+    def compare(quantity, s, n, model, reference):
+        return {"quantity": quantity, "s": s, "N": n, "model": model,
+                "oracle": reference, "abs_diff": abs(model - reference)}
+
+    s_points = [float(s) for s in cfg["ed_s_points"]]
+    comparisons = [compare("m2z", s, n_mag, solve(s).m2z, oracle(spec, s, n_mag).m2z)
+                   for s in s_points]
+    if dense:
+        sizes = [int(n) for n in cfg["ed_sizes"]]
         for s in s_points:
-            sol = global_saddle(spec, s)
-            oracle = sparse_ed(spec, s, n_mag)
-            comparisons.append({
-                "quantity": "m2z", "s": s, "N": n_mag,
-                "model": sol.m2z, "oracle": oracle.m2z,
-                "abs_diff": abs(sol.m2z - oracle.m2z),
-            })
-    for comp in comparisons:
-        rows.append(Row(s=comp["s"], axis2=None, m2z=comp["model"],
-                        energy=None, delta1=None,
-                        branch=comp["quantity"],
-                        flags=f"oracle={_fmt(comp['oracle'])}"))
+            extrap = extrapolate_gap(sizes, gap_sequence(spec, s, sizes))
+            comparisons.append(compare("gap_extrapolated", s, sizes,
+                                       gaps_at(spec, s, n_starts, seed).delta1, extrap))
+    rows = [Row(s=comp["s"], m2z=comp["model"], branch=comp["quantity"],
+                flags=f"oracle={_fmt(comp['oracle'])}") for comp in comparisons]
     return rows, [], {"ed_comparisons": comparisons}, False
 
 
@@ -484,50 +467,68 @@ _TASK_RUNNERS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# Writing jobs
+
 def _summary_path(out_path):
     return os.path.splitext(out_path)[0] + ".summary.json"
 
 
-def _write_task(label, cfg, out_path, workers) -> bool:
-    """Run one task and write its CSV and summary sidecar; returns whether
-    a column failed."""
-    t0 = time.time()
-    rows, reports, extra, failed = _TASK_RUNNERS[cfg["task"]](cfg, workers)
-    summary = {
-        "task": label,
-        "transition_reports": reports,
-        "xi_star": extra.get("xi_star"),
-        "wall_time_s": round(time.time() - t0, 3),
-        "versions": _versions(),
-    }
-    for key, value in extra.items():
-        summary.setdefault(key, value)
-    _attach_lambda_reference(summary, cfg, reports)
-    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
-    write_csv(out_path, rows)
-    write_summary(_summary_path(out_path), summary)
-    return failed
-
-
-def _existing_targets(jobs):
-    return [path for _, out_path in jobs
-            for path in (out_path, _summary_path(out_path)) if os.path.exists(path)]
-
-
-def _execute(label, jobs, workers) -> int:
-    """Run (cfg, out_path) jobs and write their outputs; returns the exit
-    code.  Nothing is computed when any target file already exists."""
-    existing = _existing_targets(jobs)
+def _write_jobs(label, jobs, workers):
+    """Run (cfg, out_path) jobs and write each CSV and summary sidecar;
+    returns the written paths and whether a column failed.  Raises
+    FileExistsError, before computing anything, when a target file exists."""
+    paths = [path for _, out_path in jobs for path in (out_path, _summary_path(out_path))]
+    existing = [path for path in paths if os.path.exists(path)]
     if existing:
-        print(f"refusing to overwrite existing output {existing[0]}; "
-              "remove it to rerun", file=sys.stderr)
-        return 2
-    failed = False
+        raise FileExistsError(f"refusing to overwrite existing output {existing[0]}")
+    any_failed = False
+    for cfg, out_path in jobs:
+        t0 = time.time()
+        rows, reports, extra, failed = _TASK_RUNNERS[cfg["task"]](cfg, workers)
+        summary = {
+            "task": label,
+            "transition_reports": reports,
+            "xi_star": extra.get("xi_star"),
+            "wall_time_s": round(time.time() - t0, 3),
+            "versions": _versions(),
+        }
+        for key, value in extra.items():
+            summary.setdefault(key, value)
+        _attach_lambda_reference(summary, cfg, reports)
+        os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
+        write_csv(out_path, rows)
+        write_summary(_summary_path(out_path), summary)
+        any_failed = any_failed or failed
+    return paths, any_failed
+
+
+def _figure_jobs(figure_id, out_dir, s_steps, axis2_steps):
+    """(cfg, out_path) for every file of a named figure."""
+    if figure_id not in FIGURES:
+        raise ConfigError(f"unknown figure id: {figure_id}")
+    base = {**_DEFAULTS, "s_steps": s_steps, "axis2_steps": axis2_steps, "gaps": False}
+    return [({**base, **overrides}, os.path.join(out_dir, name))
+            for name, overrides in FIGURES[figure_id]]
+
+
+def _config_jobs(config_path, out_dir):
+    """The label and the one (cfg, out_path) job of a config file."""
+    cfg = load_config(config_path)
+    return cfg["task"], [(cfg, os.path.join(out_dir or "", cfg["output"]))]
+
+
+def _execute(plan, workers) -> int:
+    """Run the jobs of ``plan() -> (label, jobs)`` and write their outputs;
+    returns the exit code.  Nothing is computed when the plan is a config
+    error or any target file already exists."""
     try:
-        for cfg, out_path in jobs:
-            failed = _write_task(label, cfg, out_path, workers) or failed
+        _, failed = _write_jobs(*plan(), workers)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except FileExistsError as err:
+        print(f"{err}; remove it to rerun", file=sys.stderr)
         return 2
     except (ConvergenceError, CatalystRangeError, SizeError, InstabilityError,
             DegenerateModeError) as err:
@@ -538,94 +539,7 @@ def _execute(label, jobs, workers) -> int:
 
 def run(config_path, out_dir=None, workers: int = 1) -> int:
     """Execute a config-driven task; returns the process exit code."""
-    try:
-        cfg = load_config(config_path)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    return _run_loaded(cfg, out_dir, workers)
-
-
-def _run_loaded(cfg, out_dir, workers) -> int:
-    out_path = cfg["output"]
-    if out_dir is not None:
-        out_path = os.path.join(out_dir, out_path)
-    return _execute(cfg["task"], [(cfg, out_path)], workers)
-
-
-# ---------------------------------------------------------------------------
-# Built-in figure datasets
-
-def _figure_jobs(figure_id, out_dir, s_steps, axis2_steps):
-    """(cfg, out_path) for every file of a named figure."""
-    return [(cfg, os.path.join(out_dir, name))
-            for name, cfg in _figure_configs(figure_id, s_steps, axis2_steps)]
-
-
-def _figure_configs(figure_id, s_steps, axis2_steps):
-    base = {
-        "s_min": 0.0, "s_max": 1.0, "s_steps": s_steps,
-        "axis2_steps": axis2_steps, "task": "scan", "gaps": False,
-    }
-
-    def cfg(**kw):
-        out = dict(_DEFAULTS)
-        out.update(base)
-        out.update(kw)
-        return out
-
-    if figure_id == "fig2":
-        return [("fig2.csv", cfg(axis2="xi", axis2_min=-10.0, axis2_max=2.0))]
-    if figure_id == "fig3":
-        return [
-            (f"fig3_xi{tag}.csv",
-             cfg(task="gap", xi=xi, gaps=True, output=f"fig3_xi{tag}.csv"))
-            for tag, xi in (("0", 0.0), ("-4", -4.0), ("-10", -10.0))
-        ]
-    if figure_id == "fig4":
-        return [("fig4.csv", cfg(task="min-gap-scan", axis2="xi",
-                                 axis2_min=-5.0, axis2_max=-3.0))]
-    if figure_id == "fig5":
-        return [
-            ("fig5_strong.csv", cfg(placement="strong_intra", axis2="xi",
-                                    axis2_min=-10.0, axis2_max=10.0)),
-            ("fig5_weak.csv", cfg(placement="weak_intra", axis2="xi",
-                                  axis2_min=-10.0, axis2_max=10.0)),
-        ]
-    if figure_id == "fig6":
-        return [
-            ("fig6_strong.csv", cfg(axis2="gamma1", axis2_min=0.0, axis2_max=1.0)),
-            ("fig6_weak.csv", cfg(axis2="gamma2", axis2_min=0.0, axis2_max=1.0)),
-        ]
-    if figure_id == "fig8":
-        return [("fig8.csv", cfg(coupling="sparse", axis2="xi",
-                                 axis2_min=-10.0, axis2_max=10.0))]
-    if figure_id == "fig9":
-        return [
-            ("fig9_strong.csv", cfg(coupling="sparse", placement="strong_intra",
-                                    axis2="xi", axis2_min=-10.0, axis2_max=10.0)),
-            ("fig9_weak.csv", cfg(coupling="sparse", placement="weak_intra",
-                                  axis2="xi", axis2_min=-10.0, axis2_max=10.0)),
-        ]
-    if figure_id == "fig10":
-        return [
-            ("fig10_strong.csv", cfg(coupling="sparse", axis2="gamma1",
-                                     axis2_min=0.0, axis2_max=1.0)),
-            ("fig10_weak.csv", cfg(coupling="sparse", axis2="gamma2",
-                                   axis2_min=0.0, axis2_max=1.0)),
-        ]
-    if figure_id == "appC":
-        return [
-            ("appC_dense.csv", cfg(placement="total", axis2="xi",
-                                   axis2_min=-10.0, axis2_max=10.0)),
-            ("appC_sparse.csv", cfg(coupling="sparse", placement="total",
-                                    axis2="xi", axis2_min=-10.0, axis2_max=10.0)),
-        ]
-    raise ConfigError(f"unknown figure id: {figure_id}")
-
-
-FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig8", "fig9",
-              "fig10", "appC")
+    return _execute(lambda: _config_jobs(config_path, out_dir), workers)
 
 
 def emit_figure_dataset(figure_id, out_dir=".", s_steps: int = 201,
@@ -637,14 +551,7 @@ def emit_figure_dataset(figure_id, out_dir=".", s_steps: int = 201,
     a failed column is flagged in its rows, as in ``run``.
     """
     jobs = _figure_jobs(figure_id, out_dir, s_steps, axis2_steps)
-    existing = _existing_targets(jobs)
-    if existing:
-        raise FileExistsError(f"refusing to overwrite existing output {existing[0]}")
-    written = []
-    for cfg, out_path in jobs:
-        _write_task(f"figure:{figure_id}", cfg, out_path, workers)
-        written.extend([out_path, _summary_path(out_path)])
-    return written
+    return _write_jobs(f"figure:{figure_id}", jobs, workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -660,28 +567,26 @@ def main(argv=None) -> int:
     parser.add_argument("--figure", choices=FIGURE_IDS,
                         help="figure id for the 'figure' task")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="worker processes for scan columns (at least 1)")
     args = parser.parse_args(argv)
-    if args.task == "figure":
-        if not args.figure:
-            print("config error: --figure is required for the figure task",
-                  file=sys.stderr)
-            return 2
-        jobs = _figure_jobs(args.figure, args.out or ".", 201, 101)
-        return _execute(f"figure:{args.figure}", jobs, args.workers)
-    if not args.config:
-        print("config error: --config is required", file=sys.stderr)
-        return 2
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    if cfg["task"] != args.task:
-        print(f"config error: config task {cfg['task']!r} does not match "
-              f"command {args.task!r}", file=sys.stderr)
-        return 2
-    return _run_loaded(cfg, args.out, args.workers)
+
+    def plan():
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+        if args.task == "figure":
+            if not args.figure:
+                raise ConfigError("--figure is required for the figure task")
+            return (f"figure:{args.figure}",
+                    _figure_jobs(args.figure, args.out or ".", 201, 101))
+        if not args.config:
+            raise ConfigError("--config is required")
+        label, jobs = _config_jobs(args.config, args.out)
+        if label != args.task:
+            raise ConfigError(f"config task {label!r} does not match command {args.task!r}")
+        return label, jobs
+
+    return _execute(plan, args.workers)
 
 
 if __name__ == "__main__":

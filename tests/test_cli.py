@@ -61,6 +61,9 @@ def test_load_config_validation(tmp_path):
                             ("sparse", None), ("sparse", 2), ("sparse", 14)):
         cfg = load_config(write_cfg(tmp_path, "ok.json", coupling=coupling, ed_n=value))
         assert cfg["ed_n"] == value
+    for task in ("gap", "min-gap", "optimize-xi"):
+        with pytest.raises(ConfigError, match="dense model only"):
+            load_config(write_cfg(tmp_path, "d.json", task=task, coupling="sparse"))
     cfg = load_config(write_cfg(tmp_path, "ok.json", s_min=0, s_max=1, ed_s_points=[0, 0.5, 1],
                                 ed_sizes=[4, 2000]))
     assert cfg["ed_sizes"] == [4, 2000]
@@ -143,6 +146,36 @@ def test_main_exit_codes(tmp_path, capsys):
         assert main([task, "--config", bad, "--out", str(tmp_path)]) == 2
         assert f"{key} must be" in capsys.readouterr().err
     assert not (tmp_path / "bad.csv").exists()
+    ok = write_cfg(tmp_path, "ok.json", **{**SMALL_SCAN, "output": "w.csv"})
+    for workers in ("0", "-1"):
+        assert main(["scan", "--config", ok, "--out", str(tmp_path), "--workers", workers]) == 2
+        assert "--workers must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "w.csv").exists()
+
+
+def test_worker_pool_sized_by_columns(tmp_path, monkeypatch):
+    # a fake pool records the size asked for and maps serially, so no
+    # process is started whatever --workers says
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs):
+            return [func(job) for job in jobs]
+
+    monkeypatch.setattr("meanfield_annealer.cli.multiprocessing.Pool", FakePool)
+    cfg = write_cfg(tmp_path, **{**SMALL_SCAN, "s_steps": 5, "gaps": False})
+    assert run(cfg, out_dir=str(tmp_path), workers=5000) == 0
+    assert sizes == [2]
+    assert len(read_rows(tmp_path / "out.csv")) == 2 * 5
 
 
 def test_malformed_json_writes_nothing(tmp_path):
@@ -171,9 +204,12 @@ def test_optimize_xi_happy_path(tmp_path):
     assert float(rows[0]["axis2"]) == pytest.approx(summary["xi_star"])
 
 
-def test_gap_task_rejects_sparse(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, task="gap", coupling="sparse", output="g.csv")
+@pytest.mark.parametrize("task", ["gap", "min-gap", "optimize-xi"])
+def test_gap_task_rejects_sparse(tmp_path, capsys, task):
+    cfg = write_cfg(tmp_path, task=task, coupling="sparse", output="g.csv")
     assert run(cfg, out_dir=str(tmp_path)) == 2
+    assert "dense model only" in capsys.readouterr().err
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_gap_task_columns(tmp_path):
@@ -242,13 +278,27 @@ def test_figure_unknown_id(tmp_path):
         emit_figure_dataset("fig7", out_dir=str(tmp_path))
 
 
-@pytest.mark.parametrize("fig", ["fig2", "fig3", "fig4", "fig5", "fig8",
-                                 "fig9", "fig10", "appC"])
+FIGURE_FILES = {
+    "fig2": ["fig2"],
+    "fig3": ["fig3_xi0", "fig3_xi-4", "fig3_xi-10"],
+    "fig4": ["fig4"],
+    "fig5": ["fig5_strong", "fig5_weak"],
+    "fig6": ["fig6_strong", "fig6_weak"],
+    "fig8": ["fig8"],
+    "fig9": ["fig9_strong", "fig9_weak"],
+    "fig10": ["fig10_strong", "fig10_weak"],
+    "appC": ["appC_dense", "appC_sparse"],
+}
+
+
+@pytest.mark.parametrize("fig", sorted(FIGURE_FILES))
 def test_every_figure_id_emits(tmp_path, fig):
-    # fig6 is exercised in detail above; tiny grids here only prove the
-    # builders, solvers, and writers hold together for every id
+    # tiny grids here only prove the builders, solvers, and writers hold
+    # together for every id, and that each id writes its own file names
     files = emit_figure_dataset(fig, out_dir=str(tmp_path), s_steps=6,
                                 axis2_steps=3)
+    assert files == [str(tmp_path / f"{name}{ext}") for name in FIGURE_FILES[fig]
+                     for ext in (".csv", ".summary.json")]
     csvs = [f for f in files if f.endswith(".csv")]
     assert csvs
     for f in csvs:
