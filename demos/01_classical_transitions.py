@@ -3,12 +3,13 @@
 Walks through: single-point minimization, the two competing final states,
 hysteresis between forward and backward continuation sweeps, and the
 transition verdict as the intercluster catalyst strength varies.
+``sweep`` and ``detect_transition`` take a dense or a sparse spec alike;
+demo 03 runs them on the sparse model.
 """
 import numpy as np
 
-from meanfield_annealer import (Direction, MagPair, ModelSpec,
-                                detect_transition, global_minimize, minimize,
-                                sweep)
+from meanfield_annealer import (MagPair, ModelSpec, detect_transition,
+                                global_minimize, minimize, sweep)
 
 spec = ModelSpec.dense()
 
@@ -21,8 +22,8 @@ print(f"global minimum at s=1: h={global_minimize(spec, 1.0).energy:.4f}")
 
 print("\n== hysteresis of the continuation sweeps (no catalyst) ==")
 grid = np.linspace(0.0, 1.0, 51)
-fwd = sweep(spec, grid, Direction.FORWARD).states
-bwd = sweep(spec, grid, Direction.BACKWARD).states[::-1]
+fwd = sweep(spec, grid, forward=True)
+bwd = sweep(spec, grid, forward=False)[::-1]
 print("  s     m2z(forward)  m2z(backward)")
 for i in range(0, 51, 5):
     print(f"  {grid[i]:.2f}    {fwd[i].m2z:+.4f}       {bwd[i].m2z:+.4f}")

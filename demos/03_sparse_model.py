@@ -4,10 +4,12 @@ The pairwise coupling is handled exactly through a 4x4 effective two-spin
 problem; the demo traces the saddle solution over the anneal and maps out
 which catalyst strengths remove the first-order transition.  Unlike the
 dense model, both signs of the pairwise catalyst work once strong enough.
+The verdicts come from the same ``detect_transition`` as demo 01's: the
+spec's coupling picks the saddle solver.
 """
 import numpy as np
 
-from meanfield_annealer import (ModelSpec, detect_transition_sparse,
+from meanfield_annealer import (ModelSpec, detect_transition,
                                 free_energy_density, global_saddle)
 
 spec = ModelSpec.sparse()
@@ -17,18 +19,18 @@ print("  s     m1z      m2z      |m2|     u")
 for s in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
     sol = global_saddle(spec, s)
     print(f"  {s:.1f}  {sol.m.m1[2]:+.4f}  {sol.m.m2[2]:+.4f}  "
-          f"{np.linalg.norm(sol.m.m2):.4f}  {sol.u:.5f}")
+          f"{np.linalg.norm(sol.m.m2):.4f}  {sol.energy:.5f}")
 print("note |m| < 1 at intermediate s: the pair state is entangled")
 
 print("\n== finite-temperature free energy approaches u ==")
 sol = global_saddle(spec, 0.5)
 for beta in (5.0, 20.0, 80.0):
     f = free_energy_density(spec, 0.5, sol.mt, sol.m, beta)
-    print(f"  beta={beta:5.1f}: f={f:.6f}  (u={sol.u:.6f})")
+    print(f"  beta={beta:5.1f}: f={f:.6f}  (u={sol.energy:.6f})")
 
 print("\n== transition verdicts vs pairwise catalyst strength ==")
 for xi in (0.0, 4.0, 8.0, -4.0, -7.0, -10.0):
-    rep = detect_transition_sparse(ModelSpec.sparse(xi=(0.0, 0.0, xi)))
+    rep = detect_transition(ModelSpec.sparse(xi=(0.0, 0.0, xi)))
     where = f"s*={rep.s_star:.4f} jump={rep.jump_m2z:.2f}" if rep.found else "none"
     print(f"  xi12={xi:+5.1f}: transition {'YES' if rep.found else 'no '}  {where}")
 print("\nLarge pairwise coupling of either sign removes the transition;")

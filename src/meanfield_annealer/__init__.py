@@ -1,16 +1,16 @@
 """Mean-field solver suite for two-cluster quantum annealing models.
 
 Dense model: classical ground states as two angles on the xz torus
-(every minimum has m_y = 0), hysteresis continuation, first-order transition detection, and harmonic excitation
-gaps.  Sparse model: exact decoupling through a two-spin effective
-Hamiltonian iterated to self-consistency.  Both are validated against an
-independent finite-size exact-diagonalization oracle.
+(every minimum has m_y = 0) and harmonic excitation gaps.  Sparse model:
+exact decoupling through a two-spin effective Hamiltonian iterated to
+self-consistency.  Hysteresis continuation and first-order transition
+detection take either model.  Both are validated against an independent
+finite-size exact-diagonalization oracle.
 """
 
 __version__ = "0.1.0"
 
-from .classical import (ClassicalState, Direction, SweepResult, detect_transition,
-                        global_minimize, minimize, start_set, sweep)
+from .classical import ClassicalState, global_minimize, minimize, start_set
 from .ed import (EDOperator, EDResult, SectorSpec, build_dense_full_operator,
                  build_dense_sector_hamiltonian, build_dense_sector_operator,
                  build_sparse_full_hamiltonian, dense_ed, ed_solve,
@@ -25,21 +25,21 @@ from .model import (AnnealSchedule, CatalystConfig, ClusterFields, Coupling,
                     sparse_mean_field_gradient)
 from .saddle import (ConjugateFields, EffectiveHamiltonian, SaddleSolution,
                      build_effective_hamiltonian, conjugate_fields,
-                     detect_transition_sparse, free_energy_density,
-                     global_saddle, ground_block, solve_saddle, sweep_sparse)
+                     free_energy_density, global_saddle, ground_block,
+                     solve_saddle)
 from .spinwave import (FluctuationMatrix, GapPoint, GapSpectrum, LocalFrame,
                        excitation_gaps, fluctuation_matrix, gap_profile,
                        gaps_at, local_frame, min_gap, optimize_catalyst,
                        rotate_frame)
-from .transitions import TransitionReport
+from .transitions import TransitionReport, detect_transition, sweep
 
 __all__ = [
     "__version__",
     "AnnealSchedule", "CatalystConfig", "ClassicalState", "ClusterFields",
-    "ConjugateFields", "Coupling", "CouplingMatrix", "Direction",
+    "ConjugateFields", "Coupling", "CouplingMatrix",
     "EDOperator", "EDResult", "EffectiveHamiltonian", "FixedValue",
     "FluctuationMatrix", "GapPoint", "GapSpectrum", "Identity", "LocalFrame",
-    "MagPair", "ModelSpec", "SaddleSolution", "SectorSpec", "SweepResult",
+    "MagPair", "ModelSpec", "SaddleSolution", "SectorSpec",
     "TransitionReport",
     "CatalystRangeError", "ConfigError", "ConvergenceError",
     "DegenerateModeError", "InstabilityError", "SizeError", "StationarityError",
@@ -47,11 +47,11 @@ __all__ = [
     "build_dense_sector_operator", "build_effective_hamiltonian",
     "build_sparse_full_hamiltonian", "conjugate_fields", "coupling_matrix",
     "dense_ed", "dense_energy_density", "dense_gradient", "dense_hessian",
-    "detect_transition", "detect_transition_sparse", "ed_solve",
+    "detect_transition", "ed_solve",
     "excitation_gaps", "extrapolate_gap", "fluctuation_matrix",
     "free_energy_density", "gap_profile", "gap_sequence", "gaps_at",
     "global_minimize", "global_saddle", "ground_block", "local_frame",
     "min_gap", "minimize", "optimize_catalyst", "rotate_frame", "solve_saddle",
     "sparse_ed", "sparse_mean_field_density", "sparse_mean_field_gradient",
-    "start_set", "sweep", "sweep_sparse",
+    "start_set", "sweep",
 ]

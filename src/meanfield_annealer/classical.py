@@ -2,14 +2,12 @@
 
 Minimizes the energy density over m_a = (sin theta_a, 0, cos theta_a),
 two angles on the xz torus (every minimum has m_y = 0), by damped Newton
-on Python floats over the model's dense kernel, with deterministic
-multistart search, warm-started continuation sweeps that expose
-hysteresis, and first-order transition detection by branch-energy
-crossing.
+on Python floats over the model's dense kernel: ``minimize`` from one
+start, ``global_minimize`` over a deterministic multistart set.  Sweeps
+and transition detection for either model live in ``transitions``.
 """
 from __future__ import annotations
 
-import enum
 import functools
 import sys
 from dataclasses import dataclass
@@ -18,16 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import transitions
 from .errors import ConvergenceError
-from .model import (MagPair, ModelSpec, _angle_hessian, _coeffs, _energy, _grad,
-                    _indeterminate_flags)
-from .transitions import TransitionReport
-
-
-class Direction(enum.Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
+from .model import (Coupling, MagPair, ModelSpec, _angle_hessian, _coeffs, _energy, _grad,
+                    _indeterminate_flags, _prefer, _require)
 
 
 @dataclass(frozen=True)
@@ -44,12 +35,6 @@ class ClassicalState:
     @property
     def m2z(self) -> float:
         return float(self.m.m2[2])
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    states: list[ClassicalState]
-    direction: Direction
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +136,7 @@ def minimize(spec: ModelSpec, s: float, initial: MagPair,
     th_a = atan2(m_ax, m_az) and damped Newton runs on the two angles
     (``_newton``, shared with ``global_minimize``).
     """
+    _require(spec, Coupling.DENSE)
     if tol <= 0:
         raise ValueError("tol must be positive")
     n1, n2 = initial.norms()
@@ -196,17 +182,6 @@ def start_set(n_starts: int, seed: int = 0) -> list[MagPair]:
     return starts[:n_starts]
 
 
-def _better(a, b):
-    """The lower of two minima; energy ties within 1e-12 go to larger m2z."""
-    if a is None:
-        return b
-    if b.energy < a.energy - 1e-12:
-        return b
-    if abs(b.energy - a.energy) < 1e-12 and b.m2z > a.m2z:
-        return b
-    return a
-
-
 @functools.lru_cache(maxsize=32)
 def _start_angles(n_starts: int, seed: int) -> tuple[tuple[float, float], ...]:
     return tuple(_angles(start) for start in start_set(n_starts, seed))
@@ -220,6 +195,7 @@ def global_minimize(spec: ModelSpec, s: float, n_starts: int = 8,
     kernel as ``minimize``; starts that miss the residual tolerance are
     skipped.  Energy ties within 1e-12 are broken toward larger m2z.
     """
+    _require(spec, Coupling.DENSE)
     if n_starts < 8:
         raise ValueError("n_starts must be at least 8")
     if tol <= 0:
@@ -231,7 +207,7 @@ def global_minimize(spec: ModelSpec, s: float, n_starts: int = 8,
         if p.residual >= tol:
             failed = p
             continue
-        best = _better(best, p)
+        best = _prefer(p, best)
     if best is None:
         raise ConvergenceError(
             f"all {n_starts} starts failed to converge at s={s:g}",
@@ -246,56 +222,10 @@ def is_stable_minimum(spec: ModelSpec, state: ClassicalState, tol: float = 1e-9)
     In the xz plane the curvature is the 2x2 angle Hessian; the energy has
     no y terms, so the curvature out of the plane is mu_a.
     """
+    _require(spec, Coupling.DENSE)
     t1, t2 = _angles(state.m)
     h11, h12, h22 = _angle_hessian(_coeffs(spec, state.s), sin(t1), cos(t1), sin(t2), cos(t2),
                                    *state.mu)
     lowest = 0.5 * (h11 + h22) - hypot(0.5 * (h11 - h22), h12)
     return bool(lowest >= -tol and min(state.mu) >= -tol)
 
-
-# ---------------------------------------------------------------------------
-# Continuation sweeps and transition detection
-
-def _warm_solver(spec: ModelSpec, n_starts: int, seed: int):
-    def solve_warm(s, prev: ClassicalState | None):
-        if prev is None:
-            return global_minimize(spec, s, n_starts, seed)
-        try:
-            return minimize(spec, s, prev.m)
-        except ConvergenceError:
-            return global_minimize(spec, s, n_starts, seed)
-
-    return transitions.PointSolver(
-        warm=solve_warm,
-        energy=lambda st: st.energy,
-        m2z=lambda st: st.m2z,
-    )
-
-
-def sweep(spec: ModelSpec, s_grid, direction: Direction = Direction.FORWARD,
-          n_starts: int = 8, seed: int = 0) -> SweepResult:
-    """Continuation along the grid with warm starts.
-
-    Warm starts follow a solution branch past the point where it stops
-    being global.  Forward and backward sweeps disagreeing inside a window
-    is the hysteresis signal.
-    """
-    s_grid = transitions.check_grid(s_grid)
-    solver = _warm_solver(spec, n_starts, seed)
-    states = transitions.branch_sweep(solver, s_grid,
-                                      forward=(direction is Direction.FORWARD))
-    return SweepResult(states=states, direction=direction)
-
-
-def detect_transition(spec: ModelSpec, s_grid=None, jump_threshold: float = 0.5,
-                      n_starts: int = 8, seed: int = 0) -> TransitionReport:
-    """First-order transition verdict on [min(s_grid), max(s_grid)].
-
-    Runs forward and backward sweeps, bisects the grid interval with the
-    largest equilibrium weak-cluster magnetization jump to locate s*, and
-    reports the jump across it (see ``transitions.analyze``).
-    """
-    if s_grid is None:
-        s_grid = np.linspace(0.0, 1.0, 101)
-    solver = _warm_solver(spec, n_starts, seed)
-    return transitions.detect(solver, s_grid, jump_threshold)

@@ -22,12 +22,11 @@ import time
 import numpy as np
 
 from . import __version__, transitions
-from .classical import _warm_solver, global_minimize
+from .classical import global_minimize
 from .ed import dense_ed, extrapolate_gap, gap_sequence, sparse_ed
 from .errors import (CatalystRangeError, ConfigError, ConvergenceError,
                      DegenerateModeError, InstabilityError, SizeError)
 from .model import ClusterFields, Coupling, FixedValue, Identity, ModelSpec
-from .saddle import _saddle_solver, global_saddle
 from .spinwave import (excitation_gaps, fluctuation_matrix, gap_or_flag, gaps_at,
                        min_gap, optimize_catalyst)
 
@@ -313,8 +312,7 @@ def _attach_lambda_reference(summary, cfg, reports):
     summary["lambda_reference"] = {"mapping": "lambda = -xi/2", "values": values}
 
 
-def _state_row(s, axis2_value, state, energy, delta1=None, delta2=None,
-               branch="", flags=""):
+def _state_row(s, axis2_value, state, delta1=None, delta2=None, branch="", flags=""):
     ind = state.indeterminate
     flag_list = [f for f in [flags] if f]
     if any(ind):
@@ -327,7 +325,7 @@ def _state_row(s, axis2_value, state, energy, delta1=None, delta2=None,
         m1z=None if ind[0] else float(m1[2]),
         m2x=None if ind[1] else float(m2[0]),
         m2z=None if ind[1] else float(m2[2]),
-        energy=energy, delta1=delta1, delta2=delta2, branch=branch,
+        energy=state.energy, delta1=delta1, delta2=delta2, branch=branch,
         flags=";".join(flag_list),
     )
 
@@ -343,10 +341,7 @@ def _scan_column(args):
     if len(s_grid) > 1:
         s_grid = np.unique(s_grid)
     dense = spec.coupling is Coupling.DENSE
-    if dense:
-        solver = _warm_solver(spec, int(cfg["n_starts"]), int(cfg["seed"]))
-    else:
-        solver = _saddle_solver(spec)
+    solver = transitions.point_solver(spec, int(cfg["n_starts"]), int(cfg["seed"]))
     try:
         analysis = transitions.analyze(solver, s_grid, float(cfg["jump_threshold"]))
     except (ConvergenceError, InstabilityError, DegenerateModeError, SizeError) as err:
@@ -358,10 +353,8 @@ def _scan_column(args):
     rows = []
     for s, state, tag in zip(analysis.s_grid, analysis.equilibrium,
                              analysis.branch_tags):
-        energy = solver.energy(state)
         d1, d2, flags = gap_or_flag(spec, state) if dense and cfg["gaps"] else (None, None, "")
-        rows.append(_state_row(float(s), axis2_value, state, energy, d1, d2,
-                               tag, flags))
+        rows.append(_state_row(float(s), axis2_value, state, d1, d2, tag, flags))
     return rows, _report_dict(axis2_value, analysis.report), False
 
 
@@ -389,8 +382,7 @@ def _task_gap(cfg, workers):
             failed = True
             continue
         d1, d2, flags = gap_or_flag(spec, state)
-        rows.append(_state_row(float(s), None, state, state.energy, d1, d2,
-                               "both", flags))
+        rows.append(_state_row(float(s), None, state, d1, d2, "both", flags))
     return rows, [], {}, failed
 
 
@@ -402,8 +394,7 @@ def _min_gap_row(cfg, axis2_value):
     s_best, d_best = min_gap(spec, _s_grid(cfg), n_starts, seed)
     state = global_minimize(spec, s_best, n_starts, seed)
     g = excitation_gaps(fluctuation_matrix(spec, state))
-    return _state_row(s_best, axis2_value, state, state.energy, g.delta1, g.delta2,
-                      "both"), d_best
+    return _state_row(s_best, axis2_value, state, g.delta1, g.delta2, "both"), d_best
 
 
 def _task_min_gap(cfg, workers):
@@ -432,12 +423,9 @@ def _task_ed_check(cfg, workers):
     seed = int(cfg["seed"])
     n_starts = int(cfg["n_starts"])
     dense = spec.coupling is Coupling.DENSE
-    if dense:
-        n_mag, oracle = int(cfg["ed_n"] or 200), dense_ed
-        solve = lambda s: global_minimize(spec, s, n_starts, seed)
-    else:
-        n_mag, oracle = int(cfg["ed_n"] or 12), sparse_ed
-        solve = lambda s: global_saddle(spec, s)
+    oracle, default_n = (dense_ed, 200) if dense else (sparse_ed, 12)
+    n_mag = int(cfg["ed_n"] or default_n)
+    solve = transitions.point_solver(spec, n_starts, seed).global_
 
     def compare(quantity, s, n, model, reference):
         return {"quantity": quantity, "s": s, "N": n, "model": model,

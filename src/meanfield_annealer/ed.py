@@ -23,7 +23,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import ConvergenceError, SizeError
-from .model import Coupling, ModelSpec, _coeffs
+from .model import Coupling, ModelSpec, _coeffs, _require
 
 _DENSE_BUDGET = 1100       # max dimension for materialized sector matrices
 _MATERIALIZE_LIMIT = 4096  # max dimension EDOperator.to_dense will fill
@@ -89,8 +89,7 @@ def build_dense_sector_operator(spec: ModelSpec, s: float, N: int) -> EDOperator
     """
     import scipy.sparse as sp
 
-    if spec.coupling is not Coupling.DENSE:
-        raise ValueError("sector reduction applies to the dense model")
+    _require(spec, Coupling.DENSE)
     sector = SectorSpec.for_size(N)
     if N > 2000:
         raise SizeError(f"N={N} exceeds the N<=2000 budget")
@@ -196,8 +195,7 @@ def _full_space_operator(spec: ModelSpec, s: float, N: int, pairs) -> EDOperator
 def build_sparse_full_hamiltonian(spec: ModelSpec, s: float, N: int) -> EDOperator:
     """Full 2^N Hamiltonian of the sparse model, as a CSR operator: site r
     of cluster 1 couples to site r of cluster 2 only, with weight 1/2."""
-    if spec.coupling is not Coupling.SPARSE:
-        raise ValueError("full-space builder applies to the sparse model")
+    _require(spec, Coupling.SPARSE)
     n2 = int(N) // 2
     return _full_space_operator(spec, s, N, [(r, n2 + r) for r in range(n2)])
 
@@ -205,8 +203,7 @@ def build_sparse_full_hamiltonian(spec: ModelSpec, s: float, N: int) -> EDOperat
 def build_dense_full_operator(spec: ModelSpec, s: float, N: int) -> EDOperator:
     """Full 2^N Hamiltonian of the dense model (sector-validation helper):
     every site of cluster 1 couples to every site of cluster 2, weight 1/N."""
-    if spec.coupling is not Coupling.DENSE:
-        raise ValueError("builder applies to the dense model")
+    _require(spec, Coupling.DENSE)
     n2 = int(N) // 2
     return _full_space_operator(spec, s, N, [(r, n2 + rp) for r in range(n2) for rp in range(n2)])
 

@@ -93,11 +93,6 @@ class ModelSpec:
     fields: ClusterFields = field(default_factory=ClusterFields)
     catalyst: CatalystConfig = field(default_factory=CatalystConfig)
     schedule: AnnealSchedule = field(default_factory=AnnealSchedule)
-    clusters: int = 2
-
-    def __post_init__(self):
-        if self.clusters != 2:
-            raise ValueError("only two clusters are supported")
 
     @classmethod
     def dense(cls, xi=(0.0, 0.0, 0.0), fields=None, gamma1=None, gamma2=None):
@@ -149,6 +144,25 @@ class CouplingMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "K12", np.asarray(self.K12, dtype=float).reshape(3, 3))
+
+
+def _require(spec: ModelSpec, coupling: Coupling):
+    """Refuse a spec of the other model: each solver answers for one coupling."""
+    if spec.coupling is not coupling:
+        raise ValueError(f"operation requires a {coupling.value}-intercluster spec")
+
+
+TIE_TOL = 1e-12
+
+
+def _prefer(new, old):
+    """The state of lower ``energy``; energies within TIE_TOL go to the
+    larger ``m2z``, and any state beats an ``old`` of None."""
+    if old is None or new.energy < old.energy - TIE_TOL:
+        return new
+    if abs(new.energy - old.energy) <= TIE_TOL and new.m2z > old.m2z:
+        return new
+    return old
 
 
 def _check_s(s: float) -> float:
@@ -236,6 +250,7 @@ def _angle_hessian(c: _Coeffs, x1, z1, x2, z2, mu1, mu2):
 
 def dense_energy_density(spec: ModelSpec, s: float, m: MagPair) -> float:
     """Intensive energy h = H/N of the dense model at (s, m1, m2)."""
+    _require(spec, Coupling.DENSE)
     return float(_energy(_coeffs(spec, s), m.m1[0], m.m1[2], m.m2[0], m.m2[2]))
 
 
@@ -244,6 +259,7 @@ def dense_gradient(spec: ModelSpec, s: float, m: MagPair):
 
     Returns (dh/dm1, dh/dm2) as 3-vectors.
     """
+    _require(spec, Coupling.DENSE)
     g1x, g1z, g2x, g2z = _grad(_coeffs(spec, s), m.m1[0], m.m1[2], m.m2[0], m.m2[2])
     return np.array([g1x, 0.0, g1z]), np.array([g2x, 0.0, g2z])
 
@@ -254,6 +270,7 @@ def dense_hessian(spec: ModelSpec, s: float, m: MagPair | None = None) -> np.nda
     The energy is quadratic in m, so the Hessian does not depend on m;
     the argument is accepted for interface symmetry only.
     """
+    _require(spec, Coupling.DENSE)
     c = _coeffs(spec, s)
     H = np.zeros((6, 6))
     H[2, 2] = H[5, 5] = -c.s2
@@ -290,20 +307,15 @@ def _conjugate_fields(c: _Coeffs, m1, m2):
     return np.array([mt[0], 0.0, mt[1]]), np.array([mt[2], 0.0, mt[3]])
 
 
-def _require_sparse(spec: ModelSpec):
-    if spec.coupling is not Coupling.SPARSE:
-        raise ValueError("operation requires a sparse-intercluster spec")
-
-
 def sparse_mean_field_density(spec: ModelSpec, s: float, m: MagPair) -> float:
     """Mean-field part h_m of the sparse model (pairwise terms excluded)."""
-    _require_sparse(spec)
+    _require(spec, Coupling.SPARSE)
     return float(_sparse_energy(_coeffs(spec, s), m.m1, m.m2))
 
 
 def sparse_mean_field_gradient(spec: ModelSpec, s: float, m: MagPair):
     """Analytic gradient of h_m; returns (dh_m/dm1, dh_m/dm2)."""
-    _require_sparse(spec)
+    _require(spec, Coupling.SPARSE)
     mt1, mt2 = _conjugate_fields(_coeffs(spec, s), m.m1, m.m2)
     return mt1 / -2.0, mt2 / -2.0
 
@@ -314,7 +326,7 @@ def coupling_matrix(spec: ModelSpec, s: float) -> CouplingMatrix:
     Only the zz and xx entries are nonzero: K^zz = s/2 carries the problem
     coupling and K^xx = s(1-s) xi12 / 2 the intercluster catalyst.
     """
-    _require_sparse(spec)
+    _require(spec, Coupling.SPARSE)
     s = _check_s(s)
     K = np.zeros((3, 3))
     K[2, 2] = s / 2.0

@@ -32,8 +32,9 @@ where the first attempt began); a second rejection leaves the damped loop
 to finish alone.  Finite temperature (a homotopy device for hard points,
 and a diagnostic) stays purely damped.  Every 4x4 and 3x3 symmetric
 eigenproblem in the loop is one direct LAPACK ``dsyevd`` call, and a
-converged solve takes lambda0, the degeneracy and u from the eigenvalues
-the loop already holds at the returned x.
+converged solve takes lambda0, the degeneracy and the energy density from
+the eigenvalues the loop already holds at the returned x.  Sweeps and
+transition detection for either model live in ``transitions``.
 
 The whole construction takes the decoupling fields to be constant in
 imaginary time.  That is a modeling assumption baked into the equations,
@@ -47,12 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import transitions
-from .classical import Direction
 from .errors import ConvergenceError
 from .model import (Coupling, CouplingMatrix, MagPair, ModelSpec, _coeffs, _conjugate_fields,
-                    _field_map, _indeterminate_flags, _sparse_energy, coupling_matrix)
-from .transitions import TransitionReport
+                    _field_map, _indeterminate_flags, _prefer, _require, _sparse_energy,
+                    coupling_matrix)
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _I2 = np.eye(2)
@@ -96,7 +95,7 @@ class SaddleSolution:
     mt: ConjugateFields
     lambda0: float
     degeneracy: int
-    u: float                    # ground-state energy density
+    energy: float               # ground-state energy density u
     converged: bool
     residual: float
     indeterminate: tuple[bool, bool] = (False, False)
@@ -200,8 +199,7 @@ def _response(w, V):
 
 def conjugate_fields(spec: ModelSpec, s: float, m: MagPair) -> ConjugateFields:
     """Fields conjugate to the magnetizations: -2 d(h_m)/dm_a for two clusters."""
-    if spec.coupling is not Coupling.SPARSE:
-        raise ValueError("conjugate fields are defined for the sparse model")
+    _require(spec, Coupling.SPARSE)
     return ConjugateFields(*_conjugate_fields(_coeffs(spec, s), m.m1, m.m2))
 
 
@@ -238,7 +236,7 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
     loop to finish alone.  Persistent non-convergence falls back to a
     finite-temperature homotopy (purely damped) before reporting
     converged=False.  A converged solution's ``residual`` is max|e(m) - m|
-    at the returned m, and its lambda0, degeneracy and u come from the
+    at the returned m, and its lambda0, degeneracy and energy come from the
     loop's last eigenvalues there.  The y components of ``init`` are
     dropped: they source no field and the fixed point has none.  ``tol``
     must be positive and ``max_iter`` at least 1.
@@ -247,8 +245,7 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    if spec.coupling is not Coupling.SPARSE:
-        raise ValueError("solve_saddle requires a sparse-intercluster spec")
+    _require(spec, Coupling.SPARSE)
     coeffs = _coeffs(spec, s)
     Hc = _coupling_part(coupling_matrix(spec, s))
     warm = isinstance(init, SaddleSolution)
@@ -271,7 +268,7 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
     u, lam0, g, mt = _energy_density(coeffs, Hc, m1, m2, w)
     return SaddleSolution(
         s=float(s), m=MagPair(m1, m2), mt=mt, lambda0=lam0, degeneracy=g,
-        u=float(u), converged=bool(converged), residual=float(residual),
+        energy=float(u), converged=bool(converged), residual=float(residual),
         indeterminate=_indeterminate_flags(spec, s),
     )
 
@@ -358,8 +355,7 @@ def free_energy_density(spec: ModelSpec, s: float, mt: ConjugateFields,
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    if spec.coupling is not Coupling.SPARSE:
-        raise ValueError("free energy is defined for the sparse model")
+    _require(spec, Coupling.SPARSE)
     coeffs = _coeffs(spec, s)
     H = build_effective_hamiltonian(mt, coupling_matrix(spec, s))
     w = np.linalg.eigvalsh(H.matrix)
@@ -380,59 +376,17 @@ _SADDLE_INITS = [
 
 
 def global_saddle(spec: ModelSpec, s: float, tol: float = 1e-10) -> SaddleSolution:
-    """Best converged solution over the standard init set, compared by u.
+    """Best converged solution over the standard init set, compared by energy.
 
     Ties within 1e-12 go to the larger weak-cluster magnetization.
     """
-    best = None
-    last = None
+    best = last = None
     for init in _SADDLE_INITS:
-        sol = solve_saddle(spec, s, init, tol=tol)
-        last = sol
-        if not sol.converged:
-            continue
-        if best is None or sol.u < best.u - transitions.TIE_TOL or (
-                abs(sol.u - best.u) <= transitions.TIE_TOL and sol.m2z > best.m2z):
-            best = sol
+        last = solve_saddle(spec, s, init, tol=tol)
+        if last.converged:
+            best = _prefer(last, best)
     if best is None:
         raise ConvergenceError(
             f"no saddle init converged at s={s:g}", best=last)
     return best
 
-
-def _saddle_solver(spec: ModelSpec):
-    def solve_warm(s, prev: SaddleSolution | None):
-        if prev is None:
-            return global_saddle(spec, s)
-        sol = solve_saddle(spec, s, prev)
-        if not sol.converged:
-            return global_saddle(spec, s)
-        return sol
-
-    return transitions.PointSolver(
-        warm=solve_warm,
-        energy=lambda sol: sol.u,
-        m2z=lambda sol: sol.m2z,
-    )
-
-
-def sweep_sparse(spec: ModelSpec, s_grid,
-                 direction: Direction = Direction.FORWARD) -> list[SaddleSolution]:
-    """Warm-started continuation of the saddle solution along the grid."""
-    s_grid = transitions.check_grid(s_grid)
-    solver = _saddle_solver(spec)
-    return transitions.branch_sweep(solver, s_grid,
-                                    forward=(direction is Direction.FORWARD))
-
-
-def detect_transition_sparse(spec: ModelSpec, s_grid=None,
-                             jump_threshold: float = 0.5) -> TransitionReport:
-    """First-order transition verdict for the sparse model.
-
-    Same branch-crossing logic as the dense detector with the ground-state
-    energy density u as the branch comparator.
-    """
-    if s_grid is None:
-        s_grid = np.linspace(0.0, 1.0, 101)
-    solver = _saddle_solver(spec)
-    return transitions.detect(solver, s_grid, jump_threshold)

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ClassicalState, detect_transition, global_minimize
+from .classical import ClassicalState, global_minimize
 from .errors import (CatalystRangeError, DegenerateModeError, InstabilityError,
                      StationarityError)
 from .model import ModelSpec, dense_hessian
+from .transitions import detect_transition
 
 IMAG_TOL = 1e-8
 _STATIONARY_TOL = 1e-8

@@ -1,7 +1,10 @@
-"""Branch continuation and first-order transition detection.
+"""Branch continuation and first-order transition detection for both models.
 
-Shared between the dense classical solver and the sparse saddle solver:
-both expose warm-started point solves through a PointSolver.
+``point_solver`` is the one place where a spec's coupling picks its
+solver: damped Newton on the classical torus (``classical``) for dense
+intercluster coupling, the self-consistent saddle (``saddle``) for sparse.
+Both solvers' states carry ``energy`` and ``m2z``, which is all the
+detector reads.  ``sweep`` and ``detect_transition`` take either spec.
 A forward and a backward continuation sweep give two branches; the lower
 of the two at each grid point is the equilibrium.  The grid interval with
 the largest equilibrium weak-cluster magnetization jump is the only
@@ -16,22 +19,49 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .classical import global_minimize, minimize
+from .errors import ConvergenceError
+from .model import Coupling, ModelSpec, _prefer
+from .saddle import global_saddle, solve_saddle
+
 COEXIST_TOL = 0.05
-TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class PointSolver:
-    """Adapter over a per-point solver.
+    """A per-point solver: ``global_(s)`` is the multistart equilibrium
+    solve, ``local(s, prev)`` continues from a neighbouring state and
+    raises ConvergenceError when it fails."""
 
-    warm(s, prev_state_or_None) continues a branch (None asks for the
-    multistart equilibrium solve); energy/m2z extract the branch comparator
-    and the jump observable from a state.
-    """
+    global_: Callable[[float], Any]
+    local: Callable[[float, Any], Any]
 
-    warm: Callable[[float, Any], Any]
-    energy: Callable[[Any], float]
-    m2z: Callable[[Any], float]
+    def warm(self, s: float, prev):
+        """Continue a branch from ``prev``; None, or a failed local solve,
+        takes the global solve."""
+        if prev is not None:
+            try:
+                return self.local(s, prev)
+            except ConvergenceError:
+                pass
+        return self.global_(s)
+
+
+def point_solver(spec: ModelSpec, n_starts: int = 8, seed: int = 0) -> PointSolver:
+    """The solver for the spec's coupling; ``n_starts`` and ``seed`` set the
+    dense multistart only.  The closures look the solvers up by name at
+    each call, so wrappers installed on those names see every solve."""
+    if spec.coupling is Coupling.DENSE:
+        return PointSolver(lambda s: global_minimize(spec, s, n_starts, seed),
+                           lambda s, prev: minimize(spec, s, prev.m))
+
+    def local(s, prev):
+        sol = solve_saddle(spec, s, prev)
+        if not sol.converged:
+            raise ConvergenceError(f"warm saddle solve did not converge at s={s:g}", best=sol)
+        return sol
+
+    return PointSolver(lambda s: global_saddle(spec, s), local)
 
 
 def check_grid(s_grid) -> np.ndarray:
@@ -79,20 +109,15 @@ class BranchAnalysis:
     report: TransitionReport
 
 
-def _equilibrium(solver, fstates, bstates):
+def _equilibrium(fstates, bstates):
     eq, tags = [], []
     for f, b in zip(fstates, bstates):
-        if abs(solver.m2z(f) - solver.m2z(b)) <= COEXIST_TOL:
-            eq.append(f if solver.energy(f) <= solver.energy(b) else b)
+        if abs(f.m2z - b.m2z) <= COEXIST_TOL:
+            eq.append(f if f.energy <= b.energy else b)
             tags.append("both")
         else:
-            ef, eb = solver.energy(f), solver.energy(b)
-            if eb < ef - TIE_TOL or (abs(ef - eb) <= TIE_TOL and solver.m2z(b) > solver.m2z(f)):
-                eq.append(b)
-                tags.append("backward")
-            else:
-                eq.append(f)
-                tags.append("forward")
+            eq.append(_prefer(b, f))
+            tags.append("backward" if eq[-1] is b else "forward")
     return eq, tags
 
 
@@ -112,15 +137,15 @@ def _bisect_crossing(solver, s_lo, s_hi, state_b, state_a, tol_s=1e-6):
         sm = 0.5 * (lo + hi)
         st_b = solver.warm(sm, anchor_b)
         st_a = solver.warm(sm, anchor_a)
-        if abs(solver.m2z(st_b) - solver.m2z(st_a)) < COEXIST_TOL:
+        if abs(st_b.m2z - st_a.m2z) < COEXIST_TOL:
             # one branch died inside the bracket; shrink toward its side
-            da = abs(solver.m2z(st_b) - solver.m2z(anchor_a))
-            db = abs(solver.m2z(st_b) - solver.m2z(anchor_b))
+            da = abs(st_b.m2z - anchor_a.m2z)
+            db = abs(st_b.m2z - anchor_b.m2z)
             if da < db:
                 hi, anchor_a = sm, st_a
             else:
                 lo, anchor_b = sm, st_b
-        elif solver.energy(st_b) - solver.energy(st_a) > 0.0:
+        elif st_b.energy - st_a.energy > 0.0:
             hi, anchor_b, anchor_a = sm, st_b, st_a
         else:
             lo, anchor_b, anchor_a = sm, st_b, st_a
@@ -154,7 +179,7 @@ def analyze(solver: PointSolver, s_grid, jump_threshold: float = 0.5) -> BranchA
     s_grid = check_grid(s_grid)
     fstates = branch_sweep(solver, s_grid, forward=True)
     bstates = branch_sweep(solver, s_grid, forward=False)[::-1]
-    eq, tags = _equilibrium(solver, fstates, bstates)
+    eq, tags = _equilibrium(fstates, bstates)
 
     def result(jump, width=0.0, s_star=float("nan")):
         found = bool(jump > jump_threshold)
@@ -165,16 +190,29 @@ def analyze(solver: PointSolver, s_grid, jump_threshold: float = 0.5) -> BranchA
 
     if len(s_grid) < 2:
         return result(0.0)
-    jumps = np.abs(np.diff([solver.m2z(st) for st in eq]))
+    jumps = np.abs(np.diff([st.m2z for st in eq]))
     i = int(np.argmax(jumps))
     width = _window_width(s_grid, [t != "both" for t in tags], i)
     if jumps[i] < jump_threshold:
         return result(jumps[i], width)
     s_star, st_b, st_a = _bisect_crossing(
         solver, float(s_grid[i]), float(s_grid[i + 1]), eq[i], eq[i + 1])
-    return result(abs(solver.m2z(st_a) - solver.m2z(st_b)), width, s_star)
+    return result(abs(st_a.m2z - st_b.m2z), width, s_star)
 
 
-def detect(solver: PointSolver, s_grid, jump_threshold: float = 0.5) -> TransitionReport:
-    """The transition verdict of ``analyze`` without the branches."""
-    return analyze(solver, s_grid, jump_threshold).report
+def sweep(spec: ModelSpec, s_grid, forward: bool = True, n_starts: int = 8,
+          seed: int = 0) -> list:
+    """Warm-started continuation of either model along the grid, in
+    traversal order; forward and backward sweeps disagreeing inside a
+    window is the hysteresis signal."""
+    return branch_sweep(point_solver(spec, n_starts, seed), check_grid(s_grid), forward)
+
+
+def detect_transition(spec: ModelSpec, s_grid=None, jump_threshold: float = 0.5,
+                      n_starts: int = 8, seed: int = 0) -> TransitionReport:
+    """First-order transition verdict of either model on
+    [min(s_grid), max(s_grid)], by default on 101 points over [0, 1]
+    (see ``analyze``)."""
+    if s_grid is None:
+        s_grid = np.linspace(0.0, 1.0, 101)
+    return analyze(point_solver(spec, n_starts, seed), s_grid, jump_threshold).report

@@ -13,7 +13,7 @@ import pytest
 
 from meanfield_annealer import (MagPair, ModelSpec, dense_energy_density,
                                 dense_gradient, dense_hessian,
-                                detect_transition, detect_transition_sparse,
+                                detect_transition,
                                 excitation_gaps, fluctuation_matrix, gap_profile,
                                 gaps_at, global_minimize, global_saddle,
                                 local_frame, optimize_catalyst, rotate_frame)
@@ -46,7 +46,7 @@ def dense_report(xi11=0.0, xi22=0.0, xi12=0.0, gamma1=None, gamma2=None):
 def sparse_report(xi11=0.0, xi22=0.0, xi12=0.0):
     key = (xi11, xi22, xi12)
     if key not in _sparse_cache:
-        _sparse_cache[key] = detect_transition_sparse(
+        _sparse_cache[key] = detect_transition(
             ModelSpec.sparse(xi=(xi11, xi22, xi12)))
     return _sparse_cache[key]
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
 
-from meanfield_annealer import (ConvergenceError, Direction, FixedValue,
+from meanfield_annealer import (ConvergenceError, FixedValue,
                                 MagPair, ModelSpec, dense_energy_density,
                                 dense_gradient, dense_hessian,
                                 detect_transition, global_minimize, minimize,
@@ -231,21 +231,21 @@ def test_start_set_prefix_property():
 
 def test_sweep_single_point(dense_spec):
     res = sweep(dense_spec, [0.4])
-    assert len(res.states) == 1
-    assert res.states[0].s == 0.4
+    assert len(res) == 1
+    assert res[0].s == 0.4
 
 
 def test_sweep_hysteresis_structure(dense_spec):
     grid = np.linspace(0.0, 1.0, 101)
-    fwd = sweep(dense_spec, grid, Direction.FORWARD)
-    bwd = sweep(dense_spec, grid, Direction.BACKWARD)
-    s_fwd = np.array([st.s for st in fwd.states])
-    s_bwd = np.array([st.s for st in bwd.states])
+    fwd = sweep(dense_spec, grid, forward=True)
+    bwd = sweep(dense_spec, grid, forward=False)
+    s_fwd = np.array([st.s for st in fwd])
+    s_bwd = np.array([st.s for st in bwd])
     assert np.all(np.diff(s_fwd) > 0)
     assert np.all(np.diff(s_bwd) < 0)
     # the forward sweep holds the weak-down branch past the energy crossing
-    m2f = {st.s: st.m2z for st in fwd.states}
-    m2b = {st.s: st.m2z for st in bwd.states}
+    m2f = {st.s: st.m2z for st in fwd}
+    m2b = {st.s: st.m2z for st in bwd}
     s_star = 0.7189
     past = min(g for g in grid if g > s_star + 0.02)
     assert m2f[past] < 0 < m2b[past]
@@ -254,8 +254,8 @@ def test_sweep_hysteresis_structure(dense_spec):
 def test_sweep_agreement_without_transition():
     spec = ModelSpec.dense(xi=(0.0, 0.0, -4.0))
     grid = np.linspace(0.0, 1.0, 51)
-    fwd = sweep(spec, grid, Direction.FORWARD).states
-    bwd = sweep(spec, grid, Direction.BACKWARD).states[::-1]
+    fwd = sweep(spec, grid, forward=True)
+    bwd = sweep(spec, grid, forward=False)[::-1]
     for f, b in zip(fwd, bwd):
         assert abs(f.m2z - b.m2z) < 1e-6
         assert abs(f.energy - b.energy) < 1e-9

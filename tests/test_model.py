@@ -186,7 +186,7 @@ def test_schedules():
 
 
 def test_spec_requires_two_clusters():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ModelSpec(clusters=3)
 
 

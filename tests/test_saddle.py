@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from meanfield_annealer import (ConjugateFields, CouplingMatrix, Direction,
-                                MagPair, ModelSpec, build_effective_hamiltonian,
+from meanfield_annealer import (ConjugateFields, CouplingMatrix, MagPair,
+                                ModelSpec, build_effective_hamiltonian,
                                 conjugate_fields, coupling_matrix,
-                                detect_transition_sparse, free_energy_density,
+                                detect_transition, free_energy_density,
                                 global_saddle, ground_block, solve_saddle,
-                                sparse_mean_field_density, sweep_sparse)
+                                sparse_mean_field_density, sweep)
 from meanfield_annealer import saddle
 from meanfield_annealer.ed import sparse_ed
 from meanfield_annealer.eigensolvers import jacobi_eigh
@@ -106,7 +106,7 @@ def test_solve_saddle_start_fixed_point(sparse_spec):
     sol = solve_saddle(sparse_spec, 0.0, MagPair(XHAT, XHAT), max_iter=2)
     assert sol.converged
     assert np.allclose(sol.m.m1, XHAT, atol=1e-10)
-    assert sol.u == pytest.approx(-1.0, abs=1e-12)
+    assert sol.energy == pytest.approx(-1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -124,7 +124,7 @@ def test_solve_saddle_rejects_invalid_tol_and_max_iter(sparse_spec, kwargs):
 def test_solve_saddle_final_energy(sparse_spec):
     sol = solve_saddle(sparse_spec, 1.0, MagPair([0.1, 0, 0.95], [0.1, 0, 0.95]))
     assert sol.converged
-    assert sol.u == pytest.approx(-1.005, abs=1e-9)
+    assert sol.energy == pytest.approx(-1.005, abs=1e-9)
     assert sol.lambda0 == pytest.approx(-3.01, abs=1e-8)
     assert sol.degeneracy == 1
 
@@ -146,7 +146,7 @@ def test_solution_invariants(sparse_spec, rng):
 def test_global_saddle_deterministic(sparse_spec):
     a = global_saddle(sparse_spec, 0.5)
     b = global_saddle(sparse_spec, 0.5)
-    assert a.u == b.u
+    assert a.energy == b.energy
     assert np.array_equal(a.m.m1, b.m.m1) and np.array_equal(a.m.m2, b.m.m2)
 
 
@@ -158,7 +158,7 @@ def test_saddle_matches_full_ed(sparse_spec):
 
 def test_free_energy_limits(sparse_spec):
     sol = global_saddle(sparse_spec, 0.5)
-    u = sol.u
+    u = sol.energy
     for beta in (20.0, 50.0, 200.0):
         f = free_energy_density(sparse_spec, 0.5, sol.mt, sol.m, beta)
         assert f <= u + 1e-12
@@ -183,7 +183,7 @@ def test_finite_beta_consistent_with_zero_temperature(sparse_spec):
 
 
 def test_detect_sparse_baseline(sparse_spec):
-    rep = detect_transition_sparse(sparse_spec, np.linspace(0, 1, 51))
+    rep = detect_transition(sparse_spec, np.linspace(0, 1, 51))
     assert rep.found
     assert rep.jump_m2z > 0.5
     assert 0.70 < rep.s_star < 0.74
@@ -192,8 +192,8 @@ def test_detect_sparse_baseline(sparse_spec):
 @pytest.mark.parametrize("xi12, coarse", [(4.0, 11), (-4.0, 21)])
 def test_detect_sparse_verdict_independent_of_grid(xi12, coarse):
     spec = ModelSpec.sparse(xi=(0.0, 0.0, xi12))
-    assert_same_verdict(detect_transition_sparse(spec, np.linspace(0.0, 1.0, coarse)),
-                        detect_transition_sparse(spec, np.linspace(0.0, 1.0, 101)))
+    assert_same_verdict(detect_transition(spec, np.linspace(0.0, 1.0, coarse)),
+                        detect_transition(spec, np.linspace(0.0, 1.0, 101)))
 
 
 def test_sparse_hysteresis_width_independent_of_grid():
@@ -201,8 +201,8 @@ def test_sparse_hysteresis_width_independent_of_grid():
     # s = 0.5, where its m2z moves by about 0.1 per grid step, as it does
     # on 101 points
     spec = ModelSpec.sparse(xi=(0.0, 0.0, -4.0))
-    coarse = detect_transition_sparse(spec, np.linspace(0.0, 1.0, 21))
-    fine = detect_transition_sparse(spec, np.linspace(0.0, 1.0, 101))
+    coarse = detect_transition(spec, np.linspace(0.0, 1.0, 21))
+    fine = detect_transition(spec, np.linspace(0.0, 1.0, 101))
     assert coarse.hysteresis_width > 0.0
     assert_width_within_two_steps(coarse, fine, 21)
 
@@ -211,8 +211,8 @@ def test_total_catalyst_s_star_at_sector_jump():
     # appC_sparse xi = -10: the sector-ED ground-state m2z jumps between
     # s = 0.160 and 0.165 at N = 40, 80 and 160; the backward sweep and the
     # bisection must stay on the high-s branch down to there
-    rep = detect_transition_sparse(ModelSpec.sparse(xi=(-5.0, -5.0, -10.0)),
-                                   np.linspace(0.0, 1.0, 41))
+    rep = detect_transition(ModelSpec.sparse(xi=(-5.0, -5.0, -10.0)),
+                            np.linspace(0.0, 1.0, 41))
     assert rep.found
     assert 0.155 <= rep.s_star <= 0.170
 
@@ -220,8 +220,8 @@ def test_total_catalyst_s_star_at_sector_jump():
 def test_detect_sparse_smooth_crossover_on_coarse_grid():
     # 11 points make the smooth xi12=8 crossover a large grid jump; the
     # bisection must close onto one branch instead of keeping that jump
-    rep = detect_transition_sparse(ModelSpec.sparse(xi=(0.0, 0.0, 8.0)),
-                                   np.linspace(0.0, 1.0, 11))
+    rep = detect_transition(ModelSpec.sparse(xi=(0.0, 0.0, 8.0)),
+                            np.linspace(0.0, 1.0, 11))
     assert not rep.found
     assert np.isnan(rep.s_star)
     assert rep.jump_m2z < 0.05
@@ -503,8 +503,8 @@ def test_newton_handover_keeps_damped_basin(monkeypatch, xi):
 def test_sparse_scan_solutions_pass_the_gate(xi12):
     spec = ModelSpec.sparse(xi=(0.0, 0.0, xi12))
     grid = np.linspace(0.0, 1.0, 21)
-    for direction in (Direction.FORWARD, Direction.BACKWARD):
-        for sol in sweep_sparse(spec, grid, direction):
+    for forward in (True, False):
+        for sol in sweep(spec, grid, forward=forward):
             assert sol.converged and sol.degeneracy == 1
             assert lambda_max(spec, sol.s, as_x(sol.m)) < 1.0
 
@@ -541,6 +541,6 @@ def test_solution_energy_reuses_the_loop_eigenvalues(rng):
             u, lam0, g, _ = saddle._energy_density(
                 _coeffs(spec, sol.s), _coupling_part(coupling_matrix(spec, sol.s)),
                 sol.m.m1, sol.m.m2)
-            assert abs(sol.u - u) <= 1e-13
+            assert abs(sol.energy - u) <= 1e-13
             assert abs(sol.lambda0 - lam0) <= 1e-13
             assert sol.degeneracy == g

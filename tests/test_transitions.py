@@ -1,0 +1,163 @@
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+
+from meanfield_annealer import (ClassicalState, ConvergenceError, MagPair, ModelSpec,
+                                SaddleSolution, build_dense_full_operator,
+                                build_dense_sector_operator,
+                                build_sparse_full_hamiltonian, conjugate_fields,
+                                coupling_matrix, dense_ed, dense_energy_density,
+                                dense_gradient, dense_hessian, detect_transition,
+                                fluctuation_matrix, free_energy_density, gaps_at,
+                                global_minimize, global_saddle, minimize,
+                                solve_saddle, sparse_ed, sparse_mean_field_density,
+                                sparse_mean_field_gradient, sweep)
+from meanfield_annealer import transitions
+from meanfield_annealer.classical import is_stable_minimum
+from meanfield_annealer.model import TIE_TOL, _prefer
+from meanfield_annealer.transitions import PointSolver, point_solver
+
+UP = MagPair([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
+
+
+def test_detect_transition_runs_the_sparse_solver_on_a_sparse_spec():
+    # the dense solver on this spec reports no transition (jump 0.334)
+    rep = detect_transition(ModelSpec.sparse(xi=(0.0, 0.0, -4.0)), np.linspace(0.0, 1.0, 21))
+    assert rep.found
+    assert abs(rep.s_star - 0.4930545806884765) <= 1e-9
+    assert abs(rep.jump_m2z - 1.4523791854440984) <= 1e-9
+
+
+def test_sweep_states_follow_the_coupling():
+    grid = [0.3, 0.5]
+    assert all(isinstance(st, ClassicalState) for st in sweep(ModelSpec.dense(), grid))
+    assert all(isinstance(st, SaddleSolution) for st in sweep(ModelSpec.sparse(), grid))
+
+
+def _dense_state():
+    return global_minimize(ModelSpec.dense(), 0.5)
+
+
+DENSE_ONLY = {
+    "global_minimize": lambda spec: global_minimize(spec, 0.5),
+    "minimize": lambda spec: minimize(spec, 0.5, UP),
+    "is_stable_minimum": lambda spec: is_stable_minimum(spec, _dense_state()),
+    "gaps_at": lambda spec: gaps_at(spec, 0.5),
+    "fluctuation_matrix": lambda spec: fluctuation_matrix(spec, _dense_state()),
+    "dense_energy_density": lambda spec: dense_energy_density(spec, 0.5, UP),
+    "dense_gradient": lambda spec: dense_gradient(spec, 0.5, UP),
+    "dense_hessian": lambda spec: dense_hessian(spec, 0.5),
+    "build_dense_sector_operator": lambda spec: build_dense_sector_operator(spec, 0.5, 4),
+    "build_dense_full_operator": lambda spec: build_dense_full_operator(spec, 0.5, 4),
+    "dense_ed": lambda spec: dense_ed(spec, 0.5, 4),
+}
+
+SPARSE_ONLY = {
+    "solve_saddle": lambda spec: solve_saddle(spec, 0.5, UP),
+    "global_saddle": lambda spec: global_saddle(spec, 0.5),
+    "conjugate_fields": lambda spec: conjugate_fields(spec, 0.5, UP),
+    "free_energy_density": lambda spec: free_energy_density(
+        spec, 0.5, conjugate_fields(ModelSpec.sparse(), 0.5, UP), UP, 10.0),
+    "sparse_mean_field_density": lambda spec: sparse_mean_field_density(spec, 0.5, UP),
+    "sparse_mean_field_gradient": lambda spec: sparse_mean_field_gradient(spec, 0.5, UP),
+    "coupling_matrix": lambda spec: coupling_matrix(spec, 0.5),
+    "build_sparse_full_hamiltonian": lambda spec: build_sparse_full_hamiltonian(spec, 0.5, 4),
+    "sparse_ed": lambda spec: sparse_ed(spec, 0.5, 4),
+}
+
+
+@pytest.mark.parametrize("name", DENSE_ONLY)
+def test_dense_only_entry_points_refuse_a_sparse_spec(name):
+    DENSE_ONLY[name](ModelSpec.dense())   # the same call runs on its own model
+    with pytest.raises(ValueError, match="dense-intercluster"):
+        DENSE_ONLY[name](ModelSpec.sparse())
+
+
+@pytest.mark.parametrize("name", SPARSE_ONLY)
+def test_sparse_only_entry_points_refuse_a_dense_spec(name):
+    SPARSE_ONLY[name](ModelSpec.sparse())
+    with pytest.raises(ValueError, match="sparse-intercluster"):
+        SPARSE_ONLY[name](ModelSpec.dense())
+
+
+def _recording_solver(local):
+    calls = []
+
+    def global_(s):
+        calls.append(("global", s))
+        return "global"
+
+    def traced_local(s, prev):
+        calls.append(("local", s))
+        return local(s, prev)
+
+    return PointSolver(global_, traced_local), calls
+
+
+def test_warm_without_a_previous_state_takes_the_global_solve():
+    solver, calls = _recording_solver(lambda s, prev: "local")
+    assert solver.warm(0.3, None) == "global"
+    assert solver.warm(0.4, "global") == "local"
+    assert calls == [("global", 0.3), ("local", 0.4)]
+
+
+def test_warm_falls_back_to_the_global_solve_when_local_fails():
+    def local(s, prev):
+        raise ConvergenceError("no convergence")
+
+    solver, calls = _recording_solver(local)
+    assert solver.warm(0.5, "prev") == "global"
+    assert calls == [("local", 0.5), ("global", 0.5)]
+
+
+def test_warm_lets_other_errors_through():
+    def local(s, prev):
+        raise ValueError("bad start")
+
+    solver, calls = _recording_solver(local)
+    with pytest.raises(ValueError, match="bad start"):
+        solver.warm(0.5, "prev")
+    assert calls == [("local", 0.5)]
+
+
+def test_unconverged_saddle_solve_falls_back_to_global(monkeypatch):
+    # the closures look the solvers up at call time, so replacing the
+    # module names reaches them
+    spec = ModelSpec.sparse()
+    prev = global_saddle(spec, 0.5)
+    unconverged = SaddleSolution(s=0.5, m=prev.m, mt=prev.mt, lambda0=0.0, degeneracy=1,
+                                 energy=0.0, converged=False, residual=1.0)
+    monkeypatch.setattr(transitions, "solve_saddle", lambda spec, s, init: unconverged)
+    monkeypatch.setattr(transitions, "global_saddle", lambda spec, s: "global")
+    assert point_solver(spec).warm(0.5, prev) == "global"
+
+
+class _State(NamedTuple):
+    energy: float
+    m2z: float
+
+
+def test_prefer_none_incumbent():
+    new = _State(1.0, -1.0)
+    assert _prefer(new, None) is new
+
+
+def test_prefer_equal_energies_go_to_larger_m2z():
+    lo, hi = _State(-1.0, -0.5), _State(-1.0, 0.5)
+    assert _prefer(lo, hi) is hi
+    assert _prefer(hi, lo) is hi
+
+
+def test_prefer_band_edge_is_a_tie():
+    # exactly TIE_TOL apart is inside the tie band, either way round
+    old = _State(0.0, 0.5)
+    assert _prefer(_State(-TIE_TOL, -0.5), old) is old
+    lower_larger = _State(-TIE_TOL, 0.9)
+    assert _prefer(lower_larger, old) is lower_larger
+    higher_larger = _State(TIE_TOL, 0.9)
+    assert _prefer(higher_larger, old) is higher_larger
+    # beyond the band the energy decides alone
+    clearly_lower = _State(-2 * TIE_TOL, -0.5)
+    assert _prefer(clearly_lower, old) is clearly_lower
+    assert _prefer(_State(2 * TIE_TOL, 0.9), old) is old
