@@ -9,8 +9,7 @@ spec's coupling picks the saddle solver.
 """
 import numpy as np
 
-from meanfield_annealer import (ModelSpec, detect_transition,
-                                free_energy_density, global_saddle)
+from meanfield_annealer import ModelSpec, detect_transition, global_saddle
 
 spec = ModelSpec.sparse()
 
@@ -21,12 +20,6 @@ for s in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
     print(f"  {s:.1f}  {sol.m.m1[2]:+.4f}  {sol.m.m2[2]:+.4f}  "
           f"{np.linalg.norm(sol.m.m2):.4f}  {sol.energy:.5f}")
 print("note |m| < 1 at intermediate s: the pair state is entangled")
-
-print("\n== finite-temperature free energy approaches u ==")
-sol = global_saddle(spec, 0.5)
-for beta in (5.0, 20.0, 80.0):
-    f = free_energy_density(spec, 0.5, sol.mt, sol.m, beta)
-    print(f"  beta={beta:5.1f}: f={f:.6f}  (u={sol.energy:.6f})")
 
 print("\n== transition verdicts vs pairwise catalyst strength ==")
 for xi in (0.0, 4.0, 8.0, -4.0, -7.0, -10.0):

@@ -25,8 +25,7 @@ from .model import (AnnealSchedule, CatalystConfig, ClusterFields, Coupling,
                     sparse_mean_field_gradient)
 from .saddle import (ConjugateFields, EffectiveHamiltonian, SaddleSolution,
                      build_effective_hamiltonian, conjugate_fields,
-                     free_energy_density, global_saddle, ground_block,
-                     solve_saddle)
+                     global_saddle, ground_block, solve_saddle)
 from .spinwave import (FluctuationMatrix, GapPoint, GapSpectrum, LocalFrame,
                        excitation_gaps, fluctuation_matrix, gap_profile,
                        gaps_at, local_frame, min_gap, optimize_catalyst,
@@ -49,7 +48,7 @@ __all__ = [
     "dense_ed", "dense_energy_density", "dense_gradient", "dense_hessian",
     "detect_transition", "ed_solve",
     "excitation_gaps", "extrapolate_gap", "fluctuation_matrix",
-    "free_energy_density", "gap_profile", "gap_sequence", "gaps_at",
+    "gap_profile", "gap_sequence", "gaps_at",
     "global_minimize", "global_saddle", "ground_block", "local_frame",
     "min_gap", "minimize", "optimize_catalyst", "rotate_frame", "solve_saddle",
     "sparse_ed", "sparse_mean_field_density", "sparse_mean_field_gradient",

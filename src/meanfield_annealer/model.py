@@ -97,18 +97,17 @@ class ModelSpec:
     @classmethod
     def dense(cls, xi=(0.0, 0.0, 0.0), fields=None, gamma1=None, gamma2=None):
         """Dense-intercluster spec; ``xi`` is (xi11, xi22, xi12)."""
-        return cls(
-            coupling=Coupling.DENSE,
-            fields=fields or ClusterFields(),
-            catalyst=CatalystConfig(*xi),
-            schedule=AnnealSchedule(gamma1 or Identity(), gamma2 or Identity()),
-        )
+        return cls._build(Coupling.DENSE, xi, fields, gamma1, gamma2)
 
     @classmethod
     def sparse(cls, xi=(0.0, 0.0, 0.0), fields=None, gamma1=None, gamma2=None):
         """Sparse-intercluster spec; ``xi`` is (xi11, xi22, xi12)."""
+        return cls._build(Coupling.SPARSE, xi, fields, gamma1, gamma2)
+
+    @classmethod
+    def _build(cls, coupling, xi, fields, gamma1, gamma2):
         return cls(
-            coupling=Coupling.SPARSE,
+            coupling=coupling,
             fields=fields or ClusterFields(),
             catalyst=CatalystConfig(*xi),
             schedule=AnnealSchedule(gamma1 or Identity(), gamma2 or Identity()),

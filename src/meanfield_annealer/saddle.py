@@ -29,11 +29,13 @@ Newton, so the damped trajectory, and with it the basin, is the one the
 damped loop alone would follow.  After a first rejection Newton may start
 again once the residual is below min(``_NEWTON_REARM``, 0.01 x the residual
 where the first attempt began); a second rejection leaves the damped loop
-to finish alone.  Finite temperature (a homotopy device for hard points,
-and a diagnostic) stays purely damped.  Every 4x4 and 3x3 symmetric
-eigenproblem in the loop is one direct LAPACK ``dsyevd`` call, and a
-converged solve takes lambda0, the degeneracy and the energy density from
-the eigenvalues the loop already holds at the returned x.  Sweeps and
+to finish alone.  The solver is zero-temperature only.  A solve unconverged
+after ``max_iter`` iterations returns ``converged=False``; ``PointSolver.warm``
+then takes the global solve, and ``global_saddle`` raises ``ConvergenceError``
+with the last unconverged solution when all five inits fail.  Every 4x4 and
+3x3 symmetric eigenproblem in the loop is one direct LAPACK ``dsyevd`` call,
+and a converged solve takes lambda0, the degeneracy and the energy density
+from the eigenvalues the loop already holds at the returned x.  Sweeps and
 transition detection for either model live in ``transitions``.
 
 The whole construction takes the decoupling fields to be constant in
@@ -168,21 +170,15 @@ def _eigh(a):
     return w, V
 
 
-def _expectations(H, beta):
-    """<X1>, <Z1>, <X2>, <Z2> of the real symmetric H, averaged over the
-    ground block (``beta=None``) or in the thermal state at ``beta``."""
-    return _average(*_eigh(H), beta)
+def _expectations(H):
+    """Ground-block averaged <X1>, <Z1>, <X2>, <Z2> of the real symmetric H."""
+    return _average(*_eigh(H))
 
 
-def _average(w, V, beta):
+def _average(w, V):
     """``_expectations`` from the eigenpairs (w ascending, V columns)."""
-    if beta is None:
-        g = int(np.count_nonzero(w < w[0] + _DEGENERACY_TOL))
-        P = V[:, :g] @ V[:, :g].T / g
-    else:
-        p = np.exp(-beta * (w - w[0]))
-        P = (V * (p / p.sum())) @ V.T
-    return _OPS @ P.ravel()
+    g = int(np.count_nonzero(w < w[0] + _DEGENERACY_TOL))
+    return _OPS @ (V[:, :g] @ V[:, :g].T / g).ravel()
 
 
 def _response(w, V):
@@ -217,25 +213,25 @@ def _energy_density(coeffs, Hc, m1, m2, w=None):
 
 
 def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
-                 max_iter: int = 10000, tol: float = 1e-10,
-                 beta: float | None = None) -> SaddleSolution:
+                 max_iter: int = 10000, tol: float = 1e-10) -> SaddleSolution:
     """Self-consistent solution reached from ``init``.
 
     Damped fixed-point steps relax m toward the effective-model expectation;
-    oscillations trigger automatic damping reduction.  At zero temperature
-    (``beta=None``) the loop takes Newton steps, accepts them only at
-    non-degenerate points with lambda_max(chi D) < 1 and a falling residual,
-    and keeps stepping past ``tol`` until the residual reaches
-    ``_ROUNDING_FLOOR`` or stops falling.  From a MagPair (a global start)
-    the damped loop first brings the residual below ``_NEWTON_SWITCH``
-    (1e-2), which selects the basin.  From a SaddleSolution (a warm start
-    from a neighbouring solve, already in its basin) Newton starts at the
-    first iterate.  A rejected Newton iterate sends the damped loop back to
-    where Newton began; Newton may try once more below min(1e-4, 0.01 x the
-    residual where it first began), and a second rejection leaves the damped
-    loop to finish alone.  Persistent non-convergence falls back to a
-    finite-temperature homotopy (purely damped) before reporting
-    converged=False.  A converged solution's ``residual`` is max|e(m) - m|
+    oscillations trigger automatic damping reduction.  The loop takes Newton
+    steps, accepts them only at non-degenerate points with
+    lambda_max(chi D) < 1 and a falling residual, and keeps stepping past
+    ``tol`` until the residual reaches ``_ROUNDING_FLOOR`` or stops falling.
+    From a MagPair (a global start) the damped loop first brings the
+    residual below ``_NEWTON_SWITCH`` (1e-2), which selects the basin.  From
+    a SaddleSolution (a warm start from a neighbouring solve, already in its
+    basin) Newton starts at the first iterate.  A rejected Newton iterate
+    sends the damped loop back to where Newton began; Newton may try once
+    more below min(1e-4, 0.01 x the residual where it first began), and a
+    second rejection leaves the damped loop to finish alone.  A solve still
+    unconverged after ``max_iter`` iterations returns ``converged=False``
+    with the last iterate and its residual; ``PointSolver.warm`` then takes
+    the global solve, and ``global_saddle`` raises ``ConvergenceError`` when
+    every init fails.  A converged solution's ``residual`` is max|e(m) - m|
     at the returned m, and its lambda0, degeneracy and energy come from the
     loop's last eigenvalues there.  The y components of ``init`` are
     dropped: they source no field and the fixed point has none.  ``tol``
@@ -251,18 +247,8 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
     warm = isinstance(init, SaddleSolution)
     m = init.m if warm else init
     x0 = np.concatenate([m.m1[::2], m.m2[::2]])
-    x, converged, residual, w = _iterate(coeffs, Hc, x0, max_iter, tol, beta,
+    x, converged, residual, w = _iterate(coeffs, Hc, x0, max_iter, tol,
                                          np.inf if warm else _NEWTON_SWITCH)
-    if not converged and beta is None:
-        # homotopy: anneal a smooth finite-temperature loop, then retry
-        cur = x0
-        for beta_h in (20.0, 50.0, 100.0, 300.0):
-            h, ok, *_ = _iterate(coeffs, Hc, cur, max_iter // 4,
-                                 max(tol, 1e-9), beta_h, 0.0)
-            if ok:
-                cur = h
-        x, converged, residual, w = _iterate(coeffs, Hc, cur, max_iter, tol, None,
-                                             _NEWTON_SWITCH)
     m1 = np.array([x[0], 0.0, x[1]])
     m2 = np.array([x[2], 0.0, x[3]])
     u, lam0, g, mt = _energy_density(coeffs, Hc, m1, m2, w)
@@ -273,7 +259,7 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
     )
 
 
-def _iterate(coeffs, Hc, x, max_iter, tol, beta, switch):
+def _iterate(coeffs, Hc, x, max_iter, tol, switch):
     """Fixed point of x = e(x), with Newton tried below residual ``switch``.
 
     Returns (x, converged, max|e(x) - x| at x, w), where w holds the
@@ -285,8 +271,6 @@ def _iterate(coeffs, Hc, x, max_iter, tol, beta, switch):
         raise ValueError("effective Hamiltonian inputs must be finite")
     b, D = _field_map(coeffs)
     damping = _DAMPING
-    if beta is not None:
-        switch = 0.0              # finite temperature stays damped
     rejected = False
     start = None                  # (x, step, top, residual, w) where Newton began
     last = None                   # last accepted Newton iterate, its residual, w
@@ -295,7 +279,7 @@ def _iterate(coeffs, Hc, x, max_iter, tol, beta, switch):
     residual = np.inf
     for _ in range(max_iter):
         w, V = _eigh(Hc - ((b + D * x) @ _OPS).reshape(4, 4))
-        step = _average(w, V, beta) - x
+        step = _average(w, V) - x
         size = np.abs(step)
         top = int(size.argmax())
         residual = float(size[top])
@@ -345,27 +329,6 @@ def _iterate(coeffs, Hc, x, max_iter, tol, beta, switch):
     return x, False, residual, None
 
 
-def free_energy_density(spec: ModelSpec, s: float, mt: ConjugateFields,
-                        m: MagPair, beta: float) -> float:
-    """Finite-temperature variational free energy of the decoupled model.
-
-    Evaluated from the exact eigendecomposition of the effective
-    Hamiltonian, with the ground eigenvalue factored out of the log-sum so
-    large beta cannot overflow.
-    """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    _require(spec, Coupling.SPARSE)
-    coeffs = _coeffs(spec, s)
-    H = build_effective_hamiltonian(mt, coupling_matrix(spec, s))
-    w = np.linalg.eigvalsh(H.matrix)
-    lam0 = float(w[0])
-    hm = _sparse_energy(coeffs, m.m1, m.m2)
-    logsum = float(np.log(np.sum(np.exp(-beta * (w - lam0)))))
-    return float(0.5 * (mt.mt1 @ m.m1 + mt.mt2 @ m.m2) + hm + 0.5 * lam0
-                 - logsum / (2.0 * beta))
-
-
 _SADDLE_INITS = [
     MagPair([0.0, 0.0, 1.0], [0.0, 0.0, 1.0]),
     MagPair([0.0, 0.0, 1.0], [0.0, 0.0, -1.0]),
@@ -378,7 +341,8 @@ _SADDLE_INITS = [
 def global_saddle(spec: ModelSpec, s: float, tol: float = 1e-10) -> SaddleSolution:
     """Best converged solution over the standard init set, compared by energy.
 
-    Ties within 1e-12 go to the larger weak-cluster magnetization.
+    Ties within 1e-12 go to the larger weak-cluster magnetization.  With no
+    init converged it raises ``ConvergenceError``, ``best`` the last solution.
     """
     best = last = None
     for init in _SADDLE_INITS:

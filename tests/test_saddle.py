@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from meanfield_annealer import (ConjugateFields, CouplingMatrix, MagPair,
-                                ModelSpec, build_effective_hamiltonian,
+from meanfield_annealer import (ConjugateFields, ConvergenceError, CouplingMatrix,
+                                MagPair, ModelSpec, build_effective_hamiltonian,
                                 conjugate_fields, coupling_matrix,
-                                detect_transition, free_energy_density,
-                                global_saddle, ground_block, solve_saddle,
-                                sparse_mean_field_density, sweep)
+                                detect_transition, global_saddle, ground_block,
+                                solve_saddle, sweep)
 from meanfield_annealer import saddle
 from meanfield_annealer.ed import sparse_ed
 from meanfield_annealer.eigensolvers import jacobi_eigh
@@ -121,6 +120,42 @@ def test_solve_saddle_rejects_invalid_tol_and_max_iter(sparse_spec, kwargs):
             global_saddle(sparse_spec, 0.5, tol=kwargs["tol"])
 
 
+def test_unconverged_solve_stops_at_max_iter(monkeypatch):
+    # five damped steps from the m2z < 0 init leave the residual far above
+    # the Newton switch; the solve reports failure after exactly those five
+    # eigensolves, each of the 4x4 effective Hamiltonian, none a 3x3 Newton
+    # response
+    sizes = []
+    eigh = saddle._eigh
+
+    def counted(a):
+        sizes.append(a.shape[0])
+        return eigh(a)
+
+    monkeypatch.setattr(saddle, "_eigh", counted)
+    sol = solve_saddle(ModelSpec.sparse(xi=(0.0, 0.0, -4.0)), 0.5,
+                       MagPair([0, 0, 1], [0, 0, -1]), max_iter=5)
+    assert not sol.converged
+    assert sol.residual > 1e-2
+    assert sizes == [4] * 5
+
+
+def test_global_saddle_raises_with_the_last_unconverged_solution(monkeypatch, sparse_spec):
+    solve = saddle.solve_saddle
+    returned = []
+
+    def starved(spec, s, init, tol):
+        returned.append(solve(spec, s, init, max_iter=2, tol=tol))
+        return returned[-1]
+
+    monkeypatch.setattr(saddle, "solve_saddle", starved)
+    with pytest.raises(ConvergenceError, match="no saddle init converged") as err:
+        global_saddle(sparse_spec, 0.5)
+    assert len(returned) == len(saddle._SADDLE_INITS)
+    assert not any(sol.converged for sol in returned)
+    assert err.value.best is returned[-1]
+
+
 def test_solve_saddle_final_energy(sparse_spec):
     sol = solve_saddle(sparse_spec, 1.0, MagPair([0.1, 0, 0.95], [0.1, 0, 0.95]))
     assert sol.converged
@@ -154,32 +189,6 @@ def test_saddle_matches_full_ed(sparse_spec):
     sol = global_saddle(sparse_spec, 0.2)
     ref = sparse_ed(sparse_spec, 0.2, 12)
     assert abs(sol.m2z - ref.m2z) < 0.1
-
-
-def test_free_energy_limits(sparse_spec):
-    sol = global_saddle(sparse_spec, 0.5)
-    u = sol.energy
-    for beta in (20.0, 50.0, 200.0):
-        f = free_energy_density(sparse_spec, 0.5, sol.mt, sol.m, beta)
-        assert f <= u + 1e-12
-        assert abs(f - u) < np.exp(-beta * 0.1) * 10 + 1e-12
-    # small beta with no fields: pure entropy of 4 states
-    m0 = MagPair(ZERO, ZERO)
-    f = free_energy_density(ModelSpec.sparse(), 0.0, ConjugateFields(ZERO, ZERO),
-                            m0, 0.01)
-    hm = sparse_mean_field_density(ModelSpec.sparse(), 0.0, m0)
-    assert f == pytest.approx(hm - np.log(4.0) / (2 * 0.01), rel=1e-12)
-    with pytest.raises(ValueError):
-        free_energy_density(sparse_spec, 0.5, sol.mt, sol.m, 0.0)
-
-
-def test_finite_beta_consistent_with_zero_temperature(sparse_spec):
-    for s in (0.2, 0.6):
-        cold = global_saddle(sparse_spec, s)
-        warm = solve_saddle(sparse_spec, s, cold.m, beta=50.0)
-        assert warm.converged
-        assert np.abs(warm.m.m1 - cold.m.m1).max() < 1e-6
-        assert np.abs(warm.m.m2 - cold.m.m2).max() < 1e-6
 
 
 def test_detect_sparse_baseline(sparse_spec):
@@ -246,21 +255,17 @@ SINGLE = ([np.kron(p, np.eye(2)) for p in PAULI]
           + [np.kron(np.eye(2), p) for p in PAULI])
 
 
-def reference_expectations(mt1, mt2, K, beta):
+def reference_expectations(mt1, mt2, K):
     H = build_effective_hamiltonian(ConjugateFields(mt1, mt2), CouplingMatrix(K))
     w, V = jacobi_eigh(H.matrix)
-    if beta is None:
-        g = int(np.sum(w < w[0] + 1e-9))
-        weights = np.r_[np.full(g, 1.0 / g), np.zeros(4 - g)]
-    else:
-        weights = np.exp(-beta * (w - w[0]))
-        weights /= weights.sum()
+    g = int(np.sum(w < w[0] + 1e-9))
+    weights = np.r_[np.full(g, 1.0 / g), np.zeros(4 - g)]
     e = np.array([np.real(np.einsum("in,ij,jn,n->", V.conj(), op, V, weights))
                   for op in SINGLE])
     return e[:3], e[3:]
 
 
-def reference_solve(spec, s, init, beta=None, damping=0.5, tol=1e-10):
+def reference_solve(spec, s, init, damping=0.5, tol=1e-10):
     """The damped loop with fields, Hamiltonian and expectations rebuilt on
     the general path at every step."""
     K = coupling_matrix(spec, s).K12
@@ -268,7 +273,7 @@ def reference_solve(spec, s, init, beta=None, damping=0.5, tol=1e-10):
     osc, prev_sign = 0, 0.0
     for _ in range(10000):
         cf = conjugate_fields(spec, s, MagPair(m1, m2))
-        e1, e2 = reference_expectations(cf.mt1, cf.mt2, K, beta)
+        e1, e2 = reference_expectations(cf.mt1, cf.mt2, K)
         upd = np.concatenate([e1 - m1, e2 - m2])
         if np.abs(upd).max() < tol:
             return m1, m2
@@ -292,8 +297,7 @@ def xz_coupling(kxx, kzz):
     return K
 
 
-@pytest.mark.parametrize("beta", [None, 50.0])
-def test_fast_expectations_match_general_path(rng, beta):
+def test_fast_expectations_match_general_path(rng):
     cases = [(np.zeros(3), np.zeros(3), np.zeros((3, 3)), 4),
              (np.array(XHAT), np.zeros(3), np.zeros((3, 3)), 2),
              (np.zeros(3), np.zeros(3), xz_coupling(0.7, 0.0), 2)]
@@ -302,27 +306,26 @@ def test_fast_expectations_match_general_path(rng, beta):
         mt1[1] = mt2[1] = 0.0
         cases.append((mt1, mt2, xz_coupling(*rng.standard_normal(2)), None))
     for mt1, mt2, K, g in cases:
-        if g is not None and beta is None:
+        if g is not None:
             assert ground_block(build_effective_hamiltonian(
                 ConjugateFields(mt1, mt2), CouplingMatrix(K)))[1] == g
         e = _expectations(_real_hamiltonian(_coupling_part(CouplingMatrix(K)),
-                                            mt1, mt2), beta)
-        r1, r2 = reference_expectations(mt1, mt2, K, beta)
+                                            mt1, mt2))
+        r1, r2 = reference_expectations(mt1, mt2, K)
         assert np.abs(e - np.r_[r1[::2], r2[::2]]).max() < 1e-12
         assert abs(r1[1]) < 1e-12 and abs(r2[1]) < 1e-12
 
 
-@pytest.mark.parametrize("s, xi12, init, beta", [
-    (0.3, 0.0, MagPair([0, 0, 1], [0, 0, 1]), None),
-    (0.6, 4.0, MagPair(XHAT, XHAT), None),
-    (0.8, -7.0, MagPair([0.3, 0.5, 0.8], [0.1, -0.4, 0.9]), None),
-    (0.5, 0.0, MagPair([0, 0, 1], [0, 0, -1]), 50.0),
+@pytest.mark.parametrize("s, xi12, init", [
+    (0.3, 0.0, MagPair([0, 0, 1], [0, 0, 1])),
+    (0.6, 4.0, MagPair(XHAT, XHAT)),
+    (0.8, -7.0, MagPair([0.3, 0.5, 0.8], [0.1, -0.4, 0.9])),
 ])
-def test_solve_saddle_matches_reference_loop(s, xi12, init, beta):
+def test_solve_saddle_matches_reference_loop(s, xi12, init):
     spec = ModelSpec.sparse(xi=(0.0, 0.0, xi12))
-    sol = solve_saddle(spec, s, init, beta=beta)
+    sol = solve_saddle(spec, s, init)
     assert sol.converged
-    m1, m2 = reference_solve(spec, s, init, beta)
+    m1, m2 = reference_solve(spec, s, init)
     assert np.abs(np.r_[sol.m.m1 - m1, sol.m.m2 - m2]).max() < 1e-9
 
 
@@ -336,7 +339,7 @@ def response_at(spec, s, x):
                           np.r_[mt[0], 0.0, mt[1]], np.r_[mt[2], 0.0, mt[3]])
     w, V = np.linalg.eigh(H)
     B = _response(w, V)
-    return _expectations(H, None) - x, B @ B.T, D
+    return _expectations(H) - x, B @ B.T, D
 
 
 def lambda_max(spec, s, x):
@@ -387,8 +390,8 @@ def test_linear_response_jacobian_matches_finite_differences(rng):
             dx = np.zeros(4)
             dx[j] = h
             J_fd[:, j] = (general_F(spec, s, x + dx) - general_F(spec, s, x - dx)) / (2 * h)
-            chi_fd[:, j] = (_expectations(H_of(mt + dx), None)
-                            - _expectations(H_of(mt - dx), None)) / (2 * h)
+            chi_fd[:, j] = (_expectations(H_of(mt + dx))
+                            - _expectations(H_of(mt - dx))) / (2 * h)
         assert np.abs(J - J_fd).max() <= 1e-6 * np.abs(J).max()
         assert np.abs(chi - chi_fd).max() <= 1e-6 * np.abs(chi).max()
         # the measured response itself is symmetric positive semidefinite

@@ -9,7 +9,7 @@ from meanfield_annealer import (ClassicalState, ConvergenceError, MagPair, Model
                                 build_sparse_full_hamiltonian, conjugate_fields,
                                 coupling_matrix, dense_ed, dense_energy_density,
                                 dense_gradient, dense_hessian, detect_transition,
-                                fluctuation_matrix, free_energy_density, gaps_at,
+                                fluctuation_matrix, gaps_at,
                                 global_minimize, global_saddle, minimize,
                                 solve_saddle, sparse_ed, sparse_mean_field_density,
                                 sparse_mean_field_gradient, sweep)
@@ -57,8 +57,6 @@ SPARSE_ONLY = {
     "solve_saddle": lambda spec: solve_saddle(spec, 0.5, UP),
     "global_saddle": lambda spec: global_saddle(spec, 0.5),
     "conjugate_fields": lambda spec: conjugate_fields(spec, 0.5, UP),
-    "free_energy_density": lambda spec: free_energy_density(
-        spec, 0.5, conjugate_fields(ModelSpec.sparse(), 0.5, UP), UP, 10.0),
     "sparse_mean_field_density": lambda spec: sparse_mean_field_density(spec, 0.5, UP),
     "sparse_mean_field_gradient": lambda spec: sparse_mean_field_gradient(spec, 0.5, UP),
     "coupling_matrix": lambda spec: coupling_matrix(spec, 0.5),
