@@ -26,10 +26,9 @@ from .model import (AnnealSchedule, CatalystConfig, ClusterFields, Coupling,
 from .saddle import (ConjugateFields, EffectiveHamiltonian, SaddleSolution,
                      build_effective_hamiltonian, conjugate_fields,
                      global_saddle, ground_block, solve_saddle)
-from .spinwave import (FluctuationMatrix, GapPoint, GapSpectrum, LocalFrame,
-                       excitation_gaps, fluctuation_matrix, gap_profile,
-                       gaps_at, local_frame, min_gap, optimize_catalyst,
-                       rotate_frame)
+from .spinwave import (FluctuationMatrix, GapPoint, GapSpectrum, excitation_gaps,
+                       fluctuation_matrix, gap_profile, gaps_at, min_gap,
+                       optimize_catalyst)
 from .transitions import TransitionReport, detect_transition, sweep
 
 __all__ = [
@@ -37,7 +36,7 @@ __all__ = [
     "AnnealSchedule", "CatalystConfig", "ClassicalState", "ClusterFields",
     "ConjugateFields", "Coupling", "CouplingMatrix",
     "EDOperator", "EDResult", "EffectiveHamiltonian", "FixedValue",
-    "FluctuationMatrix", "GapPoint", "GapSpectrum", "Identity", "LocalFrame",
+    "FluctuationMatrix", "GapPoint", "GapSpectrum", "Identity",
     "MagPair", "ModelSpec", "SaddleSolution", "SectorSpec",
     "TransitionReport",
     "CatalystRangeError", "ConfigError", "ConvergenceError",
@@ -49,8 +48,8 @@ __all__ = [
     "detect_transition", "ed_solve",
     "excitation_gaps", "extrapolate_gap", "fluctuation_matrix",
     "gap_profile", "gap_sequence", "gaps_at",
-    "global_minimize", "global_saddle", "ground_block", "local_frame",
-    "min_gap", "minimize", "optimize_catalyst", "rotate_frame", "solve_saddle",
+    "global_minimize", "global_saddle", "ground_block",
+    "min_gap", "minimize", "optimize_catalyst", "solve_saddle",
     "sparse_ed", "sparse_mean_field_density", "sparse_mean_field_gradient",
     "start_set", "sweep",
 ]

@@ -11,14 +11,14 @@ from __future__ import annotations
 import functools
 import sys
 from dataclasses import dataclass
-from math import atan2, copysign, cos, hypot, sin
+from math import atan2, cos, hypot, sin
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .model import (Coupling, MagPair, ModelSpec, _angle_hessian, _coeffs, _energy, _grad,
-                    _indeterminate_flags, _prefer, _require)
+from .model import (Coupling, MagPair, ModelSpec, _angle_hessian, _coeffs, _eigh2, _energy,
+                    _grad, _indeterminate_flags, _prefer, _require)
 
 
 @dataclass(frozen=True)
@@ -78,18 +78,11 @@ def _newton(k, t1, t2, max_iter, tol) -> _Point:
             break
         h11, h12, h22 = _angle_hessian(k, x1, z1, x2, z2,
                                        -(g1x * x1 + g1z * z1), -(g2x * x2 + g2z * z2))
-        # Jacobi rotation: eigenpairs (h11 - t h12, (c, -sn)) and (h22 + t h12, (sn, c))
-        if h12 == 0.0:
-            t = 0.0
-        else:
-            tau = (h22 - h11) / (2.0 * h12)
-            t = copysign(1.0, tau) / (abs(tau) + hypot(1.0, tau))
-        c = 1.0 / hypot(1.0, t)
-        sn = t * c
-        p1 = (c * d1 - sn * d2) / max(abs(h11 - t * h12), _EIG_FLOOR)
-        p2 = (sn * d1 + c * d2) / max(abs(h22 + t * h12), _EIG_FLOOR)
-        step1 = -(c * p1 + sn * p2)
-        step2 = sn * p1 - c * p2
+        lo, hi, c, sn = _eigh2(h11, h12, h22)   # eigenvectors (c, sn) and (-sn, c)
+        p1 = (c * d1 + sn * d2) / max(abs(lo), _EIG_FLOOR)
+        p2 = (c * d2 - sn * d1) / max(abs(hi), _EIG_FLOOR)
+        step1 = sn * p2 - c * p1
+        step2 = -(sn * p1 + c * p2)
         n = hypot(step1, step2)
         if n > _MAX_STEP:
             step1 *= _MAX_STEP / n
@@ -226,6 +219,5 @@ def is_stable_minimum(spec: ModelSpec, state: ClassicalState, tol: float = 1e-9)
     t1, t2 = _angles(state.m)
     h11, h12, h22 = _angle_hessian(_coeffs(spec, state.s), sin(t1), cos(t1), sin(t2), cos(t2),
                                    *state.mu)
-    lowest = 0.5 * (h11 + h22) - hypot(0.5 * (h11 - h22), h12)
-    return bool(lowest >= -tol and min(state.mu) >= -tol)
+    return bool(_eigh2(h11, h12, h22)[0] >= -tol and min(state.mu) >= -tol)
 

@@ -102,7 +102,7 @@ def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as err:
+    except ValueError as err:   # bad JSON or UTF-8, or an integer beyond int's digit limit
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config must be a flat JSON object")
@@ -147,6 +147,12 @@ def _validate(cfg):
             raise ConfigError(f"{key} must be between 1 and {MAX_STEPS}, got {cfg[key]!r}")
     if cfg["n_starts"] < 8:
         raise ConfigError("n_starts must be at least 8")
+    if abs(cfg["seed"]) > 2 ** 53:   # the start set scales it as a float
+        raise ConfigError(f"seed must be at most 2**53 in magnitude, got {cfg['seed']!r}")
+    out = cfg["output"]
+    if not isinstance(out, str) or "\0" in out or os.path.basename(out) in ("", ".", ".."):
+        raise ConfigError("output must be a file name without NUL characters, not ending in a "
+                          f"path separator, got {out!r}")
     for key in ("s_min", "s_max"):
         if not _is_unit(cfg[key]):
             raise ConfigError(f"{key} must be a number in [0, 1], got {cfg[key]!r}")

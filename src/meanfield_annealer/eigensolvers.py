@@ -6,7 +6,7 @@
   ``dstein``); the ED oracle itself runs on ARPACK,
 * a dense general complex eigensolver (Hessenberg reduction plus shifted
   QR) and a nullspace by Gaussian elimination; the gap path itself runs
-  on LAPACK.
+  in closed form.
 """
 from __future__ import annotations
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, field
+from math import copysign, hypot
 from typing import NamedTuple
 
 import numpy as np
@@ -245,6 +246,19 @@ def _angle_hessian(c: _Coeffs, x1, z1, x2, z2, mu1, mu2):
     return (-2.0 * c11 * z1 * z1 - s2 * x1 * x1 + mu1,
             -c12 * z1 * z2 - s4 * x1 * x2,
             -2.0 * c22 * z2 * z2 - s2 * x2 * x2 + mu2)
+
+
+def _eigh2(a, b, c):
+    """Eigenpairs of the symmetric [[a, b], [b, c]] by one Jacobi rotation:
+    (lo, hi, x1, x2) with lo <= hi and (x1, x2) the unit eigenvector of lo;
+    (-x2, x1) is that of hi.  Diagonalizes the angle Hessian for the
+    Newton step and the harmonic gaps' 2x2 forms."""
+    tau = (c - a) / (2.0 * b) if b else 0.0
+    t = copysign(1.0, tau) / (abs(tau) + hypot(1.0, tau)) if b else 0.0
+    cs = 1.0 / hypot(1.0, t)
+    sn = t * cs
+    l1, l2 = a - t * b, c + t * b   # eigenvectors (cs, -sn) and (sn, cs)
+    return (l1, l2, cs, -sn) if l1 <= l2 else (l2, l1, sn, cs)
 
 
 def dense_energy_density(spec: ModelSpec, s: float, m: MagPair) -> float:

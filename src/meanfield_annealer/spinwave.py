@@ -1,29 +1,25 @@
 """Quasi-particle excitation gaps above the classical ground state.
 
-Harmonic fluctuations around a stable minimum are organized by a local
-frame per cluster; their normal modes are the eigenvalues of a 4x4
-non-Hermitian block matrix E whose positive eigenvalues, times four,
-give the two gap branches.  At a stable minimum sigma3 E is Hermitian
-positive definite, so Colpa's method finds the frequencies and the
-normalized left eigenvectors with two Hermitian ``numpy.linalg.eigh``
-calls; ``eigvals`` runs only to classify a failure.  For in-plane
-minima the gaps equal the Colpa closed form
-4 sqrt(eig(diag(mu) (diag(mu) + h_xx))), which the tests check.
+Every classical minimum has m_y = 0, so the harmonic mode matrix is the
+real 4x4 E = [[A, B], [-B, -A]] with A + B the in-plane angle Hessian
+(``model._angle_hessian``) and A - B = diag(mu) the out-of-plane
+curvature.  E's positive eigenvalues, times four, are the two gap
+branches, found in real 2x2 arithmetic (Colpa, Physica A 93, 1978).
 Includes gap profiling over the anneal and golden-section optimization
 of the catalyst strength.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
+from math import cos, sin, sqrt
 
 import numpy as np
 
-from .classical import ClassicalState, global_minimize
+from .classical import ClassicalState, _angles, global_minimize
 from .errors import (CatalystRangeError, DegenerateModeError, InstabilityError,
                      StationarityError)
-from .model import ModelSpec, dense_hessian
+from .model import Coupling, ModelSpec, _angle_hessian, _coeffs, _eigh2, _require
 from .transitions import detect_transition
 
 IMAG_TOL = 1e-8
@@ -31,22 +27,11 @@ _STATIONARY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class LocalFrame:
-    """Right-handed orthonormal triad with ez along the magnetization."""
-
-    ex: np.ndarray
-    ey: np.ndarray
-    ez: np.ndarray
-
-
-@dataclass(frozen=True)
 class FluctuationMatrix:
-    """4x4 mode matrix [[M+Z+, conj(Z-)], [-Z-, -M-conj(Z+)]]."""
+    """Real 4x4 mode matrix [[A, B], [-B, -A]] with A - B = diag(mu)."""
 
     matrix: np.ndarray
     mu: tuple[float, float]
-    zplus: np.ndarray
-    zminus: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -66,91 +51,47 @@ class GapPoint:
     flag: str = ""
 
 
-def local_frame(m) -> LocalFrame:
-    """Deterministic frame at a unit vector m.
-
-    ey is along z x m when that is well defined, else the y axis; ex
-    closes the right-handed triad.
-    """
-    m = np.asarray(m, dtype=float).reshape(3)
-    n = np.linalg.norm(m)
-    if n < 1e-12:
-        raise ValueError("cannot build a frame at the zero vector")
-    m = m / n
-    mx, my, mz = m.tolist()
-    r = math.hypot(mx, my)
-    # ey = z x m / r, ex = ey x m, with ey's z component zero
-    yx, yy = (-my / r, mx / r) if r > 1e-6 else (0.0, 1.0)
-    ex = np.array([yy * mz, -yx * mz, yx * my - yy * mx])
-    return LocalFrame(ex=ex, ey=np.array([yx, yy, 0.0]), ez=m)
-
-
-def rotate_frame(frame: LocalFrame, angle: float) -> LocalFrame:
-    """Rotate (ex, ey) about ez; the gap spectrum must not change."""
-    c, s = np.cos(angle), np.sin(angle)
-    return LocalFrame(
-        ex=c * frame.ex + s * frame.ey,
-        ey=-s * frame.ex + c * frame.ey,
-        ez=frame.ez,
-    )
-
-
-def fluctuation_matrix(spec: ModelSpec, state: ClassicalState,
-                       frames: tuple[LocalFrame, LocalFrame] | None = None) -> FluctuationMatrix:
+def fluctuation_matrix(spec: ModelSpec, state: ClassicalState) -> FluctuationMatrix:
     """Assemble the 4x4 fluctuation matrix at a stationary state.
 
     Off-stationary states make the harmonic expansion meaningless, so a
     residual above tolerance is rejected.
     """
+    _require(spec, Coupling.DENSE)
     if state.residual >= _STATIONARY_TOL:
         raise StationarityError(
             f"state residual {state.residual:g} exceeds {_STATIONARY_TOL:g}; "
             "fluctuations are only defined at a stationary point"
         )
-    if frames is None:
-        frames = (local_frame(state.m.m1), local_frame(state.m.m2))
-    hess = dense_hessian(spec, state.s)
-    # 6x2 frame matrices: column a holds cluster a's frame vector in rows 3a:3a+3
-    Px = np.zeros((6, 2))
-    Py = np.zeros((6, 2))
-    for a in range(2):
-        Px[3 * a:3 * a + 3, a] = frames[a].ex
-        Py[3 * a:3 * a + 3, a] = frames[a].ey
-    hxx = Px.T @ hess @ Px
-    hyy = Py.T @ hess @ Py
-    hxy = Px.T @ hess @ Py
-    sym_defect = max(abs(hxx[0, 1] - hxx[1, 0]), abs(hyy[0, 1] - hyy[1, 0]))
-    if sym_defect > 1e-10:
-        raise ValueError(f"frame-projected Hessian lost its symmetry ({sym_defect:g})")
-    zplus = (hxx + hyy - 1j * (hxy - hxy.T)) / 2.0
-    zminus = (hxx - hyy - 1j * (hxy + hxy.T)) / 2.0
-    M = np.diag(state.mu)
-    E = np.empty((4, 4), dtype=complex)
-    E[:2, :2] = M + zplus
-    E[:2, 2:] = np.conj(zminus)
-    E[2:, :2] = -zminus
-    E[2:, 2:] = -M - np.conj(zplus)
-    return FluctuationMatrix(matrix=E, mu=state.mu, zplus=zplus, zminus=zminus)
-
-
-_SIGMA3 = np.array([1.0, 1.0, -1.0, -1.0])
+    t1, t2 = _angles(state.m)
+    mu1, mu2 = state.mu
+    h11, h12, h22 = _angle_hessian(_coeffs(spec, state.s), sin(t1), cos(t1), sin(t2), cos(t2),
+                                   mu1, mu2)
+    # A = (A+B + A-B)/2 and B = (A+B - A-B)/2 with A+B = (h11, h12, h22), A-B = diag(mu)
+    a1, a2, b1, b2 = (h11 + mu1) / 2, (h22 + mu2) / 2, (h11 - mu1) / 2, (h22 - mu2) / 2
+    c = h12 / 2
+    E = np.array([[a1, c, b1, c], [c, a2, c, b2], [-b1, -c, -a1, -c], [-c, -b2, -c, -a2]])
+    return FluctuationMatrix(matrix=E, mu=state.mu)
 
 
 def excitation_gaps(F: FluctuationMatrix) -> GapSpectrum:
-    """Gap branches from the fluctuation matrix by Colpa's method.
+    """Gap branches from the fluctuation matrix, by Colpa's method on A +- B.
 
-    At a stable minimum H = sigma3 E is Hermitian positive definite.  With
-    H = K^H K, the Hermitian K sigma3 K^H has the spectrum of E, and its
-    two positive eigenvalues are the mode frequencies (Colpa, Physica A 93,
-    1978).  The rows of ``eigvecs`` are the left eigenvectors of E with
-    indefinite norm +1, pseudo-orthogonal also inside a degenerate pair.
-    When H is not positive definite, E's spectrum tells an unstable state
-    (non-real frequencies) from a zero or negative mode.
+    sigma3 E has the spectrum of P = A + B and Q = A - B; E's is
+    +-sqrt(eig(Q P)).  When P and Q are positive definite and Q = L L^T,
+    the frequencies eps are the square roots of eig(L^T P L) = (U, eps^2),
+    and the rows of ``eigvecs``, (u, v) = ((p + q)/2, (p - q)/2) with
+    q = L U / sqrt(eps) and p = P q / eps = sqrt(eps) L^-T U, are left
+    eigenvectors of E with indefinite norm +1.  Otherwise E's spectrum
+    tells an unstable state (non-real frequencies) from a zero or
+    negative mode.
     """
     E = F.matrix
     scale = max(float(np.abs(E).max()), 1.0)
-    lam, Q = np.linalg.eigh(_SIGMA3[:, None] * E)
-    if lam[0] <= 1e-10 * scale:
+    (a11, a12, b11, b12), (_, a22, _, b22) = E[:2].tolist()
+    p11, p12, p22 = a11 + b11, a12 + b12, a22 + b22
+    q11, q12, q22 = a11 - b11, a12 - b12, a22 - b22
+    if min(_eigh2(p11, p12, p22)[0], _eigh2(q11, q12, q22)[0]) <= 1e-10 * scale:
         imag = float(np.abs(np.linalg.eigvals(E).imag).max())
         if imag > IMAG_TOL * scale:
             raise InstabilityError(
@@ -159,18 +100,20 @@ def excitation_gaps(F: FluctuationMatrix) -> GapSpectrum:
             )
         raise DegenerateModeError("fluctuation form is not positive definite: "
                                   "zero or negative mode encountered")
-    K = np.sqrt(lam)[:, None] * Q.conj().T  # H = K^H K
-    # einsum, not @: a complex 4x4 @ goes to BLAS zgemm, after which the
-    # next global_minimize ran about 1.5x slower (OpenBLAS 0.3.31, Haswell
-    # kernels).  K sigma3 K^H is formed as sqrt(lam_i lam_j) (Q^H sigma3 Q)_ij,
-    # which keeps a diagonal H, as at s = 0, exact.
-    W = np.sqrt(np.outer(lam, lam)) * np.einsum("ki,k,kj->ij", Q.conj(), _SIGMA3, Q)
-    w, U = np.linalg.eigh(W)
-    eps = w[2:]  # the two positive frequencies, ascending
-    # psi_n = K^T conj(u_n) / sqrt(eps_n): psi^T E = eps psi^T, psi^H sigma3 psi = 1
-    psi = np.einsum("kn,ki->ni", U[:, 2:].conj(), K) / np.sqrt(eps)[:, None]
-    return GapSpectrum(delta1=float(4.0 * eps[0]), delta2=float(4.0 * eps[1]),
-                       eigvecs=psi)
+    # Q = L L^T with L = [[l11, 0], [l21, l22]]; L^T P L is written with
+    # l11^2 = q11 and l22^2 = d, which keeps it exact for a diagonal Q
+    l11 = sqrt(q11)
+    l21 = q12 / l11
+    d = q22 - l21 * l21
+    l22 = sqrt(d)
+    lo, hi, x1, x2 = _eigh2(q11 * p11 + l21 * (2.0 * l11 * p12 + l21 * p22),
+                            l22 * (l11 * p12 + l21 * p22), d * p22)
+    rows = []
+    for e, y1, y2 in ((sqrt(lo), x1, x2), (sqrt(hi), -x2, x1)):
+        q1, q2 = l11 * y1 / sqrt(e), (l21 * y1 + l22 * y2) / sqrt(e)   # q = L y / sqrt(eps)
+        p1, p2 = (p11 * q1 + p12 * q2) / e, (p12 * q1 + p22 * q2) / e   # p = P q / eps
+        rows.append((p1 + q1, p2 + q2, p1 - q1, p2 - q2))
+    return GapSpectrum(4.0 * sqrt(lo), 4.0 * sqrt(hi), eigvecs=np.array(rows) / 2.0)
 
 
 def gap_or_flag(spec: ModelSpec,

@@ -16,7 +16,7 @@ from meanfield_annealer import (MagPair, ModelSpec, dense_energy_density,
                                 detect_transition,
                                 excitation_gaps, fluctuation_matrix, gap_profile,
                                 gaps_at, global_minimize, global_saddle,
-                                local_frame, optimize_catalyst, rotate_frame)
+                                optimize_catalyst)
 from meanfield_annealer.ed import (build_dense_full_operator,
                                    build_dense_sector_hamiltonian, dense_ed,
                                    extrapolate_gap, gap_sequence, sparse_ed)
@@ -354,16 +354,18 @@ def test_c11_property_suites(rng):
             assert abs(np.linalg.norm(u[a]) ** 2 - np.linalg.norm(v[a]) ** 2 - 1) < 1e-8
         assert abs(u[1].conj() @ u[0] - v[1].conj() @ v[0]) < 1e-8
 
-    # frame-rotation invariance of the mode frequencies
-    spec, st = states[0]
-    f1, f2 = local_frame(st.m.m1), local_frame(st.m.m2)
-    base = excitation_gaps(fluctuation_matrix(spec, st))
-    for _ in range(10):
-        a1, a2 = rng.uniform(0, 2 * np.pi, 2)
-        g = excitation_gaps(fluctuation_matrix(
-            spec, st, frames=(rotate_frame(f1, a1), rotate_frame(f2, a2))))
-        assert abs(g.delta1 - base.delta1) < 1e-9 * 4
-        assert abs(g.delta2 - base.delta2) < 1e-9 * 4
+    # gaps against the 6x6 Hessian route, 4 sqrt(eig(M (M + T^T H T))) with
+    # M = diag(mu) and T the in-plane tangents t_a = (cos th_a, 0, -sin th_a)
+    for spec, st in states:
+        th = np.arctan2([st.m.m1[0], st.m.m2[0]], [st.m.m1[2], st.m.m2[2]])
+        T = np.zeros((6, 2))
+        T[0:3, 0] = np.cos(th[0]), 0.0, -np.sin(th[0])
+        T[3:6, 1] = np.cos(th[1]), 0.0, -np.sin(th[1])
+        M = np.diag(st.mu)
+        omega2 = np.sort(np.linalg.eigvals(M @ (M + T.T @ dense_hessian(spec, st.s) @ T)).real)
+        g = excitation_gaps(fluctuation_matrix(spec, st))
+        assert abs(g.delta1 - 4.0 * np.sqrt(omega2[0])) < 1e-10
+        assert abs(g.delta2 - 4.0 * np.sqrt(omega2[1])) < 1e-10
 
     # sparse fixed-point residuals
     for _ in range(20):

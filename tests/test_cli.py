@@ -31,6 +31,9 @@ def test_load_config_validation(tmp_path):
     bad.write_text("{oops")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(bad))
+    bad.write_text('{"seed": 1' + "0" * 5000 + "}")   # beyond int's default digit limit
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(str(bad))
     with pytest.raises(ConfigError, match="unknown config keys: nope, wat"):
         load_config(write_cfg(tmp_path, "u.json", nope=1, wat=2))
     with pytest.raises(ConfigError, match="task"):
@@ -141,8 +144,13 @@ def test_main_exit_codes(tmp_path, capsys):
                              ("optimize-xi", "tol_xi", 0.0), ("optimize-xi", "tol_xi", -0.1),
                              ("scan", "s_steps", 0), ("scan", "s_steps", 10 ** 400),
                              ("scan", "axis2_steps", 10 ** 400),
-                             ("scan", "axis2_steps", MAX_STEPS + 1)):
-        bad = write_cfg(tmp_path, "bad.json", task=task, output="bad.csv", **{key: value})
+                             ("scan", "axis2_steps", MAX_STEPS + 1),
+                             ("scan", "seed", 10 ** 400), ("scan", "seed", -2 ** 53 - 1),
+                             ("scan", "output", 5), ("scan", "output", None),
+                             ("scan", "output", [1]), ("scan", "output", ""),
+                             ("scan", "output", "sub/"), ("scan", "output", "sub/.."),
+                             ("scan", "output", "a\0b.csv")):
+        bad = write_cfg(tmp_path, "bad.json", task=task, **{"output": "bad.csv", key: value})
         assert main([task, "--config", bad, "--out", str(tmp_path)]) == 2
         assert f"{key} must be" in capsys.readouterr().err
     assert not (tmp_path / "bad.csv").exists()

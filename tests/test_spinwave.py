@@ -5,39 +5,16 @@ from meanfield_annealer import (CatalystRangeError, ClassicalState,
                                 DegenerateModeError, InstabilityError, MagPair,
                                 ModelSpec, StationarityError, excitation_gaps,
                                 fluctuation_matrix, gap_profile, gaps_at,
-                                dense_hessian, global_minimize, local_frame,
-                                min_gap, optimize_catalyst, rotate_frame)
+                                dense_hessian, global_minimize, min_gap,
+                                optimize_catalyst)
 from meanfield_annealer.ed import dense_ed, extrapolate_gap, gap_sequence
 from meanfield_annealer.spinwave import FluctuationMatrix, _golden_section
-
-
-def test_local_frame_axes():
-    f = local_frame([0.0, 0.0, 1.0])
-    assert np.allclose(f.ex, [1, 0, 0]) and np.allclose(f.ey, [0, 1, 0])
-    f = local_frame([1.0, 0.0, 0.0])
-    assert np.allclose(f.ey, [0, 1, 0])
-    assert np.allclose(f.ex, [0, 0, -1])
-    assert np.allclose(f.ez, [1, 0, 0])
-    with pytest.raises(ValueError):
-        local_frame([0.0, 0.0, 0.0])
-
-
-def test_local_frame_orthonormal_right_handed(rng):
-    for _ in range(30):
-        m = rng.standard_normal(3)
-        m /= np.linalg.norm(m)
-        f = local_frame(m)
-        M = np.column_stack([f.ex, f.ey, f.ez])
-        assert np.abs(M.T @ M - np.eye(3)).max() < 1e-12
-        assert np.allclose(np.cross(f.ex, f.ey), f.ez, atol=1e-12)
 
 
 def test_fluctuation_matrix_at_start(dense_spec):
     st = global_minimize(dense_spec, 0.0)
     F = fluctuation_matrix(dense_spec, st)
     assert np.allclose(F.matrix, np.diag([0.5, 0.5, -0.5, -0.5]), atol=1e-12)
-    assert np.abs(F.zplus).max() < 1e-12
-    assert np.abs(F.zminus).max() < 1e-12
 
 
 def test_fluctuation_matrix_final(dense_spec):
@@ -45,8 +22,7 @@ def test_fluctuation_matrix_final(dense_spec):
     F = fluctuation_matrix(dense_spec, st)
     assert F.mu[0] == pytest.approx(1.25, abs=1e-9)
     assert F.mu[1] == pytest.approx(0.505, abs=1e-9)
-    assert np.abs(F.zplus).max() < 1e-12
-    assert np.abs(F.zminus).max() < 1e-12
+    assert np.abs(F.matrix[:2, 2:]).max() < 1e-12
 
 
 def test_fluctuation_requires_stationary_state(dense_spec):
@@ -84,8 +60,15 @@ def test_excitation_gaps_match_colpa_closed_form(rng):
         T[0:3, 0] = np.cos(th[0]), 0.0, -np.sin(th[0])
         T[3:6, 1] = np.cos(th[1]), 0.0, -np.sin(th[1])
         M = np.diag(st.mu)
-        omega2 = np.sort(np.linalg.eigvals(M @ (M + T.T @ dense_hessian(spec, st.s) @ T)).real)
-        g = excitation_gaps(fluctuation_matrix(spec, st))
+        P = M + T.T @ dense_hessian(spec, st.s) @ T
+        omega2 = np.sort(np.linalg.eigvals(M @ P).real)
+        F = fluctuation_matrix(spec, st)
+        A, B = F.matrix[:2, :2], F.matrix[:2, 2:]
+        assert F.matrix.dtype == np.float64
+        assert np.abs(A + B - P).max() < 1e-12
+        assert np.abs(A - B - M).max() < 1e-12
+        assert np.array_equal(F.matrix[2:], -F.matrix[:2, [2, 3, 0, 1]])
+        g = excitation_gaps(F)
         assert g.delta1 == pytest.approx(4.0 * np.sqrt(omega2[0]), abs=1e-10)
         assert g.delta2 == pytest.approx(4.0 * np.sqrt(omega2[1]), abs=1e-10)
 
@@ -122,65 +105,60 @@ def test_gap_extrapolation_at_clean_points():
 
 def test_pseudo_orthonormality(rng):
     # the rows of eigvecs are left eigenvectors of E with unit indefinite
-    # norm; s = 0 is the degenerate pair delta1 = delta2 = 2, and rotated
-    # frames make E complex
+    # norm; s = 0 is the degenerate pair delta1 = delta2 = 2
     spec = ModelSpec.dense(xi=(1.5, -2.0, -3.0))
     for s in (0.0, 0.2, 0.45, 0.75):
         st = global_minimize(spec, s)
-        rotated = (rotate_frame(local_frame(st.m.m1), 0.7),
-                   rotate_frame(local_frame(st.m.m2), -1.9))
-        for frames in (None, rotated):
-            F = fluctuation_matrix(spec, st, frames=frames)
-            g = excitation_gaps(F)
-            if s == 0.0:
-                assert g.delta1 == pytest.approx(g.delta2, abs=1e-12)
-            elif frames is rotated:
-                assert np.abs(F.matrix.imag).max() > 1e-3
-            for psi, delta in zip(g.eigvecs, (g.delta1, g.delta2)):
-                assert np.abs(F.matrix.T @ psi - 0.25 * delta * psi).max() < 1e-10
-            u = g.eigvecs[:, :2]
-            v = g.eigvecs[:, 2:]
-            for a in range(2):
-                assert abs(np.linalg.norm(u[a]) ** 2 - np.linalg.norm(v[a]) ** 2 - 1) < 1e-8
-            assert abs(u[1].conj() @ u[0] - v[1].conj() @ v[0]) < 1e-8
-            for a in range(2):
-                for b in range(2):
-                    assert abs(u[a] @ v[b] - v[a] @ u[b]) < 1e-8
+        F = fluctuation_matrix(spec, st)
+        g = excitation_gaps(F)
+        if s == 0.0:
+            assert g.delta1 == pytest.approx(g.delta2, abs=1e-12)
+        for psi, delta in zip(g.eigvecs, (g.delta1, g.delta2)):
+            assert np.abs(F.matrix.T @ psi - 0.25 * delta * psi).max() < 1e-10
+        u = g.eigvecs[:, :2]
+        v = g.eigvecs[:, 2:]
+        for a in range(2):
+            assert abs(np.linalg.norm(u[a]) ** 2 - np.linalg.norm(v[a]) ** 2 - 1) < 1e-8
+        assert abs(u[1].conj() @ u[0] - v[1].conj() @ v[0]) < 1e-8
+        for a in range(2):
+            for b in range(2):
+                assert abs(u[a] @ v[b] - v[a] @ u[b]) < 1e-8
 
 
-def test_frame_rotation_invariance(rng):
-    spec = ModelSpec.dense(xi=(0.0, 0.0, -4.0))
-    st = global_minimize(spec, 0.45)
-    f1 = local_frame(st.m.m1)
-    f2 = local_frame(st.m.m2)
-    base = excitation_gaps(fluctuation_matrix(spec, st))
-    for _ in range(10):
-        a1, a2 = rng.uniform(0, 2 * np.pi, 2)
-        g = excitation_gaps(fluctuation_matrix(
-            spec, st, frames=(rotate_frame(f1, a1), rotate_frame(f2, a2))))
-        assert abs(g.delta1 - base.delta1) < 4e-9
-        assert abs(g.delta2 - base.delta2) < 4e-9
+def test_excitation_gaps_general_positive_form(rng):
+    # a mode matrix with a non-diagonal A - B takes the full Cholesky path;
+    # E's positive eigenvalues are the frequencies and the rows of eigvecs
+    # are its left eigenvectors with unit indefinite norm
+    for _ in range(50):
+        X, Y = rng.standard_normal((2, 2, 2))
+        P, Q = X @ X.T + 0.1 * np.eye(2), Y @ Y.T + 0.1 * np.eye(2)
+        A, B = (P + Q) / 2.0, (P - Q) / 2.0
+        E = np.block([[A, B], [-B, -A]])
+        g = excitation_gaps(FluctuationMatrix(matrix=E, mu=(Q[0, 0], Q[1, 1])))
+        w = np.sort(np.linalg.eigvals(E).real)[2:]
+        assert np.allclose([g.delta1, g.delta2], 4.0 * w, rtol=1e-10, atol=1e-12)
+        for psi, delta in zip(g.eigvecs, (g.delta1, g.delta2)):
+            assert np.abs(E.T @ psi - 0.25 * delta * psi).max() < 1e-9 * max(1.0, delta)
+            assert abs(psi[:2] @ psi[:2] - psi[2:] @ psi[2:] - 1.0) < 1e-9
+        u, v = g.eigvecs[:, :2], g.eigvecs[:, 2:]
+        assert abs(u[1] @ u[0] - v[1] @ v[0]) < 1e-9
 
 
 def test_instability_detected():
     # mu smaller than the off-diagonal pairing makes the mode frequencies
     # imaginary, the signature of an unstable expansion point
-    M = np.diag([0.1, 0.1]).astype(complex)
-    Z = np.diag([0.3, 0.3]).astype(complex)
-    E = np.block([[M, Z], [-Z, -M]])
-    F = FluctuationMatrix(matrix=E, mu=(0.1, 0.1), zplus=np.zeros((2, 2)),
-                          zminus=Z)
+    M = np.diag([0.1, 0.1])
+    Z = np.diag([0.3, 0.3])
+    F = FluctuationMatrix(matrix=np.block([[M, Z], [-Z, -M]]), mu=(0.1, 0.1))
     with pytest.raises(InstabilityError):
         excitation_gaps(F)
 
 
 def test_zero_mode_rejected():
     # exactly critical mode: eigenvector norm vanishes in the indefinite metric
-    M = np.diag([0.2, 0.5]).astype(complex)
-    Z = np.diag([0.2, 0.0]).astype(complex)
-    E = np.block([[M, Z], [-Z, -M]])
-    F = FluctuationMatrix(matrix=E, mu=(0.2, 0.5), zplus=np.zeros((2, 2)),
-                          zminus=Z)
+    M = np.diag([0.2, 0.5])
+    Z = np.diag([0.2, 0.0])
+    F = FluctuationMatrix(matrix=np.block([[M, Z], [-Z, -M]]), mu=(0.2, 0.5))
     with pytest.raises(DegenerateModeError):
         excitation_gaps(F)
 
