@@ -11,21 +11,18 @@ finite-size exact-diagonalization oracle.
 __version__ = "0.1.0"
 
 from .classical import ClassicalState, global_minimize, minimize, start_set
-from .ed import (EDOperator, EDResult, SectorSpec, build_dense_full_operator,
-                 build_dense_sector_hamiltonian, build_dense_sector_operator,
-                 build_sparse_full_hamiltonian, dense_ed, ed_solve,
-                 extrapolate_gap, gap_sequence, sparse_ed)
+from .ed import (EDOperator, EDResult, build_dense_full_operator,
+                 build_dense_sector_operator, build_sparse_full_hamiltonian,
+                 dense_ed, ed_solve, extrapolate_gap, gap_sequence, sparse_ed)
 from .errors import (CatalystRangeError, ConfigError, ConvergenceError,
                      DegenerateModeError, InstabilityError, SizeError,
                      StationarityError)
-from .model import (AnnealSchedule, CatalystConfig, ClusterFields, Coupling,
-                    CouplingMatrix, FixedValue, Identity, MagPair, ModelSpec,
-                    coupling_matrix, dense_energy_density, dense_gradient,
-                    dense_hessian, sparse_mean_field_density,
+from .model import (CatalystConfig, ClusterFields, Coupling, CouplingMatrix,
+                    MagPair, ModelSpec, coupling_matrix, dense_energy_density,
+                    dense_gradient, dense_hessian, sparse_mean_field_density,
                     sparse_mean_field_gradient)
-from .saddle import (ConjugateFields, EffectiveHamiltonian, SaddleSolution,
-                     build_effective_hamiltonian, conjugate_fields,
-                     global_saddle, ground_block, solve_saddle)
+from .saddle import (ConjugateFields, SaddleSolution, build_effective_hamiltonian,
+                     conjugate_fields, global_saddle, ground_block, solve_saddle)
 from .spinwave import (FluctuationMatrix, GapPoint, GapSpectrum, excitation_gaps,
                        fluctuation_matrix, gap_profile, gaps_at, min_gap,
                        optimize_catalyst)
@@ -33,17 +30,15 @@ from .transitions import TransitionReport, detect_transition, sweep
 
 __all__ = [
     "__version__",
-    "AnnealSchedule", "CatalystConfig", "ClassicalState", "ClusterFields",
-    "ConjugateFields", "Coupling", "CouplingMatrix",
-    "EDOperator", "EDResult", "EffectiveHamiltonian", "FixedValue",
-    "FluctuationMatrix", "GapPoint", "GapSpectrum", "Identity",
-    "MagPair", "ModelSpec", "SaddleSolution", "SectorSpec",
-    "TransitionReport",
+    "CatalystConfig", "ClassicalState", "ClusterFields",
+    "ConjugateFields", "Coupling", "CouplingMatrix", "EDOperator", "EDResult",
+    "FluctuationMatrix", "GapPoint", "GapSpectrum", "MagPair", "ModelSpec",
+    "SaddleSolution", "TransitionReport",
     "CatalystRangeError", "ConfigError", "ConvergenceError",
     "DegenerateModeError", "InstabilityError", "SizeError", "StationarityError",
-    "build_dense_full_operator", "build_dense_sector_hamiltonian",
-    "build_dense_sector_operator", "build_effective_hamiltonian",
-    "build_sparse_full_hamiltonian", "conjugate_fields", "coupling_matrix",
+    "build_dense_full_operator", "build_dense_sector_operator",
+    "build_effective_hamiltonian", "build_sparse_full_hamiltonian",
+    "conjugate_fields", "coupling_matrix",
     "dense_ed", "dense_energy_density", "dense_gradient", "dense_hessian",
     "detect_transition", "ed_solve",
     "excitation_gaps", "extrapolate_gap", "fluctuation_matrix",

@@ -3,10 +3,11 @@ optimization, oracle checks, and built-in figure datasets.
 
 Experiment configs are flat JSON objects, checked in full when they load;
 ``gap``, ``min-gap`` and ``optimize-xi`` are defined for the dense model
-only, so a sparse config for them is a config error.  Every run writes an
-RFC-4180 style CSV (fixed column order, 12 significant digits, missing
-values as empty fields) plus a JSON summary sidecar.  Scan columns go to a
-pool of ``--workers`` processes (at least 1, never more than the columns).
+only, so a sparse config for them is a config error, and only ``scan``
+takes an ``axis2``.  Every run writes an RFC-4180 style CSV (fixed column
+order, 12 significant digits, missing values as empty fields) plus a JSON
+summary sidecar.  Scan columns go to a pool of ``--workers`` processes (at
+least 1, never more than the columns).
 Exit codes: 0 success, 2 config error, 3 solver error.
 """
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .classical import global_minimize
 from .ed import dense_ed, extrapolate_gap, gap_sequence, sparse_ed
 from .errors import (CatalystRangeError, ConfigError, ConvergenceError,
                      DegenerateModeError, InstabilityError, SizeError)
-from .model import ClusterFields, Coupling, FixedValue, Identity, ModelSpec
+from .model import ClusterFields, Coupling, ModelSpec
 from .spinwave import (excitation_gaps, fluctuation_matrix, gap_or_flag, gaps_at,
                        min_gap, optimize_catalyst)
 
@@ -102,6 +103,8 @@ def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+    except OSError as err:      # a directory, or a file without read permission
+        raise ConfigError(f"cannot read config file {path}: {err.strerror}") from err
     except ValueError as err:   # bad JSON or UTF-8, or an integer beyond int's digit limit
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
@@ -171,6 +174,9 @@ def _validate(cfg):
     if cfg["axis2"] not in (None, "xi", "gamma1", "gamma2"):
         raise ConfigError("axis2 must be null, 'xi', 'gamma1', or 'gamma2'")
     if cfg["axis2"] is not None:
+        if cfg["task"] != "scan":
+            raise ConfigError(f"axis2 must be null for task {cfg['task']!r}, which does not "
+                              "scan it")
         if cfg["axis2_min"] is None or cfg["axis2_max"] is None:
             raise ConfigError("axis2_min and axis2_max are required with axis2")
         if not cfg["axis2_min"] <= cfg["axis2_max"]:
@@ -200,23 +206,14 @@ def _validate(cfg):
                           f"{what}; got {n!r}")
 
 
-def _schedule(value):
-    return Identity() if value == "s" else FixedValue(float(value))
-
-
 def build_spec(cfg, axis2_value=None) -> ModelSpec:
-    xi = float(cfg["xi"])
-    g1, g2 = cfg["gamma1"], cfg["gamma2"]
-    if cfg["axis2"] == "xi" and axis2_value is not None:
-        xi = float(axis2_value)
-    elif cfg["axis2"] == "gamma1" and axis2_value is not None:
-        g1 = float(axis2_value)
-    elif cfg["axis2"] == "gamma2" and axis2_value is not None:
-        g2 = float(axis2_value)
-    xis = PLACEMENTS[cfg["placement"]](xi)
+    if axis2_value is not None:
+        cfg = {**cfg, cfg["axis2"]: axis2_value}
+    g1, g2 = (None if cfg[key] == "s" else cfg[key] for key in ("gamma1", "gamma2"))
+    xis = PLACEMENTS[cfg["placement"]](float(cfg["xi"]))
     fields = ClusterFields(h1=float(cfg["h1"]), h2=float(cfg["h2"]))
     factory = ModelSpec.dense if cfg["coupling"] == "dense" else ModelSpec.sparse
-    return factory(xi=xis, fields=fields, gamma1=_schedule(g1), gamma2=_schedule(g2))
+    return factory(xi=xis, fields=fields, gamma1=g1, gamma2=g2)
 
 
 def _s_grid(cfg):

@@ -25,28 +25,10 @@ import numpy as np
 from .errors import ConvergenceError, SizeError
 from .model import Coupling, ModelSpec, _coeffs, _require
 
-_DENSE_BUDGET = 1100       # max dimension for materialized sector matrices
 _MATERIALIZE_LIMIT = 4096  # max dimension EDOperator.to_dense will fill
 _EIGH_LIMIT = 200          # dense eigh below, ARPACK above
 _SPARSE_LIMIT_N = 14
 _ARPACK_SEED = 7           # seed of the Gaussian ARPACK start vector
-
-
-@dataclass(frozen=True)
-class SectorSpec:
-    """Size bookkeeping for the two-large-spin sector."""
-
-    N: int
-    S: float
-    dim: int
-
-    @classmethod
-    def for_size(cls, N: int) -> "SectorSpec":
-        N = int(N)
-        if N <= 0 or N % 4 != 0:
-            raise ValueError("N must be a positive multiple of 4")
-        d = N // 2 + 1
-        return cls(N=N, S=N / 4.0, dim=d * d)
 
 
 @dataclass(frozen=True)
@@ -90,12 +72,14 @@ def build_dense_sector_operator(spec: ModelSpec, s: float, N: int) -> EDOperator
     import scipy.sparse as sp
 
     _require(spec, Coupling.DENSE)
-    sector = SectorSpec.for_size(N)
+    N = int(N)
+    if N <= 0 or N % 4 != 0:
+        raise ValueError("N must be a positive multiple of 4")
     if N > 2000:
         raise SizeError(f"N={N} exceeds the N<=2000 budget")
     c = _coeffs(spec, s)
     d = N // 2 + 1
-    S = sector.S
+    S = N / 4.0
     m = np.arange(d) - S
     mz = m / S
     off = 0.5 * np.sqrt(S * (S + 1.0) - m[:-1] * (m[:-1] + 1.0)) / S
@@ -112,21 +96,6 @@ def build_dense_sector_operator(spec: ModelSpec, s: float, N: int) -> EDOperator
             H = H - (N * coeff) * sp.kron(A, B, format="csr")
     return EDOperator(dim=d * d, matvec=H.dot, m1z_diag=np.repeat(mz, d),
                       m2z_diag=np.tile(mz, d), matrix=H)
-
-
-def build_dense_sector_hamiltonian(spec: ModelSpec, s: float, N: int) -> np.ndarray:
-    """Materialized sector matrix; real symmetric by construction.
-
-    Dense storage is limited to dim <= 1100; larger sizes must use the
-    CSR operator.
-    """
-    dim = SectorSpec.for_size(N).dim
-    if dim > _DENSE_BUDGET:
-        raise SizeError(
-            f"sector dimension {dim} exceeds the dense budget {_DENSE_BUDGET}; "
-            "use build_dense_sector_operator"
-        )
-    return build_dense_sector_operator(spec, s, N).to_dense()
 
 
 def _full_space_table(N: int) -> np.ndarray:

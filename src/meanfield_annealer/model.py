@@ -27,33 +27,6 @@ class Coupling(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Identity:
-    """Schedule gamma(s) = s."""
-
-    def __call__(self, s: float) -> float:
-        return float(s)
-
-
-@dataclass(frozen=True)
-class FixedValue:
-    """Constant schedule gamma(s) = value, used for 2-D (s, gamma) scans."""
-
-    value: float
-
-    def __call__(self, s: float) -> float:
-        return float(self.value)
-
-
-@dataclass(frozen=True)
-class AnnealSchedule:
-    gamma1: Identity | FixedValue = field(default_factory=Identity)
-    gamma2: Identity | FixedValue = field(default_factory=Identity)
-
-    def at(self, s: float) -> tuple[float, float]:
-        return self.gamma1(s), self.gamma2(s)
-
-
-@dataclass(frozen=True)
 class ClusterFields:
     """Longitudinal fields; cluster 1 is the strong one, cluster 2 the weak one."""
 
@@ -93,7 +66,17 @@ class ModelSpec:
     coupling: Coupling = Coupling.DENSE
     fields: ClusterFields = field(default_factory=ClusterFields)
     catalyst: CatalystConfig = field(default_factory=CatalystConfig)
-    schedule: AnnealSchedule = field(default_factory=AnnealSchedule)
+    # transverse schedules: None follows gamma(s) = s, a number pins gamma
+    gamma1: float | None = None
+    gamma2: float | None = None
+
+    def __post_init__(self):
+        for name in ("gamma1", "gamma2"):
+            g = getattr(self, name)
+            if g is not None:
+                if not np.isfinite(g):
+                    raise ValueError(f"{name} must be finite or None")
+                object.__setattr__(self, name, float(g))
 
     @classmethod
     def dense(cls, xi=(0.0, 0.0, 0.0), fields=None, gamma1=None, gamma2=None):
@@ -111,7 +94,8 @@ class ModelSpec:
             coupling=coupling,
             fields=fields or ClusterFields(),
             catalyst=CatalystConfig(*xi),
-            schedule=AnnealSchedule(gamma1 or Identity(), gamma2 or Identity()),
+            gamma1=gamma1,
+            gamma2=gamma2,
         )
 
 
@@ -194,9 +178,14 @@ class _Coeffs(NamedTuple):
     c12: float
 
 
+def _gammas(spec: ModelSpec, s: float) -> tuple[float, float]:
+    g1, g2 = spec.gamma1, spec.gamma2
+    return (s if g1 is None else g1), (s if g2 is None else g2)
+
+
 def _coeffs(spec: ModelSpec, s: float) -> _Coeffs:
     s = _check_s(s)
-    g1, g2 = spec.schedule.at(s)
+    g1, g2 = _gammas(spec, s)
     w = s * (1.0 - s) / 4.0
     cat = spec.catalyst
     return _Coeffs(
@@ -215,7 +204,7 @@ def _coeffs(spec: ModelSpec, s: float) -> _Coeffs:
 
 def _indeterminate_flags(spec: ModelSpec, s: float) -> tuple[bool, bool]:
     # nothing couples to a cluster when s = 0 and its transverse field is off
-    g1, g2 = spec.schedule.at(s)
+    g1, g2 = _gammas(spec, s)
     return (s == 0.0 and g1 == 1.0, s == 0.0 and g2 == 1.0)
 
 
@@ -277,12 +266,9 @@ def dense_gradient(spec: ModelSpec, s: float, m: MagPair):
     return np.array([g1x, 0.0, g1z]), np.array([g2x, 0.0, g2z])
 
 
-def dense_hessian(spec: ModelSpec, s: float, m: MagPair | None = None) -> np.ndarray:
-    """6x6 Hessian of the dense energy density, blocked as [m1; m2].
-
-    The energy is quadratic in m, so the Hessian does not depend on m;
-    the argument is accepted for interface symmetry only.
-    """
+def dense_hessian(spec: ModelSpec, s: float) -> np.ndarray:
+    """6x6 Hessian of the dense energy density, blocked as [m1; m2]; the
+    energy is quadratic in m, so the Hessian does not depend on m."""
     _require(spec, Coupling.DENSE)
     c = _coeffs(spec, s)
     H = np.zeros((6, 6))

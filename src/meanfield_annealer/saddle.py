@@ -83,14 +83,6 @@ class ConjugateFields:
 
 
 @dataclass(frozen=True)
-class EffectiveHamiltonian:
-    """4x4 Hermitian two-spin Hamiltonian on the product basis
-    {up-up, up-down, down-up, down-down}."""
-
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class SaddleSolution:
     s: float
     m: MagPair                  # ground expectations, |m_a| <= 1
@@ -107,8 +99,9 @@ class SaddleSolution:
         return float(self.m.m2[2])
 
 
-def build_effective_hamiltonian(mt: ConjugateFields, K: CouplingMatrix) -> EffectiveHamiltonian:
-    """Assemble -mt1.sigma1 - mt2.sigma2 - sigma1.K12.sigma2.
+def build_effective_hamiltonian(mt: ConjugateFields, K: CouplingMatrix) -> np.ndarray:
+    """Assemble -mt1.sigma1 - mt2.sigma2 - sigma1.K12.sigma2, a 4x4
+    Hermitian matrix on the product basis {up-up, up-down, down-up, down-down}.
 
     The symmetrized double sum over both cluster orderings collapses to the
     single K12 term.
@@ -116,18 +109,17 @@ def build_effective_hamiltonian(mt: ConjugateFields, K: CouplingMatrix) -> Effec
     if not (np.all(np.isfinite(mt.mt1)) and np.all(np.isfinite(mt.mt2))
             and np.all(np.isfinite(K.K12))):
         raise ValueError("effective Hamiltonian inputs must be finite")
-    H = -(np.einsum("ca,caij->ij", np.array([mt.mt1, mt.mt2]), _S12)
-          + np.einsum("ab,abij->ij", K.K12, _S1S2))
-    return EffectiveHamiltonian(matrix=H)
+    return -(np.einsum("ca,caij->ij", np.array([mt.mt1, mt.mt2]), _S12)
+             + np.einsum("ab,abij->ij", K.K12, _S1S2))
 
 
-def ground_block(H: EffectiveHamiltonian):
+def ground_block(H: np.ndarray):
     """Ground eigenvalue, its degeneracy, and degeneracy-averaged
     single-spin expectations.
 
     Returns (lambda0, g, m1_exp, m2_exp).
     """
-    w, V = np.linalg.eigh(H.matrix)
+    w, V = np.linalg.eigh(H)
     lam0 = float(w[0])
     g = int(np.sum(w < lam0 + _DEGENERACY_TOL))
     near = int(np.sum(w < lam0 + 1e-6))

@@ -18,10 +18,9 @@ from meanfield_annealer import (MagPair, ModelSpec, dense_energy_density,
                                 gaps_at, global_minimize, global_saddle,
                                 optimize_catalyst)
 from meanfield_annealer.ed import (build_dense_full_operator,
-                                   build_dense_sector_hamiltonian, dense_ed,
+                                   build_dense_sector_operator, dense_ed,
                                    extrapolate_gap, gap_sequence, sparse_ed)
 from meanfield_annealer.eigensolvers import eig_general, jacobi_eigh
-from meanfield_annealer.model import FixedValue
 from meanfield_annealer.saddle import (build_effective_hamiltonian,
                                        conjugate_fields, coupling_matrix,
                                        ground_block)
@@ -34,11 +33,7 @@ _sparse_cache = {}
 def dense_report(xi11=0.0, xi22=0.0, xi12=0.0, gamma1=None, gamma2=None):
     key = (xi11, xi22, xi12, gamma1, gamma2)
     if key not in _dense_cache:
-        spec = ModelSpec.dense(
-            xi=(xi11, xi22, xi12),
-            gamma1=FixedValue(gamma1) if gamma1 is not None else None,
-            gamma2=FixedValue(gamma2) if gamma2 is not None else None,
-        )
+        spec = ModelSpec.dense(xi=(xi11, xi22, xi12), gamma1=gamma1, gamma2=gamma2)
         _dense_cache[key] = detect_transition(spec)
     return _dense_cache[key]
 
@@ -379,7 +374,7 @@ def test_c11_property_suites(rng):
 
     # sector-vs-full equivalence at N=4
     spec = ModelSpec.dense(xi=(0.0, 0.0, -2.0))
-    wsec, _ = jacobi_eigh(build_dense_sector_hamiltonian(spec, 0.41, 4))
+    wsec, _ = jacobi_eigh(build_dense_sector_operator(spec, 0.41, 4).to_dense())
     wfull, _ = jacobi_eigh(build_dense_full_operator(spec, 0.41, 4).to_dense())
     assert max(min(abs(wfull - x)) for x in wsec) < 1e-10
 

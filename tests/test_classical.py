@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
 
-from meanfield_annealer import (ConvergenceError, FixedValue,
-                                MagPair, ModelSpec, dense_energy_density,
+from meanfield_annealer import (ConvergenceError, MagPair, ModelSpec,
+                                dense_energy_density,
                                 dense_gradient, dense_hessian,
                                 detect_transition, global_minimize, minimize,
                                 start_set, sweep)
@@ -311,10 +311,10 @@ def test_detect_transition_total_catalyst(xi):
 
 
 def test_indeterminate_flag():
-    spec = ModelSpec.dense(gamma2=FixedValue(1.0))
+    spec = ModelSpec.dense(gamma2=1.0)
     st = minimize(spec, 0.0, MagPair(XHAT, UP))
     assert st.indeterminate == (False, True)
-    spec = ModelSpec.dense(gamma1=FixedValue(1.0))
+    spec = ModelSpec.dense(gamma1=1.0)
     st = minimize(spec, 0.0, MagPair(UP, XHAT))
     assert st.indeterminate == (True, False)
     st = minimize(ModelSpec.dense(), 0.0, MagPair(XHAT, XHAT))

@@ -27,6 +27,8 @@ def read_rows(path):
 def test_load_config_validation(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(str(tmp_path / "missing.json"))
+    with pytest.raises(ConfigError, match="cannot read config file"):
+        load_config(str(tmp_path))   # a directory
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     with pytest.raises(ConfigError, match="not valid JSON"):
@@ -149,7 +151,9 @@ def test_main_exit_codes(tmp_path, capsys):
                              ("scan", "output", 5), ("scan", "output", None),
                              ("scan", "output", [1]), ("scan", "output", ""),
                              ("scan", "output", "sub/"), ("scan", "output", "sub/.."),
-                             ("scan", "output", "a\0b.csv")):
+                             ("scan", "output", "a\0b.csv"),
+                             ("gap", "axis2", "xi"), ("min-gap", "axis2", "xi"),
+                             ("optimize-xi", "axis2", "xi"), ("ed-check", "axis2", "gamma1")):
         bad = write_cfg(tmp_path, "bad.json", task=task, **{"output": "bad.csv", key: value})
         assert main([task, "--config", bad, "--out", str(tmp_path)]) == 2
         assert f"{key} must be" in capsys.readouterr().err

@@ -6,10 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meanfield_annealer import (ConvergenceError, EDOperator, FixedValue,
-                                ModelSpec, SectorSpec, SizeError,
-                                build_dense_full_operator,
-                                build_dense_sector_hamiltonian,
+from meanfield_annealer import (ConvergenceError, EDOperator, ModelSpec,
+                                SizeError, build_dense_full_operator,
                                 build_dense_sector_operator,
                                 build_sparse_full_hamiltonian, dense_ed,
                                 detect_transition, ed_solve, extrapolate_gap,
@@ -17,14 +15,12 @@ from meanfield_annealer import (ConvergenceError, EDOperator, FixedValue,
 from meanfield_annealer.eigensolvers import jacobi_eigh, lanczos_lowest
 
 
-def test_sector_spec():
-    sec = SectorSpec.for_size(4)
-    assert sec.S == 1.0 and sec.dim == 9
-    sec = SectorSpec.for_size(200)
-    assert sec.S == 50.0 and sec.dim == 101 ** 2
+def test_sector_spec(dense_spec):
+    assert build_dense_sector_operator(dense_spec, 0.5, 4).dim == 9
+    assert build_dense_sector_operator(dense_spec, 0.5, 200).dim == 101 ** 2
     for bad in (0, 2, 6, -4, 5):
         with pytest.raises(ValueError):
-            SectorSpec.for_size(bad)
+            build_dense_sector_operator(dense_spec, 0.5, bad)
 
 
 def _classical_problem_energies(spec, N):
@@ -42,7 +38,7 @@ def _classical_problem_energies(spec, N):
 
 
 def test_sector_matrix_small_size(dense_spec):
-    H = build_dense_sector_hamiltonian(dense_spec, 1.0, 4)
+    H = build_dense_sector_operator(dense_spec, 1.0, 4).to_dense()
     assert H.shape == (9, 9)
     assert np.array_equal(H, H.T)
     brute = _classical_problem_energies(dense_spec, 4)
@@ -55,7 +51,7 @@ def test_sector_matrix_small_size(dense_spec):
 @pytest.mark.parametrize("s", [0.13, 0.37, 0.52, 0.78, 0.95])
 def test_sector_subset_of_full_spectrum(s):
     spec = ModelSpec.dense(xi=(0.0, 0.0, -2.0))
-    wsec, _ = jacobi_eigh(build_dense_sector_hamiltonian(spec, s, 4))
+    wsec, _ = jacobi_eigh(build_dense_sector_operator(spec, s, 4).to_dense())
     full = build_dense_full_operator(spec, s, 4).to_dense()
     wfull, _ = jacobi_eigh(full)
     for x in wsec:
@@ -73,7 +69,7 @@ def _pauli_site(op, r, N):
 
 def _dense_energy_operator(spec, s, N, X1, X2, Z1, Z2):
     """N h(M1, M2) with the classical polynomial's operator ordering."""
-    g1, g2 = spec.schedule.at(s)
+    g1, g2 = (s if g is None else g for g in (spec.gamma1, spec.gamma2))
     w = s * (1.0 - s) / 4.0
     cat = spec.catalyst
     h = (-(s / 2.0) * (spec.fields.h1 * Z1 + spec.fields.h2 * Z2)
@@ -87,15 +83,19 @@ def _dense_energy_operator(spec, s, N, X1, X2, Z1, Z2):
 # a cluster's transverse field off
 SECTOR_CASES = [
     ((0.0, 0.0, 0.0), None, None),
-    ((1.3, 0.0, 0.0), None, FixedValue(1.0)),
-    ((0.0, -0.7, 0.0), FixedValue(1.0), None),
-    ((0.0, 0.0, -4.0), FixedValue(0.3), None),
-    ((1.3, -0.7, -2.1), None, FixedValue(0.6)),
+    ((1.3, 0.0, 0.0), None, 1.0),
+    ((0.0, -0.7, 0.0), 1.0, None),
+    ((0.0, 0.0, -4.0), 0.3, None),
+    ((1.3, -0.7, -2.1), None, 0.6),
 ]
+# case k names a pinned gamma gamma1<k> / gamma2<k>, not by its value, so
+# the test ids stay fixed when a pinned value changes
+SECTOR_IDS = ["xi0-None-None", "xi1-None-gamma21", "xi2-gamma12-None",
+              "xi3-gamma13-None", "xi4-None-gamma24"]
 
 
 @pytest.mark.parametrize("N", [4, 8, 20])
-@pytest.mark.parametrize("xi,gamma1,gamma2", SECTOR_CASES)
+@pytest.mark.parametrize("xi,gamma1,gamma2", SECTOR_CASES, ids=SECTOR_IDS)
 def test_sector_operator_matches_kron_construction(N, xi, gamma1, gamma2, rng):
     spec = ModelSpec.dense(xi=xi, gamma1=gamma1, gamma2=gamma2)
     s = 0.37
@@ -233,8 +233,8 @@ def test_arpack_no_convergence_is_a_convergence_error(tmp_path, monkeypatch, cap
 def test_ed_solve_validation(dense_spec):
     with pytest.raises(ValueError):
         ed_solve(build_dense_sector_operator(dense_spec, 0.5, 4), k=1)
-    with pytest.raises(SizeError):
-        build_dense_sector_hamiltonian(dense_spec, 0.5, 68)
+    with pytest.raises(SizeError):   # dimension 65^2 = 4225 > 4096
+        build_dense_sector_operator(dense_spec, 0.5, 128).to_dense()
     with pytest.raises(SizeError):
         build_dense_sector_operator(dense_spec, 0.5, 2004)
 

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from meanfield_annealer import (CatalystConfig, ClusterFields, FixedValue,
-                                Identity, MagPair, ModelSpec,
-                                build_dense_full_operator,
+from meanfield_annealer import (CatalystConfig, ClusterFields, MagPair,
+                                ModelSpec, build_dense_full_operator,
                                 build_sparse_full_hamiltonian, conjugate_fields,
                                 coupling_matrix, dense_energy_density,
                                 dense_gradient, dense_hessian, global_minimize,
                                 minimize, solve_saddle,
                                 sparse_mean_field_density,
                                 sparse_mean_field_gradient)
+from meanfield_annealer.model import _coeffs, _indeterminate_flags
 from conftest import central_diff, random_pair
 
 X = MagPair([1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
@@ -79,7 +79,6 @@ def test_hessian_symmetric_and_state_independent(rng):
         s = rng.uniform(0, 1)
         H = dense_hessian(spec, s)
         assert np.abs(H - H.T).max() < 1e-12
-        assert np.array_equal(H, dense_hessian(spec, s, random_pair(rng)))
         # consistency with the gradient by finite differences
         m = random_pair(rng)
         for j in range(6):
@@ -132,7 +131,7 @@ def test_sparse_gradient_finite_differences(rng):
 def test_sparse_mean_field_against_independent_polynomial(rng):
     # independently coded reference for the mean-field part
     def reference(spec, s, m):
-        g1, g2 = spec.schedule.at(s)
+        g1, g2 = (s if g is None else g for g in (spec.gamma1, spec.gamma2))
         h1, h2 = spec.fields.h1, spec.fields.h2
         x11, x22 = spec.catalyst.xi11, spec.catalyst.xi22
         return (-s / 2 * (h1 * m.m1[2] + h2 * m.m2[2])
@@ -177,12 +176,28 @@ def test_cluster_field_defaults_and_warning():
 
 
 def test_schedules():
-    ident = Identity()
-    assert ident(0.0) == 0.0 and ident(1.0) == 1.0
+    # None follows gamma(s) = s; a number pins gamma, and a falsy 0.0 still pins
     ss = np.linspace(0, 1, 11)
-    assert all(ident(a) <= ident(b) for a, b in zip(ss, ss[1:]))
-    fixed = FixedValue(0.3)
-    assert fixed(0.0) == fixed(1.0) == 0.3
+    assert [_coeffs(ModelSpec.dense(), s).a1 for s in ss] == [(1.0 - s) / 2.0 for s in ss]
+    assert all(_coeffs(ModelSpec.dense(gamma1=0.0), s).a1 == 0.5 for s in ss)
+    assert all(_coeffs(ModelSpec.sparse(gamma2=0.3), s).a2 == (1.0 - 0.3) / 2.0 for s in ss)
+    spec = ModelSpec.dense(gamma1=1)
+    assert type(spec.gamma1) is float and spec.gamma2 is None
+    assert spec == ModelSpec.dense(gamma1=1.0) and hash(spec) == hash(ModelSpec.dense(gamma1=1.0))
+    assert spec != ModelSpec.dense(gamma2=1.0)
+    # a cluster is indeterminate at s = 0 only when its schedule is pinned at 1
+    assert _indeterminate_flags(spec, 0.0) == (True, False)
+    assert _indeterminate_flags(ModelSpec.sparse(gamma2=1.0), 0.0) == (False, True)
+    assert _indeterminate_flags(spec, 0.1) == (False, False)
+    assert _indeterminate_flags(ModelSpec.dense(), 0.0) == (False, False)
+
+
+def test_spec_rejects_non_finite_gammas():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for factory in (ModelSpec.dense, ModelSpec.sparse):
+            for key in ("gamma1", "gamma2"):
+                with pytest.raises(ValueError, match=f"{key} must be finite"):
+                    factory(**{key: bad})
 
 
 def test_spec_requires_two_clusters():

@@ -9,7 +9,7 @@ from meanfield_annealer import (ConjugateFields, ConvergenceError, CouplingMatri
 from meanfield_annealer import saddle
 from meanfield_annealer.ed import sparse_ed
 from meanfield_annealer.eigensolvers import jacobi_eigh
-from meanfield_annealer.model import FixedValue, _coeffs
+from meanfield_annealer.model import _coeffs
 from meanfield_annealer.saddle import (_coupling_part, _expectations,
                                        _field_map, _real_hamiltonian,
                                        _response)
@@ -22,7 +22,7 @@ K0 = CouplingMatrix(np.zeros((3, 3)))
 
 def test_effective_hamiltonian_transverse_pair():
     H = build_effective_hamiltonian(ConjugateFields(XHAT, XHAT), K0)
-    w, V = np.linalg.eigh(H.matrix)
+    w, V = np.linalg.eigh(H)
     assert np.allclose(w, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
     lam0, g, m1, m2 = ground_block(H)
     assert np.allclose(m1, XHAT, atol=1e-9) and np.allclose(m2, XHAT, atol=1e-9)
@@ -33,9 +33,9 @@ def test_effective_hamiltonian_diagonal_case():
     K[2, 2] = 0.5
     H = build_effective_hamiltonian(
         ConjugateFields([0, 0, 2.0], [0, 0, 0.51]), CouplingMatrix(K))
-    diag = np.sort(np.real(np.diag(H.matrix)))
+    diag = np.sort(np.real(np.diag(H)))
     assert np.allclose(diag, [-3.01, -0.99, 1.99, 2.01], atol=1e-12)
-    assert np.abs(H.matrix - np.diag(np.diag(H.matrix))).max() < 1e-15
+    assert np.abs(H - np.diag(np.diag(H))).max() < 1e-15
     lam0, g, m1, m2 = ground_block(H)
     assert lam0 == pytest.approx(-3.01, abs=1e-12)
     assert g == 1
@@ -47,7 +47,7 @@ def test_effective_hamiltonian_xx_only():
     K = np.zeros((3, 3))
     K[0, 0] = 0.7
     H = build_effective_hamiltonian(ConjugateFields(ZERO, ZERO), CouplingMatrix(K))
-    w = np.sort(np.linalg.eigvalsh(H.matrix))
+    w = np.sort(np.linalg.eigvalsh(H))
     assert np.allclose(w, [-0.7, -0.7, 0.7, 0.7], atol=1e-12)
 
 
@@ -55,7 +55,7 @@ def test_effective_hamiltonian_hermitian_random(rng):
     for _ in range(20):
         mt = ConjugateFields(rng.standard_normal(3), rng.standard_normal(3))
         K = CouplingMatrix(rng.standard_normal((3, 3)))
-        H = build_effective_hamiltonian(mt, K).matrix
+        H = build_effective_hamiltonian(mt, K)
         assert np.abs(H - H.conj().T).max() < 1e-12
         assert np.abs(np.linalg.eigvalsh(H).imag).max() == 0.0
 
@@ -68,7 +68,7 @@ def test_effective_hamiltonian_real_without_y_terms(rng):
         K = np.zeros((3, 3))
         K[0, 0], K[2, 2], K[0, 2], K[2, 0] = rng.standard_normal(4)
         H = build_effective_hamiltonian(ConjugateFields(mt1, mt2),
-                                        CouplingMatrix(K)).matrix
+                                        CouplingMatrix(K))
         assert np.abs(H.imag).max() < 1e-15
 
 
@@ -257,7 +257,7 @@ SINGLE = ([np.kron(p, np.eye(2)) for p in PAULI]
 
 def reference_expectations(mt1, mt2, K):
     H = build_effective_hamiltonian(ConjugateFields(mt1, mt2), CouplingMatrix(K))
-    w, V = jacobi_eigh(H.matrix)
+    w, V = jacobi_eigh(H)
     g = int(np.sum(w < w[0] + 1e-9))
     weights = np.r_[np.full(g, 1.0 / g), np.zeros(4 - g)]
     e = np.array([np.real(np.einsum("in,ij,jn,n->", V.conj(), op, V, weights))
@@ -428,7 +428,7 @@ def test_newton_gate_rejects_unstable_middle_fixed_point():
 def test_degenerate_ground_block_keeps_damped_answer():
     # gamma1 = 1 at s = 0 leaves cluster 1 without a field: a doubly
     # degenerate ground block, where the response is undefined
-    spec = ModelSpec.sparse(gamma1=FixedValue(1.0))
+    spec = ModelSpec.sparse(gamma1=1.0)
     init = MagPair([0, 0, 1], [0, 0, 1])
     sol = solve_saddle(spec, 0.0, init)
     assert sol.converged and sol.degeneracy == 2
@@ -513,7 +513,7 @@ def test_sparse_scan_solutions_pass_the_gate(xi12):
 
 
 @pytest.mark.parametrize("spec, s", [
-    (ModelSpec.sparse(gamma2=FixedValue(0.25)), 0.7),       # fig10_weak
+    (ModelSpec.sparse(gamma2=0.25), 0.7),                   # fig10_weak
     (ModelSpec.sparse(xi=(0.0, 0.0, 7.5)), 0.675),          # fig8
     (ModelSpec.sparse(xi=(0.0, 7.5, 0.0)), 0.875),          # fig9_weak
 ])
@@ -534,7 +534,7 @@ def test_solution_energy_reuses_the_loop_eigenvalues(rng):
     # lambda0, the degeneracy and u of a converged solve come from the last
     # eigenvalues of its loop; they must equal a fresh eigensolve at the
     # returned m, for global and for warm (Newton-first) solves
-    cases = [(ModelSpec.sparse(gamma1=FixedValue(1.0)), 0.0)]   # degeneracy 2
+    cases = [(ModelSpec.sparse(gamma1=1.0), 0.0)]   # degeneracy 2
     cases += [(ModelSpec.sparse(xi=tuple(rng.uniform(-10.0, 10.0, 3))), rng.uniform(0.0, 0.95))
               for _ in range(12)]
     for spec, s in cases:

@@ -182,9 +182,7 @@ def test_gap_profile_continuity_and_jump():
 def test_gap_profile_flags_degenerate_point():
     # nothing acts on the weak cluster at s=0 when its schedule is pinned
     # high; the zero mode must surface as a marker, not a crash or a drop
-    from meanfield_annealer import FixedValue
-
-    prof = gap_profile(ModelSpec.dense(gamma2=FixedValue(1.0)), [0.0, 0.1])
+    prof = gap_profile(ModelSpec.dense(gamma2=1.0), [0.0, 0.1])
     assert prof[0].delta1 is None and prof[0].flag == "degenerate"
     assert prof[1].delta1 is not None and prof[1].flag == ""
 
