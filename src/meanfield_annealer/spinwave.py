@@ -19,11 +19,12 @@ import numpy as np
 from .classical import ClassicalState, _angles, global_minimize
 from .errors import (CatalystRangeError, DegenerateModeError, InstabilityError,
                      StationarityError)
-from .model import Coupling, ModelSpec, _angle_hessian, _coeffs, _eigh2, _require
-from .transitions import detect_transition
+from .model import Coupling, ModelSpec, _angle_hessian, _coeffs, _eigh2, _prefer, _require
+from .transitions import BranchAnalysis, PointSolver, analyze, point_solver
 
 IMAG_TOL = 1e-8
 _STATIONARY_TOL = 1e-8
+_TOL_S = 1e-5   # default s tolerance of the golden refinement in min_gap
 
 
 @dataclass(frozen=True)
@@ -138,20 +139,21 @@ def gaps_at(spec: ModelSpec, s: float, n_starts: int = 8, seed: int = 0) -> GapS
     return excitation_gaps(fluctuation_matrix(spec, state))
 
 
+def _gap_point(spec: ModelSpec, s: float, state: ClassicalState) -> GapPoint:
+    d1, d2, flag = gap_or_flag(spec, state)
+    if not flag and any(state.indeterminate):
+        flag = "indeterminate"
+    return GapPoint(float(s), d1, d2, flag)
+
+
 def gap_profile(spec: ModelSpec, s_grid, n_starts: int = 8, seed: int = 0) -> list[GapPoint]:
     """Gap branches along the anneal, on the equilibrium branch per point.
 
     Points where the spectrum is unstable or degenerate are kept as
     flagged markers with deltas set to None, never dropped.
     """
-    out = []
-    for s in np.asarray(s_grid, dtype=float):
-        state = global_minimize(spec, float(s), n_starts, seed)
-        d1, d2, flag = gap_or_flag(spec, state)
-        if not flag and any(state.indeterminate):
-            flag = "indeterminate"
-        out.append(GapPoint(float(s), d1, d2, flag))
-    return out
+    return [_gap_point(spec, s, global_minimize(spec, float(s), n_starts, seed))
+            for s in np.asarray(s_grid, dtype=float)]
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -182,35 +184,58 @@ def _golden_section(f, lo, hi, tol):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def min_gap(spec: ModelSpec, s_grid, n_starts: int = 8, seed: int = 0,
-            tol_s: float = 1e-5) -> tuple[float, float]:
-    """Minimum of the lower gap branch over the grid, golden-refined.
+def _min_gap_on(spec: ModelSpec, analysis: BranchAnalysis, solver: PointSolver,
+                tol_s: float) -> tuple[float, float]:
+    """``min_gap`` on the states of one ``analyze`` pass over its grid.
 
-    In a transition regime the minimum reflects a branch edge; a warning
-    is emitted and the value returned anyway.
+    The grid profile reads ``analysis.equilibrium``.  Each golden probe at
+    s is the lower-energy (``_prefer``) of two warm solves, one from each
+    equilibrium state at the ends of the grid bracket, the rule
+    ``transitions._bisect_crossing`` follows, so a bracket that straddles
+    a branch crossing still reads the equilibrium branch.
     """
-    profile = gap_profile(spec, s_grid, n_starts, seed)
-    s_grid = np.asarray(s_grid, dtype=float)
+    s_grid, eq = analysis.s_grid, analysis.equilibrium
+    profile = [_gap_point(spec, s, state) for s, state in zip(s_grid, eq)]
     valid = [(i, p) for i, p in enumerate(profile) if p.delta1 is not None]
     if not valid:
         raise InstabilityError("gap undefined on the whole grid")
     if len(valid) < len(profile):
+        # stacklevel 3: the caller of min_gap, or optimize_catalyst's probe
         warnings.warn("gap undefined at some grid points; minimum may sit at "
-                      "a branch edge", stacklevel=2)
+                      "a branch edge", stacklevel=3)
     if len(valid) == 1:
         return float(valid[0][1].s), float(valid[0][1].delta1)
-    i_min, _ = min(valid, key=lambda ip: ip[1].delta1)
-    lo = s_grid[max(i_min - 1, 0)]
-    hi = s_grid[min(i_min + 1, len(s_grid) - 1)]
+    i_min, grid_best = min(valid, key=lambda ip: ip[1].delta1)
+    i_lo, i_hi = max(i_min - 1, 0), min(i_min + 1, len(s_grid) - 1)
 
     def objective(s):
-        return gaps_at(spec, float(s), n_starts, seed).delta1
+        s = float(s)
+        from_lo = solver.warm(s, eq[i_lo])
+        from_hi = solver.warm(s, eq[i_hi])
+        return excitation_gaps(fluctuation_matrix(spec, _prefer(from_hi, from_lo))).delta1
 
-    s_best, d_best = _golden_section(objective, lo, hi, tol_s)
-    grid_best = profile[i_min]
+    s_best, d_best = _golden_section(objective, s_grid[i_lo], s_grid[i_hi], tol_s)
     if grid_best.delta1 < d_best:
         return float(grid_best.s), float(grid_best.delta1)
     return float(s_best), float(d_best)
+
+
+def min_gap(spec: ModelSpec, s_grid, n_starts: int = 8, seed: int = 0,
+            tol_s: float = _TOL_S) -> tuple[float, float]:
+    """Minimum of the lower gap branch over the grid, golden-refined.
+
+    One ``transitions.analyze`` pass over the sorted distinct grid points
+    gives every state: the grid profile is its equilibrium, and the golden
+    refinement warm-starts from the equilibrium states at the ends of the
+    grid bracket, keeping the lower-energy solve (see ``_min_gap_on``).
+    Global solves run only at the two sweep starts and where a warm solve
+    fails.  In a transition regime the minimum reflects a branch edge; a
+    warning is emitted and the value returned anyway.
+    """
+    _require(spec, Coupling.DENSE)
+    s_grid = np.unique(np.asarray(s_grid, dtype=float))
+    solver = point_solver(spec, n_starts, seed)
+    return _min_gap_on(spec, analyze(solver, s_grid), solver, tol_s)
 
 
 def optimize_catalyst(spec_family, xi_range, tol_xi: float = 0.05,
@@ -218,12 +243,16 @@ def optimize_catalyst(spec_family, xi_range, tol_xi: float = 0.05,
     """Catalyst strength maximizing the minimum gap over the anneal.
 
     ``spec_family`` maps a strength xi to a ModelSpec.  Every evaluated xi
-    is screened for a first-order transition first; finding one raises
-    CatalystRangeError naming the offending value.
+    runs one ``transitions.analyze`` pass over the sorted distinct grid
+    points.  Its verdict screens xi for a first-order transition, and
+    finding one raises CatalystRangeError naming the offending value.
+    Otherwise its equilibrium states give the minimum gap, refined by warm
+    two-anchor probes as in ``min_gap``.
     """
     lo, hi = float(min(xi_range)), float(max(xi_range))
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, 101)
+    s_grid = np.unique(np.asarray(s_grid, dtype=float))
     cache: dict[float, float] = {}
 
     def neg_min_gap(xi):
@@ -231,13 +260,15 @@ def optimize_catalyst(spec_family, xi_range, tol_xi: float = 0.05,
         if xi in cache:
             return cache[xi]
         spec = spec_family(xi)
-        report = detect_transition(spec, s_grid, n_starts=n_starts, seed=seed)
-        if report.found:
+        _require(spec, Coupling.DENSE)
+        solver = point_solver(spec, n_starts, seed)
+        analysis = analyze(solver, s_grid)
+        if analysis.report.found:
             raise CatalystRangeError(
                 f"first-order transition inside the optimization range at xi={xi:g}",
                 xi=xi,
             )
-        _, g = min_gap(spec, s_grid, n_starts, seed)
+        _, g = _min_gap_on(spec, analysis, solver, _TOL_S)
         cache[xi] = -g
         return -g
 

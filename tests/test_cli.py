@@ -363,3 +363,24 @@ def test_figure_failed_column_exits_3(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "fig8.summary.json").read_text())
     assert summary["task"] == "figure:fig8"
     assert not any(rep["found"] for rep in summary["transition_reports"])
+
+
+def test_min_gap_collapsed_grid_writes_single_point_row(tmp_path):
+    # s_min == s_max gives three equal grid points; the row is the one a
+    # single-point grid writes
+    for name, steps in (("one", 1), ("three", 3)):
+        cfg = write_cfg(tmp_path, f"{name}.json", task="min-gap", xi=-4.0, s_min=0.5,
+                        s_max=0.5, s_steps=steps, output=f"{name}.csv")
+        assert run(cfg, out_dir=str(tmp_path)) == 0
+    assert (tmp_path / "three.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    row, = read_rows(tmp_path / "three.csv")
+    assert float(row["s"]) == 0.5 and float(row["delta1"]) > 0.2
+
+
+def test_optimize_xi_collapsed_grid(tmp_path):
+    cfg = write_cfg(tmp_path, task="optimize-xi", xi_min=-4.3, xi_max=-3.7, tol_xi=0.2,
+                    s_min=0.5, s_max=0.5, s_steps=3, output="ox.csv")
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    summary = json.loads((tmp_path / "ox.summary.json").read_text())
+    assert -4.3 <= summary["xi_star"] <= -3.7
+    assert summary["min_gap_at_xi_star"] > 0.2

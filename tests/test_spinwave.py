@@ -237,3 +237,89 @@ def test_optimize_catalyst_degenerate_range():
     xi, gap = optimize_catalyst(family, (-4.0, -4.0), s_grid=np.linspace(0, 1, 51))
     assert xi == -4.0
     assert gap > 0.2
+
+
+def _reference_min_gap(spec, s_grid, tol_s=1e-5):
+    """min_gap by per-point global solves: the gap_profile grid minimum,
+    then a golden refinement over gaps_at in the bracket around it."""
+    profile = gap_profile(spec, s_grid)
+    valid = [(i, p) for i, p in enumerate(profile) if p.delta1 is not None]
+    i_min, best = min(valid, key=lambda ip: ip[1].delta1)
+    lo, hi = s_grid[max(i_min - 1, 0)], s_grid[min(i_min + 1, len(s_grid) - 1)]
+    s, d = _golden_section(lambda x: gaps_at(spec, float(x)).delta1, lo, hi, tol_s)
+    return (best.s, best.delta1) if best.delta1 < d else (s, d)
+
+
+@pytest.mark.parametrize("xi12, steps", [(-10.0, 41), (-6.0, 41), (-4.0, 41), (0.0, 41),
+                                         (4.0, 41), (-9.0, 11), (-7.25, 41)])
+def test_min_gap_matches_per_point_global_solves(xi12, steps):
+    # xi12 = -10, -9, -7.25, -6 and 0 are transition columns.  At -9 on 11
+    # points warm probes from either bracket end alone leave the equilibrium
+    # branch, and at -7.25 on 41 points those from the high-s end do, so the
+    # lower-energy pick of both is what matches the global solves
+    spec = ModelSpec.dense(xi=(0.0, 0.0, xi12))
+    grid = np.linspace(0.0, 1.0, steps)
+    s, d = min_gap(spec, grid)
+    s_ref, d_ref = _reference_min_gap(spec, grid)
+    assert abs(s - s_ref) <= 1e-7
+    assert abs(d - d_ref) <= 1e-9
+
+
+def _count_global_solves(monkeypatch):
+    """Count global_minimize calls made through the names the solvers use."""
+    from meanfield_annealer import spinwave, transitions
+    calls = []
+    original = transitions.global_minimize
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for module in (transitions, spinwave):
+        monkeypatch.setattr(module, "global_minimize", counted)
+    return calls
+
+
+def test_min_gap_solve_count(monkeypatch):
+    # the two sweep starts; the profile and the golden probes are warm
+    calls = _count_global_solves(monkeypatch)
+    min_gap(ModelSpec.dense(xi=(0.0, 0.0, -4.0)), np.linspace(0.0, 1.0, 101))
+    assert len(calls) == 2
+
+
+def test_optimize_catalyst_solve_count(monkeypatch):
+    from meanfield_annealer import spinwave
+    calls = _count_global_solves(monkeypatch)
+    analyses = []
+    original = spinwave.analyze
+
+    def counted(*args, **kwargs):
+        analyses.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spinwave, "analyze", counted)
+    evals = []
+
+    def family(xi):
+        evals.append(xi)
+        return ModelSpec.dense(xi=(0.0, 0.0, xi))
+
+    optimize_catalyst(family, (-5.0, -3.0), tol_xi=0.2, s_grid=np.linspace(0.0, 1.0, 11))
+    assert len(evals) > 2
+    assert len(analyses) == len(evals)
+    assert len(calls) == 2 * len(evals)
+
+
+def test_min_gap_collapsed_and_descending_grids():
+    spec = ModelSpec.dense(xi=(0.0, 0.0, -4.0))
+    assert min_gap(spec, [0.5, 0.5]) == min_gap(spec, [0.5])
+    s, d = min_gap(spec, [0.6, 0.5, 0.4])
+    s_ref, d_ref = min_gap(spec, [0.4, 0.5, 0.6])
+    assert s == s_ref and d == d_ref
+
+
+def test_min_gap_warning_points_at_caller():
+    # the weak cluster is degenerate at s = 0 with gamma2 pinned high
+    with pytest.warns(UserWarning, match="gap undefined at some grid points") as record:
+        min_gap(ModelSpec.dense(gamma2=1.0), [0.0, 0.1, 0.2])
+    assert record[0].filename == __file__
