@@ -7,6 +7,7 @@ from meanfield_annealer import (CatalystRangeError, ClassicalState,
                                 fluctuation_matrix, gap_profile, gaps_at,
                                 dense_hessian, global_minimize, min_gap,
                                 optimize_catalyst)
+from meanfield_annealer import spinwave, transitions
 from meanfield_annealer.ed import dense_ed, extrapolate_gap, gap_sequence
 from meanfield_annealer.spinwave import FluctuationMatrix, _golden_section
 
@@ -265,39 +266,30 @@ def test_min_gap_matches_per_point_global_solves(xi12, steps):
     assert abs(d - d_ref) <= 1e-9
 
 
-def _count_global_solves(monkeypatch):
-    """Count global_minimize calls made through the names the solvers use."""
-    from meanfield_annealer import spinwave, transitions
+def _count_calls(monkeypatch, name, *modules):
+    """Record the arguments of every call made through ``name`` in ``modules``."""
     calls = []
-    original = transitions.global_minimize
+    original = getattr(modules[0], name)
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (transitions, spinwave):
-        monkeypatch.setattr(module, "global_minimize", counted)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_min_gap_solve_count(monkeypatch):
     # the two sweep starts; the profile and the golden probes are warm
-    calls = _count_global_solves(monkeypatch)
+    solves = _count_calls(monkeypatch, "global_minimize", transitions, spinwave)
     min_gap(ModelSpec.dense(xi=(0.0, 0.0, -4.0)), np.linspace(0.0, 1.0, 101))
-    assert len(calls) == 2
+    assert len(solves) == 2
 
 
 def test_optimize_catalyst_solve_count(monkeypatch):
-    from meanfield_annealer import spinwave
-    calls = _count_global_solves(monkeypatch)
-    analyses = []
-    original = spinwave.analyze
-
-    def counted(*args, **kwargs):
-        analyses.append(args[1])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(spinwave, "analyze", counted)
+    solves = _count_calls(monkeypatch, "global_minimize", transitions, spinwave)
+    analyses = _count_calls(monkeypatch, "analyze", spinwave)
     evals = []
 
     def family(xi):
@@ -307,7 +299,7 @@ def test_optimize_catalyst_solve_count(monkeypatch):
     optimize_catalyst(family, (-5.0, -3.0), tol_xi=0.2, s_grid=np.linspace(0.0, 1.0, 11))
     assert len(evals) > 2
     assert len(analyses) == len(evals)
-    assert len(calls) == 2 * len(evals)
+    assert len(solves) == 2 * len(evals)
 
 
 def test_min_gap_collapsed_and_descending_grids():
