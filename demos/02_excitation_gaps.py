@@ -29,7 +29,7 @@ d1 = np.array([p.delta1 for p in prof4])
 d2 = np.array([p.delta2 for p in prof4])
 print(f"max adjacent-point jumps: delta1 {np.abs(np.diff(d1)).max():.4f}, "
       f"delta2 {np.abs(np.diff(d2)).max():.4f}")
-s_min, d_min = min_gap(ModelSpec.dense(xi=(0.0, 0.0, -4.0)), np.linspace(0, 1, 101))
+s_min, d_min, _ = min_gap(ModelSpec.dense(xi=(0.0, 0.0, -4.0)), np.linspace(0, 1, 101))
 print(f"minimum of the lower branch: {d_min:.4f} at s={s_min:.4f}")
 
 print("\n== catalyst strength maximizing the minimum gap ==")

@@ -17,22 +17,19 @@ from .ed import (EDOperator, EDResult, build_dense_full_operator,
 from .errors import (CatalystRangeError, ConfigError, ConvergenceError,
                      DegenerateModeError, InstabilityError, SizeError,
                      StationarityError)
-from .model import (CatalystConfig, ClusterFields, Coupling, CouplingMatrix,
-                    MagPair, ModelSpec, coupling_matrix, dense_energy_density,
-                    dense_gradient, dense_hessian, sparse_mean_field_density,
-                    sparse_mean_field_gradient)
-from .saddle import (ConjugateFields, SaddleSolution, build_effective_hamiltonian,
-                     conjugate_fields, global_saddle, ground_block, solve_saddle)
-from .spinwave import (FluctuationMatrix, GapPoint, GapSpectrum, excitation_gaps,
-                       fluctuation_matrix, gap_profile, gaps_at, min_gap,
-                       optimize_catalyst)
+from .model import (CatalystConfig, ClusterFields, Coupling, MagPair, ModelSpec, coupling_matrix,
+                    dense_energy_density, dense_gradient, dense_hessian,
+                    sparse_mean_field_density, sparse_mean_field_gradient)
+from .saddle import (SaddleSolution, build_effective_hamiltonian, conjugate_fields,
+                     global_saddle, ground_block, solve_saddle)
+from .spinwave import (GapPoint, GapSpectrum, excitation_gaps, fluctuation_matrix,
+                       gap_profile, gaps_at, min_gap, optimize_catalyst)
 from .transitions import TransitionReport, detect_transition, sweep
 
 __all__ = [
     "__version__",
-    "CatalystConfig", "ClassicalState", "ClusterFields",
-    "ConjugateFields", "Coupling", "CouplingMatrix", "EDOperator", "EDResult",
-    "FluctuationMatrix", "GapPoint", "GapSpectrum", "MagPair", "ModelSpec",
+    "CatalystConfig", "ClassicalState", "ClusterFields", "Coupling", "EDOperator",
+    "EDResult", "GapPoint", "GapSpectrum", "MagPair", "ModelSpec",
     "SaddleSolution", "TransitionReport",
     "CatalystRangeError", "ConfigError", "ConvergenceError",
     "DegenerateModeError", "InstabilityError", "SizeError", "StationarityError",

@@ -28,8 +28,7 @@ from .ed import dense_ed, extrapolate_gap, gap_sequence, sparse_ed
 from .errors import (CatalystRangeError, ConfigError, ConvergenceError,
                      DegenerateModeError, InstabilityError, SizeError)
 from .model import ClusterFields, Coupling, ModelSpec
-from .spinwave import (excitation_gaps, fluctuation_matrix, gap_or_flag, gaps_at,
-                       min_gap, optimize_catalyst)
+from .spinwave import gap_or_flag, gaps_at, min_gap, optimize_catalyst
 
 PLACEMENTS = {
     "intercluster": lambda xi: (0.0, 0.0, xi),
@@ -390,24 +389,22 @@ def _task_gap(cfg, workers):
 
 
 def _min_gap_row(cfg, axis2_value):
-    """The state at the minimum harmonic gap over the s grid, as a row,
-    and the gap minimum."""
+    """The state at the minimum harmonic gap over the s grid, as a row; its
+    delta1 is the gap minimum."""
     spec = build_spec(cfg, axis2_value)
-    n_starts, seed = int(cfg["n_starts"]), int(cfg["seed"])
-    s_best, d_best = min_gap(spec, _s_grid(cfg), n_starts, seed)
-    state = global_minimize(spec, s_best, n_starts, seed)
-    g = excitation_gaps(fluctuation_matrix(spec, state))
-    return _state_row(s_best, axis2_value, state, g.delta1, g.delta2, "both"), d_best
+    s_best, _, state = min_gap(spec, _s_grid(cfg), int(cfg["n_starts"]), int(cfg["seed"]))
+    d1, d2, flags = gap_or_flag(spec, state)
+    return _state_row(s_best, axis2_value, state, d1, d2, "both", flags)
 
 
 def _task_min_gap(cfg, workers):
-    row, d_best = _min_gap_row(cfg, None)
-    return [row], [], {"min_gap": {"s": row.s, "delta1": d_best}}, False
+    row = _min_gap_row(cfg, None)
+    return [row], [], {"min_gap": {"s": row.s, "delta1": row.delta1}}, False
 
 
 def _task_min_gap_scan(cfg, workers):
     """Minimum gap as a function of the catalyst strength (figure fig4)."""
-    return [_min_gap_row(cfg, xi)[0] for xi in _axis2_values(cfg)], [], {}, False
+    return [_min_gap_row(cfg, xi) for xi in _axis2_values(cfg)], [], {}, False
 
 
 def _task_optimize_xi(cfg, workers):

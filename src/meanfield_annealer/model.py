@@ -120,16 +120,6 @@ class MagPair:
         return abs(n1 - 1.0) <= tol and abs(n2 - 1.0) <= tol
 
 
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """3x3 pairwise spin-spin coupling between the clusters at a given s."""
-
-    K12: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "K12", np.asarray(self.K12, dtype=float).reshape(3, 3))
-
-
 def _require(spec: ModelSpec, coupling: Coupling):
     """Refuse a spec of the other model: each solver answers for one coupling."""
     if spec.coupling is not coupling:
@@ -319,15 +309,16 @@ def sparse_mean_field_gradient(spec: ModelSpec, s: float, m: MagPair):
     return mt1 / -2.0, mt2 / -2.0
 
 
-def coupling_matrix(spec: ModelSpec, s: float) -> CouplingMatrix:
-    """Pairwise intercluster coupling of the sparse model at annealing time s.
+def coupling_matrix(spec: ModelSpec, s: float) -> np.ndarray:
+    """3x3 pairwise intercluster coupling K12 of the sparse model at
+    annealing time s, indexed (x, y, z) on both sides.
 
-    Only the zz and xx entries are nonzero: K^zz = s/2 carries the problem
-    coupling and K^xx = s(1-s) xi12 / 2 the intercluster catalyst.
+    Only K[0, 0] (xx) and K[2, 2] (zz) are nonzero: K^zz = s/2 carries the
+    problem coupling and K^xx = s(1-s) xi12 / 2 the intercluster catalyst.
     """
     _require(spec, Coupling.SPARSE)
     s = _check_s(s)
     K = np.zeros((3, 3))
     K[2, 2] = s / 2.0
     K[0, 0] = s * (1.0 - s) * spec.catalyst.xi12 / 2.0
-    return CouplingMatrix(K)
+    return K

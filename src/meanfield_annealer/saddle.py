@@ -51,9 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .model import (Coupling, CouplingMatrix, MagPair, ModelSpec, _coeffs, _conjugate_fields,
-                    _field_map, _indeterminate_flags, _prefer, _require, _sparse_energy,
-                    coupling_matrix)
+from .model import (Coupling, MagPair, ModelSpec, _coeffs, _conjugate_fields, _field_map,
+                    _indeterminate_flags, _prefer, _require, _sparse_energy, coupling_matrix)
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _I2 = np.eye(2)
@@ -73,20 +72,10 @@ _ROUNDING_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
-class ConjugateFields:
-    mt1: np.ndarray
-    mt2: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mt1", np.asarray(self.mt1, dtype=float).reshape(3))
-        object.__setattr__(self, "mt2", np.asarray(self.mt2, dtype=float).reshape(3))
-
-
-@dataclass(frozen=True)
 class SaddleSolution:
     s: float
     m: MagPair                  # ground expectations, |m_a| <= 1
-    mt: ConjugateFields
+    mt: tuple[np.ndarray, np.ndarray]   # conjugate fields (mt1, mt2)
     lambda0: float
     degeneracy: int
     energy: float               # ground-state energy density u
@@ -99,18 +88,18 @@ class SaddleSolution:
         return float(self.m.m2[2])
 
 
-def build_effective_hamiltonian(mt: ConjugateFields, K: CouplingMatrix) -> np.ndarray:
+def build_effective_hamiltonian(mt, K) -> np.ndarray:
     """Assemble -mt1.sigma1 - mt2.sigma2 - sigma1.K12.sigma2, a 4x4
-    Hermitian matrix on the product basis {up-up, up-down, down-up, down-down}.
+    Hermitian matrix on the product basis {up-up, up-down, down-up, down-down},
+    from the pair ``mt`` = (mt1, mt2) of 3-vectors and the 3x3 array ``K``.
 
-    The symmetrized double sum over both cluster orderings collapses to the
-    single K12 term.
+    The general complex reference for the solver's real 4x4: y fields and
+    off-diagonal couplings are kept.  The symmetrized double sum over both
+    cluster orderings collapses to the single K12 term.
     """
-    if not (np.all(np.isfinite(mt.mt1)) and np.all(np.isfinite(mt.mt2))
-            and np.all(np.isfinite(K.K12))):
+    if not (np.all(np.isfinite(mt)) and np.all(np.isfinite(K))):
         raise ValueError("effective Hamiltonian inputs must be finite")
-    return -(np.einsum("ca,caij->ij", np.array([mt.mt1, mt.mt2]), _S12)
-             + np.einsum("ab,abij->ij", K.K12, _S1S2))
+    return -(np.einsum("ca,caij->ij", mt, _S12) + np.einsum("ab,abij->ij", K, _S1S2))
 
 
 def ground_block(H: np.ndarray):
@@ -134,10 +123,10 @@ def ground_block(H: np.ndarray):
     return lam0, g, m1, m2
 
 
-def _coupling_part(K: CouplingMatrix) -> np.ndarray:
-    """Real field-free part -sigma1.K12.sigma2; coupling_matrix fills only
-    the xx and zz entries of K12."""
-    return -np.einsum("ab,abij->ij", K.K12[::2, ::2], _S1S2[::2, ::2].real)
+def _coupling_part(K: np.ndarray) -> np.ndarray:
+    """Real field-free part -sigma1.K12.sigma2 of the 3x3 K12; coupling_matrix
+    fills only its xx and zz entries."""
+    return -np.einsum("ab,abij->ij", K[::2, ::2], _S1S2[::2, ::2].real)
 
 
 def _real_hamiltonian(Hc, mt1, mt2) -> np.ndarray:
@@ -185,23 +174,24 @@ def _response(w, V):
     return A * np.sqrt(2.0 / (w[1:] - w[0]))
 
 
-def conjugate_fields(spec: ModelSpec, s: float, m: MagPair) -> ConjugateFields:
-    """Fields conjugate to the magnetizations: -2 d(h_m)/dm_a for two clusters."""
+def conjugate_fields(spec: ModelSpec, s: float, m: MagPair) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (mt1, mt2) of fields conjugate to the magnetizations,
+    mt_a = -2 d(h_m)/dm_a, as 3-vectors whose y components are zero."""
     _require(spec, Coupling.SPARSE)
-    return ConjugateFields(*_conjugate_fields(_coeffs(spec, s), m.m1, m.m2))
+    return _conjugate_fields(_coeffs(spec, s), m.m1, m.m2)
 
 
 def _energy_density(coeffs, Hc, m1, m2, w=None):
-    """(u, lambda0, degeneracy, mt) at m; ``w``, the effective-Hamiltonian
-    eigenvalues at m when the caller holds them, saves the eigensolve."""
-    mt = ConjugateFields(*_conjugate_fields(coeffs, m1, m2))
+    """(u, lambda0, degeneracy, (mt1, mt2)) at m; ``w``, the eigenvalues of
+    the effective Hamiltonian at m when the caller holds them, saves a solve."""
+    mt1, mt2 = _conjugate_fields(coeffs, m1, m2)
     if w is None:
-        w = np.linalg.eigvalsh(_real_hamiltonian(Hc, mt.mt1, mt.mt2))
+        w = np.linalg.eigvalsh(_real_hamiltonian(Hc, mt1, mt2))
     lam0 = float(w[0])
     g = int(np.count_nonzero(w < lam0 + _DEGENERACY_TOL))
     hm = _sparse_energy(coeffs, m1, m2)
-    u = 0.5 * (mt.mt1 @ m1 + mt.mt2 @ m2) + hm + 0.5 * lam0
-    return u, lam0, g, mt
+    u = 0.5 * (mt1 @ m1 + mt2 @ m2) + hm + 0.5 * lam0
+    return u, lam0, g, (mt1, mt2)
 
 
 def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,

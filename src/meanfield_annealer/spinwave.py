@@ -28,14 +28,6 @@ _TOL_S = 1e-5   # default s tolerance of the golden refinement in min_gap
 
 
 @dataclass(frozen=True)
-class FluctuationMatrix:
-    """Real 4x4 mode matrix [[A, B], [-B, -A]] with A - B = diag(mu)."""
-
-    matrix: np.ndarray
-    mu: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class GapSpectrum:
     delta1: float
     delta2: float
@@ -52,8 +44,9 @@ class GapPoint:
     flag: str = ""
 
 
-def fluctuation_matrix(spec: ModelSpec, state: ClassicalState) -> FluctuationMatrix:
-    """Assemble the 4x4 fluctuation matrix at a stationary state.
+def fluctuation_matrix(spec: ModelSpec, state: ClassicalState) -> np.ndarray:
+    """The real 4x4 mode matrix E = [[A, B], [-B, -A]] at a stationary state,
+    with A + B the in-plane angle Hessian and A - B = diag(state.mu).
 
     Off-stationary states make the harmonic expansion meaningless, so a
     residual above tolerance is rejected.
@@ -71,12 +64,12 @@ def fluctuation_matrix(spec: ModelSpec, state: ClassicalState) -> FluctuationMat
     # A = (A+B + A-B)/2 and B = (A+B - A-B)/2 with A+B = (h11, h12, h22), A-B = diag(mu)
     a1, a2, b1, b2 = (h11 + mu1) / 2, (h22 + mu2) / 2, (h11 - mu1) / 2, (h22 - mu2) / 2
     c = h12 / 2
-    E = np.array([[a1, c, b1, c], [c, a2, c, b2], [-b1, -c, -a1, -c], [-c, -b2, -c, -a2]])
-    return FluctuationMatrix(matrix=E, mu=state.mu)
+    return np.array([[a1, c, b1, c], [c, a2, c, b2], [-b1, -c, -a1, -c], [-c, -b2, -c, -a2]])
 
 
-def excitation_gaps(F: FluctuationMatrix) -> GapSpectrum:
-    """Gap branches from the fluctuation matrix, by Colpa's method on A +- B.
+def excitation_gaps(E: np.ndarray) -> GapSpectrum:
+    """Gap branches of the real 4x4 mode matrix E = [[A, B], [-B, -A]] (as
+    ``fluctuation_matrix`` returns it), by Colpa's method on A +- B.
 
     sigma3 E has the spectrum of P = A + B and Q = A - B; E's is
     +-sqrt(eig(Q P)).  When P and Q are positive definite and Q = L L^T,
@@ -87,7 +80,6 @@ def excitation_gaps(F: FluctuationMatrix) -> GapSpectrum:
     tells an unstable state (non-real frequencies) from a zero or
     negative mode.
     """
-    E = F.matrix
     scale = max(float(np.abs(E).max()), 1.0)
     (a11, a12, b11, b12), (_, a22, _, b22) = E[:2].tolist()
     p11, p12, p22 = a11 + b11, a12 + b12, a22 + b22
@@ -185,14 +177,15 @@ def _golden_section(f, lo, hi, tol):
 
 
 def _min_gap_on(spec: ModelSpec, analysis: BranchAnalysis, solver: PointSolver,
-                tol_s: float) -> tuple[float, float]:
+                tol_s: float) -> tuple[float, float, ClassicalState]:
     """``min_gap`` on the states of one ``analyze`` pass over its grid.
 
     The grid profile reads ``analysis.equilibrium``.  Each golden probe at
     s is the lower-energy (``_prefer``) of two warm solves, one from each
     equilibrium state at the ends of the grid bracket, the rule
     ``transitions._bisect_crossing`` follows, so a bracket that straddles
-    a branch crossing still reads the equilibrium branch.
+    a branch crossing still reads the equilibrium branch.  The state
+    returned is the grid state or the probe the minimum was read from.
     """
     s_grid, eq = analysis.s_grid, analysis.equilibrium
     profile = [_gap_point(spec, s, state) for s, state in zip(s_grid, eq)]
@@ -203,26 +196,28 @@ def _min_gap_on(spec: ModelSpec, analysis: BranchAnalysis, solver: PointSolver,
         # stacklevel 3: the caller of min_gap, or optimize_catalyst's probe
         warnings.warn("gap undefined at some grid points; minimum may sit at "
                       "a branch edge", stacklevel=3)
-    if len(valid) == 1:
-        return float(valid[0][1].s), float(valid[0][1].delta1)
     i_min, grid_best = min(valid, key=lambda ip: ip[1].delta1)
+    if len(valid) == 1:
+        return float(grid_best.s), float(grid_best.delta1), eq[i_min]
     i_lo, i_hi = max(i_min - 1, 0), min(i_min + 1, len(s_grid) - 1)
+    probes = {}
 
     def objective(s):
         s = float(s)
         from_lo = solver.warm(s, eq[i_lo])
         from_hi = solver.warm(s, eq[i_hi])
-        return excitation_gaps(fluctuation_matrix(spec, _prefer(from_hi, from_lo))).delta1
+        probes[s] = _prefer(from_hi, from_lo)
+        return excitation_gaps(fluctuation_matrix(spec, probes[s])).delta1
 
     s_best, d_best = _golden_section(objective, s_grid[i_lo], s_grid[i_hi], tol_s)
     if grid_best.delta1 < d_best:
-        return float(grid_best.s), float(grid_best.delta1)
-    return float(s_best), float(d_best)
+        return float(grid_best.s), float(grid_best.delta1), eq[i_min]
+    return float(s_best), float(d_best), probes[float(s_best)]
 
 
 def min_gap(spec: ModelSpec, s_grid, n_starts: int = 8, seed: int = 0,
-            tol_s: float = _TOL_S) -> tuple[float, float]:
-    """Minimum of the lower gap branch over the grid, golden-refined.
+            tol_s: float = _TOL_S) -> tuple[float, float, ClassicalState]:
+    """Minimum (s, delta1, state) of the lower gap branch over the grid, golden-refined.
 
     One ``transitions.analyze`` pass over the sorted distinct grid points
     gives every state: the grid profile is its equilibrium, and the golden
@@ -268,7 +263,7 @@ def optimize_catalyst(spec_family, xi_range, tol_xi: float = 0.05,
                 f"first-order transition inside the optimization range at xi={xi:g}",
                 xi=xi,
             )
-        _, g = _min_gap_on(spec, analysis, solver, _TOL_S)
+        g = _min_gap_on(spec, analysis, solver, _TOL_S)[1]
         cache[xi] = -g
         return -g
 

@@ -110,6 +110,11 @@ class BranchAnalysis:
 
 
 def _equilibrium(fstates, bstates):
+    """Equilibrium state and tag per grid point.  Where the sweeps agree
+    (m2z within COEXIST_TOL, tag "both") the lower energy wins, an exact tie
+    going forward; elsewhere ``model._prefer`` picks.  The first rule stays:
+    on fig2 at 41 x 21 points ``_prefer`` would pick the other state at 213
+    of the 576 "both" points and change a printed CSV field at 95."""
     eq, tags = [], []
     for f, b in zip(fstates, bstates):
         if abs(f.m2z - b.m2z) <= COEXIST_TOL:

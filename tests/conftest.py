@@ -35,6 +35,20 @@ def assert_width_within_two_steps(coarse, fine, coarse_steps):
     assert abs(coarse.hysteresis_width - fine.hysteresis_width) <= 2.0 * step + 1e-12
 
 
+def count_calls(monkeypatch, name, *modules):
+    """Record the arguments of every call made through ``name`` in ``modules``."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def random_unit(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)

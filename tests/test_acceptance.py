@@ -335,7 +335,7 @@ def test_c11_property_suites(rng):
         s = rng.uniform(0, 1)
         st = global_minimize(spec, s)
         F = fluctuation_matrix(spec, st)
-        ev = eig_general(F.matrix)
+        ev = eig_general(F)
         assert np.abs(ev.imag).max() < 1e-8
         re = np.sort(ev.real)
         assert np.abs(re + re[::-1]).max() < 1e-8

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
-from meanfield_annealer.cli import (CSV_HEADER, MAX_STEPS, emit_figure_dataset,
+from meanfield_annealer import cli, spinwave, transitions
+from meanfield_annealer.cli import (CSV_HEADER, MAX_STEPS, _fmt, emit_figure_dataset,
                                     load_config, main, run)
 from meanfield_annealer.errors import ConfigError
+from conftest import count_calls
 
 
 def write_cfg(tmp_path, name="cfg.json", **kw):
@@ -375,6 +377,19 @@ def test_min_gap_collapsed_grid_writes_single_point_row(tmp_path):
     assert (tmp_path / "three.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     row, = read_rows(tmp_path / "three.csv")
     assert float(row["s"]) == 0.5 and float(row["delta1"]) > 0.2
+
+
+def test_min_gap_row_is_the_summary_minimum(tmp_path, monkeypatch):
+    # the row is built from the state min_gap read its minimum from, so its
+    # delta1 is the summary's; the only global solves are the sweep starts
+    solves = count_calls(monkeypatch, "global_minimize", transitions, spinwave, cli)
+    cfg = write_cfg(tmp_path, task="min-gap", xi=-4.0, s_steps=201, output="mg.csv")
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    assert len(solves) == 2
+    row, = read_rows(tmp_path / "mg.csv")
+    summary = json.loads((tmp_path / "mg.summary.json").read_text())
+    assert row["s"] == _fmt(summary["min_gap"]["s"])
+    assert row["delta1"] == _fmt(summary["min_gap"]["delta1"])
 
 
 def test_optimize_xi_collapsed_grid(tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from meanfield_annealer import (ConjugateFields, ConvergenceError, CouplingMatrix,
-                                MagPair, ModelSpec, build_effective_hamiltonian,
+from meanfield_annealer import (ConvergenceError, MagPair, ModelSpec,
+                                build_effective_hamiltonian,
                                 conjugate_fields, coupling_matrix,
                                 detect_transition, global_saddle, ground_block,
                                 solve_saddle, sweep)
@@ -17,11 +17,11 @@ from conftest import assert_same_verdict, assert_width_within_two_steps
 
 XHAT = [1.0, 0.0, 0.0]
 ZERO = [0.0, 0.0, 0.0]
-K0 = CouplingMatrix(np.zeros((3, 3)))
+K0 = np.zeros((3, 3))
 
 
 def test_effective_hamiltonian_transverse_pair():
-    H = build_effective_hamiltonian(ConjugateFields(XHAT, XHAT), K0)
+    H = build_effective_hamiltonian((XHAT, XHAT), K0)
     w, V = np.linalg.eigh(H)
     assert np.allclose(w, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
     lam0, g, m1, m2 = ground_block(H)
@@ -31,8 +31,7 @@ def test_effective_hamiltonian_transverse_pair():
 def test_effective_hamiltonian_diagonal_case():
     K = np.zeros((3, 3))
     K[2, 2] = 0.5
-    H = build_effective_hamiltonian(
-        ConjugateFields([0, 0, 2.0], [0, 0, 0.51]), CouplingMatrix(K))
+    H = build_effective_hamiltonian(([0, 0, 2.0], [0, 0, 0.51]), K)
     diag = np.sort(np.real(np.diag(H)))
     assert np.allclose(diag, [-3.01, -0.99, 1.99, 2.01], atol=1e-12)
     assert np.abs(H - np.diag(np.diag(H))).max() < 1e-15
@@ -46,15 +45,15 @@ def test_effective_hamiltonian_diagonal_case():
 def test_effective_hamiltonian_xx_only():
     K = np.zeros((3, 3))
     K[0, 0] = 0.7
-    H = build_effective_hamiltonian(ConjugateFields(ZERO, ZERO), CouplingMatrix(K))
+    H = build_effective_hamiltonian((ZERO, ZERO), K)
     w = np.sort(np.linalg.eigvalsh(H))
     assert np.allclose(w, [-0.7, -0.7, 0.7, 0.7], atol=1e-12)
 
 
 def test_effective_hamiltonian_hermitian_random(rng):
     for _ in range(20):
-        mt = ConjugateFields(rng.standard_normal(3), rng.standard_normal(3))
-        K = CouplingMatrix(rng.standard_normal((3, 3)))
+        mt = (rng.standard_normal(3), rng.standard_normal(3))
+        K = rng.standard_normal((3, 3))
         H = build_effective_hamiltonian(mt, K)
         assert np.abs(H - H.conj().T).max() < 1e-12
         assert np.abs(np.linalg.eigvalsh(H).imag).max() == 0.0
@@ -67,17 +66,16 @@ def test_effective_hamiltonian_real_without_y_terms(rng):
         mt1[1] = mt2[1] = 0.0
         K = np.zeros((3, 3))
         K[0, 0], K[2, 2], K[0, 2], K[2, 0] = rng.standard_normal(4)
-        H = build_effective_hamiltonian(ConjugateFields(mt1, mt2),
-                                        CouplingMatrix(K))
+        H = build_effective_hamiltonian((mt1, mt2), K)
         assert np.abs(H.imag).max() < 1e-15
 
 
 def test_ground_block_degenerate_cases():
-    H = build_effective_hamiltonian(ConjugateFields(ZERO, ZERO), K0)
+    H = build_effective_hamiltonian((ZERO, ZERO), K0)
     lam0, g, m1, m2 = ground_block(H)
     assert lam0 == 0.0 and g == 4
     assert np.abs(m1).max() < 1e-12 and np.abs(m2).max() < 1e-12
-    H = build_effective_hamiltonian(ConjugateFields(XHAT, ZERO), K0)
+    H = build_effective_hamiltonian((XHAT, ZERO), K0)
     lam0, g, m1, m2 = ground_block(H)
     assert g == 2
     assert np.allclose(m1, XHAT, atol=1e-10)
@@ -86,14 +84,14 @@ def test_ground_block_degenerate_cases():
 
 def test_conjugate_fields(sparse_spec):
     cf = conjugate_fields(sparse_spec, 0.0, MagPair(XHAT, XHAT))
-    assert np.allclose(cf.mt1, XHAT, atol=1e-14)
-    assert np.allclose(cf.mt2, XHAT, atol=1e-14)
+    assert np.allclose(cf[0], XHAT, atol=1e-14)
+    assert np.allclose(cf[1], XHAT, atol=1e-14)
     cf = conjugate_fields(sparse_spec, 1.0, MagPair([0, 0, 1], [0, 0, 1]))
-    assert np.allclose(cf.mt1, [0, 0, 2.0], atol=1e-14)
-    assert np.allclose(cf.mt2, [0, 0, 0.51], atol=1e-14)
+    assert np.allclose(cf[0], [0, 0, 2.0], atol=1e-14)
+    assert np.allclose(cf[1], [0, 0, 0.51], atol=1e-14)
     # no y terms in the mean-field energy, so y components never source fields
     cf = conjugate_fields(sparse_spec, 0.5, MagPair([0, 1, 0], [0, -1, 0]))
-    assert cf.mt1[1] == 0.0 and cf.mt2[1] == 0.0
+    assert cf[0][1] == 0.0 and cf[1][1] == 0.0
 
 
 def test_conjugate_fields_rejects_dense(dense_spec):
@@ -256,7 +254,7 @@ SINGLE = ([np.kron(p, np.eye(2)) for p in PAULI]
 
 
 def reference_expectations(mt1, mt2, K):
-    H = build_effective_hamiltonian(ConjugateFields(mt1, mt2), CouplingMatrix(K))
+    H = build_effective_hamiltonian((mt1, mt2), K)
     w, V = jacobi_eigh(H)
     g = int(np.sum(w < w[0] + 1e-9))
     weights = np.r_[np.full(g, 1.0 / g), np.zeros(4 - g)]
@@ -268,12 +266,12 @@ def reference_expectations(mt1, mt2, K):
 def reference_solve(spec, s, init, damping=0.5, tol=1e-10):
     """The damped loop with fields, Hamiltonian and expectations rebuilt on
     the general path at every step."""
-    K = coupling_matrix(spec, s).K12
+    K = coupling_matrix(spec, s)
     m1, m2 = init.m1.copy(), init.m2.copy()
     osc, prev_sign = 0, 0.0
     for _ in range(10000):
         cf = conjugate_fields(spec, s, MagPair(m1, m2))
-        e1, e2 = reference_expectations(cf.mt1, cf.mt2, K)
+        e1, e2 = reference_expectations(*cf, K)
         upd = np.concatenate([e1 - m1, e2 - m2])
         if np.abs(upd).max() < tol:
             return m1, m2
@@ -307,10 +305,8 @@ def test_fast_expectations_match_general_path(rng):
         cases.append((mt1, mt2, xz_coupling(*rng.standard_normal(2)), None))
     for mt1, mt2, K, g in cases:
         if g is not None:
-            assert ground_block(build_effective_hamiltonian(
-                ConjugateFields(mt1, mt2), CouplingMatrix(K)))[1] == g
-        e = _expectations(_real_hamiltonian(_coupling_part(CouplingMatrix(K)),
-                                            mt1, mt2))
+            assert ground_block(build_effective_hamiltonian((mt1, mt2), K))[1] == g
+        e = _expectations(_real_hamiltonian(_coupling_part(K), mt1, mt2))
         r1, r2 = reference_expectations(mt1, mt2, K)
         assert np.abs(e - np.r_[r1[::2], r2[::2]]).max() < 1e-12
         assert abs(r1[1]) < 1e-12 and abs(r2[1]) < 1e-12

@@ -9,21 +9,23 @@ from meanfield_annealer import (CatalystRangeError, ClassicalState,
                                 optimize_catalyst)
 from meanfield_annealer import spinwave, transitions
 from meanfield_annealer.ed import dense_ed, extrapolate_gap, gap_sequence
-from meanfield_annealer.spinwave import FluctuationMatrix, _golden_section
+from meanfield_annealer.spinwave import _golden_section
+from conftest import count_calls
 
 
 def test_fluctuation_matrix_at_start(dense_spec):
     st = global_minimize(dense_spec, 0.0)
     F = fluctuation_matrix(dense_spec, st)
-    assert np.allclose(F.matrix, np.diag([0.5, 0.5, -0.5, -0.5]), atol=1e-12)
+    assert np.allclose(F, np.diag([0.5, 0.5, -0.5, -0.5]), atol=1e-12)
 
 
 def test_fluctuation_matrix_final(dense_spec):
     st = global_minimize(dense_spec, 1.0)
     F = fluctuation_matrix(dense_spec, st)
-    assert F.mu[0] == pytest.approx(1.25, abs=1e-9)
-    assert F.mu[1] == pytest.approx(0.505, abs=1e-9)
-    assert np.abs(F.matrix[:2, 2:]).max() < 1e-12
+    # A - B = diag(mu)
+    assert F[0, 0] - F[0, 2] == pytest.approx(1.25, abs=1e-9)
+    assert F[1, 1] - F[1, 3] == pytest.approx(0.505, abs=1e-9)
+    assert np.abs(F[:2, 2:]).max() < 1e-12
 
 
 def test_fluctuation_requires_stationary_state(dense_spec):
@@ -41,7 +43,7 @@ def test_spectrum_pairing_random_specs(rng):
         st = global_minimize(spec, s)
         F = fluctuation_matrix(spec, st)
         from meanfield_annealer.eigensolvers import eig_general
-        ev = eig_general(F.matrix)
+        ev = eig_general(F)
         assert np.abs(ev.imag).max() < 1e-8
         re = np.sort(ev.real)
         assert np.abs(re + re[::-1]).max() < 1e-8
@@ -64,11 +66,11 @@ def test_excitation_gaps_match_colpa_closed_form(rng):
         P = M + T.T @ dense_hessian(spec, st.s) @ T
         omega2 = np.sort(np.linalg.eigvals(M @ P).real)
         F = fluctuation_matrix(spec, st)
-        A, B = F.matrix[:2, :2], F.matrix[:2, 2:]
-        assert F.matrix.dtype == np.float64
+        A, B = F[:2, :2], F[:2, 2:]
+        assert F.dtype == np.float64
         assert np.abs(A + B - P).max() < 1e-12
         assert np.abs(A - B - M).max() < 1e-12
-        assert np.array_equal(F.matrix[2:], -F.matrix[:2, [2, 3, 0, 1]])
+        assert np.array_equal(F[2:], -F[:2, [2, 3, 0, 1]])
         g = excitation_gaps(F)
         assert g.delta1 == pytest.approx(4.0 * np.sqrt(omega2[0]), abs=1e-10)
         assert g.delta2 == pytest.approx(4.0 * np.sqrt(omega2[1]), abs=1e-10)
@@ -115,7 +117,7 @@ def test_pseudo_orthonormality(rng):
         if s == 0.0:
             assert g.delta1 == pytest.approx(g.delta2, abs=1e-12)
         for psi, delta in zip(g.eigvecs, (g.delta1, g.delta2)):
-            assert np.abs(F.matrix.T @ psi - 0.25 * delta * psi).max() < 1e-10
+            assert np.abs(F.T @ psi - 0.25 * delta * psi).max() < 1e-10
         u = g.eigvecs[:, :2]
         v = g.eigvecs[:, 2:]
         for a in range(2):
@@ -135,7 +137,7 @@ def test_excitation_gaps_general_positive_form(rng):
         P, Q = X @ X.T + 0.1 * np.eye(2), Y @ Y.T + 0.1 * np.eye(2)
         A, B = (P + Q) / 2.0, (P - Q) / 2.0
         E = np.block([[A, B], [-B, -A]])
-        g = excitation_gaps(FluctuationMatrix(matrix=E, mu=(Q[0, 0], Q[1, 1])))
+        g = excitation_gaps(E)
         w = np.sort(np.linalg.eigvals(E).real)[2:]
         assert np.allclose([g.delta1, g.delta2], 4.0 * w, rtol=1e-10, atol=1e-12)
         for psi, delta in zip(g.eigvecs, (g.delta1, g.delta2)):
@@ -150,18 +152,16 @@ def test_instability_detected():
     # imaginary, the signature of an unstable expansion point
     M = np.diag([0.1, 0.1])
     Z = np.diag([0.3, 0.3])
-    F = FluctuationMatrix(matrix=np.block([[M, Z], [-Z, -M]]), mu=(0.1, 0.1))
     with pytest.raises(InstabilityError):
-        excitation_gaps(F)
+        excitation_gaps(np.block([[M, Z], [-Z, -M]]))
 
 
 def test_zero_mode_rejected():
     # exactly critical mode: eigenvector norm vanishes in the indefinite metric
     M = np.diag([0.2, 0.5])
     Z = np.diag([0.2, 0.0])
-    F = FluctuationMatrix(matrix=np.block([[M, Z], [-Z, -M]]), mu=(0.2, 0.5))
     with pytest.raises(DegenerateModeError):
-        excitation_gaps(F)
+        excitation_gaps(np.block([[M, Z], [-Z, -M]]))
 
 
 def test_gap_profile_continuity_and_jump():
@@ -190,8 +190,8 @@ def test_gap_profile_flags_degenerate_point():
 
 def test_min_gap_single_point():
     spec = ModelSpec.dense(xi=(0.0, 0.0, -4.0))
-    s, d = min_gap(spec, [0.5])
-    assert s == 0.5
+    s, d, state = min_gap(spec, [0.5])
+    assert s == 0.5 and state.s == 0.5
     assert d == pytest.approx(gaps_at(spec, 0.5).delta1)
 
 
@@ -217,7 +217,7 @@ def test_golden_section_rejects_nonpositive_tol():
 
 
 def test_min_gap_positive_in_window():
-    s, d = min_gap(ModelSpec.dense(xi=(0.0, 0.0, -4.0)), np.linspace(0, 1, 101))
+    s, d, _ = min_gap(ModelSpec.dense(xi=(0.0, 0.0, -4.0)), np.linspace(0, 1, 101))
     assert d > 0.2
     assert 0.4 < s < 0.6
 
@@ -260,36 +260,23 @@ def test_min_gap_matches_per_point_global_solves(xi12, steps):
     # lower-energy pick of both is what matches the global solves
     spec = ModelSpec.dense(xi=(0.0, 0.0, xi12))
     grid = np.linspace(0.0, 1.0, steps)
-    s, d = min_gap(spec, grid)
+    s, d, state = min_gap(spec, grid)
+    assert state.s == s and excitation_gaps(fluctuation_matrix(spec, state)).delta1 == d
     s_ref, d_ref = _reference_min_gap(spec, grid)
     assert abs(s - s_ref) <= 1e-7
     assert abs(d - d_ref) <= 1e-9
 
 
-def _count_calls(monkeypatch, name, *modules):
-    """Record the arguments of every call made through ``name`` in ``modules``."""
-    calls = []
-    original = getattr(modules[0], name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for module in modules:
-        monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_min_gap_solve_count(monkeypatch):
     # the two sweep starts; the profile and the golden probes are warm
-    solves = _count_calls(monkeypatch, "global_minimize", transitions, spinwave)
+    solves = count_calls(monkeypatch, "global_minimize", transitions, spinwave)
     min_gap(ModelSpec.dense(xi=(0.0, 0.0, -4.0)), np.linspace(0.0, 1.0, 101))
     assert len(solves) == 2
 
 
 def test_optimize_catalyst_solve_count(monkeypatch):
-    solves = _count_calls(monkeypatch, "global_minimize", transitions, spinwave)
-    analyses = _count_calls(monkeypatch, "analyze", spinwave)
+    solves = count_calls(monkeypatch, "global_minimize", transitions, spinwave)
+    analyses = count_calls(monkeypatch, "analyze", spinwave)
     evals = []
 
     def family(xi):
@@ -304,9 +291,9 @@ def test_optimize_catalyst_solve_count(monkeypatch):
 
 def test_min_gap_collapsed_and_descending_grids():
     spec = ModelSpec.dense(xi=(0.0, 0.0, -4.0))
-    assert min_gap(spec, [0.5, 0.5]) == min_gap(spec, [0.5])
-    s, d = min_gap(spec, [0.6, 0.5, 0.4])
-    s_ref, d_ref = min_gap(spec, [0.4, 0.5, 0.6])
+    assert min_gap(spec, [0.5, 0.5])[:2] == min_gap(spec, [0.5])[:2]
+    s, d, _ = min_gap(spec, [0.6, 0.5, 0.4])
+    s_ref, d_ref, _ = min_gap(spec, [0.4, 0.5, 0.6])
     assert s == s_ref and d == d_ref
 
 
