@@ -163,8 +163,9 @@ def _validate(cfg):
     for key in ("xi", "h1", "h2", "jump_threshold", "xi_min", "xi_max", "tol_xi"):
         if not _is_number(cfg[key]):
             raise ConfigError(f"{key} must be a finite number, got {cfg[key]!r}")
-    if cfg["tol_xi"] <= 0:
-        raise ConfigError(f"tol_xi must be positive, got {cfg['tol_xi']!r}")
+    for key in ("jump_threshold", "tol_xi"):
+        if cfg[key] <= 0:
+            raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
     if not isinstance(cfg["gaps"], bool):
         raise ConfigError(f"gaps must be true or false, got {cfg['gaps']!r}")
     for key in ("axis2_min", "axis2_max"):
@@ -216,7 +217,8 @@ def build_spec(cfg, axis2_value=None) -> ModelSpec:
 
 
 def _s_grid(cfg):
-    return np.linspace(float(cfg["s_min"]), float(cfg["s_max"]), int(cfg["s_steps"]))
+    return transitions.check_grid(
+        np.linspace(float(cfg["s_min"]), float(cfg["s_max"]), int(cfg["s_steps"])))
 
 
 def _axis2_values(cfg):
@@ -340,12 +342,10 @@ def _scan_column(args):
     (cfg, axis2_value) = args
     spec = build_spec(cfg, axis2_value)
     s_grid = _s_grid(cfg)
-    if len(s_grid) > 1:
-        s_grid = np.unique(s_grid)
     dense = spec.coupling is Coupling.DENSE
-    solver = transitions.point_solver(spec, int(cfg["n_starts"]), int(cfg["seed"]))
     try:
-        analysis = transitions.analyze(solver, s_grid, float(cfg["jump_threshold"]))
+        analysis = transitions.analyze(spec, s_grid, float(cfg["jump_threshold"]),
+                                       int(cfg["n_starts"]), int(cfg["seed"]))
     except (ConvergenceError, InstabilityError, DegenerateModeError, SizeError) as err:
         # column fault barrier: flag every point, keep scanning other columns
         rows = [Row(s=float(s), axis2=axis2_value, flags=f"error:{type(err).__name__}")

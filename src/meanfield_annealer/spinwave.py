@@ -20,7 +20,7 @@ from .classical import ClassicalState, _angles, global_minimize
 from .errors import (CatalystRangeError, DegenerateModeError, InstabilityError,
                      StationarityError)
 from .model import Coupling, ModelSpec, _angle_hessian, _coeffs, _eigh2, _prefer, _require
-from .transitions import BranchAnalysis, PointSolver, analyze, point_solver
+from .transitions import BranchAnalysis, analyze
 
 IMAG_TOL = 1e-8
 _STATIONARY_TOL = 1e-8
@@ -148,7 +148,7 @@ def gap_profile(spec: ModelSpec, s_grid, n_starts: int = 8, seed: int = 0) -> li
             for s in np.asarray(s_grid, dtype=float)]
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (sqrt(5.0) - 1.0) / 2.0   # a Python float, so the probes are too
 
 
 def _golden_section(f, lo, hi, tol):
@@ -156,15 +156,14 @@ def _golden_section(f, lo, hi, tol):
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     a, b = float(lo), float(hi)
-    if b < a:
-        a, b = b, a
     if b - a <= tol:
         x = 0.5 * (a + b)
         return x, f(x)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    # x1 < x2 fails once tol is below the float spacing of the bracket
+    while b - a > tol and x1 < x2:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -176,18 +175,19 @@ def _golden_section(f, lo, hi, tol):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def _min_gap_on(spec: ModelSpec, analysis: BranchAnalysis, solver: PointSolver,
+def _min_gap_on(spec: ModelSpec, analysis: BranchAnalysis,
                 tol_s: float) -> tuple[float, float, ClassicalState]:
     """``min_gap`` on the states of one ``analyze`` pass over its grid.
 
     The grid profile reads ``analysis.equilibrium``.  Each golden probe at
-    s is the lower-energy (``_prefer``) of two warm solves, one from each
-    equilibrium state at the ends of the grid bracket, the rule
-    ``transitions._bisect_crossing`` follows, so a bracket that straddles
-    a branch crossing still reads the equilibrium branch.  The state
+    s is the lower-energy (``_prefer``) of two warm solves of
+    ``analysis.solver``, one from each equilibrium state at the ends of
+    the grid bracket, the rule ``transitions._bisect_crossing`` follows,
+    so a bracket that straddles a branch crossing still reads the
+    equilibrium branch.  The state
     returned is the grid state or the probe the minimum was read from.
     """
-    s_grid, eq = analysis.s_grid, analysis.equilibrium
+    s_grid, eq, solver = analysis.s_grid, analysis.equilibrium, analysis.solver
     profile = [_gap_point(spec, s, state) for s, state in zip(s_grid, eq)]
     valid = [(i, p) for i, p in enumerate(profile) if p.delta1 is not None]
     if not valid:
@@ -219,18 +219,16 @@ def min_gap(spec: ModelSpec, s_grid, n_starts: int = 8, seed: int = 0,
             tol_s: float = _TOL_S) -> tuple[float, float, ClassicalState]:
     """Minimum (s, delta1, state) of the lower gap branch over the grid, golden-refined.
 
-    One ``transitions.analyze`` pass over the sorted distinct grid points
-    gives every state: the grid profile is its equilibrium, and the golden
-    refinement warm-starts from the equilibrium states at the ends of the
-    grid bracket, keeping the lower-energy solve (see ``_min_gap_on``).
+    One ``transitions.analyze`` pass over the grid gives every state: the
+    grid profile is its equilibrium, and the golden refinement warm-starts
+    from the equilibrium states at the ends of the grid bracket, keeping
+    the lower-energy solve (see ``_min_gap_on``).
     Global solves run only at the two sweep starts and where a warm solve
     fails.  In a transition regime the minimum reflects a branch edge; a
     warning is emitted and the value returned anyway.
     """
     _require(spec, Coupling.DENSE)
-    s_grid = np.unique(np.asarray(s_grid, dtype=float))
-    solver = point_solver(spec, n_starts, seed)
-    return _min_gap_on(spec, analyze(solver, s_grid), solver, tol_s)
+    return _min_gap_on(spec, analyze(spec, s_grid, n_starts=n_starts, seed=seed), tol_s)
 
 
 def optimize_catalyst(spec_family, xi_range, tol_xi: float = 0.05,
@@ -238,36 +236,23 @@ def optimize_catalyst(spec_family, xi_range, tol_xi: float = 0.05,
     """Catalyst strength maximizing the minimum gap over the anneal.
 
     ``spec_family`` maps a strength xi to a ModelSpec.  Every evaluated xi
-    runs one ``transitions.analyze`` pass over the sorted distinct grid
-    points.  Its verdict screens xi for a first-order transition, and
-    finding one raises CatalystRangeError naming the offending value.
+    runs one ``transitions.analyze`` pass over the grid (by default 101
+    points over [0, 1]).  Its verdict screens xi for a first-order
+    transition, and finding one raises CatalystRangeError naming the
+    offending value.
     Otherwise its equilibrium states give the minimum gap, refined by warm
     two-anchor probes as in ``min_gap``.
     """
-    lo, hi = float(min(xi_range)), float(max(xi_range))
-    if s_grid is None:
-        s_grid = np.linspace(0.0, 1.0, 101)
-    s_grid = np.unique(np.asarray(s_grid, dtype=float))
-    cache: dict[float, float] = {}
-
     def neg_min_gap(xi):
-        xi = float(xi)
-        if xi in cache:
-            return cache[xi]
         spec = spec_family(xi)
         _require(spec, Coupling.DENSE)
-        solver = point_solver(spec, n_starts, seed)
-        analysis = analyze(solver, s_grid)
+        analysis = analyze(spec, s_grid, n_starts=n_starts, seed=seed)
         if analysis.report.found:
             raise CatalystRangeError(
                 f"first-order transition inside the optimization range at xi={xi:g}",
                 xi=xi,
             )
-        g = _min_gap_on(spec, analysis, solver, _TOL_S)[1]
-        cache[xi] = -g
-        return -g
+        return -_min_gap_on(spec, analysis, _TOL_S)[1]
 
-    if hi - lo <= 0.0:
-        return lo, -neg_min_gap(lo)
-    xi_star, neg = _golden_section(neg_min_gap, lo, hi, tol_xi)
+    xi_star, neg = _golden_section(neg_min_gap, min(xi_range), max(xi_range), tol_xi)
     return float(xi_star), float(-neg)

@@ -1,10 +1,12 @@
 """Branch continuation and first-order transition detection for both models.
 
-``point_solver`` is the one place where a spec's coupling picks its
-solver: damped Newton on the classical torus (``classical``) for dense
-intercluster coupling, the self-consistent saddle (``saddle``) for sparse.
-Both solvers' states carry ``energy`` and ``m2z``, which is all the
-detector reads.  ``sweep`` and ``detect_transition`` take either spec.
+``analyze`` is the one branch pass over a spec and an s grid, read as
+its sorted distinct points (``check_grid``).  ``point_solver`` is the one
+place where a spec's coupling picks its solver: damped Newton on the
+classical torus (``classical``) for dense intercluster coupling, the
+self-consistent saddle (``saddle``) for sparse.  Both solvers' states
+carry ``energy`` and ``m2z``, which is all the detector reads.
+``analyze``, ``sweep`` and ``detect_transition`` take either spec.
 A forward and a backward continuation sweep give two branches; the lower
 of the two at each grid point is the equilibrium.  The grid interval with
 the largest equilibrium weak-cluster magnetization jump is the only
@@ -64,15 +66,15 @@ def point_solver(spec: ModelSpec, n_starts: int = 8, seed: int = 0) -> PointSolv
     return PointSolver(lambda s: global_saddle(spec, s), local)
 
 
-def check_grid(s_grid) -> np.ndarray:
-    grid = np.asarray(s_grid, dtype=float).ravel()
+def check_grid(s_grid=None) -> np.ndarray:
+    """The grid a branch pass runs on: the sorted distinct points of a
+    finite, non-empty s grid, by default 101 points over [0, 1]."""
+    grid = np.linspace(0.0, 1.0, 101) if s_grid is None else np.asarray(s_grid, dtype=float)
     if grid.size < 1:
         raise ValueError("s grid must contain at least one point")
     if not np.all(np.isfinite(grid)):
         raise ValueError("s grid must be finite")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("s grid must be strictly ascending")
-    return grid
+    return np.unique(grid)
 
 
 def branch_sweep(solver: PointSolver, s_grid: np.ndarray, forward: bool = True) -> list:
@@ -102,8 +104,7 @@ class TransitionReport:
 @dataclass(frozen=True)
 class BranchAnalysis:
     s_grid: np.ndarray
-    forward: list
-    backward: list          # ascending order, aligned with s_grid
+    solver: PointSolver     # the pass's solver, for warm probes off the grid
     equilibrium: list
     branch_tags: list[str]  # "both" | "forward" | "backward"
     report: TransitionReport
@@ -170,18 +171,24 @@ def _window_width(s_grid, coexist, i) -> float:
     return float(s_grid[hi] - s_grid[lo])
 
 
-def analyze(solver: PointSolver, s_grid, jump_threshold: float = 0.5) -> BranchAnalysis:
-    """Sweep both ways, then judge the largest equilibrium m2z jump.
+def analyze(spec: ModelSpec, s_grid=None, jump_threshold: float = 0.5,
+            n_starts: int = 8, seed: int = 0) -> BranchAnalysis:
+    """Sweep either model both ways along ``check_grid(s_grid)``, then
+    judge the largest equilibrium m2z jump.
 
-    The grid interval (i, i+1) with the largest jump is bisected from
-    equilibrium[i] (low-s branch) and equilibrium[i+1] (high-s branch).
-    The verdict is the m2z jump between the two states the bisection ends
-    on, s* the midpoint of its final bracket, and the hysteresis width the
-    span of the coexistence window touching the interval (0 if none).  A
-    grid jump below ``jump_threshold`` is reported as no transition
-    without bisecting.
+    The solver is ``point_solver(spec, n_starts, seed)``, carried on the
+    result.  The grid interval (i, i+1) with the largest jump is bisected
+    from equilibrium[i] (low-s branch) and equilibrium[i+1] (high-s
+    branch).  The verdict is the m2z jump between the two states the
+    bisection ends on, s* the midpoint of its final bracket, and the
+    hysteresis width the span of the coexistence window touching the
+    interval (0 if none).  A grid jump below ``jump_threshold``, which
+    must be positive, is reported as no transition without bisecting.
     """
+    if not jump_threshold > 0:
+        raise ValueError(f"jump_threshold must be positive, got {jump_threshold!r}")
     s_grid = check_grid(s_grid)
+    solver = point_solver(spec, n_starts, seed)
     fstates = branch_sweep(solver, s_grid, forward=True)
     bstates = branch_sweep(solver, s_grid, forward=False)[::-1]
     eq, tags = _equilibrium(fstates, bstates)
@@ -190,8 +197,8 @@ def analyze(solver: PointSolver, s_grid, jump_threshold: float = 0.5) -> BranchA
         found = bool(jump > jump_threshold)
         report = TransitionReport(found, float(s_star) if found else float("nan"),
                                   float(jump), width)
-        return BranchAnalysis(s_grid=s_grid, forward=fstates, backward=bstates,
-                              equilibrium=eq, branch_tags=tags, report=report)
+        return BranchAnalysis(s_grid=s_grid, solver=solver, equilibrium=eq,
+                              branch_tags=tags, report=report)
 
     if len(s_grid) < 2:
         return result(0.0)
@@ -207,17 +214,14 @@ def analyze(solver: PointSolver, s_grid, jump_threshold: float = 0.5) -> BranchA
 
 def sweep(spec: ModelSpec, s_grid, forward: bool = True, n_starts: int = 8,
           seed: int = 0) -> list:
-    """Warm-started continuation of either model along the grid, in
-    traversal order; forward and backward sweeps disagreeing inside a
+    """Warm-started continuation of either model along ``check_grid(s_grid)``,
+    in traversal order; forward and backward sweeps disagreeing inside a
     window is the hysteresis signal."""
     return branch_sweep(point_solver(spec, n_starts, seed), check_grid(s_grid), forward)
 
 
 def detect_transition(spec: ModelSpec, s_grid=None, jump_threshold: float = 0.5,
                       n_starts: int = 8, seed: int = 0) -> TransitionReport:
-    """First-order transition verdict of either model on
-    [min(s_grid), max(s_grid)], by default on 101 points over [0, 1]
-    (see ``analyze``)."""
-    if s_grid is None:
-        s_grid = np.linspace(0.0, 1.0, 101)
-    return analyze(point_solver(spec, n_starts, seed), s_grid, jump_threshold).report
+    """First-order transition verdict of either model: the report of
+    ``analyze``, by default on 101 points over [0, 1]."""
+    return analyze(spec, s_grid, jump_threshold, n_starts, seed).report

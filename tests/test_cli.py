@@ -142,7 +142,8 @@ def test_main_exit_codes(tmp_path, capsys):
                              ("scan", "xi", "x"), ("scan", "xi", 10 ** 400),
                              ("scan", "h1", "x"), ("scan", "h2", nan),
                              ("scan", "axis2_min", "x"), ("scan", "axis2_max", nan),
-                             ("scan", "jump_threshold", "x"), ("scan", "gaps", "no"),
+                             ("scan", "jump_threshold", "x"), ("scan", "jump_threshold", 0.0),
+                             ("scan", "jump_threshold", -1.0), ("scan", "gaps", "no"),
                              ("scan", "gamma2", nan), ("optimize-xi", "xi_min", "x"),
                              ("optimize-xi", "xi_max", nan), ("optimize-xi", "tol_xi", "x"),
                              ("optimize-xi", "tol_xi", 0.0), ("optimize-xi", "tol_xi", -0.1),
@@ -253,16 +254,13 @@ def test_partial_column_failure_flags_and_exit3(tmp_path, monkeypatch):
 
     real_analyze = transitions.analyze
 
-    def flaky_analyze(solver, s_grid, *a, **kw):
-        # fail exactly one column; the solver closure carries the spec
-        st = solver.warm(float(s_grid[0]), None)
-        if abs(st.m2z) > 2:  # pragma: no cover - never true
-            raise AssertionError
+    def flaky_analyze(spec, s_grid, *a, **kw):
+        # fail exactly one column
         if flaky_analyze.calls == 1:
             flaky_analyze.calls += 1
             raise ConvergenceError("forced failure")
         flaky_analyze.calls += 1
-        return real_analyze(solver, s_grid, *a, **kw)
+        return real_analyze(spec, s_grid, *a, **kw)
 
     flaky_analyze.calls = 0
     monkeypatch.setattr("meanfield_annealer.cli.transitions.analyze", flaky_analyze)
@@ -390,6 +388,18 @@ def test_min_gap_row_is_the_summary_minimum(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "mg.summary.json").read_text())
     assert row["s"] == _fmt(summary["min_gap"]["s"])
     assert row["delta1"] == _fmt(summary["min_gap"]["delta1"])
+
+
+def test_gap_collapsed_grid_writes_the_scan_row(tmp_path):
+    # every task takes the grid's sorted distinct points: here the one s
+    base = dict(xi=-4.0, s_min=0.5, s_max=0.5, s_steps=3)
+    gap = write_cfg(tmp_path, "g.json", task="gap", output="g.csv", **base)
+    scan = write_cfg(tmp_path, "s.json", task="scan", output="s.csv", **base)
+    assert run(gap, out_dir=str(tmp_path)) == 0
+    assert run(scan, out_dir=str(tmp_path)) == 0
+    rows = read_rows(tmp_path / "g.csv")
+    assert len(rows) == 1
+    assert rows == read_rows(tmp_path / "s.csv")
 
 
 def test_optimize_xi_collapsed_grid(tmp_path):

@@ -201,6 +201,31 @@ def test_golden_section_on_quadratic():
     assert f == pytest.approx(1.0, abs=1e-10)
 
 
+def test_golden_section_ends_below_the_float_spacing():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return (t + 4.0) ** 2
+
+    x, _ = _golden_section(f, -5.0, -3.0, 1e-300)
+    assert len(calls) < 100
+    assert abs(x + 4.0) < 1e-12
+
+
+def test_optimize_catalyst_ends_below_the_float_spacing():
+    evals = []
+
+    def family(xi):
+        evals.append(xi)
+        return ModelSpec.dense(xi=(0.0, 0.0, xi))
+
+    optimize_catalyst(family, (-4.3, -3.7), tol_xi=1e-16, s_grid=np.linspace(0.0, 1.0, 5))
+    assert len(evals) < 100
+    # a numpy scalar xi would run every solve of the spec on numpy scalars
+    assert all(type(xi) is float for xi in evals)
+
+
 def test_golden_section_rejects_nonpositive_tol():
     # `while b - a > tol` would never end
     for tol in (0.0, -1e-3, float("nan")):

@@ -35,6 +35,31 @@ def test_sweep_states_follow_the_coupling():
     assert all(isinstance(st, SaddleSolution) for st in sweep(ModelSpec.sparse(), grid))
 
 
+@pytest.mark.parametrize("spec", [ModelSpec.dense(), ModelSpec.sparse(xi=(0.0, 0.0, -4.0))],
+                         ids=["dense", "sparse"])
+def test_analyze_takes_the_sorted_distinct_grid_points(spec):
+    grid = np.linspace(0.0, 1.0, 11)
+    messy = np.random.default_rng(5).permutation(np.concatenate([grid, grid[::3]]))
+    a, b = transitions.analyze(spec, messy), transitions.analyze(spec, grid)
+    assert np.array_equal(a.s_grid, grid)
+    assert a.report == b.report and a.report.found
+    assert a.branch_tags == b.branch_tags
+    assert [st.m2z for st in a.equilibrium] == [st.m2z for st in b.equilibrium]
+
+
+def test_check_grid_rejects_empty_and_nonfinite():
+    for bad in ([], [0.1, np.nan]):
+        with pytest.raises(ValueError, match="s grid must"):
+            transitions.check_grid(bad)
+
+
+def test_analyze_rejects_a_nonpositive_jump_threshold():
+    for threshold in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="jump_threshold must be positive"):
+            detect_transition(ModelSpec.dense(xi=(0.0, 0.0, -4.0)), [0.5],
+                              jump_threshold=threshold)
+
+
 def _dense_state():
     return global_minimize(ModelSpec.dense(), 0.5)
 
