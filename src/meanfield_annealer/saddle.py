@@ -10,6 +10,15 @@ symmetric and goes to LAPACK ``eigh``; the public builder and
 affine in x, mt = b + D x with D = diag(4 c11, s, 4 c22, s); the map is
 ``model._field_map``, the one statement of them.
 
+A solve builds b, D and Hc = -(Kxx X1X2 + Kzz Z1Z2) (Kxx = s(1-s) xi12/2,
+Kzz = s/2, as in ``coupling_matrix``) once; H(x) = Hc - (b + D x).O.  On a
+non-degenerate ground state |0> an iteration takes e(x) = Y|0> and, on a
+Newton iterate, the <n|O_i|0> = (Y V)_in that the response scales from
+Y = (O_i|0>)_i; a degenerate block keeps the multiplet average.  Y|0> adds
+the products of the projector contraction in its order, so iterates and
+Newton's rounding-level stop are the projector form's wherever BLAS sums
+short products in order.
+
 The fixed point x = e(x) is found at zero temperature by Newton on
 F(x) = e(x) - x, with the Jacobian J = chi D - I taken from the loop's
 ``eigh``.  A global solve (from a fixed start, as in ``global_saddle``)
@@ -35,8 +44,9 @@ then takes the global solve, and ``global_saddle`` raises ``ConvergenceError``
 with the last unconverged solution when all five inits fail.  Every 4x4 and
 3x3 symmetric eigenproblem in the loop is one direct LAPACK ``dsyevd`` call,
 and a converged solve takes lambda0, the degeneracy and the energy density
-from the eigenvalues the loop already holds at the returned x.  Sweeps and
-transition detection for either model live in ``transitions``.
+from the eigenvalues the loop already holds at the returned x, with mt =
+b + D x there.  Sweeps and transition detection for either model live in
+``transitions``.
 
 The whole construction takes the decoupling fields to be constant in
 imaginary time.  That is a modeling assumption baked into the equations,
@@ -47,6 +57,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
@@ -60,6 +71,8 @@ _I2 = np.eye(2)
 _S12 = np.array([[np.kron(p, _I2) for p in _PAULI], [np.kron(_I2, p) for p in _PAULI]])
 _S1S2 = np.array([[np.kron(a, b) for b in _PAULI] for a in _PAULI])
 _OPS = _S12[:, ::2].real.reshape(4, 16)   # X1, Z1, X2, Z2, flattened
+_OPSV = _OPS.reshape(16, 4)               # (_OPSV @ v).reshape(4, 4)[i] = O_i v
+_XX, _ZZ = -_S1S2[0, 0].real.ravel(), -_S1S2[2, 2].real.ravel()   # -X1X2, -Z1Z2
 _DEGENERACY_TOL = 1e-9
 _DAMPING = 0.5        # initial step fraction of the damped loop
 # Residual max|e(x) - x| below which the zero-temperature loop hands over
@@ -123,15 +136,10 @@ def ground_block(H: np.ndarray):
     return lam0, g, m1, m2
 
 
-def _coupling_part(K: np.ndarray) -> np.ndarray:
-    """Real field-free part -sigma1.K12.sigma2 of the 3x3 K12; coupling_matrix
-    fills only its xx and zz entries."""
-    return -np.einsum("ab,abij->ij", K[::2, ::2], _S1S2[::2, ::2].real)
-
-
-def _real_hamiltonian(Hc, mt1, mt2) -> np.ndarray:
-    """Hc - mt1.sigma1 - mt2.sigma2 for fields without a y component."""
-    return Hc - (np.concatenate([mt1[::2], mt2[::2]]) @ _OPS).reshape(4, 4)
+def _coupling_part(c) -> np.ndarray:
+    """Field-free part -(Kxx X1X2 + Kzz Z1Z2) of the real H, flattened, with
+    ``coupling_matrix``'s Kxx = s(1-s) xi12 / 2 = 2 c12 and Kzz = s/2."""
+    return 2.0 * c.c12 * _XX + c.s2 * _ZZ
 
 
 @functools.cache
@@ -145,33 +153,36 @@ def _eigh(a):
     """``np.linalg.eigh(a)`` of a small real symmetric matrix (lower
     triangle) as one LAPACK call; numpy's per-call overhead is most of the
     cost of a 4x4."""
-    w, V, info = _dsyevd()(a, lower=1)
+    w, V, info = _dsyevd()(a, 1, 1)   # compute_v, lower: keywords cost more
     if info:
         raise np.linalg.LinAlgError(f"dsyevd failed with info={info}")
     return w, V
 
 
-def _expectations(H):
-    """Ground-block averaged <X1>, <Z1>, <X2>, <Z2> of the real symmetric H."""
-    return _average(*_eigh(H))
-
-
-def _average(w, V):
-    """``_expectations`` from the eigenpairs (w ascending, V columns)."""
+def _ground(w, V):
+    """(e, Y) from the eigenpairs (w ascending, V columns) of the real H: e
+    the ground-block averaged <X1>, <Z1>, <X2>, <Z2>, and on a non-degenerate
+    ground state Y[i] = O_i|0>, so that e = Y|0> and Y @ V[:, 1:] holds the
+    <n|O_i|0> that ``_response`` scales; Y is None on a degenerate one."""
+    if w[1] >= w[0] + _DEGENERACY_TOL:
+        v0 = V[:, 0]
+        Y = _OPSV.dot(v0).reshape(4, 4)
+        return Y.dot(v0), Y
     g = int(np.count_nonzero(w < w[0] + _DEGENERACY_TOL))
-    return _OPS @ (V[:, :g] @ V[:, :g].T / g).ravel()
+    return _OPS @ (V[:, :g] @ V[:, :g].T / g).ravel(), None
 
 
-def _response(w, V):
+def _response(w, A):
     """Factor B (4x3) of the static susceptibility chi = B B^T of a
-    non-degenerate ground state.
+    non-degenerate ground state, from its eigenvalues w and the matrix
+    elements A[i, n-1] = <n|O_i|0>, n = 1..3.
 
     chi_ij = d<O_i>/d mt_j = 2 sum_{n>0} <0|O_i|n><n|O_j|0> / (E_n - E_0)
     for H = H0 - sum_j mt_j O_j (second-order perturbation theory), with O
     = X1, Z1, X2, Z2; chi is symmetric positive semidefinite.
     """
-    A = (_OPS.reshape(4, 4, 4) @ V[:, 0]) @ V[:, 1:]   # A[i, n-1] = <n|O_i|0>
-    return A * np.sqrt(2.0 / (w[1:] - w[0]))
+    w0, w1, w2, w3 = w.tolist()   # scalar math: cheaper than numpy on three entries
+    return A * [sqrt(2.0 / (w1 - w0)), sqrt(2.0 / (w2 - w0)), sqrt(2.0 / (w3 - w0))]
 
 
 def conjugate_fields(spec: ModelSpec, s: float, m: MagPair) -> tuple[np.ndarray, np.ndarray]:
@@ -179,19 +190,6 @@ def conjugate_fields(spec: ModelSpec, s: float, m: MagPair) -> tuple[np.ndarray,
     mt_a = -2 d(h_m)/dm_a, as 3-vectors whose y components are zero."""
     _require(spec, Coupling.SPARSE)
     return _conjugate_fields(_coeffs(spec, s), m.m1, m.m2)
-
-
-def _energy_density(coeffs, Hc, m1, m2, w=None):
-    """(u, lambda0, degeneracy, (mt1, mt2)) at m; ``w``, the eigenvalues of
-    the effective Hamiltonian at m when the caller holds them, saves a solve."""
-    mt1, mt2 = _conjugate_fields(coeffs, m1, m2)
-    if w is None:
-        w = np.linalg.eigvalsh(_real_hamiltonian(Hc, mt1, mt2))
-    lam0 = float(w[0])
-    g = int(np.count_nonzero(w < lam0 + _DEGENERACY_TOL))
-    hm = _sparse_energy(coeffs, m1, m2)
-    u = 0.5 * (mt1 @ m1 + mt2 @ m2) + hm + 0.5 * lam0
-    return u, lam0, g, (mt1, mt2)
 
 
 def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
@@ -224,34 +222,36 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     _require(spec, Coupling.SPARSE)
-    coeffs = _coeffs(spec, s)
-    Hc = _coupling_part(coupling_matrix(spec, s))
+    c = _coeffs(spec, s)
+    b, D = _field_map(c)
     warm = isinstance(init, SaddleSolution)
     m = init.m if warm else init
     x0 = np.concatenate([m.m1[::2], m.m2[::2]])
-    x, converged, residual, w = _iterate(coeffs, Hc, x0, max_iter, tol,
+    x, converged, residual, w = _iterate(_coupling_part(c), b, D, x0, max_iter, tol,
                                          np.inf if warm else _NEWTON_SWITCH)
-    m1 = np.array([x[0], 0.0, x[1]])
-    m2 = np.array([x[2], 0.0, x[3]])
-    u, lam0, g, mt = _energy_density(coeffs, Hc, m1, m2, w)
+    x1, z1, x2, z2 = x.tolist()
+    mx1, mz1, mx2, mz2 = (b + D * x).tolist()
+    m1, m2, mt1, mt2 = np.array([[x1, 0.0, z1], [x2, 0.0, z2], [mx1, 0.0, mz1], [mx2, 0.0, mz2]])
+    lam0 = float(w[0])
+    u = (0.5 * (mt1.dot(m1) + mt2.dot(m2)) + _sparse_energy(c, (x1, 0.0, z1), (x2, 0.0, z2))
+         + 0.5 * lam0)
     return SaddleSolution(
-        s=float(s), m=MagPair(m1, m2), mt=mt, lambda0=lam0, degeneracy=g,
+        s=float(s), m=MagPair(m1, m2), mt=(mt1, mt2), lambda0=lam0,
+        degeneracy=int(np.count_nonzero(w < lam0 + _DEGENERACY_TOL)),
         energy=float(u), converged=bool(converged), residual=float(residual),
         indeterminate=_indeterminate_flags(spec, s),
     )
 
 
-def _iterate(coeffs, Hc, x, max_iter, tol, switch):
-    """Fixed point of x = e(x), with Newton tried below residual ``switch``.
+def _iterate(Hc, b, D, x, max_iter, tol, switch):
+    """Fixed point of x = e(x) for H(x) = Hc - (b + D x).O (Hc flattened),
+    with Newton tried below residual ``switch``.
 
     Returns (x, converged, max|e(x) - x| at x, w), where w holds the
-    eigenvalues of the effective Hamiltonian at the returned x when
-    converged and is None otherwise.
+    eigenvalues of H at the returned x.
     """
-    x = np.array(x, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(Hc))):
+    if not np.isfinite(np.concatenate([x, Hc])).all():
         raise ValueError("effective Hamiltonian inputs must be finite")
-    b, D = _field_map(coeffs)
     damping = _DAMPING
     rejected = False
     start = None                  # (x, step, top, residual, w) where Newton began
@@ -259,30 +259,31 @@ def _iterate(coeffs, Hc, x, max_iter, tol, switch):
     osc = 0
     prev_sign = 0.0
     residual = np.inf
+    # ndarray.dot, not @: the same BLAS call with less overhead on operands this small
     for _ in range(max_iter):
-        w, V = _eigh(Hc - ((b + D * x) @ _OPS).reshape(4, 4))
-        step = _average(w, V) - x
-        size = np.abs(step)
-        top = int(size.argmax())
-        residual = float(size[top])
+        w, V = _eigh((Hc - (b + D * x).dot(_OPS)).reshape(4, 4))
+        e, Y = _ground(w, V)
+        step = e - x
+        size = list(map(abs, step.tolist()))
+        residual = max(size)
+        top = size.index(residual)
         if residual < switch:
             # a Newton iterate must lower the residual and have a
             # non-degenerate ground state
-            accept = ((last is None or residual < last[1])
-                      and w[1] >= w[0] + _DEGENERACY_TOL)
+            accept = (last is None or residual < last[1]) and Y is not None
             if accept:
-                B = _response(w, V)
+                B = _response(w, Y.dot(V[:, 1:]))
                 # chi D = B B^T D shares its nonzero eigenvalues with the
                 # symmetric M = B^T D B, and (I - chi D)^-1 = I + B (I - M)^-1 B^T D
-                mu, Q = _eigh(B.T @ (D[:, None] * B))
+                mu, Q = _eigh(B.T.dot(D[:, None] * B))
                 accept = mu[-1] < 1.0
             if accept:
                 if residual < min(tol, _ROUNDING_FLOOR):
                     return x, True, residual, w  # nothing left for Newton to gain
                 if start is None:
-                    start = (x.copy(), step, top, residual, w)
-                last = (x.copy(), residual, w)
-                x += step + B @ (Q @ ((Q.T @ (B.T @ (D * step))) / (1.0 - mu)))
+                    start = (x, step, top, residual, w)
+                last = (x, residual, w)
+                x = x + (step + B.dot(Q.dot(Q.T.dot(B.T.dot(D * step)) / (1.0 - mu))))
                 continue
             if last is not None and last[1] < tol:
                 return last[0], True, last[1], last[2]
@@ -305,10 +306,10 @@ def _iterate(coeffs, Hc, x, max_iter, tol, switch):
         else:
             osc = 0
         prev_sign = sign
-        x += damping * step
+        x = x + damping * step
     if last is not None and last[1] < tol:
         return last[0], True, last[1], last[2]
-    return x, False, residual, None
+    return x, False, residual, np.linalg.eigvalsh((Hc - (b + D * x).dot(_OPS)).reshape(4, 4))
 
 
 _SADDLE_INITS = [

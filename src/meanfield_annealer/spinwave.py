@@ -162,16 +162,21 @@ def _golden_section(f, lo, hi, tol):
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    # x1 < x2 fails once tol is below the float spacing of the bracket
+    # once tol is below the float spacing of the bracket, a new probe can
+    # land on or beyond the kept one; the order is checked before f runs
     while b - a > tol and x1 < x2:
         if f1 <= f2:
+            x = x2 - _GOLDEN * (x2 - a)
+            if not x < x1:
+                break
             b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+            x1, f1 = x, f(x)
         else:
+            x = x1 + _GOLDEN * (b - x1)
+            if not x2 < x:
+                break
             a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
+            x2, f2 = x, f(x)
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 

@@ -20,6 +20,11 @@ SMALL_SCAN = dict(task="scan", coupling="dense", axis2="xi", axis2_min=-4.0,
                   axis2_max=0.0, axis2_steps=2, s_steps=21, gaps=True,
                   output="out.csv")
 
+# the saddle path: a column with a transition (xi12 = -4) and one without (8)
+SPARSE_SCAN = dict(task="scan", coupling="sparse", axis2="xi", axis2_min=-4.0,
+                   axis2_max=8.0, axis2_steps=2, s_steps=21, gaps=False,
+                   output="sparse.csv")
+
 
 def read_rows(path):
     with open(path, newline="") as fh:
@@ -114,6 +119,18 @@ def test_scan_worker_pool_matches_serial(tmp_path):
     assert run(cfg1, out_dir=str(tmp_path), workers=1) == 0
     assert run(cfg2, out_dir=str(tmp_path), workers=2) == 0
     assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
+
+def test_sparse_scan_byte_identical_on_rerun_and_worker_pool(tmp_path):
+    outputs = []
+    for name, workers in (("s1", 1), ("s2", 1), ("s3", 2)):
+        cfg = write_cfg(tmp_path, f"{name}.json", **{**SPARSE_SCAN, "output": f"{name}.csv"})
+        assert run(cfg, out_dir=str(tmp_path), workers=workers) == 0
+        outputs.append((tmp_path / f"{name}.csv").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(read_rows(tmp_path / "s1.csv")) == 2 * 21
+    reports = json.loads((tmp_path / "s1.summary.json").read_text())["transition_reports"]
+    assert [(r["axis2"], r["found"]) for r in reports] == [(-4.0, True), (8.0, False)]
 
 
 def test_rerun_refuses_existing_output(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,14 @@ from meanfield_annealer import (ConvergenceError, MagPair, ModelSpec,
                                 build_effective_hamiltonian,
                                 conjugate_fields, coupling_matrix,
                                 detect_transition, global_saddle, ground_block,
-                                solve_saddle, sweep)
+                                solve_saddle, sparse_mean_field_density, sweep)
 from meanfield_annealer import saddle
 from meanfield_annealer.ed import sparse_ed
 from meanfield_annealer.eigensolvers import jacobi_eigh
-from meanfield_annealer.model import _coeffs
-from meanfield_annealer.saddle import (_coupling_part, _expectations,
-                                       _field_map, _real_hamiltonian,
-                                       _response)
-from conftest import assert_same_verdict, assert_width_within_two_steps
+from meanfield_annealer.model import _coeffs, _field_map
+from meanfield_annealer.saddle import _coupling_part, _eigh, _ground, _response
+from meanfield_annealer.transitions import analyze
+from conftest import assert_same_verdict, assert_width_within_two_steps, count_calls
 
 XHAT = [1.0, 0.0, 0.0]
 ZERO = [0.0, 0.0, 0.0]
@@ -295,6 +296,30 @@ def xz_coupling(kxx, kzz):
     return K
 
 
+def real_hamiltonian(mt1, mt2, K):
+    """The real 4x4 the loop diagonalizes, from the general builder."""
+    return np.ascontiguousarray(build_effective_hamiltonian((mt1, mt2), K).real)
+
+
+def kernel(H):
+    """(e, B) of the loop's kernel at H: the expectations, and the response
+    factor on a non-degenerate ground state (None on a degenerate one)."""
+    w, V = np.linalg.eigh(H)
+    e, Y = _ground(w, V)
+    return e, None if Y is None else _response(w, Y.dot(V[:, 1:]))
+
+
+def projector_kernel(w, V):
+    """(e, B) in the unfused form: e from the averaged ground projector
+    contracted with X1, Z1, X2, Z2, and <n|O_i|0> from its own product."""
+    g = int(np.count_nonzero(w < w[0] + 1e-9))
+    e = saddle._OPS @ (V[:, :g] @ V[:, :g].T / g).ravel()
+    if g > 1:
+        return e, None
+    A = (saddle._OPS.reshape(4, 4, 4) @ V[:, 0]) @ V[:, 1:]
+    return e, A * np.sqrt(2.0 / (w[1:] - w[0]))
+
+
 def test_fast_expectations_match_general_path(rng):
     cases = [(np.zeros(3), np.zeros(3), np.zeros((3, 3)), 4),
              (np.array(XHAT), np.zeros(3), np.zeros((3, 3)), 2),
@@ -306,7 +331,7 @@ def test_fast_expectations_match_general_path(rng):
     for mt1, mt2, K, g in cases:
         if g is not None:
             assert ground_block(build_effective_hamiltonian((mt1, mt2), K))[1] == g
-        e = _expectations(_real_hamiltonian(_coupling_part(K), mt1, mt2))
+        e = kernel(real_hamiltonian(mt1, mt2, K))[0]
         r1, r2 = reference_expectations(mt1, mt2, K)
         assert np.abs(e - np.r_[r1[::2], r2[::2]]).max() < 1e-12
         assert abs(r1[1]) < 1e-12 and abs(r2[1]) < 1e-12
@@ -331,11 +356,9 @@ def response_at(spec, s, x):
     """F(x) = e(x) - x, chi and D at x = (m1x, m1z, m2x, m2z) on the fast path."""
     b, D = _field_map(_coeffs(spec, s))
     mt = b + D * x
-    H = _real_hamiltonian(_coupling_part(coupling_matrix(spec, s)),
-                          np.r_[mt[0], 0.0, mt[1]], np.r_[mt[2], 0.0, mt[3]])
-    w, V = np.linalg.eigh(H)
-    B = _response(w, V)
-    return _expectations(H) - x, B @ B.T, D
+    e, B = kernel(real_hamiltonian(np.r_[mt[0], 0.0, mt[1]], np.r_[mt[2], 0.0, mt[3]],
+                                   coupling_matrix(spec, s)))
+    return e - x, B @ B.T, D
 
 
 def lambda_max(spec, s, x):
@@ -366,11 +389,10 @@ def test_linear_response_jacobian_matches_finite_differences(rng):
         x = rng.uniform(-1.0, 1.0, 4)
         spec = ModelSpec.sparse(xi=tuple(xi))
         b, D = _field_map(_coeffs(spec, s))
-        Hc = _coupling_part(coupling_matrix(spec, s))
+        K = coupling_matrix(spec, s)
 
         def H_of(mt):
-            return _real_hamiltonian(Hc, np.r_[mt[0], 0.0, mt[1]],
-                                     np.r_[mt[2], 0.0, mt[3]])
+            return real_hamiltonian(np.r_[mt[0], 0.0, mt[1]], np.r_[mt[2], 0.0, mt[3]], K)
 
         w = np.linalg.eigvalsh(H_of(b + D * x))
         if w[1] - w[0] < 1e-2:
@@ -386,8 +408,7 @@ def test_linear_response_jacobian_matches_finite_differences(rng):
             dx = np.zeros(4)
             dx[j] = h
             J_fd[:, j] = (general_F(spec, s, x + dx) - general_F(spec, s, x - dx)) / (2 * h)
-            chi_fd[:, j] = (_expectations(H_of(mt + dx))
-                            - _expectations(H_of(mt - dx))) / (2 * h)
+            chi_fd[:, j] = (kernel(H_of(mt + dx))[0] - kernel(H_of(mt - dx))[0]) / (2 * h)
         assert np.abs(J - J_fd).max() <= 1e-6 * np.abs(J).max()
         assert np.abs(chi - chi_fd).max() <= 1e-6 * np.abs(chi).max()
         # the measured response itself is symmetric positive semidefinite
@@ -537,9 +558,64 @@ def test_solution_energy_reuses_the_loop_eigenvalues(rng):
         glob = global_saddle(spec, s)
         for sol in (glob, solve_saddle(spec, s + 0.01, glob)):
             assert sol.converged
-            u, lam0, g, _ = saddle._energy_density(
-                _coeffs(spec, sol.s), _coupling_part(coupling_matrix(spec, sol.s)),
-                sol.m.m1, sol.m.m2)
+            mt = conjugate_fields(spec, sol.s, sol.m)
+            assert all(np.array_equal(a, b) for a, b in zip(sol.mt, mt))
+            w = np.linalg.eigvalsh(build_effective_hamiltonian(mt, coupling_matrix(spec, sol.s)))
+            lam0 = w[0]
+            g = int(np.count_nonzero(w < lam0 + 1e-9))
+            u = (0.5 * (mt[0] @ sol.m.m1 + mt[1] @ sol.m.m2)
+                 + sparse_mean_field_density(spec, sol.s, sol.m) + 0.5 * lam0)
             assert abs(sol.energy - u) <= 1e-13
             assert abs(sol.lambda0 - lam0) <= 1e-13
             assert sol.degeneracy == g
+
+
+# -- the loop's kernel: per-solve constants, one product per iteration --------
+
+def test_closed_form_coupling_part_is_exact(rng):
+    # -(Kxx X1X2 + Kzz Z1Z2) from the coefficients, against the einsum over
+    # coupling_matrix and against the general builder without fields
+    cases = [(ModelSpec.sparse(xi=tuple(rng.uniform(-10.0, 10.0, 3))), rng.uniform(0.0, 1.0))
+             for _ in range(20)]
+    cases += [(ModelSpec.sparse(xi=(0.0, 0.0, -4.0)), s) for s in (0.0, 0.5, 1.0)]
+    for spec, s in cases:
+        K = coupling_matrix(spec, s)
+        Hc = _coupling_part(_coeffs(spec, s)).reshape(4, 4)
+        assert np.array_equal(Hc, -np.einsum("ab,abij->ij", K[::2, ::2],
+                                             saddle._S1S2[::2, ::2].real))
+        assert np.array_equal(Hc, build_effective_hamiltonian((ZERO, ZERO), K).real)
+
+
+def test_fused_kernel_matches_projector_form_and_general_path(rng):
+    # e(x) and chi = B B^T from Y = O|0> against ground_block on the complex
+    # builder and against the unfused projector form, on random real fields
+    # and couplings; two degenerate (g = 2) blocks keep the multiplet average
+    cases = [(np.array(XHAT), np.zeros(3), K0, 2),
+             (np.zeros(3), np.zeros(3), xz_coupling(0.7, 0.0), 2)]
+    for _ in range(40):
+        mt1, mt2 = rng.standard_normal(3), rng.standard_normal(3)
+        mt1[1] = mt2[1] = 0.0
+        cases.append((mt1, mt2, xz_coupling(*rng.standard_normal(2)), 1))
+    for mt1, mt2, K, g in cases:
+        _, g_ref, e1, e2 = ground_block(build_effective_hamiltonian((mt1, mt2), K))
+        assert g_ref == g
+        w, V = _eigh(real_hamiltonian(mt1, mt2, K))
+        e, Y = _ground(w, V)
+        e_ref, B_ref = projector_kernel(w, V)
+        assert np.abs(e - np.r_[e1[::2], e2[::2]]).max() <= 1e-14
+        assert np.abs(e - e_ref).max() <= 1e-14
+        assert (Y is None) == (g > 1)
+        if g == 1:
+            B = _response(w, Y.dot(V[:, 1:]))
+            chi, chi_ref = B @ B.T, B_ref @ B_ref.T
+            assert np.abs(chi - chi_ref).max() <= 1e-14 * max(1.0, np.abs(chi_ref).max())
+
+
+def test_sparse_column_takes_the_unfused_loops_steps(monkeypatch):
+    # every eigensolve of one sparse transition column, by size; 514 and 334
+    # are the counts of the loop before its per-solve constants and products
+    # were fused.  Where Newton stops is decided at the rounding level, so
+    # equal counts mean the same iterates, each one cheaper
+    calls = count_calls(monkeypatch, "_eigh", saddle)
+    analyze(ModelSpec.sparse(xi=(0.0, 0.0, -4.0)), np.linspace(0.0, 1.0, 21))
+    assert Counter(a.shape[0] for a, in calls) == {4: 514, 3: 334}

@@ -213,6 +213,21 @@ def test_golden_section_ends_below_the_float_spacing():
     assert abs(x + 4.0) < 1e-12
 
 
+@pytest.mark.parametrize("x_min", [-4.0, -3.7, -3.0000001])
+def test_golden_section_evaluates_each_point_once(x_min):
+    # below the float spacing of the bracket the last probe used to land on
+    # a point already evaluated (74 calls on 73 distinct x)
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return (t - x_min) ** 2
+
+    x, _ = _golden_section(f, -5.0, -3.0, 1e-300)
+    assert len(calls) == len(set(calls))
+    assert abs(x - x_min) < 1e-12
+
+
 def test_optimize_catalyst_ends_below_the_float_spacing():
     evals = []
 
