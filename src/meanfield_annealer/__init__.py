@@ -17,7 +17,7 @@ from .ed import (EDOperator, EDResult, build_dense_full_operator,
 from .errors import (CatalystRangeError, ConfigError, ConvergenceError,
                      DegenerateModeError, InstabilityError, SizeError,
                      StationarityError)
-from .model import (CatalystConfig, ClusterFields, Coupling, MagPair, ModelSpec, coupling_matrix,
+from .model import (Coupling, MagPair, ModelSpec, coupling_matrix,
                     dense_energy_density, dense_gradient, dense_hessian,
                     sparse_mean_field_density, sparse_mean_field_gradient)
 from .saddle import (SaddleSolution, build_effective_hamiltonian, conjugate_fields,
@@ -28,7 +28,7 @@ from .transitions import TransitionReport, detect_transition, sweep
 
 __all__ = [
     "__version__",
-    "CatalystConfig", "ClassicalState", "ClusterFields", "Coupling", "EDOperator",
+    "ClassicalState", "Coupling", "EDOperator",
     "EDResult", "GapPoint", "GapSpectrum", "MagPair", "ModelSpec",
     "SaddleSolution", "TransitionReport",
     "CatalystRangeError", "ConfigError", "ConvergenceError",

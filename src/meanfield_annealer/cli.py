@@ -27,7 +27,7 @@ from .classical import global_minimize
 from .ed import dense_ed, extrapolate_gap, gap_sequence, sparse_ed
 from .errors import (CatalystRangeError, ConfigError, ConvergenceError,
                      DegenerateModeError, InstabilityError, SizeError)
-from .model import ClusterFields, Coupling, ModelSpec
+from .model import Coupling, ModelSpec
 from .spinwave import gap_or_flag, gaps_at, min_gap, optimize_catalyst
 
 PLACEMENTS = {
@@ -211,9 +211,7 @@ def build_spec(cfg, axis2_value=None) -> ModelSpec:
         cfg = {**cfg, cfg["axis2"]: axis2_value}
     g1, g2 = (None if cfg[key] == "s" else cfg[key] for key in ("gamma1", "gamma2"))
     xis = PLACEMENTS[cfg["placement"]](float(cfg["xi"]))
-    fields = ClusterFields(h1=float(cfg["h1"]), h2=float(cfg["h2"]))
-    factory = ModelSpec.dense if cfg["coupling"] == "dense" else ModelSpec.sparse
-    return factory(xi=xis, fields=fields, gamma1=g1, gamma2=g2)
+    return ModelSpec(cfg["coupling"], cfg["h1"], cfg["h2"], *xis, g1, g2)
 
 
 def _s_grid(cfg):

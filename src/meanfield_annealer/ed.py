@@ -132,7 +132,7 @@ def _full_space_operator(spec: ModelSpec, s: float, N: int, pairs) -> EDOperator
     diag += -(c.s * w) * (sz[:, i] * sz[:, j]).sum(axis=1)
     # transverse fields and catalysts flip bits; coefficients per flip mask
     cs = c.s * (1.0 - c.s)
-    xi11, xi22, xi12 = spec.catalyst.xi11, spec.catalyst.xi22, spec.catalyst.xi12
+    xi11, xi22, xi12 = spec.xi11, spec.xi22, spec.xi12
     flips: list[tuple[int, float]] = []
     for r in range(n2):
         flips.append((1 << r, -2.0 * c.a1))

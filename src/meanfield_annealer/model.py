@@ -1,5 +1,11 @@
 """Two-cluster annealing Hamiltonian family.
 
+A ``ModelSpec`` is eight plain values: the coupling (dense or sparse
+intercluster), the fields h1 > 0 > h2 of the strong and weak clusters,
+the XX catalyst strengths xi11, xi22 (intracluster) and xi12 (all three
+>= 0 is the stoquastic case), and the transverse schedules gamma1 and
+gamma2 (None follows gamma(s) = s, a number pins gamma).
+
 Energy density, gradient, and Hessian of the dense model, plus the
 mean-field / pairwise-coupling split of the sparse model, all as pure
 functions of (s, m1, m2).  Magnetizations are 3-vectors; the energy
@@ -14,8 +20,8 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
-from math import copysign, hypot
+from dataclasses import dataclass
+from math import copysign, hypot, isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -27,76 +33,49 @@ class Coupling(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ClusterFields:
-    """Longitudinal fields; cluster 1 is the strong one, cluster 2 the weak one."""
-
+class ModelSpec:
+    coupling: Coupling
     h1: float = 1.0
     h2: float = -0.49
-
-    def __post_init__(self):
-        if not (np.isfinite(self.h1) and np.isfinite(self.h2)):
-            raise ValueError("cluster fields must be finite")
-        if not (self.h1 > 0.0 > self.h2):
-            warnings.warn(
-                f"fields h1={self.h1}, h2={self.h2} are outside the "
-                "weak-strong regime h1 > 0 > h2",
-                stacklevel=2,
-            )
-
-
-@dataclass(frozen=True)
-class CatalystConfig:
-    """XX interaction strengths: intra-strong, intra-weak, intercluster."""
-
     xi11: float = 0.0
     xi22: float = 0.0
     xi12: float = 0.0
+    gamma1: float | None = None
+    gamma2: float | None = None
 
     def __post_init__(self):
-        if not all(np.isfinite(x) for x in (self.xi11, self.xi22, self.xi12)):
-            raise ValueError("catalyst strengths must be finite")
+        object.__setattr__(self, "coupling", Coupling(self.coupling))
+        for name in ("h1", "h2", "xi11", "xi22", "xi12", "gamma1", "gamma2"):
+            v = getattr(self, name)
+            if v is None and name.startswith("gamma"):
+                continue
+            if v is None or not isfinite(v):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, float(v))
+        if not self.h1 > 0.0 > self.h2:
+            warnings.warn(f"fields h1={self.h1}, h2={self.h2} are outside the "
+                          "weak-strong regime h1 > 0 > h2", stacklevel=3)
 
     @property
     def is_stoquastic(self) -> bool:
         return self.xi11 >= 0.0 and self.xi22 >= 0.0 and self.xi12 >= 0.0
 
-
-@dataclass(frozen=True)
-class ModelSpec:
-    coupling: Coupling = Coupling.DENSE
-    fields: ClusterFields = field(default_factory=ClusterFields)
-    catalyst: CatalystConfig = field(default_factory=CatalystConfig)
-    # transverse schedules: None follows gamma(s) = s, a number pins gamma
-    gamma1: float | None = None
-    gamma2: float | None = None
-
-    def __post_init__(self):
-        for name in ("gamma1", "gamma2"):
-            g = getattr(self, name)
-            if g is not None:
-                if not np.isfinite(g):
-                    raise ValueError(f"{name} must be finite or None")
-                object.__setattr__(self, name, float(g))
-
     @classmethod
-    def dense(cls, xi=(0.0, 0.0, 0.0), fields=None, gamma1=None, gamma2=None):
+    def dense(cls, xi=(0.0, 0.0, 0.0), h1=1.0, h2=-0.49, gamma1=None, gamma2=None):
         """Dense-intercluster spec; ``xi`` is (xi11, xi22, xi12)."""
-        return cls._build(Coupling.DENSE, xi, fields, gamma1, gamma2)
+        return cls(Coupling.DENSE, h1, h2, *_xi_triple(xi), gamma1, gamma2)
 
     @classmethod
-    def sparse(cls, xi=(0.0, 0.0, 0.0), fields=None, gamma1=None, gamma2=None):
+    def sparse(cls, xi=(0.0, 0.0, 0.0), h1=1.0, h2=-0.49, gamma1=None, gamma2=None):
         """Sparse-intercluster spec; ``xi`` is (xi11, xi22, xi12)."""
-        return cls._build(Coupling.SPARSE, xi, fields, gamma1, gamma2)
+        return cls(Coupling.SPARSE, h1, h2, *_xi_triple(xi), gamma1, gamma2)
 
-    @classmethod
-    def _build(cls, coupling, xi, fields, gamma1, gamma2):
-        return cls(
-            coupling=coupling,
-            fields=fields or ClusterFields(),
-            catalyst=CatalystConfig(*xi),
-            gamma1=gamma1,
-            gamma2=gamma2,
-        )
+
+def _xi_triple(xi):
+    xi = tuple(xi)
+    if len(xi) != 3:
+        raise ValueError("xi must be (xi11, xi22, xi12)")
+    return xi
 
 
 @dataclass(frozen=True)
@@ -109,7 +88,7 @@ class MagPair:
     def __post_init__(self):
         object.__setattr__(self, "m1", np.asarray(self.m1, dtype=float).reshape(3))
         object.__setattr__(self, "m2", np.asarray(self.m2, dtype=float).reshape(3))
-        if not (np.all(np.isfinite(self.m1)) and np.all(np.isfinite(self.m2))):
+        if not all(map(isfinite, self.m1.tolist() + self.m2.tolist())):
             raise ValueError("magnetization components must be finite")
 
     def norms(self) -> tuple[float, float]:
@@ -177,18 +156,17 @@ def _coeffs(spec: ModelSpec, s: float) -> _Coeffs:
     s = _check_s(s)
     g1, g2 = _gammas(spec, s)
     w = s * (1.0 - s) / 4.0
-    cat = spec.catalyst
     return _Coeffs(
         s=s,
         s2=s / 2.0,
         s4=s / 4.0,
-        h1=spec.fields.h1,
-        h2=spec.fields.h2,
+        h1=spec.h1,
+        h2=spec.h2,
         a1=(1.0 - g1) / 2.0,
         a2=(1.0 - g2) / 2.0,
-        c11=w * cat.xi11,
-        c22=w * cat.xi22,
-        c12=w * cat.xi12,
+        c11=w * spec.xi11,
+        c22=w * spec.xi22,
+        c12=w * spec.xi12,
     )
 
 
@@ -320,5 +298,5 @@ def coupling_matrix(spec: ModelSpec, s: float) -> np.ndarray:
     s = _check_s(s)
     K = np.zeros((3, 3))
     K[2, 2] = s / 2.0
-    K[0, 0] = s * (1.0 - s) * spec.catalyst.xi12 / 2.0
+    K[0, 0] = s * (1.0 - s) * spec.xi12 / 2.0
     return K

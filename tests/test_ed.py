@@ -26,7 +26,7 @@ def test_sector_spec(dense_spec):
 def _classical_problem_energies(spec, N):
     """Brute force over the 2^N classical z configurations at s=1."""
     n2 = N // 2
-    h1, h2 = spec.fields.h1, spec.fields.h2
+    h1, h2 = spec.h1, spec.h2
     out = []
     for bits in itertools.product([1, -1], repeat=N):
         z1 = bits[:n2]
@@ -71,11 +71,10 @@ def _dense_energy_operator(spec, s, N, X1, X2, Z1, Z2):
     """N h(M1, M2) with the classical polynomial's operator ordering."""
     g1, g2 = (s if g is None else g for g in (spec.gamma1, spec.gamma2))
     w = s * (1.0 - s) / 4.0
-    cat = spec.catalyst
-    h = (-(s / 2.0) * (spec.fields.h1 * Z1 + spec.fields.h2 * Z2)
+    h = (-(s / 2.0) * (spec.h1 * Z1 + spec.h2 * Z2)
          - (s / 4.0) * (Z1 @ Z1 + Z2 @ Z2 + Z1 @ Z2)
          - (1.0 - g1) / 2.0 * X1 - (1.0 - g2) / 2.0 * X2
-         - w * (cat.xi11 * X1 @ X1 + cat.xi22 * X2 @ X2 + cat.xi12 * X1 @ X2))
+         - w * (spec.xi11 * X1 @ X1 + spec.xi22 * X2 @ X2 + spec.xi12 * X1 @ X2))
     return N * h
 
 
@@ -279,15 +278,15 @@ def test_sparse_full_matches_brute_force(sparse_spec, rng):
     Z = [site(sz, r, N) for r in range(N)]
     X = [site(sx, r, N) for r in range(N)]
     for r in range(n2):
-        H += -s * (spec.fields.h1 * Z[r] + spec.fields.h2 * Z[n2 + r])
+        H += -s * (spec.h1 * Z[r] + spec.h2 * Z[n2 + r])
         H += -(1 - s) * (X[r] + X[n2 + r])
         H += -s * 0.5 * Z[r] @ Z[n2 + r]
-        H += -s * (1 - s) * spec.catalyst.xi12 / 2.0 * X[r] @ X[n2 + r]
+        H += -s * (1 - s) * spec.xi12 / 2.0 * X[r] @ X[n2 + r]
     for r in range(n2):
         for rp in range(n2):
             H += -s / N * (Z[r] @ Z[rp] + Z[n2 + r] @ Z[n2 + rp])
-            H += -s * (1 - s) / N * (spec.catalyst.xi11 * X[r] @ X[rp]
-                                     + spec.catalyst.xi22 * X[n2 + r] @ X[n2 + rp])
+            H += -s * (1 - s) / N * (spec.xi11 * X[r] @ X[rp]
+                                     + spec.xi22 * X[n2 + r] @ X[n2 + rp])
     # bit r of the module's basis is this construction's site r; the module
     # orders basis states by integer value, kron by most-significant first
     op = build_sparse_full_hamiltonian(spec, s, N)

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from meanfield_annealer import (CatalystConfig, ClusterFields, MagPair,
-                                ModelSpec, build_dense_full_operator,
+import meanfield_annealer
+from meanfield_annealer import (Coupling, MagPair, ModelSpec,
+                                build_dense_full_operator,
                                 build_sparse_full_hamiltonian, conjugate_fields,
                                 coupling_matrix, dense_energy_density,
                                 dense_gradient, dense_hessian, global_minimize,
-                                minimize, solve_saddle,
+                                global_saddle, minimize, solve_saddle,
                                 sparse_mean_field_density,
                                 sparse_mean_field_gradient)
 from meanfield_annealer.model import _coeffs, _indeterminate_flags
@@ -36,8 +39,11 @@ def test_energy_rejects_bad_inputs(dense_spec):
         dense_energy_density(dense_spec, 1.5, X)
     with pytest.raises(ValueError):
         dense_energy_density(dense_spec, float("nan"), X)
-    with pytest.raises(ValueError):
-        MagPair([np.inf, 0, 0], [1, 0, 0])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            MagPair([bad, 0, 0], [1, 0, 0])
+        with pytest.raises(ValueError):
+            MagPair([0, 0, 1], [1, 0, bad])
 
 
 def test_gradient_hand_values(dense_spec):
@@ -132,8 +138,7 @@ def test_sparse_mean_field_against_independent_polynomial(rng):
     # independently coded reference for the mean-field part
     def reference(spec, s, m):
         g1, g2 = (s if g is None else g for g in (spec.gamma1, spec.gamma2))
-        h1, h2 = spec.fields.h1, spec.fields.h2
-        x11, x22 = spec.catalyst.xi11, spec.catalyst.xi22
+        h1, h2, x11, x22 = spec.h1, spec.h2, spec.xi11, spec.xi22
         return (-s / 2 * (h1 * m.m1[2] + h2 * m.m2[2])
                 - s / 4 * (m.m1[2] ** 2 + m.m2[2] ** 2)
                 - (1 - g1) / 2 * m.m1[0] - (1 - g2) / 2 * m.m2[0]
@@ -159,20 +164,65 @@ def test_coupling_matrix_values(sparse_spec):
 
 
 def test_stoquastic_predicate():
-    assert CatalystConfig(0.0, 0.0, 0.0).is_stoquastic
-    assert CatalystConfig(1.0, 2.0, 3.0).is_stoquastic
-    assert not CatalystConfig(-0.1, 0.0, 0.0).is_stoquastic
-    assert not CatalystConfig(0.0, -0.1, 0.0).is_stoquastic
-    assert not CatalystConfig(0.0, 0.0, -0.1).is_stoquastic
+    assert ModelSpec.dense().is_stoquastic
+    assert ModelSpec.sparse(xi=(1.0, 2.0, 3.0)).is_stoquastic
+    assert not ModelSpec.dense(xi=(-0.1, 0.0, 0.0)).is_stoquastic
+    assert not ModelSpec.dense(xi=(0.0, -0.1, 0.0)).is_stoquastic
+    assert not ModelSpec.sparse(xi=(0.0, 0.0, -0.1)).is_stoquastic
 
 
 def test_cluster_field_defaults_and_warning():
-    f = ClusterFields()
-    assert f.h1 == 1.0 and f.h2 == -0.49
+    spec = ModelSpec.dense()
+    assert spec.h1 == 1.0 and spec.h2 == -0.49
+    assert ModelSpec.sparse(h1=2.0, h2=-1.0).h1 == 2.0
     with pytest.warns(UserWarning):
-        ClusterFields(h1=-1.0, h2=-0.49)
+        ModelSpec.dense(h1=-1.0, h2=-0.49)
+    with pytest.warns(UserWarning):
+        ModelSpec(Coupling.SPARSE, h2=0.5)
+    with pytest.raises(ValueError, match="h1 must be finite"):
+        ModelSpec.dense(h1=float("inf"))
+
+
+def test_spec_is_eight_plain_floats():
+    names = [f.name for f in dataclasses.fields(ModelSpec)]
+    assert names == ["coupling", "h1", "h2", "xi11", "xi22", "xi12", "gamma1", "gamma2"]
+    spec = ModelSpec.dense(xi=(0, 0, -4), h1=2, h2=-1, gamma1=1, gamma2=0)
+    assert all(type(getattr(spec, name)) is float for name in names[1:])
+    a, b = ModelSpec.dense(xi=(0, 0, -4)), ModelSpec.dense(xi=(0.0, 0.0, -4.0))
+    assert a == b and hash(a) == hash(b)
+    assert a != ModelSpec.sparse(xi=(0.0, 0.0, -4.0))
+
+
+def test_spec_rejects_non_finite_numbers():
+    for key in ("h1", "h2", "xi11", "xi22", "xi12"):
+        for bad in (float("nan"), float("inf"), None):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                ModelSpec(Coupling.DENSE, **{key: bad})
+
+
+def test_spec_rejects_malformed_xi():
+    for bad in ((0.0, -4.0), (0.0, 0.0, -4.0, 1.0), ()):
+        for factory in (ModelSpec.dense, ModelSpec.sparse):
+            with pytest.raises(ValueError, match=r"xi must be \(xi11, xi22, xi12\)"):
+                factory(xi=bad)
+
+
+def test_spec_coupling_from_its_name():
+    assert ModelSpec("sparse") == ModelSpec.sparse()
+    assert ModelSpec("dense", xi12=-4) == ModelSpec.dense(xi=(0.0, 0.0, -4.0))
+    assert ModelSpec("sparse").coupling is Coupling.SPARSE
+    # a string-coupled sparse spec reaches the sparse solver
+    assert global_saddle(ModelSpec("sparse"), 0.5).converged
     with pytest.raises(ValueError):
-        ClusterFields(h1=float("inf"))
+        ModelSpec("all-to-all")
+
+
+def test_public_names_resolve():
+    for name in meanfield_annealer.__all__:
+        assert hasattr(meanfield_annealer, name), name
+    for gone in ("ClusterFields", "CatalystConfig"):
+        assert not hasattr(meanfield_annealer, gone)
+        assert gone not in meanfield_annealer.__all__
 
 
 def test_schedules():
