@@ -6,8 +6,9 @@ Experiment configs are flat JSON objects, checked in full when they load;
 only, so a sparse config for them is a config error, and only ``scan``
 takes an ``axis2``.  Every run writes an RFC-4180 style CSV (fixed column
 order, 12 significant digits, missing values as empty fields) plus a JSON
-summary sidecar.  Scan columns go to a pool of ``--workers`` processes (at
-least 1, never more than the columns).
+summary sidecar.  The columns of a job (a scan's axis2 columns, fig4's xi
+columns) go to a pool of ``--workers`` processes (at least 1, never more
+than the columns).
 Exit codes: 0 success, 2 config error, 3 solver error.
 """
 from __future__ import annotations
@@ -37,7 +38,6 @@ PLACEMENTS = {
     "total": lambda xi: (xi / 2.0, xi / 2.0, xi),
 }
 
-TASKS = ("scan", "gap", "min-gap", "optimize-xi", "ed-check")
 MAX_STEPS = 100_000  # largest s_steps / axis2_steps a config may ask for
 
 _DEFAULTS = {
@@ -77,7 +77,7 @@ FIGURES = {
     "fig2": [("fig2.csv", {"axis2": "xi", "axis2_min": -10.0, "axis2_max": 2.0})],
     "fig3": [(f"fig3_xi{tag}.csv", {"task": "gap", "xi": xi, "gaps": True})
              for tag, xi in (("0", 0.0), ("-4", -4.0), ("-10", -10.0))],
-    "fig4": [("fig4.csv", {"task": "min-gap-scan", "axis2": "xi",
+    "fig4": [("fig4.csv", {"task": "min-gap", "axis2": "xi",
                            "axis2_min": -5.0, "axis2_max": -3.0})],
     "fig5": [("fig5_strong.csv", {**_XI_WIDE, "placement": "strong_intra"}),
              ("fig5_weak.csv", {**_XI_WIDE, "placement": "weak_intra"})],
@@ -314,7 +314,9 @@ def _attach_lambda_reference(summary, cfg, reports):
     summary["lambda_reference"] = {"mapping": "lambda = -xi/2", "values": values}
 
 
-def _state_row(s, axis2_value, state, delta1=None, delta2=None, branch="", flags=""):
+def _state_row(spec, s, axis2_value, state, branch, gaps=True):
+    """A solved point's row, with its harmonic gaps (or their flag) if ``gaps``."""
+    delta1, delta2, flags = gap_or_flag(spec, state) if gaps else (None, None, "")
     ind = state.indeterminate
     flag_list = [f for f in [flags] if f]
     if any(ind):
@@ -333,14 +335,14 @@ def _state_row(s, axis2_value, state, delta1=None, delta2=None, branch="", flags
 
 
 # ---------------------------------------------------------------------------
-# Tasks: each runner takes (cfg, workers) and returns (rows, transition
-# reports, extra summary entries, whether a column failed)
+# Tasks: each is a column function (cfg, axis2_value) -> (rows, transition
+# report or None, extra summary entries, whether it failed); without an
+# axis2 a task has the one column None
 
-def _scan_column(args):
-    (cfg, axis2_value) = args
+def _scan_column(cfg, axis2_value):
     spec = build_spec(cfg, axis2_value)
     s_grid = _s_grid(cfg)
-    dense = spec.coupling is Coupling.DENSE
+    gaps = spec.coupling is Coupling.DENSE and cfg["gaps"]
     try:
         analysis = transitions.analyze(spec, s_grid, float(cfg["jump_threshold"]),
                                        int(cfg["n_starts"]), int(cfg["seed"]))
@@ -349,28 +351,14 @@ def _scan_column(args):
         rows = [Row(s=float(s), axis2=axis2_value, flags=f"error:{type(err).__name__}")
                 for s in s_grid]
         return rows, _report_dict(
-            axis2_value, transitions.TransitionReport(False, float("nan"), 0.0, 0.0)), True
-    rows = []
-    for s, state, tag in zip(analysis.s_grid, analysis.equilibrium,
-                             analysis.branch_tags):
-        d1, d2, flags = gap_or_flag(spec, state) if dense and cfg["gaps"] else (None, None, "")
-        rows.append(_state_row(float(s), axis2_value, state, d1, d2, tag, flags))
-    return rows, _report_dict(axis2_value, analysis.report), False
+            axis2_value, transitions.TransitionReport(False, float("nan"), 0.0, 0.0)), {}, True
+    rows = [_state_row(spec, float(s), axis2_value, state, tag, gaps)
+            for s, state, tag in zip(analysis.s_grid, analysis.equilibrium,
+                                     analysis.branch_tags)]
+    return rows, _report_dict(axis2_value, analysis.report), {}, False
 
 
-def _task_scan(cfg, workers):
-    jobs = [(cfg, v) for v in _axis2_values(cfg)]
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_scan_column, jobs)
-    else:
-        results = [_scan_column(j) for j in jobs]
-    columns, reports, failed = zip(*results)  # already in deterministic axis order
-    return [row for col in columns for row in col], list(reports), {}, any(failed)
-
-
-def _task_gap(cfg, workers):
+def _gap_column(cfg, axis2_value):
     spec = build_spec(cfg)
     rows = []
     failed = False
@@ -381,31 +369,21 @@ def _task_gap(cfg, workers):
             rows.append(Row(s=float(s), flags="error:ConvergenceError"))
             failed = True
             continue
-        d1, d2, flags = gap_or_flag(spec, state)
-        rows.append(_state_row(float(s), None, state, d1, d2, "both", flags))
-    return rows, [], {}, failed
+        rows.append(_state_row(spec, float(s), None, state, "both"))
+    return rows, None, {}, failed
 
 
-def _min_gap_row(cfg, axis2_value):
+def _min_gap_column(cfg, axis2_value):
     """The state at the minimum harmonic gap over the s grid, as a row; its
-    delta1 is the gap minimum."""
+    delta1 is the gap minimum (figure fig4 maps it over xi)."""
     spec = build_spec(cfg, axis2_value)
     s_best, _, state = min_gap(spec, _s_grid(cfg), int(cfg["n_starts"]), int(cfg["seed"]))
-    d1, d2, flags = gap_or_flag(spec, state)
-    return _state_row(s_best, axis2_value, state, d1, d2, "both", flags)
+    row = _state_row(spec, s_best, axis2_value, state, "both")
+    extra = {"min_gap": {"s": row.s, "delta1": row.delta1}} if axis2_value is None else {}
+    return [row], None, extra, False
 
 
-def _task_min_gap(cfg, workers):
-    row = _min_gap_row(cfg, None)
-    return [row], [], {"min_gap": {"s": row.s, "delta1": row.delta1}}, False
-
-
-def _task_min_gap_scan(cfg, workers):
-    """Minimum gap as a function of the catalyst strength (figure fig4)."""
-    return [_min_gap_row(cfg, xi) for xi in _axis2_values(cfg)], [], {}, False
-
-
-def _task_optimize_xi(cfg, workers):
+def _optimize_xi_column(cfg, axis2_value):
     xi_star, gap_star = optimize_catalyst(
         lambda xi: build_spec({**cfg, "xi": xi, "axis2": None}),
         (float(cfg["xi_min"]), float(cfg["xi_max"])),
@@ -413,10 +391,10 @@ def _task_optimize_xi(cfg, workers):
         n_starts=int(cfg["n_starts"]), seed=int(cfg["seed"]),
     )
     rows = [Row(s=None, axis2=xi_star, delta1=gap_star)]
-    return rows, [], {"xi_star": xi_star, "min_gap_at_xi_star": gap_star}, False
+    return rows, None, {"xi_star": xi_star, "min_gap_at_xi_star": gap_star}, False
 
 
-def _task_ed_check(cfg, workers):
+def _ed_check_column(cfg, axis2_value):
     spec = build_spec(cfg)
     seed = int(cfg["seed"])
     n_starts = int(cfg["n_starts"])
@@ -440,17 +418,34 @@ def _task_ed_check(cfg, workers):
                                        gaps_at(spec, s, n_starts, seed).delta1, extrap))
     rows = [Row(s=comp["s"], m2z=comp["model"], branch=comp["quantity"],
                 flags=f"oracle={_fmt(comp['oracle'])}") for comp in comparisons]
-    return rows, [], {"ed_comparisons": comparisons}, False
+    return rows, None, {"ed_comparisons": comparisons}, False
 
 
-_TASK_RUNNERS = {
-    "scan": _task_scan,
-    "gap": _task_gap,
-    "min-gap": _task_min_gap,
-    "optimize-xi": _task_optimize_xi,
-    "ed-check": _task_ed_check,
-    "min-gap-scan": _task_min_gap_scan,   # figure datasets only, not in TASKS
-}
+_TASKS = {"scan": _scan_column, "gap": _gap_column, "min-gap": _min_gap_column,
+          "optimize-xi": _optimize_xi_column, "ed-check": _ed_check_column}
+TASKS = tuple(_TASKS)
+
+
+def _column(job):
+    """Run one (cfg, axis2_value) column; module level so a pool can pickle it."""
+    return _TASKS[job[0]["task"]](*job)
+
+
+def _run_task(cfg, workers):
+    """Map the task's column function over the axis2 values, in a pool of
+    at most ``workers`` processes; returns (rows, transition reports, extra
+    summary entries, whether a column failed) in axis order."""
+    jobs = [(cfg, v) for v in _axis2_values(cfg)]
+    workers = min(workers, len(jobs))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
+            results = pool.map(_column, jobs)
+    else:
+        results = [_column(job) for job in jobs]
+    columns, reports, extras, failed = zip(*results)  # already in axis order
+    extra = {key: value for col in extras for key, value in col.items()}
+    return ([row for col in columns for row in col], [r for r in reports if r is not None],
+            extra, any(failed))
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +457,11 @@ def _summary_path(out_path):
 
 def _write_jobs(label, jobs, workers):
     """Run (cfg, out_path) jobs and write each CSV and summary sidecar;
-    returns the written paths and whether a column failed.  Raises
-    FileExistsError, before computing anything, when a target file exists."""
+    returns the written paths and whether a column failed.  Raises, before
+    computing anything, ConfigError when ``workers`` is below 1 and
+    FileExistsError when a target file exists."""
+    if workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
     paths = [path for _, out_path in jobs for path in (out_path, _summary_path(out_path))]
     existing = [path for path in paths if os.path.exists(path)]
     if existing:
@@ -471,7 +469,7 @@ def _write_jobs(label, jobs, workers):
     any_failed = False
     for cfg, out_path in jobs:
         t0 = time.time()
-        rows, reports, extra, failed = _TASK_RUNNERS[cfg["task"]](cfg, workers)
+        rows, reports, extra, failed = _run_task(cfg, workers)
         summary = {
             "task": label,
             "transition_reports": reports,
@@ -533,8 +531,9 @@ def emit_figure_dataset(figure_id, out_dir=".", s_steps: int = 201,
     """Write the dataset behind a named figure; returns the file paths.
 
     Default resolutions are 201 s-points by 101 second-axis points.  Raises
-    FileExistsError, before computing anything, when a target file exists;
-    a failed column is flagged in its rows, as in ``run``.
+    ConfigError (``workers`` below 1) or FileExistsError (a target file
+    exists) before computing anything; a failed column is flagged in its
+    rows, as in ``run``.
     """
     jobs = _figure_jobs(figure_id, out_dir, s_steps, axis2_steps)
     return _write_jobs(f"figure:{figure_id}", jobs, workers)[0]
@@ -554,12 +553,10 @@ def main(argv=None) -> int:
                         help="figure id for the 'figure' task")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for scan columns (at least 1)")
+                        help="worker processes for the columns of a job (at least 1)")
     args = parser.parse_args(argv)
 
     def plan():
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         if args.task == "figure":
             if not args.figure:
                 raise ConfigError("--figure is required for the figure task")

@@ -61,6 +61,7 @@ from math import sqrt
 
 import numpy as np
 
+from .classical import start_set
 from .errors import ConvergenceError
 from .model import (Coupling, MagPair, ModelSpec, _coeffs, _conjugate_fields, _field_map,
                     _indeterminate_flags, _prefer, _require, _sparse_energy, coupling_matrix)
@@ -312,13 +313,7 @@ def _iterate(Hc, b, D, x, max_iter, tol, switch):
     return x, False, residual, np.linalg.eigvalsh((Hc - (b + D * x).dot(_OPS)).reshape(4, 4))
 
 
-_SADDLE_INITS = [
-    MagPair([0.0, 0.0, 1.0], [0.0, 0.0, 1.0]),
-    MagPair([0.0, 0.0, 1.0], [0.0, 0.0, -1.0]),
-    MagPair([0.0, 0.0, -1.0], [0.0, 0.0, 1.0]),
-    MagPair([0.0, 0.0, -1.0], [0.0, 0.0, -1.0]),
-    MagPair([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
-]
+_SADDLE_INITS = start_set(5)   # the z-axis sign pairs and the aligned x point
 
 
 def global_saddle(spec: ModelSpec, s: float, tol: float = 1e-10) -> SaddleSolution:

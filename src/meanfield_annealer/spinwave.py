@@ -20,7 +20,7 @@ from .classical import ClassicalState, _angles, global_minimize
 from .errors import (CatalystRangeError, DegenerateModeError, InstabilityError,
                      StationarityError)
 from .model import Coupling, ModelSpec, _angle_hessian, _coeffs, _eigh2, _prefer, _require
-from .transitions import BranchAnalysis, analyze
+from .transitions import BranchAnalysis, analyze, check_grid
 
 IMAG_TOL = 1e-8
 _STATIONARY_TOL = 1e-8
@@ -141,11 +141,11 @@ def _gap_point(spec: ModelSpec, s: float, state: ClassicalState) -> GapPoint:
 def gap_profile(spec: ModelSpec, s_grid, n_starts: int = 8, seed: int = 0) -> list[GapPoint]:
     """Gap branches along the anneal, on the equilibrium branch per point.
 
-    Points where the spectrum is unstable or degenerate are kept as
-    flagged markers with deltas set to None, never dropped.
+    One point per distinct grid value (``check_grid``); unstable or degenerate
+    points are kept as flagged markers with deltas None, never dropped.
     """
     return [_gap_point(spec, s, global_minimize(spec, float(s), n_starts, seed))
-            for s in np.asarray(s_grid, dtype=float)]
+            for s in check_grid(s_grid)]
 
 
 _GOLDEN = (sqrt(5.0) - 1.0) / 2.0   # a Python float, so the probes are too

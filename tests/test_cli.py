@@ -119,6 +119,12 @@ def test_scan_worker_pool_matches_serial(tmp_path):
     assert run(cfg1, out_dir=str(tmp_path), workers=1) == 0
     assert run(cfg2, out_dir=str(tmp_path), workers=2) == 0
     assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+    # fig4 maps its xi columns through the same pool
+    for workers in (1, 2):
+        emit_figure_dataset("fig4", out_dir=str(tmp_path / f"fig4_w{workers}"), s_steps=11,
+                            axis2_steps=3, workers=workers)
+    assert ((tmp_path / "fig4_w1" / "fig4.csv").read_bytes()
+            == (tmp_path / "fig4_w2" / "fig4.csv").read_bytes())
 
 
 def test_sparse_scan_byte_identical_on_rerun_and_worker_pool(tmp_path):
@@ -208,6 +214,32 @@ def test_worker_pool_sized_by_columns(tmp_path, monkeypatch):
     assert run(cfg, out_dir=str(tmp_path), workers=5000) == 0
     assert sizes == [2]
     assert len(read_rows(tmp_path / "out.csv")) == 2 * 5
+    # fig4's xi columns go to the same pool
+    emit_figure_dataset("fig4", out_dir=str(tmp_path / "fig4"), s_steps=5, axis2_steps=3,
+                        workers=2)
+    assert sizes == [2, 2]
+    assert len(read_rows(tmp_path / "fig4" / "fig4.csv")) == 3
+
+
+def test_workers_below_one_rejected_before_any_output(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, **{**SMALL_SCAN, "s_steps": 5})
+    assert run(cfg, out_dir=str(tmp_path), workers=0) == 2
+    assert "--workers must be at least 1, got 0" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="--workers must be at least 1, got -1"):
+        emit_figure_dataset("fig4", out_dir=str(tmp_path), s_steps=5, axis2_steps=3,
+                            workers=-1)
+    # checked before the existing-file check, too
+    (tmp_path / "fig8.csv").write_text("keep")
+    with pytest.raises(ConfigError, match="--workers"):
+        emit_figure_dataset("fig8", out_dir=str(tmp_path), s_steps=5, workers=0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "fig8.csv"]
+
+
+def test_one_task_table():
+    assert cli.TASKS == ("scan", "gap", "min-gap", "optimize-xi", "ed-check")
+    figure_tasks = {cfg["task"] for fig in cli.FIGURE_IDS
+                    for cfg, _ in cli._figure_jobs(fig, ".", 5, 3)}
+    assert figure_tasks <= set(cli.TASKS)
 
 
 def test_malformed_json_writes_nothing(tmp_path):

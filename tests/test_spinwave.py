@@ -188,6 +188,18 @@ def test_gap_profile_flags_degenerate_point():
     assert prof[1].delta1 is not None and prof[1].flag == ""
 
 
+def test_gap_profile_reads_the_checked_grid():
+    # the grid rule of every branch pass: sorted distinct points, and a
+    # ValueError on an empty or non-finite grid
+    spec = ModelSpec.dense(xi=(0.0, 0.0, -4.0))
+    prof = gap_profile(spec, [0.5, 0.1, 0.5])
+    assert [p.s for p in prof] == [0.1, 0.5]
+    assert prof == gap_profile(spec, [0.1, 0.5])
+    for grid, message in (([], "at least one point"), ([0.1, float("nan")], "finite")):
+        with pytest.raises(ValueError, match=message):
+            gap_profile(spec, grid)
+
+
 def test_min_gap_single_point():
     spec = ModelSpec.dense(xi=(0.0, 0.0, -4.0))
     s, d, state = min_gap(spec, [0.5])
