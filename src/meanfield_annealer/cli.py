@@ -1,5 +1,7 @@
 """Command-line front end: config-driven scans, gap profiles, catalyst
-optimization, oracle checks, and built-in figure datasets.
+optimization, oracle checks, and built-in figure datasets.  ``scan``,
+``gap`` (a scan with gaps on), ``min-gap`` and ``optimize-xi`` read one
+``transitions.analyze`` pass per s grid.
 
 Experiment configs are flat JSON objects, checked in full when they load;
 ``gap``, ``min-gap`` and ``optimize-xi`` are defined for the dense model
@@ -24,7 +26,6 @@ import time
 import numpy as np
 
 from . import __version__, transitions
-from .classical import global_minimize
 from .ed import dense_ed, extrapolate_gap, gap_sequence, sparse_ed
 from .errors import (CatalystRangeError, ConfigError, ConvergenceError,
                      DegenerateModeError, InstabilityError, SizeError)
@@ -70,12 +71,12 @@ _DEFAULTS = {
 }
 
 # Built-in figure datasets: id -> [(file name, overrides of _DEFAULTS)].  Each
-# file scans s over [0, 1] at the requested resolution, gaps off unless set.
+# file scans s over [0, 1] at the requested resolution, with scan gaps off.
 _XI_WIDE = {"axis2": "xi", "axis2_min": -10.0, "axis2_max": 10.0}
 _UNIT = {"axis2_min": 0.0, "axis2_max": 1.0}
 FIGURES = {
     "fig2": [("fig2.csv", {"axis2": "xi", "axis2_min": -10.0, "axis2_max": 2.0})],
-    "fig3": [(f"fig3_xi{tag}.csv", {"task": "gap", "xi": xi, "gaps": True})
+    "fig3": [(f"fig3_xi{tag}.csv", {"task": "gap", "xi": xi})
              for tag, xi in (("0", 0.0), ("-4", -4.0), ("-10", -10.0))],
     "fig4": [("fig4.csv", {"task": "min-gap", "axis2": "xi",
                            "axis2_min": -5.0, "axis2_max": -3.0})],
@@ -132,6 +133,15 @@ def _is_unit(x) -> bool:
     return _is_number(x) and 0.0 <= x <= 1.0
 
 
+def _check_steps(cfg):
+    """The rule for ``s_steps`` and ``axis2_steps``: integers from 1 to MAX_STEPS."""
+    for key in ("s_steps", "axis2_steps"):
+        if not _is_int(cfg[key]):
+            raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
+        if not 1 <= cfg[key] <= MAX_STEPS:
+            raise ConfigError(f"{key} must be between 1 and {MAX_STEPS}, got {cfg[key]!r}")
+
+
 def _validate(cfg):
     if cfg["task"] not in TASKS:
         raise ConfigError(f"task must be one of {TASKS}, got {cfg['task']!r}")
@@ -141,12 +151,10 @@ def _validate(cfg):
         raise ConfigError(f"task {cfg['task']!r} is defined for the dense model only")
     if cfg["placement"] not in PLACEMENTS:
         raise ConfigError(f"placement must be one of {sorted(PLACEMENTS)}")
-    for key in ("s_steps", "axis2_steps", "n_starts", "seed"):
+    _check_steps(cfg)
+    for key in ("n_starts", "seed"):
         if not _is_int(cfg[key]):
             raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
-    for key in ("s_steps", "axis2_steps"):
-        if not 1 <= cfg[key] <= MAX_STEPS:
-            raise ConfigError(f"{key} must be between 1 and {MAX_STEPS}, got {cfg[key]!r}")
     if cfg["n_starts"] < 8:
         raise ConfigError("n_starts must be at least 8")
     if abs(cfg["seed"]) > 2 ** 53:   # the start set scales it as a float
@@ -358,21 +366,6 @@ def _scan_column(cfg, axis2_value):
     return rows, _report_dict(axis2_value, analysis.report), {}, False
 
 
-def _gap_column(cfg, axis2_value):
-    spec = build_spec(cfg)
-    rows = []
-    failed = False
-    for s in _s_grid(cfg):
-        try:
-            state = global_minimize(spec, float(s), int(cfg["n_starts"]), int(cfg["seed"]))
-        except ConvergenceError:
-            rows.append(Row(s=float(s), flags="error:ConvergenceError"))
-            failed = True
-            continue
-        rows.append(_state_row(spec, float(s), None, state, "both"))
-    return rows, None, {}, failed
-
-
 def _min_gap_column(cfg, axis2_value):
     """The state at the minimum harmonic gap over the s grid, as a row; its
     delta1 is the gap minimum (figure fig4 maps it over xi)."""
@@ -421,8 +414,9 @@ def _ed_check_column(cfg, axis2_value):
     return rows, None, {"ed_comparisons": comparisons}, False
 
 
-_TASKS = {"scan": _scan_column, "gap": _gap_column, "min-gap": _min_gap_column,
-          "optimize-xi": _optimize_xi_column, "ed-check": _ed_check_column}
+_TASKS = {"scan": _scan_column, "gap": lambda cfg, v: _scan_column({**cfg, "gaps": True}, v),
+          "min-gap": _min_gap_column, "optimize-xi": _optimize_xi_column,
+          "ed-check": _ed_check_column}
 TASKS = tuple(_TASKS)
 
 
@@ -468,13 +462,13 @@ def _write_jobs(label, jobs, workers):
         raise FileExistsError(f"refusing to overwrite existing output {existing[0]}")
     any_failed = False
     for cfg, out_path in jobs:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rows, reports, extra, failed = _run_task(cfg, workers)
         summary = {
             "task": label,
             "transition_reports": reports,
             "xi_star": extra.get("xi_star"),
-            "wall_time_s": round(time.time() - t0, 3),
+            "wall_time_s": round(time.perf_counter() - t0, 3),
             "versions": _versions(),
         }
         for key, value in extra.items():
@@ -492,6 +486,7 @@ def _figure_jobs(figure_id, out_dir, s_steps, axis2_steps):
     if figure_id not in FIGURES:
         raise ConfigError(f"unknown figure id: {figure_id}")
     base = {**_DEFAULTS, "s_steps": s_steps, "axis2_steps": axis2_steps, "gaps": False}
+    _check_steps(base)
     return [({**base, **overrides}, os.path.join(out_dir, name))
             for name, overrides in FIGURES[figure_id]]
 
@@ -531,9 +526,9 @@ def emit_figure_dataset(figure_id, out_dir=".", s_steps: int = 201,
     """Write the dataset behind a named figure; returns the file paths.
 
     Default resolutions are 201 s-points by 101 second-axis points.  Raises
-    ConfigError (``workers`` below 1) or FileExistsError (a target file
-    exists) before computing anything; a failed column is flagged in its
-    rows, as in ``run``.
+    ConfigError (steps outside a config's rule, or ``workers`` below 1) or
+    FileExistsError (a target file exists) before computing anything; a
+    failed column is flagged in its rows, as in ``run``.
     """
     jobs = _figure_jobs(figure_id, out_dir, s_steps, axis2_steps)
     return _write_jobs(f"figure:{figure_id}", jobs, workers)[0]

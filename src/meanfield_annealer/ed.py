@@ -41,24 +41,19 @@ class EDResult:
 
 @dataclass(frozen=True)
 class EDOperator:
-    """Symmetric operator given by its matvec, with magnetization diagonals.
-
-    The ``build_*`` functions pass a CSR ``matrix`` (exactly symmetric) and
-    its ``dot``; an operator given by a matvec alone is materialized by
-    applying it to the identity.
-    """
+    """Symmetric operator: an exactly symmetric CSR ``matrix``, the ``matvec``
+    ARPACK applies (the builders pass ``matrix.dot``) and the magnetization
+    diagonals."""
 
     dim: int
     matvec: Callable[[np.ndarray], np.ndarray]
     m1z_diag: np.ndarray
     m2z_diag: np.ndarray
-    matrix: Any = None
+    matrix: Any
 
     def to_dense(self) -> np.ndarray:
         if self.dim > _MATERIALIZE_LIMIT:
             raise SizeError(f"refusing to materialize a {self.dim}-dim operator")
-        if self.matrix is None:
-            return np.asarray(self.matvec(np.eye(self.dim)))
         return self.matrix.toarray()
 
 

@@ -20,7 +20,7 @@ from .classical import ClassicalState, _angles, global_minimize
 from .errors import (CatalystRangeError, DegenerateModeError, InstabilityError,
                      StationarityError)
 from .model import Coupling, ModelSpec, _angle_hessian, _coeffs, _eigh2, _prefer, _require
-from .transitions import BranchAnalysis, analyze, check_grid
+from .transitions import BranchAnalysis, analyze
 
 IMAG_TOL = 1e-8
 _STATIONARY_TOL = 1e-8
@@ -138,14 +138,17 @@ def _gap_point(spec: ModelSpec, s: float, state: ClassicalState) -> GapPoint:
     return GapPoint(float(s), d1, d2, flag)
 
 
-def gap_profile(spec: ModelSpec, s_grid, n_starts: int = 8, seed: int = 0) -> list[GapPoint]:
-    """Gap branches along the anneal, on the equilibrium branch per point.
+def _profile(spec: ModelSpec, analysis: BranchAnalysis) -> list[GapPoint]:
+    return [_gap_point(spec, s, state) for s, state in zip(analysis.s_grid, analysis.equilibrium)]
 
-    One point per distinct grid value (``check_grid``); unstable or degenerate
-    points are kept as flagged markers with deltas None, never dropped.
+
+def gap_profile(spec: ModelSpec, s_grid, n_starts: int = 8, seed: int = 0) -> list[GapPoint]:
+    """Gap branches along the anneal, on the equilibrium of one ``analyze``
+    pass over ``check_grid(s_grid)``; unstable or degenerate points are
+    kept as flagged markers with deltas None, never dropped.
     """
-    return [_gap_point(spec, s, global_minimize(spec, float(s), n_starts, seed))
-            for s in check_grid(s_grid)]
+    _require(spec, Coupling.DENSE)
+    return _profile(spec, analyze(spec, s_grid, n_starts=n_starts, seed=seed))
 
 
 _GOLDEN = (sqrt(5.0) - 1.0) / 2.0   # a Python float, so the probes are too
@@ -193,7 +196,7 @@ def _min_gap_on(spec: ModelSpec, analysis: BranchAnalysis,
     returned is the grid state or the probe the minimum was read from.
     """
     s_grid, eq, solver = analysis.s_grid, analysis.equilibrium, analysis.solver
-    profile = [_gap_point(spec, s, state) for s, state in zip(s_grid, eq)]
+    profile = _profile(spec, analysis)
     valid = [(i, p) for i, p in enumerate(profile) if p.delta1 is not None]
     if not valid:
         raise InstabilityError("gap undefined on the whole grid")

@@ -1,11 +1,14 @@
 """Branch continuation and first-order transition detection for both models.
 
 ``analyze`` is the one branch pass over a spec and an s grid, read as
-its sorted distinct points (``check_grid``).  ``point_solver`` is the one
-place where a spec's coupling picks its solver: damped Newton on the
-classical torus (``classical``) for dense intercluster coupling, the
-self-consistent saddle (``saddle``) for sparse.  Both solvers' states
-carry ``energy`` and ``m2z``, which is all the detector reads.
+its sorted distinct points (``check_grid``); ``detect_transition``,
+``spinwave``'s ``gap_profile``, ``min_gap`` and ``optimize_catalyst``, and
+the CLI's ``scan``, ``gap``, ``min-gap`` and ``optimize-xi`` tasks read it.
+``point_solver`` is the one place where a spec's coupling picks its
+solver: damped Newton on the classical torus (``classical``) for dense
+intercluster coupling, the self-consistent saddle (``saddle``) for
+sparse.  Both solvers' states carry ``energy`` and ``m2z``, which is all
+the detector reads.
 ``analyze``, ``sweep`` and ``detect_transition`` take either spec.
 A forward and a backward continuation sweep give two branches; the lower
 of the two at each grid point is the equilibrium.  The grid interval with

@@ -429,7 +429,7 @@ def test_min_gap_collapsed_grid_writes_single_point_row(tmp_path):
 def test_min_gap_row_is_the_summary_minimum(tmp_path, monkeypatch):
     # the row is built from the state min_gap read its minimum from, so its
     # delta1 is the summary's; the only global solves are the sweep starts
-    solves = count_calls(monkeypatch, "global_minimize", transitions, spinwave, cli)
+    solves = count_calls(monkeypatch, "global_minimize", transitions, spinwave)
     cfg = write_cfg(tmp_path, task="min-gap", xi=-4.0, s_steps=201, output="mg.csv")
     assert run(cfg, out_dir=str(tmp_path)) == 0
     assert len(solves) == 2
@@ -440,15 +440,36 @@ def test_min_gap_row_is_the_summary_minimum(tmp_path, monkeypatch):
 
 
 def test_gap_collapsed_grid_writes_the_scan_row(tmp_path):
-    # every task takes the grid's sorted distinct points: here the one s
-    base = dict(xi=-4.0, s_min=0.5, s_max=0.5, s_steps=3)
-    gap = write_cfg(tmp_path, "g.json", task="gap", output="g.csv", **base)
-    scan = write_cfg(tmp_path, "s.json", task="scan", output="s.csv", **base)
-    assert run(gap, out_dir=str(tmp_path)) == 0
-    assert run(scan, out_dir=str(tmp_path)) == 0
-    rows = read_rows(tmp_path / "g.csv")
-    assert len(rows) == 1
-    assert rows == read_rows(tmp_path / "s.csv")
+    # the gap task is a scan with gaps on, one analyze pass per grid: the
+    # same bytes and transition report, on a collapsed grid (every task takes
+    # the grid's sorted distinct points, here the one s) and on the 21-point
+    # xi12 = 0 grid with its first-order transition
+    for name, base, n_rows in (("one", dict(xi=-4.0, s_min=0.5, s_max=0.5, s_steps=3), 1),
+                               ("xi0", dict(xi=0.0, s_steps=21), 21)):
+        for task in ("gap", "scan"):
+            cfg = write_cfg(tmp_path, f"{name}_{task}.json", task=task, gaps=True,
+                            output=f"{name}_{task}.csv", **base)
+            assert run(cfg, out_dir=str(tmp_path)) == 0
+        gap, scan = (tmp_path / f"{name}_gap.csv", tmp_path / f"{name}_scan.csv")
+        assert len(read_rows(gap)) == n_rows
+        assert gap.read_bytes() == scan.read_bytes()
+        reports = [json.loads((tmp_path / f"{name}_{task}.summary.json").read_text())
+                   ["transition_reports"] for task in ("gap", "scan")]
+        assert len(reports[0]) == 1 and reports[0] == reports[1]
+    assert reports[0][0]["found"] is True
+
+
+@pytest.mark.parametrize("key, value", [("s_steps", 0), ("axis2_steps", 0),
+                                        ("s_steps", 2.5), ("axis2_steps", True),
+                                        ("s_steps", MAX_STEPS + 1)])
+def test_figure_steps_checked_before_any_work(tmp_path, monkeypatch, key, value):
+    # the config rule for s_steps and axis2_steps holds for figure datasets
+    analyses = count_calls(monkeypatch, "analyze", spinwave)
+    steps = {"s_steps": 5, "axis2_steps": 3, key: value}
+    with pytest.raises(ConfigError, match=f"{key} must be"):
+        emit_figure_dataset("fig4", out_dir=str(tmp_path), **steps)
+    assert analyses == []
+    assert not any(tmp_path.iterdir())
 
 
 def test_optimize_xi_collapsed_grid(tmp_path):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from meanfield_annealer import (ConvergenceError, EDOperator, ModelSpec,
                                 SizeError, build_dense_full_operator,
@@ -149,13 +150,19 @@ def test_jacobi_and_lanczos_paths_agree(dense_spec):
     assert np.abs(w - dense_path.energies).max() < 1e-9
 
 
+def _minus_one_and_a_half(z1, z2):
+    """-1.5 I as an EDOperator, so every state is a ground state."""
+    H = -1.5 * sp.identity(len(z1), format="csr")
+    return EDOperator(dim=len(z1), matvec=H.dot, m1z_diag=z1, m2z_diag=z2, matrix=H)
+
+
 def test_ed_solve_breakdown_falls_back_to_eigh():
     # a multiple of the identity: every Krylov space breaks down after one
     # step, so the reference Lanczos gives up after three restarts; ARPACK
     # returns k equal values, and ed_solve redoes the solve with dense eigh
     dim = 300
     z = np.linspace(-1.0, 1.0, dim)
-    op = EDOperator(dim=dim, matvec=lambda v: -1.5 * v, m1z_diag=z, m2z_diag=-z)
+    op = _minus_one_and_a_half(z, -z)
     with pytest.raises(SizeError):
         lanczos_lowest(op.matvec, dim, k=2)
     r = ed_solve(op)
@@ -170,7 +177,7 @@ def test_ed_solve_averages_whole_ground_multiplet(dim, rng):
     # degeneracy-averaged magnetizations are the uniform averages of the
     # diagonals, whichever k eigenvectors eigh happens to return first
     z1, z2 = rng.uniform(-1.0, 1.0, dim), rng.uniform(-1.0, 1.0, dim)
-    op = EDOperator(dim=dim, matvec=lambda v: -1.5 * v, m1z_diag=z1, m2z_diag=z2)
+    op = _minus_one_and_a_half(z1, z2)
     r = ed_solve(op)
     assert r.m1z == pytest.approx(z1.mean(), abs=1e-12)
     assert r.m2z == pytest.approx(z2.mean(), abs=1e-12)

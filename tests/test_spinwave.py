@@ -7,9 +7,9 @@ from meanfield_annealer import (CatalystRangeError, ClassicalState,
                                 fluctuation_matrix, gap_profile, gaps_at,
                                 dense_hessian, global_minimize, min_gap,
                                 optimize_catalyst)
-from meanfield_annealer import spinwave, transitions
+from meanfield_annealer import saddle, spinwave, transitions
 from meanfield_annealer.ed import dense_ed, extrapolate_gap, gap_sequence
-from meanfield_annealer.spinwave import _golden_section
+from meanfield_annealer.spinwave import _golden_section, gap_or_flag
 from conftest import count_calls
 
 
@@ -200,6 +200,24 @@ def test_gap_profile_reads_the_checked_grid():
             gap_profile(spec, grid)
 
 
+def test_gap_profile_is_one_branch_pass(monkeypatch):
+    # the profile is the equilibrium of one analyze pass, whose two sweep
+    # starts are its only global solves
+    solves = count_calls(monkeypatch, "global_minimize", transitions, spinwave)
+    analyses = count_calls(monkeypatch, "analyze", spinwave)
+    gap_profile(ModelSpec.dense(xi=(0.0, 0.0, -4.0)), np.linspace(0.0, 1.0, 101))
+    assert len(analyses) == 1
+    assert len(solves) <= 2
+
+
+def test_gap_profile_rejects_sparse_before_any_solve(monkeypatch):
+    solves = count_calls(monkeypatch, "solve_saddle", transitions, saddle)
+    starts = count_calls(monkeypatch, "global_saddle", transitions)
+    with pytest.raises(ValueError, match="dense"):
+        gap_profile(ModelSpec.sparse(), np.linspace(0.0, 1.0, 21))
+    assert solves == [] and starts == []
+
+
 def test_min_gap_single_point():
     spec = ModelSpec.dense(xi=(0.0, 0.0, -4.0))
     s, d, state = min_gap(spec, [0.5])
@@ -293,14 +311,15 @@ def test_optimize_catalyst_degenerate_range():
 
 
 def _reference_min_gap(spec, s_grid, tol_s=1e-5):
-    """min_gap by per-point global solves: the gap_profile grid minimum,
-    then a golden refinement over gaps_at in the bracket around it."""
-    profile = gap_profile(spec, s_grid)
-    valid = [(i, p) for i, p in enumerate(profile) if p.delta1 is not None]
-    i_min, best = min(valid, key=lambda ip: ip[1].delta1)
+    """min_gap by per-point global solves: the grid minimum of the gaps on
+    one global solve per point, then a golden refinement over gaps_at in
+    the bracket around it."""
+    d1 = [gap_or_flag(spec, global_minimize(spec, float(s)))[0] for s in s_grid]
+    i_min, best = min(((i, d) for i, d in enumerate(d1) if d is not None),
+                      key=lambda id_: id_[1])
     lo, hi = s_grid[max(i_min - 1, 0)], s_grid[min(i_min + 1, len(s_grid) - 1)]
     s, d = _golden_section(lambda x: gaps_at(spec, float(x)).delta1, lo, hi, tol_s)
-    return (best.s, best.delta1) if best.delta1 < d else (s, d)
+    return (float(s_grid[i_min]), best) if best < d else (s, d)
 
 
 @pytest.mark.parametrize("xi12, steps", [(-10.0, 41), (-6.0, 41), (-4.0, 41), (0.0, 41),
