@@ -2,17 +2,20 @@
 
 The CLI command `meanfield-annealer figure --figure fig2` produces the
 full-resolution grid (201 x 101); this demo emits a coarse version of two
-datasets into ./demo_out and prints the transition map extracted from the
-summary sidecars.  Figure datasets never overwrite existing files, so
-remove ./demo_out before running the demo again.  The same machinery backs every figure id:
-fig2..fig6, fig8..fig10, and appC.
+datasets into a fresh temporary directory, whose path it prints, and prints
+the transition map extracted from the summary sidecars.  Figure datasets
+never overwrite existing files; a fresh directory per run lets the demo run
+again.  The same machinery backs every figure id: fig2..fig6, fig8..fig10,
+and appC.
 """
 import json
 import os
+import tempfile
 
 from meanfield_annealer.cli import emit_figure_dataset
 
-OUT = "demo_out"
+OUT = tempfile.mkdtemp(prefix="figure_datasets_")
+print(f"writing into {OUT}")
 
 print("emitting coarse fig2 (dense intercluster scan) ...")
 files = emit_figure_dataset("fig2", out_dir=OUT, s_steps=41, axis2_steps=13)

@@ -3,14 +3,17 @@ optimization, oracle checks, and built-in figure datasets.  ``scan``,
 ``gap`` (a scan with gaps on), ``min-gap`` and ``optimize-xi`` read one
 ``transitions.analyze`` pass per s grid.
 
-Experiment configs are flat JSON objects, checked in full when they load;
-``gap``, ``min-gap`` and ``optimize-xi`` are defined for the dense model
-only, so a sparse config for them is a config error, and only ``scan``
-takes an ``axis2``.  Every run writes an RFC-4180 style CSV (fixed column
-order, 12 significant digits, missing values as empty fields) plus a JSON
-summary sidecar.  The columns of a job (a scan's axis2 columns, fig4's xi
-columns) go to a pool of ``--workers`` processes (at least 1, never more
-than the columns).
+Experiment configs are flat JSON objects, checked in full when they load
+against one table, ``_KEYS``, of each key's default and rules; a value
+that breaks a rule is reported as "<key> must be <requirement>, got
+<value>", and a figure's steps follow the same rules.  ``gap``,
+``min-gap`` and ``optimize-xi`` are defined for the dense model only, and
+only a ``scan`` config takes an ``axis2``; figure fig4 is the one
+built-in ``min-gap`` job with a second axis.  Every run writes an
+RFC-4180 style CSV (fixed column order, 12 significant digits, missing
+values as empty fields) plus a JSON summary sidecar.  The columns of a
+job (a scan's axis2 columns, fig4's xi columns) go to a pool of
+``--workers`` processes (at least 1, never more than the columns).
 Exit codes: 0 success, 2 config error, 3 solver error.
 """
 from __future__ import annotations
@@ -30,7 +33,8 @@ from .ed import dense_ed, extrapolate_gap, gap_sequence, sparse_ed
 from .errors import (CatalystRangeError, ConfigError, ConvergenceError,
                      DegenerateModeError, InstabilityError, SizeError)
 from .model import Coupling, ModelSpec
-from .spinwave import gap_or_flag, gaps_at, min_gap, optimize_catalyst
+from .spinwave import (excitation_gaps, fluctuation_matrix, gap_or_flag, min_gap,
+                       optimize_catalyst)
 
 PLACEMENTS = {
     "intercluster": lambda xi: (0.0, 0.0, xi),
@@ -40,35 +44,8 @@ PLACEMENTS = {
 }
 
 MAX_STEPS = 100_000  # largest s_steps / axis2_steps a config may ask for
-
-_DEFAULTS = {
-    "task": "scan",
-    "coupling": "dense",
-    "h1": 1.0,
-    "h2": -0.49,
-    "placement": "intercluster",
-    "xi": 0.0,
-    "gamma1": "s",
-    "gamma2": "s",
-    "s_min": 0.0,
-    "s_max": 1.0,
-    "s_steps": 201,
-    "axis2": None,
-    "axis2_min": None,
-    "axis2_max": None,
-    "axis2_steps": 101,
-    "output": "scan.csv",
-    "seed": 0,
-    "n_starts": 8,
-    "jump_threshold": 0.5,
-    "gaps": True,
-    "xi_min": -5.0,
-    "xi_max": -3.0,
-    "tol_xi": 0.05,
-    "ed_sizes": [100, 200, 400],
-    "ed_s_points": [0.2, 0.8],
-    "ed_n": None,
-}
+_SOLVER_ERRORS = (ConvergenceError, CatalystRangeError, DegenerateModeError, InstabilityError,
+                  SizeError)  # what a solve may raise on a valid config: exit code 3
 
 # Built-in figure datasets: id -> [(file name, overrides of _DEFAULTS)].  Each
 # file scans s over [0, 1] at the requested resolution, with scan gaps off.
@@ -97,123 +74,6 @@ FIGURES = {
 FIGURE_IDS = tuple(FIGURES)
 
 
-def load_config(path) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as err:      # a directory, or a file without read permission
-        raise ConfigError(f"cannot read config file {path}: {err.strerror}") from err
-    except ValueError as err:   # bad JSON or UTF-8, or an integer beyond int's digit limit
-        raise ConfigError(f"config is not valid JSON: {err}") from err
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a flat JSON object")
-    unknown = sorted(set(raw) - set(_DEFAULTS))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    cfg = dict(_DEFAULTS)
-    cfg.update(raw)
-    _validate(cfg)
-    return cfg
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    """A JSON number within the finite float range (not NaN)."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and abs(x) <= sys.float_info.max)
-
-
-def _is_unit(x) -> bool:
-    """A JSON number in [0, 1]."""
-    return _is_number(x) and 0.0 <= x <= 1.0
-
-
-def _check_steps(cfg):
-    """The rule for ``s_steps`` and ``axis2_steps``: integers from 1 to MAX_STEPS."""
-    for key in ("s_steps", "axis2_steps"):
-        if not _is_int(cfg[key]):
-            raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
-        if not 1 <= cfg[key] <= MAX_STEPS:
-            raise ConfigError(f"{key} must be between 1 and {MAX_STEPS}, got {cfg[key]!r}")
-
-
-def _validate(cfg):
-    if cfg["task"] not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {cfg['task']!r}")
-    if cfg["coupling"] not in ("dense", "sparse"):
-        raise ConfigError("coupling must be 'dense' or 'sparse'")
-    if cfg["task"] in ("gap", "min-gap", "optimize-xi") and cfg["coupling"] != "dense":
-        raise ConfigError(f"task {cfg['task']!r} is defined for the dense model only")
-    if cfg["placement"] not in PLACEMENTS:
-        raise ConfigError(f"placement must be one of {sorted(PLACEMENTS)}")
-    _check_steps(cfg)
-    for key in ("n_starts", "seed"):
-        if not _is_int(cfg[key]):
-            raise ConfigError(f"{key} must be an integer, got {cfg[key]!r}")
-    if cfg["n_starts"] < 8:
-        raise ConfigError("n_starts must be at least 8")
-    if abs(cfg["seed"]) > 2 ** 53:   # the start set scales it as a float
-        raise ConfigError(f"seed must be at most 2**53 in magnitude, got {cfg['seed']!r}")
-    out = cfg["output"]
-    if not isinstance(out, str) or "\0" in out or os.path.basename(out) in ("", ".", ".."):
-        raise ConfigError("output must be a file name without NUL characters, not ending in a "
-                          f"path separator, got {out!r}")
-    for key in ("s_min", "s_max"):
-        if not _is_unit(cfg[key]):
-            raise ConfigError(f"{key} must be a number in [0, 1], got {cfg[key]!r}")
-    if not cfg["s_min"] <= cfg["s_max"]:
-        raise ConfigError("s_min must not exceed s_max")
-    for key in ("xi", "h1", "h2", "jump_threshold", "xi_min", "xi_max", "tol_xi"):
-        if not _is_number(cfg[key]):
-            raise ConfigError(f"{key} must be a finite number, got {cfg[key]!r}")
-    for key in ("jump_threshold", "tol_xi"):
-        if cfg[key] <= 0:
-            raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
-    if not isinstance(cfg["gaps"], bool):
-        raise ConfigError(f"gaps must be true or false, got {cfg['gaps']!r}")
-    for key in ("axis2_min", "axis2_max"):
-        if cfg[key] is not None and not _is_number(cfg[key]):
-            raise ConfigError(f"{key} must be null or a finite number, got {cfg[key]!r}")
-    if cfg["axis2"] not in (None, "xi", "gamma1", "gamma2"):
-        raise ConfigError("axis2 must be null, 'xi', 'gamma1', or 'gamma2'")
-    if cfg["axis2"] is not None:
-        if cfg["task"] != "scan":
-            raise ConfigError(f"axis2 must be null for task {cfg['task']!r}, which does not "
-                              "scan it")
-        if cfg["axis2_min"] is None or cfg["axis2_max"] is None:
-            raise ConfigError("axis2_min and axis2_max are required with axis2")
-        if not cfg["axis2_min"] <= cfg["axis2_max"]:
-            raise ConfigError("axis2_min must not exceed axis2_max")
-    for key in ("gamma1", "gamma2"):
-        v = cfg[key]
-        if v != "s" and not _is_number(v):
-            raise ConfigError(f"{key} must be 's' or a finite number")
-    points = cfg["ed_s_points"]
-    if not (isinstance(points, list) and points and all(_is_unit(x) for x in points)):
-        raise ConfigError("ed_s_points must be a list of at least one number in [0, 1], "
-                          f"got {points!r}")
-    sizes = cfg["ed_sizes"]
-    # the gap extrapolation fits a line in 1/N, which one size does not fix
-    if not (isinstance(sizes, list)
-            and all(_is_int(n) and 0 < n <= 2000 and n % 4 == 0 for n in sizes)
-            and len(set(sizes)) >= 2):
-        raise ConfigError("ed_sizes must be a non-empty list of positive multiples of 4 "
-                          f"up to 2000 with at least two distinct sizes, got {sizes!r}")
-    n = cfg["ed_n"]
-    if cfg["coupling"] == "dense":
-        ok, what = _is_int(n) and 0 < n <= 2000 and n % 4 == 0, "a multiple of 4 up to 2000"
-    else:
-        ok, what = _is_int(n) and 0 < n <= 14 and n % 2 == 0, "an even integer up to 14"
-    if n is not None and not ok:
-        raise ConfigError(f"ed_n must be null or, for the {cfg['coupling']} model, "
-                          f"{what}; got {n!r}")
-
-
 def build_spec(cfg, axis2_value=None) -> ModelSpec:
     if axis2_value is not None:
         cfg = {**cfg, cfg["axis2"]: axis2_value}
@@ -230,10 +90,8 @@ def _s_grid(cfg):
 def _axis2_values(cfg):
     if cfg["axis2"] is None:
         return [None]
-    steps = int(cfg["axis2_steps"])
-    if steps == 1:
-        return [float(cfg["axis2_min"])]
-    return list(np.linspace(float(cfg["axis2_min"]), float(cfg["axis2_max"]), steps))
+    return list(np.linspace(float(cfg["axis2_min"]), float(cfg["axis2_max"]),
+                            int(cfg["axis2_steps"])))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +212,7 @@ def _scan_column(cfg, axis2_value):
     try:
         analysis = transitions.analyze(spec, s_grid, float(cfg["jump_threshold"]),
                                        int(cfg["n_starts"]), int(cfg["seed"]))
-    except (ConvergenceError, InstabilityError, DegenerateModeError, SizeError) as err:
+    except _SOLVER_ERRORS as err:
         # column fault barrier: flag every point, keep scanning other columns
         rows = [Row(s=float(s), axis2=axis2_value, flags=f"error:{type(err).__name__}")
                 for s in s_grid]
@@ -389,26 +247,25 @@ def _optimize_xi_column(cfg, axis2_value):
 
 def _ed_check_column(cfg, axis2_value):
     spec = build_spec(cfg)
-    seed = int(cfg["seed"])
-    n_starts = int(cfg["n_starts"])
     dense = spec.coupling is Coupling.DENSE
     oracle, default_n = (dense_ed, 200) if dense else (sparse_ed, 12)
     n_mag = int(cfg["ed_n"] or default_n)
-    solve = transitions.point_solver(spec, n_starts, seed).global_
+    solve = transitions.point_solver(spec, int(cfg["n_starts"]), int(cfg["seed"])).global_
 
     def compare(quantity, s, n, model, reference):
         return {"quantity": quantity, "s": s, "N": n, "model": model,
                 "oracle": reference, "abs_diff": abs(model - reference)}
 
     s_points = [float(s) for s in cfg["ed_s_points"]]
-    comparisons = [compare("m2z", s, n_mag, solve(s).m2z, oracle(spec, s, n_mag).m2z)
-                   for s in s_points]
+    states = [solve(s) for s in s_points]
+    comparisons = [compare("m2z", s, n_mag, state.m2z, oracle(spec, s, n_mag).m2z)
+                   for s, state in zip(s_points, states)]
     if dense:
         sizes = [int(n) for n in cfg["ed_sizes"]]
-        for s in s_points:
+        for s, state in zip(s_points, states):
             extrap = extrapolate_gap(sizes, gap_sequence(spec, s, sizes))
-            comparisons.append(compare("gap_extrapolated", s, sizes,
-                                       gaps_at(spec, s, n_starts, seed).delta1, extrap))
+            gap = excitation_gaps(fluctuation_matrix(spec, state)).delta1
+            comparisons.append(compare("gap_extrapolated", s, sizes, gap, extrap))
     rows = [Row(s=comp["s"], m2z=comp["model"], branch=comp["quantity"],
                 flags=f"oracle={_fmt(comp['oracle'])}") for comp in comparisons]
     return rows, None, {"ed_comparisons": comparisons}, False
@@ -443,6 +300,124 @@ def _run_task(cfg, workers):
 
 
 # ---------------------------------------------------------------------------
+# Config keys
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A JSON number within the finite float range (not NaN)."""
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+
+
+_INT = (_is_int, "an integer")
+_NUMBER = (_is_number, "a finite number")
+_IN_UNIT = (lambda v: _is_number(v) and 0.0 <= v <= 1.0, "a number in [0, 1]")
+_STEPS = [_INT, (lambda v: 1 <= v <= MAX_STEPS, f"between 1 and {MAX_STEPS}")]
+_POSITIVE = [_NUMBER, (lambda v: v > 0, "positive")]
+_NUMBER_OR_NULL = [(lambda v: v is None or _is_number(v), "null or a finite number")]
+_GAMMA = [(lambda v: v == "s" or _is_number(v), "'s' or a finite number")]
+# the ED sizes each coupling's oracle takes, for ed_n and ed_sizes
+_ED_N = {"dense": (lambda n: _is_int(n) and 0 < n <= 2000 and n % 4 == 0,
+                   "a multiple of 4 up to 2000"),
+         "sparse": (lambda n: _is_int(n) and 0 < n <= 14 and n % 2 == 0,
+                    "an even integer up to 14")}
+
+# key -> (default, [(test, requirement)]): the first test a value fails
+# is reported as "<key> must be <requirement>, got <value>"
+_KEYS = {
+    "task": ("scan", [(lambda v: v in TASKS, f"one of {TASKS}")]),
+    "coupling": ("dense", [(lambda v: v in ("dense", "sparse"), "'dense' or 'sparse'")]),
+    "h1": (1.0, [_NUMBER]),
+    "h2": (-0.49, [_NUMBER]),
+    "placement": ("intercluster", [(lambda v: v in tuple(PLACEMENTS),
+                                    f"one of {sorted(PLACEMENTS)}")]),
+    "xi": (0.0, [_NUMBER]),
+    "gamma1": ("s", _GAMMA),
+    "gamma2": ("s", _GAMMA),
+    "s_min": (0.0, [_IN_UNIT]),
+    "s_max": (1.0, [_IN_UNIT]),
+    "s_steps": (201, _STEPS),
+    "axis2": (None, [(lambda v: v in (None, "xi", "gamma1", "gamma2"),
+                      "null, 'xi', 'gamma1', or 'gamma2'")]),
+    "axis2_min": (None, _NUMBER_OR_NULL),
+    "axis2_max": (None, _NUMBER_OR_NULL),
+    "axis2_steps": (101, _STEPS),
+    "output": ("scan.csv", [(lambda v: (isinstance(v, str) and "\0" not in v
+                                        and os.path.basename(v) not in ("", ".", "..")),
+                             "a file name without NUL characters, not ending in a path "
+                             "separator")]),
+    # the start set scales the seed as a float
+    "seed": (0, [_INT, (lambda v: abs(v) <= 2 ** 53, "at most 2**53 in magnitude")]),
+    "n_starts": (8, [_INT, (lambda v: v >= 8, "at least 8")]),
+    "jump_threshold": (0.5, _POSITIVE),
+    "gaps": (True, [(lambda v: isinstance(v, bool), "true or false")]),
+    "xi_min": (-5.0, [_NUMBER]),
+    "xi_max": (-3.0, [_NUMBER]),
+    "tol_xi": (0.05, _POSITIVE),
+    # the gap extrapolation fits a line in 1/N, which one size does not fix
+    "ed_sizes": ([100, 200, 400], [(lambda v: (isinstance(v, list)
+                                               and all(_ED_N["dense"][0](n) for n in v)
+                                               and len(set(v)) >= 2),
+                                    "a non-empty list of positive multiples of 4 up to 2000 "
+                                    "with at least two distinct sizes")]),
+    "ed_s_points": ([0.2, 0.8], [(lambda v: isinstance(v, list) and v and all(map(_IN_UNIT[0], v)),
+                                  "a list of at least one number in [0, 1]")]),
+    "ed_n": (None, []),   # its rule depends on the coupling
+}
+_DEFAULTS = {key: default for key, (default, _) in _KEYS.items()}
+
+
+def _check(key, value):
+    for test, requirement in _KEYS[key][1]:
+        if not test(value):
+            raise ConfigError(f"{key} must be {requirement}, got {value!r}")
+
+
+def load_config(path) -> dict:
+    if not os.path.exists(path):
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as err:      # a directory, or a file without read permission
+        raise ConfigError(f"cannot read config file {path}: {err.strerror}") from err
+    except ValueError as err:   # bad JSON or UTF-8, or an integer beyond int's digit limit
+        raise ConfigError(f"config is not valid JSON: {err}") from err
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a flat JSON object")
+    unknown = sorted(set(raw) - set(_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    cfg = {**_DEFAULTS, **raw}
+    _validate(cfg)
+    return cfg
+
+
+def _validate(cfg):
+    """Each key's own rules from ``_KEYS``, then the rules across keys."""
+    for key in _KEYS:
+        _check(key, cfg[key])
+    task, coupling, axis2, n = cfg["task"], cfg["coupling"], cfg["axis2"], cfg["ed_n"]
+    if task in ("gap", "min-gap", "optimize-xi") and coupling != "dense":
+        raise ConfigError(f"task {task!r} is defined for the dense model only")
+    if not cfg["s_min"] <= cfg["s_max"]:
+        raise ConfigError(f"s_min must be at most s_max, got {cfg['s_min']!r}")
+    if axis2 is not None:
+        if task != "scan":
+            raise ConfigError(f"axis2 must be null for task {task!r}, got {axis2!r}")
+        for key in ("axis2_min", "axis2_max"):
+            if cfg[key] is None:
+                raise ConfigError(f"{key} must be a finite number with axis2, got None")
+        if not cfg["axis2_min"] <= cfg["axis2_max"]:
+            raise ConfigError(f"axis2_min must be at most axis2_max, got {cfg['axis2_min']!r}")
+    test, what = _ED_N[coupling]
+    if n is not None and not test(n):
+        raise ConfigError(f"ed_n must be null or, for the {coupling} model, {what}, got {n!r}")
+
+
+# ---------------------------------------------------------------------------
 # Writing jobs
 
 def _summary_path(out_path):
@@ -467,12 +442,11 @@ def _write_jobs(label, jobs, workers):
         summary = {
             "task": label,
             "transition_reports": reports,
-            "xi_star": extra.get("xi_star"),
+            "xi_star": None,
             "wall_time_s": round(time.perf_counter() - t0, 3),
             "versions": _versions(),
+            **extra,
         }
-        for key, value in extra.items():
-            summary.setdefault(key, value)
         _attach_lambda_reference(summary, cfg, reports)
         os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
         write_csv(out_path, rows)
@@ -481,12 +455,15 @@ def _write_jobs(label, jobs, workers):
     return paths, any_failed
 
 
-def _figure_jobs(figure_id, out_dir, s_steps, axis2_steps):
-    """(cfg, out_path) for every file of a named figure."""
+def _figure_jobs(figure_id, out_dir, s_steps=_DEFAULTS["s_steps"],
+                 axis2_steps=_DEFAULTS["axis2_steps"]):
+    """(cfg, out_path) for every file of a named figure; its steps follow
+    the config rule."""
     if figure_id not in FIGURES:
         raise ConfigError(f"unknown figure id: {figure_id}")
+    _check("s_steps", s_steps)
+    _check("axis2_steps", axis2_steps)
     base = {**_DEFAULTS, "s_steps": s_steps, "axis2_steps": axis2_steps, "gaps": False}
-    _check_steps(base)
     return [({**base, **overrides}, os.path.join(out_dir, name))
             for name, overrides in FIGURES[figure_id]]
 
@@ -509,8 +486,7 @@ def _execute(plan, workers) -> int:
     except FileExistsError as err:
         print(f"{err}; remove it to rerun", file=sys.stderr)
         return 2
-    except (ConvergenceError, CatalystRangeError, SizeError, InstabilityError,
-            DegenerateModeError) as err:
+    except _SOLVER_ERRORS as err:
         print(f"solver error: {err}", file=sys.stderr)
         return 3
     return 3 if failed else 0
@@ -521,14 +497,14 @@ def run(config_path, out_dir=None, workers: int = 1) -> int:
     return _execute(lambda: _config_jobs(config_path, out_dir), workers)
 
 
-def emit_figure_dataset(figure_id, out_dir=".", s_steps: int = 201,
-                        axis2_steps: int = 101, workers: int = 1):
+def emit_figure_dataset(figure_id, out_dir=".", s_steps: int = _DEFAULTS["s_steps"],
+                        axis2_steps: int = _DEFAULTS["axis2_steps"], workers: int = 1):
     """Write the dataset behind a named figure; returns the file paths.
 
-    Default resolutions are 201 s-points by 101 second-axis points.  Raises
-    ConfigError (steps outside a config's rule, or ``workers`` below 1) or
-    FileExistsError (a target file exists) before computing anything; a
-    failed column is flagged in its rows, as in ``run``.
+    Default resolutions are the config defaults, 201 s-points by 101
+    second-axis points.  Raises ConfigError (steps outside the config rule,
+    or ``workers`` below 1) or FileExistsError (a target file exists) before
+    computing anything; a failed column is flagged in its rows, as in ``run``.
     """
     jobs = _figure_jobs(figure_id, out_dir, s_steps, axis2_steps)
     return _write_jobs(f"figure:{figure_id}", jobs, workers)[0]
@@ -555,8 +531,7 @@ def main(argv=None) -> int:
         if args.task == "figure":
             if not args.figure:
                 raise ConfigError("--figure is required for the figure task")
-            return (f"figure:{args.figure}",
-                    _figure_jobs(args.figure, args.out or ".", 201, 101))
+            return f"figure:{args.figure}", _figure_jobs(args.figure, args.out or ".")
         if not args.config:
             raise ConfigError("--config is required")
         label, jobs = _config_jobs(args.config, args.out)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -179,10 +180,16 @@ def test_main_exit_codes(tmp_path, capsys):
                              ("scan", "output", "sub/"), ("scan", "output", "sub/.."),
                              ("scan", "output", "a\0b.csv"),
                              ("gap", "axis2", "xi"), ("min-gap", "axis2", "xi"),
-                             ("optimize-xi", "axis2", "xi"), ("ed-check", "axis2", "gamma1")):
+                             ("optimize-xi", "axis2", "xi"), ("ed-check", "axis2", "gamma1"),
+                             ("scan", "coupling", "x"), ("scan", "placement", "x"),
+                             ("scan", "placement", [1]), ("scan", "axis2", "h1"),
+                             ("scan", "gamma1", "x"), ("scan", "gamma1", [])):
         bad = write_cfg(tmp_path, "bad.json", task=task, **{"output": "bad.csv", key: value})
         assert main([task, "--config", bad, "--out", str(tmp_path)]) == 2
-        assert f"{key} must be" in capsys.readouterr().err
+        # every message names the key, its requirement and the value it got
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"config error: {key} must be .+, got {re.escape(repr(value))}\n",
+                            err), err
     assert not (tmp_path / "bad.csv").exists()
     ok = write_cfg(tmp_path, "ok.json", **{**SMALL_SCAN, "output": "w.csv"})
     for workers in ("0", "-1"):
@@ -295,6 +302,15 @@ def test_ed_check_task(tmp_path):
     kinds = {c["quantity"] for c in comps}
     assert kinds == {"m2z", "gap_extrapolated"}
     assert all(c["abs_diff"] < 0.05 for c in comps)
+
+
+def test_ed_check_one_global_solve_per_point(tmp_path, monkeypatch):
+    # the harmonic gap is read from the state the m2z comparison solved
+    solves = count_calls(monkeypatch, "global_minimize", transitions, spinwave)
+    cfg = write_cfg(tmp_path, task="ed-check", xi=-4.0, ed_sizes=[20, 40],
+                    ed_s_points=[0.2, 0.8], ed_n=40, output="ed.csv")
+    assert run(cfg, out_dir=str(tmp_path)) == 0
+    assert [args[1] for args in solves] == [0.2, 0.8]
 
 
 def test_partial_column_failure_flags_and_exit3(tmp_path, monkeypatch):
