@@ -5,14 +5,14 @@ real 4x4 E = [[A, B], [-B, -A]] with A + B the in-plane angle Hessian
 (``model._angle_hessian``) and A - B = diag(mu) the out-of-plane
 curvature.  E's positive eigenvalues, times four, are the two gap
 branches, found in real 2x2 arithmetic (Colpa, Physica A 93, 1978).
-Includes gap profiling over the anneal and golden-section optimization
-of the catalyst strength.
+Includes gap profiling over the anneal, and the minimum-gap and
+catalyst-strength searches by Brent's method.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import cos, sin, sqrt
+from math import copysign, cos, sin, sqrt, ulp
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .transitions import BranchAnalysis, analyze
 
 IMAG_TOL = 1e-8
 _STATIONARY_TOL = 1e-8
-_TOL_S = 1e-5   # default s tolerance of the golden refinement in min_gap
+_TOL_S = 1e-5   # default s tolerance of the Brent refinement in min_gap
 
 
 @dataclass(frozen=True)
@@ -151,43 +151,68 @@ def gap_profile(spec: ModelSpec, s_grid, n_starts: int = 8, seed: int = 0) -> li
     return _profile(spec, analyze(spec, s_grid, n_starts=n_starts, seed=seed))
 
 
-_GOLDEN = (sqrt(5.0) - 1.0) / 2.0   # a Python float, so the probes are too
+_GOLDEN_STEP = (3.0 - sqrt(5.0)) / 2.0   # a Python float, so the probes are too
 
 
-def _golden_section(f, lo, hi, tol):
-    """Golden-section minimization of f on [lo, hi]; returns (x, f(x))."""
+def _minimize_scalar(f, lo, hi, tol):
+    """Brent's minimization of f on [lo, hi] to within tol; returns (x, f(x)).
+
+    Parabolic interpolation through the three best points so far, with a
+    golden-section step where the parabola is not trusted (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5; Netlib
+    ``fmin``).  No step is shorter than tol/3 plus a few ulps of x, and
+    the search ends once a probe would coincide with a kept point, so no
+    point is evaluated twice, even for tol below the float spacing.
+    """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     a, b = float(lo), float(hi)
     if b - a <= tol:
         x = 0.5 * (a + b)
         return x, f(x)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    # once tol is below the float spacing of the bracket, a new probe can
-    # land on or beyond the kept one; the order is checked before f runs
-    while b - a > tol and x1 < x2:
-        if f1 <= f2:
-            x = x2 - _GOLDEN * (x2 - a)
-            if not x < x1:
-                break
-            b, x2, f2 = x2, x1, f1
-            x1, f1 = x, f(x)
+    x = w = v = a + _GOLDEN_STEP * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = tol / 3.0 + 4.0 * ulp(x)
+        if abs(x - xm) <= 2.0 * tol1 - 0.5 * (b - a):
+            break
+        p = q = 0.0
+        if abs(e) > tol1:   # the parabola through x, w, v has its vertex at x + p/q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            p, q = (-p, 2.0 * (q - r)) if q > r else (p, 2.0 * (r - q))
+        # trust the vertex if inside the bracket and the step under half the one before last
+        if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol1:
+                d = copysign(tol1, xm - x)
         else:
-            x = x1 + _GOLDEN * (b - x1)
-            if not x2 < x:
-                break
-            a, x1, f1 = x1, x2, f2
-            x2, f2 = x, f(x)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+            e = (a if x >= xm else b) - x
+            d = _GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol1 else copysign(tol1, d))
+        if not a < u < b or u in (x, w, v):
+            break
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def _min_gap_on(spec: ModelSpec, analysis: BranchAnalysis,
                 tol_s: float) -> tuple[float, float, ClassicalState]:
     """``min_gap`` on the states of one ``analyze`` pass over its grid.
 
-    The grid profile reads ``analysis.equilibrium``.  Each golden probe at
+    The grid profile reads ``analysis.equilibrium``.  Each Brent probe at
     s is the lower-energy (``_prefer``) of two warm solves of
     ``analysis.solver``, one from each equilibrium state at the ends of
     the grid bracket, the rule ``transitions._bisect_crossing`` follows,
@@ -217,7 +242,7 @@ def _min_gap_on(spec: ModelSpec, analysis: BranchAnalysis,
         probes[s] = _prefer(from_hi, from_lo)
         return excitation_gaps(fluctuation_matrix(spec, probes[s])).delta1
 
-    s_best, d_best = _golden_section(objective, s_grid[i_lo], s_grid[i_hi], tol_s)
+    s_best, d_best = _minimize_scalar(objective, s_grid[i_lo], s_grid[i_hi], tol_s)
     if grid_best.delta1 < d_best:
         return float(grid_best.s), float(grid_best.delta1), eq[i_min]
     return float(s_best), float(d_best), probes[float(s_best)]
@@ -225,10 +250,10 @@ def _min_gap_on(spec: ModelSpec, analysis: BranchAnalysis,
 
 def min_gap(spec: ModelSpec, s_grid, n_starts: int = 8, seed: int = 0,
             tol_s: float = _TOL_S) -> tuple[float, float, ClassicalState]:
-    """Minimum (s, delta1, state) of the lower gap branch over the grid, golden-refined.
+    """Minimum (s, delta1, state) of the lower gap branch over the grid, Brent-refined.
 
     One ``transitions.analyze`` pass over the grid gives every state: the
-    grid profile is its equilibrium, and the golden refinement warm-starts
+    grid profile is its equilibrium, and the Brent refinement warm-starts
     from the equilibrium states at the ends of the grid bracket, keeping
     the lower-energy solve (see ``_min_gap_on``).
     Global solves run only at the two sweep starts and where a warm solve
@@ -262,5 +287,5 @@ def optimize_catalyst(spec_family, xi_range, tol_xi: float = 0.05,
             )
         return -_min_gap_on(spec, analysis, _TOL_S)[1]
 
-    xi_star, neg = _golden_section(neg_min_gap, min(xi_range), max(xi_range), tol_xi)
+    xi_star, neg = _minimize_scalar(neg_min_gap, min(xi_range), max(xi_range), tol_xi)
     return float(xi_star), float(-neg)

@@ -9,7 +9,7 @@ from meanfield_annealer import (CatalystRangeError, ClassicalState,
                                 optimize_catalyst)
 from meanfield_annealer import saddle, spinwave, transitions
 from meanfield_annealer.ed import dense_ed, extrapolate_gap, gap_sequence
-from meanfield_annealer.spinwave import _golden_section, gap_or_flag
+from meanfield_annealer.spinwave import _minimize_scalar, gap_or_flag
 from conftest import count_calls
 
 
@@ -226,9 +226,71 @@ def test_min_gap_single_point():
 
 
 def test_golden_section_on_quadratic():
-    x, f = _golden_section(lambda t: (t - 0.37) ** 2 + 1.0, 0.0, 1.0, 1e-7)
+    x, f = _minimize_scalar(lambda t: (t - 0.37) ** 2 + 1.0, 0.0, 1.0, 1e-7)
     assert abs(x - 0.37) < 1e-6
     assert f == pytest.approx(1.0, abs=1e-10)
+
+
+def test_minimize_scalar_converges_superlinearly_on_a_quadratic():
+    # golden section alone takes 36 evaluations here
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return (t - 0.37) ** 2 + 1.0
+
+    x, _ = _minimize_scalar(f, 0.0, 1.0, 1e-7)
+    assert abs(x - 0.37) < 1e-7
+    assert len(calls) <= 8
+
+
+def _traced_minimize_scalar(f, lo, hi, tol):
+    """(x, f(x), evaluated points) of one _minimize_scalar run, after the
+    contract every caller relies on: x is an evaluated point, no point is
+    evaluated twice and none lies outside [lo, hi]."""
+    calls = []
+
+    def traced(t):
+        calls.append(t)
+        return f(t)
+
+    x, fx = _minimize_scalar(traced, lo, hi, tol)
+    assert x in calls and fx == f(x)
+    assert len(calls) == len(set(calls))
+    assert all(lo <= t <= hi for t in calls)
+    return x, fx, calls
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-7, 1e-300])
+def test_minimize_scalar_on_a_kink(tol):
+    x, _, calls = _traced_minimize_scalar(lambda t: abs(t - 0.37), 0.0, 1.0, tol)
+    assert abs(x - 0.37) <= max(tol, 1e-15)
+    assert len(calls) < 200
+
+
+@pytest.mark.parametrize("sign, edge", [(1.0, 0.0), (-1.0, 1.0)])
+@pytest.mark.parametrize("tol", [1e-3, 1e-7])
+def test_minimize_scalar_monotone_ends_at_the_edge(sign, edge, tol):
+    x, _, _ = _traced_minimize_scalar(lambda t: sign * t, 0.0, 1.0, tol)
+    assert abs(x - edge) <= tol
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-300])
+def test_minimize_scalar_ends_on_a_constant(tol):
+    _, fx, calls = _traced_minimize_scalar(lambda t: 2.0, -5.0, -3.0, tol)
+    assert fx == 2.0 and len(calls) < 100
+
+
+def test_minimize_scalar_probes_stay_in_the_bracket():
+    # kinks, flat steps and several local minima on brackets of either sign
+    rng = np.random.default_rng(7)
+    objectives = [lambda t, c: (t - c) ** 2, lambda t, c: abs(t - c),
+                  lambda t, c: float(np.floor((t - c) * 1e3)) ** 2,
+                  lambda t, c: float(np.sin(7.0 * t + c))]
+    for f in objectives:
+        for c, lo, tol in zip(rng.uniform(-6.0, 2.0, 20), rng.uniform(-5.0, 0.0, 20),
+                              10.0 ** rng.uniform(-12.0, -1.0, 20)):
+            _traced_minimize_scalar(lambda t: f(t, c), float(lo), float(lo) + 1.5, float(tol))
 
 
 def test_golden_section_ends_below_the_float_spacing():
@@ -238,7 +300,7 @@ def test_golden_section_ends_below_the_float_spacing():
         calls.append(t)
         return (t + 4.0) ** 2
 
-    x, _ = _golden_section(f, -5.0, -3.0, 1e-300)
+    x, _ = _minimize_scalar(f, -5.0, -3.0, 1e-300)
     assert len(calls) < 100
     assert abs(x + 4.0) < 1e-12
 
@@ -253,7 +315,7 @@ def test_golden_section_evaluates_each_point_once(x_min):
         calls.append(t)
         return (t - x_min) ** 2
 
-    x, _ = _golden_section(f, -5.0, -3.0, 1e-300)
+    x, _ = _minimize_scalar(f, -5.0, -3.0, 1e-300)
     assert len(calls) == len(set(calls))
     assert abs(x - x_min) < 1e-12
 
@@ -275,7 +337,7 @@ def test_golden_section_rejects_nonpositive_tol():
     # `while b - a > tol` would never end
     for tol in (0.0, -1e-3, float("nan")):
         with pytest.raises(ValueError, match="tol must be positive"):
-            _golden_section(lambda t: t * t, -1.0, 1.0, tol)
+            _minimize_scalar(lambda t: t * t, -1.0, 1.0, tol)
     with pytest.raises(ValueError, match="tol must be positive"):
         min_gap(ModelSpec.dense(xi=(0.0, 0.0, -4.0)), [0.4, 0.5, 0.6], tol_s=0.0)
 
@@ -312,18 +374,19 @@ def test_optimize_catalyst_degenerate_range():
 
 def _reference_min_gap(spec, s_grid, tol_s=1e-5):
     """min_gap by per-point global solves: the grid minimum of the gaps on
-    one global solve per point, then a golden refinement over gaps_at in
+    one global solve per point, then a Brent refinement over gaps_at in
     the bracket around it."""
     d1 = [gap_or_flag(spec, global_minimize(spec, float(s)))[0] for s in s_grid]
     i_min, best = min(((i, d) for i, d in enumerate(d1) if d is not None),
                       key=lambda id_: id_[1])
     lo, hi = s_grid[max(i_min - 1, 0)], s_grid[min(i_min + 1, len(s_grid) - 1)]
-    s, d = _golden_section(lambda x: gaps_at(spec, float(x)).delta1, lo, hi, tol_s)
+    s, d = _minimize_scalar(lambda x: gaps_at(spec, float(x)).delta1, lo, hi, tol_s)
     return (float(s_grid[i_min]), best) if best < d else (s, d)
 
 
 @pytest.mark.parametrize("xi12, steps", [(-10.0, 41), (-6.0, 41), (-4.0, 41), (0.0, 41),
-                                         (4.0, 41), (-9.0, 11), (-7.25, 41)])
+                                         (4.0, 41), (-9.0, 11), (-7.25, 41),
+                                         (-5.0, 11), (-3.0, 11)])
 def test_min_gap_matches_per_point_global_solves(xi12, steps):
     # xi12 = -10, -9, -7.25, -6 and 0 are transition columns.  At -9 on 11
     # points warm probes from either bracket end alone leave the equilibrium
@@ -339,10 +402,27 @@ def test_min_gap_matches_per_point_global_solves(xi12, steps):
 
 
 def test_min_gap_solve_count(monkeypatch):
-    # the two sweep starts; the profile and the golden probes are warm
+    # the two sweep starts; the profile and the refinement probes are warm
     solves = count_calls(monkeypatch, "global_minimize", transitions, spinwave)
     min_gap(ModelSpec.dense(xi=(0.0, 0.0, -4.0)), np.linspace(0.0, 1.0, 101))
     assert len(solves) == 2
+
+
+def test_min_gap_refinement_probe_count(monkeypatch):
+    # every probe is two warm solves, one from each end of the grid
+    # bracket; golden section made 23 probes here
+    warm = count_calls(monkeypatch, "minimize", transitions)
+    analyze = spinwave.analyze
+
+    def analyze_then_count(*args, **kwargs):
+        analysis = analyze(*args, **kwargs)
+        warm.clear()
+        return analysis
+
+    monkeypatch.setattr(spinwave, "analyze", analyze_then_count)
+    min_gap(ModelSpec.dense(xi=(0.0, 0.0, -4.0)), np.linspace(0.0, 1.0, 11))
+    assert len(warm) % 2 == 0
+    assert 0 < len(warm) // 2 <= 12
 
 
 def test_optimize_catalyst_solve_count(monkeypatch):
@@ -356,6 +436,7 @@ def test_optimize_catalyst_solve_count(monkeypatch):
 
     optimize_catalyst(family, (-5.0, -3.0), tol_xi=0.2, s_grid=np.linspace(0.0, 1.0, 11))
     assert len(evals) > 2
+    assert len(evals) <= 6
     assert len(analyses) == len(evals)
     assert len(solves) == 2 * len(evals)
 
