@@ -3,8 +3,10 @@
 Minimizes the energy density over m_a = (sin theta_a, 0, cos theta_a),
 two angles on the xz torus (every minimum has m_y = 0), by damped Newton
 on Python floats over the model's dense kernel: ``minimize`` from one
-start, ``global_minimize`` over a deterministic multistart set.  Sweeps
-and transition detection for either model live in ``transitions``.
+start, ``global_minimize`` over a deterministic multistart set.  A
+``ClassicalState`` carries the angles (t1, t2), its ``m`` is derived, and
+``minimize`` continues from a state's own angles.  Sweeps and transition
+detection for either model live in ``transitions``.
 """
 from __future__ import annotations
 
@@ -23,18 +25,23 @@ from .model import (Coupling, MagPair, ModelSpec, _angle_hessian, _coeffs, _eigh
 
 @dataclass(frozen=True)
 class ClassicalState:
-    """A stationary point of h on the two-sphere product (in the xz plane)."""
+    """A stationary point of h at the angles (t1, t2): m_a = (sin t_a, 0, cos t_a)."""
 
     s: float
-    m: MagPair
+    t1: float
+    t2: float
     energy: float
     mu: tuple[float, float]
     residual: float
     indeterminate: tuple[bool, bool] = (False, False)
 
     @property
+    def m(self) -> MagPair:
+        return MagPair(_unit(self.t1), _unit(self.t2))
+
+    @property
     def m2z(self) -> float:
-        return float(self.m.m2[2])
+        return cos(self.t2)
 
 
 # ---------------------------------------------------------------------------
@@ -114,28 +121,29 @@ def _angles(m: MagPair) -> tuple[float, float]:
 
 
 def _state(spec: ModelSpec, s: float, p: _Point) -> ClassicalState:
-    return ClassicalState(
-        s=float(s), m=MagPair(_unit(p.t1), _unit(p.t2)), energy=p.energy,
-        mu=p.mu, residual=p.residual, indeterminate=_indeterminate_flags(spec, s),
-    )
+    return ClassicalState(float(s), p.t1, p.t2, p.energy, p.mu, p.residual,
+                          _indeterminate_flags(spec, s))
 
 
-def minimize(spec: ModelSpec, s: float, initial: MagPair,
+def minimize(spec: ModelSpec, s: float, initial: MagPair | ClassicalState,
              max_iter: int = _MAX_ITER, tol: float = 1e-10) -> ClassicalState:
     """Local minimum of the dense energy density from the given start.
 
     The energy has no y terms and its zz block is negative definite for
-    s > 0, so minima lie in the xz plane: the start is projected to angles
-    th_a = atan2(m_ax, m_az) and damped Newton runs on the two angles
-    (``_newton``, shared with ``global_minimize``).
+    s > 0, so minima lie in the xz plane: damped Newton (``_newton``, shared
+    with ``global_minimize``) runs on the two angles, a ClassicalState's own
+    or th_a = atan2(m_ax, m_az) of a MagPair start.
     """
     _require(spec, Coupling.DENSE)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n1, n2 = initial.norms()
-    if n1 < 1e-6 or n2 < 1e-6:
+    if isinstance(initial, ClassicalState):
+        t1, t2 = initial.t1, initial.t2
+    elif min(initial.norms()) < 1e-6:
         raise ValueError("initial magnetizations must be unit direction vectors")
-    p = _newton(_coeffs(spec, s), *_angles(initial), max_iter, tol)
+    else:
+        t1, t2 = _angles(initial)
+    p = _newton(_coeffs(spec, s), t1, t2, max_iter, tol)
     state = _state(spec, s, p)
     if p.residual >= tol:
         raise ConvergenceError(
@@ -216,7 +224,7 @@ def is_stable_minimum(spec: ModelSpec, state: ClassicalState, tol: float = 1e-9)
     no y terms, so the curvature out of the plane is mu_a.
     """
     _require(spec, Coupling.DENSE)
-    t1, t2 = _angles(state.m)
+    t1, t2 = state.t1, state.t2
     h11, h12, h22 = _angle_hessian(_coeffs(spec, state.s), sin(t1), cos(t1), sin(t2), cos(t2),
                                    *state.mu)
     return bool(_eigh2(h11, h12, h22)[0] >= -tol and min(state.mu) >= -tol)

@@ -25,6 +25,7 @@ import multiprocessing
 import os
 import sys
 import time
+from math import isfinite
 
 import numpy as np
 
@@ -103,7 +104,7 @@ def _fmt(x) -> str:
     if isinstance(x, str):
         return x
     x = float(x)
-    if not np.isfinite(x):
+    if not isfinite(x):
         return ""
     return f"{x:.12g}"
 
@@ -187,8 +188,8 @@ def _state_row(spec, s, axis2_value, state, branch, gaps=True):
     flag_list = [f for f in [flags] if f]
     if any(ind):
         flag_list.append("indeterminate")
-    m1 = state.m.m1
-    m2 = state.m.m2
+    m = state.m
+    m1, m2 = m.m1, m.m2
     return Row(
         s=s, axis2=axis2_value,
         m1x=None if ind[0] else float(m1[0]),

@@ -120,7 +120,7 @@ def _prefer(new, old):
 
 def _check_s(s: float) -> float:
     s = float(s)
-    if not np.isfinite(s):
+    if not isfinite(s):
         raise ValueError("s must be finite")
     if s < 0.0 or s > 1.0:
         raise ValueError(f"s={s} outside [0, 1]")

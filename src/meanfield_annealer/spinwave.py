@@ -16,7 +16,7 @@ from math import copysign, cos, sin, sqrt, ulp
 
 import numpy as np
 
-from .classical import ClassicalState, _angles, global_minimize
+from .classical import ClassicalState, global_minimize
 from .errors import (CatalystRangeError, DegenerateModeError, InstabilityError,
                      StationarityError)
 from .model import Coupling, ModelSpec, _angle_hessian, _coeffs, _eigh2, _prefer, _require
@@ -57,7 +57,7 @@ def fluctuation_matrix(spec: ModelSpec, state: ClassicalState) -> np.ndarray:
             f"state residual {state.residual:g} exceeds {_STATIONARY_TOL:g}; "
             "fluctuations are only defined at a stationary point"
         )
-    t1, t2 = _angles(state.m)
+    t1, t2 = state.t1, state.t2
     mu1, mu2 = state.mu
     h11, h12, h22 = _angle_hessian(_coeffs(spec, state.s), sin(t1), cos(t1), sin(t2), cos(t2),
                                    mu1, mu2)
@@ -80,8 +80,8 @@ def excitation_gaps(E: np.ndarray) -> GapSpectrum:
     tells an unstable state (non-real frequencies) from a zero or
     negative mode.
     """
-    scale = max(float(np.abs(E).max()), 1.0)
-    (a11, a12, b11, b12), (_, a22, _, b22) = E[:2].tolist()
+    (a11, a12, b11, b12), (_, a22, _, b22) = top = E[:2].tolist()
+    scale = max(1.0, *map(abs, top[0] + top[1]))   # E's lower rows permute and negate these
     p11, p12, p22 = a11 + b11, a12 + b12, a22 + b22
     q11, q12, q22 = a11 - b11, a12 - b12, a22 - b22
     if min(_eigh2(p11, p12, p22)[0], _eigh2(q11, q12, q22)[0]) <= 1e-10 * scale:
@@ -105,8 +105,8 @@ def excitation_gaps(E: np.ndarray) -> GapSpectrum:
     for e, y1, y2 in ((sqrt(lo), x1, x2), (sqrt(hi), -x2, x1)):
         q1, q2 = l11 * y1 / sqrt(e), (l21 * y1 + l22 * y2) / sqrt(e)   # q = L y / sqrt(eps)
         p1, p2 = (p11 * q1 + p12 * q2) / e, (p12 * q1 + p22 * q2) / e   # p = P q / eps
-        rows.append((p1 + q1, p2 + q2, p1 - q1, p2 - q2))
-    return GapSpectrum(4.0 * sqrt(lo), 4.0 * sqrt(hi), eigvecs=np.array(rows) / 2.0)
+        rows.append(((p1 + q1) / 2, (p2 + q2) / 2, (p1 - q1) / 2, (p2 - q2) / 2))
+    return GapSpectrum(4.0 * sqrt(lo), 4.0 * sqrt(hi), eigvecs=np.array(rows))
 
 
 def gap_or_flag(spec: ModelSpec,
@@ -160,13 +160,14 @@ def _minimize_scalar(f, lo, hi, tol):
     Parabolic interpolation through the three best points so far, with a
     golden-section step where the parabola is not trusted (Brent,
     Algorithms for Minimization without Derivatives, 1973, ch. 5; Netlib
-    ``fmin``).  No step is shorter than tol/3 plus a few ulps of x, and
-    the search ends once a probe would coincide with a kept point, so no
-    point is evaluated twice, even for tol below the float spacing.
+    ``fmin``).  tol is floored at 4 ulps of max(|lo|, |hi|), no step is
+    shorter than tol/3 plus a few ulps of x, and the search ends once a
+    probe would coincide with a kept point, so no point is evaluated twice.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     a, b = float(lo), float(hi)
+    tol = max(tol, 4.0 * ulp(max(abs(a), abs(b))))
     if b - a <= tol:
         x = 0.5 * (a + b)
         return x, f(x)

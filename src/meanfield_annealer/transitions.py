@@ -58,7 +58,7 @@ def point_solver(spec: ModelSpec, n_starts: int = 8, seed: int = 0) -> PointSolv
     each call, so wrappers installed on those names see every solve."""
     if spec.coupling is Coupling.DENSE:
         return PointSolver(lambda s: global_minimize(spec, s, n_starts, seed),
-                           lambda s, prev: minimize(spec, s, prev.m))
+                           lambda s, prev: minimize(spec, s, prev))
 
     def local(s, prev):
         sol = solve_saddle(spec, s, prev)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
@@ -7,9 +9,10 @@ from meanfield_annealer import (ConvergenceError, MagPair, ModelSpec,
                                 dense_gradient, dense_hessian,
                                 detect_transition, global_minimize, minimize,
                                 start_set, sweep)
+from meanfield_annealer import classical, transitions
 from meanfield_annealer.classical import is_stable_minimum
 from meanfield_annealer.ed import dense_ed
-from conftest import assert_same_verdict, assert_width_within_two_steps
+from conftest import assert_same_verdict, assert_width_within_two_steps, count_calls
 
 UP = np.array([0.0, 0.0, 1.0])
 DOWN = np.array([0.0, 0.0, -1.0])
@@ -62,6 +65,39 @@ def test_minimize_pure_y_start(dense_spec):
     st = minimize(dense_spec, 0.5, MagPair([0.0, 1.0, 0.0], [0.0, 1.0, 0.0]))
     assert st.energy == pytest.approx(-0.690426548471, abs=1e-12)
     assert st.m.m1[1] == 0.0 and st.m.m2[1] == 0.0
+
+
+def test_state_m_is_built_from_the_angles(rng):
+    for _ in range(20):
+        spec = ModelSpec.dense(xi=tuple(rng.uniform(-5, 5, 3)))
+        st = global_minimize(spec, rng.uniform(0, 1))
+        m = st.m
+        assert m.is_unit(1e-15)
+        assert m.m1[1] == 0.0 and m.m2[1] == 0.0
+        assert np.float64(st.m2z).tobytes() == m.m2[2].tobytes()
+        assert (m.m1[0], m.m1[2]) == (math.sin(st.t1), math.cos(st.t1))
+
+
+def test_minimize_continues_from_a_state_as_from_its_magnetizations(rng):
+    for _ in range(20):
+        spec = ModelSpec.dense(xi=tuple(rng.uniform(-5, 5, 3)))
+        prev = global_minimize(spec, rng.uniform(0.05, 1))
+        s = min(prev.s + 0.01, 1.0)
+        a = minimize(spec, s, prev)
+        b = minimize(spec, s, prev.m)
+        assert a.energy == pytest.approx(b.energy, abs=1e-12)
+        for ta, tb in ((a.t1, b.t1), (a.t2, b.t2)):
+            assert np.sin(ta) == pytest.approx(np.sin(tb), abs=1e-12)
+            assert np.cos(ta) == pytest.approx(np.cos(tb), abs=1e-12)
+
+
+def test_warm_dense_pass_takes_no_angles_from_magnetizations(monkeypatch):
+    spec = ModelSpec.dense(xi=(0.0, 0.0, -4.0))
+    grid = np.linspace(0.0, 1.0, 21)
+    transitions.analyze(spec, grid)   # fills the cached start angles
+    calls = count_calls(monkeypatch, "_angles", classical)
+    transitions.analyze(spec, grid)
+    assert calls == []
 
 
 def _reference_newton(spec, s, initial, max_iter=200, tol=1e-10):

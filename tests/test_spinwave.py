@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from meanfield_annealer import (CatalystRangeError, ClassicalState,
-                                DegenerateModeError, InstabilityError, MagPair,
+                                DegenerateModeError, InstabilityError,
                                 ModelSpec, StationarityError, excitation_gaps,
                                 fluctuation_matrix, gap_profile, gaps_at,
                                 dense_hessian, global_minimize, min_gap,
@@ -29,9 +31,8 @@ def test_fluctuation_matrix_final(dense_spec):
 
 
 def test_fluctuation_requires_stationary_state(dense_spec):
-    bogus = ClassicalState(
-        s=0.5, m=MagPair([0.6, 0, 0.8], [0.6, 0, 0.8]), energy=0.0,
-        mu=(0.1, 0.1), residual=1e-3)
+    t = math.atan2(0.6, 0.8)
+    bogus = ClassicalState(s=0.5, t1=t, t2=t, energy=0.0, mu=(0.1, 0.1), residual=1e-3)
     with pytest.raises(StationarityError):
         fluctuation_matrix(dense_spec, bogus)
 
@@ -303,6 +304,14 @@ def test_golden_section_ends_below_the_float_spacing():
     x, _ = _minimize_scalar(f, -5.0, -3.0, 1e-300)
     assert len(calls) < 100
     assert abs(x + 4.0) < 1e-12
+
+
+def test_minimize_scalar_floors_a_tiny_tol_at_the_bracket_spacing():
+    # with no floor, t*t on [-1, 1] at tol=1e-300 took 980 evaluations:
+    # near 0 the step floor of a few ulp(x) shrinks with x
+    x, _, calls = _traced_minimize_scalar(lambda t: t * t, -1.0, 1.0, 1e-300)
+    assert len(calls) <= 100
+    assert abs(x) <= 4.0 * math.ulp(1.0)
 
 
 @pytest.mark.parametrize("x_min", [-4.0, -3.7, -3.0000001])
