@@ -16,8 +16,8 @@ spec = ModelSpec.dense()
 print("== two competing states of the final Hamiltonian ==")
 up = minimize(spec, 1.0, MagPair([0.1, 0, 0.99], [0.1, 0, 0.99]))
 down = minimize(spec, 1.0, MagPair([0.1, 0, 0.99], [0.1, 0, -0.99]))
-print(f"all-up state:    m2z={up.m.m2[2]:+.3f}  h={up.energy:.4f}")
-print(f"weak-down state: m2z={down.m.m2[2]:+.3f}  h={down.energy:.4f}")
+print(f"all-up state:    m2z={up.m2z:+.3f}  h={up.energy:.4f}")
+print(f"weak-down state: m2z={down.m2z:+.3f}  h={down.energy:.4f}")
 print(f"global minimum at s=1: h={global_minimize(spec, 1.0).energy:.4f}")
 
 print("\n== hysteresis of the continuation sweeps (no catalyst) ==")

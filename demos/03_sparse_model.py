@@ -17,8 +17,8 @@ print("== saddle solutions along the anneal (no catalyst) ==")
 print("  s     m1z      m2z      |m2|     u")
 for s in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
     sol = global_saddle(spec, s)
-    print(f"  {s:.1f}  {sol.m.m1[2]:+.4f}  {sol.m.m2[2]:+.4f}  "
-          f"{np.linalg.norm(sol.m.m2):.4f}  {sol.energy:.5f}")
+    m1x, m1z, m2x, m2z = sol.x
+    print(f"  {s:.1f}  {m1z:+.4f}  {m2z:+.4f}  {np.hypot(m2x, m2z):.4f}  {sol.energy:.5f}")
 print("note |m| < 1 at intermediate s: the pair state is entangled")
 
 print("\n== transition verdicts vs pairwise catalyst strength ==")

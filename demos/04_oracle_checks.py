@@ -17,8 +17,8 @@ print("== ground magnetization: classical limit vs sector ED at N=200 ==")
 for s in (0.2, 0.5, 0.8):
     st = global_minimize(dense, s)
     ref = dense_ed(dense, s, 200)
-    print(f"  s={s}: classical m2z={st.m.m2[2]:+.4f}  ED={ref.m2z:+.4f}  "
-          f"diff={abs(st.m.m2[2]-ref.m2z):.4f}")
+    print(f"  s={s}: classical m2z={st.m2z:+.4f}  ED={ref.m2z:+.4f}  "
+          f"diff={abs(st.m2z-ref.m2z):.4f}")
 
 print("\n== gap extrapolation at xi12=-4 (clean points) ==")
 spec4 = ModelSpec.dense(xi=(0.0, 0.0, -4.0))

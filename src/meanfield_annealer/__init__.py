@@ -17,11 +17,11 @@ from .ed import (EDOperator, EDResult, build_dense_full_operator,
 from .errors import (CatalystRangeError, ConfigError, ConvergenceError,
                      DegenerateModeError, InstabilityError, SizeError,
                      StationarityError)
-from .model import (Coupling, MagPair, ModelSpec, coupling_matrix,
+from .model import (Coupling, MagPair, ModelSpec, conjugate_fields, coupling_matrix,
                     dense_energy_density, dense_gradient, dense_hessian,
                     sparse_mean_field_density, sparse_mean_field_gradient)
-from .saddle import (SaddleSolution, build_effective_hamiltonian, conjugate_fields,
-                     global_saddle, ground_block, solve_saddle)
+from .saddle import (SaddleSolution, build_effective_hamiltonian, global_saddle,
+                     ground_block, solve_saddle)
 from .spinwave import (GapPoint, GapSpectrum, excitation_gaps, fluctuation_matrix,
                        gap_profile, gaps_at, min_gap, optimize_catalyst)
 from .transitions import TransitionReport, detect_transition, sweep

@@ -4,9 +4,10 @@ Minimizes the energy density over m_a = (sin theta_a, 0, cos theta_a),
 two angles on the xz torus (every minimum has m_y = 0), by damped Newton
 on Python floats over the model's dense kernel: ``minimize`` from one
 start, ``global_minimize`` over a deterministic multistart set.  A
-``ClassicalState`` carries the angles (t1, t2), its ``m`` is derived, and
-``minimize`` continues from a state's own angles.  Sweeps and transition
-detection for either model live in ``transitions``.
+``ClassicalState`` carries the angles (t1, t2); its in-plane ``x`` =
+(m1x, m1z, m2x, m2z) and ``m`` are derived, and ``minimize`` continues
+from a state's own angles.  Sweeps and transition detection for either
+model live in ``transitions``.
 """
 from __future__ import annotations
 
@@ -25,7 +26,8 @@ from .model import (Coupling, MagPair, ModelSpec, _angle_hessian, _coeffs, _eigh
 
 @dataclass(frozen=True)
 class ClassicalState:
-    """A stationary point of h at the angles (t1, t2): m_a = (sin t_a, 0, cos t_a)."""
+    """A stationary point of h at the angles (t1, t2): m_a = (sin t_a, 0, cos t_a);
+    ``x`` is (m1x, m1z, m2x, m2z), the floats a ``SaddleSolution`` stores."""
 
     s: float
     t1: float
@@ -34,6 +36,10 @@ class ClassicalState:
     mu: tuple[float, float]
     residual: float
     indeterminate: tuple[bool, bool] = (False, False)
+
+    @property
+    def x(self) -> tuple[float, float, float, float]:
+        return sin(self.t1), cos(self.t1), sin(self.t2), cos(self.t2)
 
     @property
     def m(self) -> MagPair:

@@ -188,14 +188,11 @@ def _state_row(spec, s, axis2_value, state, branch, gaps=True):
     flag_list = [f for f in [flags] if f]
     if any(ind):
         flag_list.append("indeterminate")
-    m = state.m
-    m1, m2 = m.m1, m.m2
+    m1x, m1z, m2x, m2z = state.x
     return Row(
         s=s, axis2=axis2_value,
-        m1x=None if ind[0] else float(m1[0]),
-        m1z=None if ind[0] else float(m1[2]),
-        m2x=None if ind[1] else float(m2[0]),
-        m2z=None if ind[1] else float(m2[2]),
+        m1x=None if ind[0] else m1x, m1z=None if ind[0] else m1z,
+        m2x=None if ind[1] else m2x, m2z=None if ind[1] else m2z,
         energy=state.energy, delta1=delta1, delta2=delta2, branch=branch,
         flags=";".join(flag_list),
     )

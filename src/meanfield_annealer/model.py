@@ -8,7 +8,9 @@ gamma2 (None follows gamma(s) = s, a number pins gamma).
 
 Energy density, gradient, and Hessian of the dense model, plus the
 mean-field / pairwise-coupling split of the sparse model, all as pure
-functions of (s, m1, m2).  Magnetizations are 3-vectors; the energy
+functions of (s, m1, m2).  The public functions take magnetizations as
+3-vectors (``MagPair``); the kernels the solvers run read only the
+in-plane four x = (m1x, m1z, m2x, m2z), ``MagPair.x``.  The energy
 polynomial is defined for any m (the unit sphere is where the physics
 lives, but finite-difference probes may step off it).
 
@@ -90,6 +92,11 @@ class MagPair:
         object.__setattr__(self, "m2", np.asarray(self.m2, dtype=float).reshape(3))
         if not all(map(isfinite, self.m1.tolist() + self.m2.tolist())):
             raise ValueError("magnetization components must be finite")
+
+    @property
+    def x(self) -> tuple[float, float, float, float]:
+        """The in-plane components (m1x, m1z, m2x, m2z) that the solvers read."""
+        return (*self.m1[::2].tolist(), *self.m2[::2].tolist())
 
     def norms(self) -> tuple[float, float]:
         return float(np.linalg.norm(self.m1)), float(np.linalg.norm(self.m2))
@@ -221,7 +228,7 @@ def _eigh2(a, b, c):
 def dense_energy_density(spec: ModelSpec, s: float, m: MagPair) -> float:
     """Intensive energy h = H/N of the dense model at (s, m1, m2)."""
     _require(spec, Coupling.DENSE)
-    return float(_energy(_coeffs(spec, s), m.m1[0], m.m1[2], m.m2[0], m.m2[2]))
+    return _energy(_coeffs(spec, s), *m.x)
 
 
 def dense_gradient(spec: ModelSpec, s: float, m: MagPair):
@@ -230,7 +237,7 @@ def dense_gradient(spec: ModelSpec, s: float, m: MagPair):
     Returns (dh/dm1, dh/dm2) as 3-vectors.
     """
     _require(spec, Coupling.DENSE)
-    g1x, g1z, g2x, g2z = _grad(_coeffs(spec, s), m.m1[0], m.m1[2], m.m2[0], m.m2[2])
+    g1x, g1z, g2x, g2z = _grad(_coeffs(spec, s), *m.x)
     return np.array([g1x, 0.0, g1z]), np.array([g2x, 0.0, g2z])
 
 
@@ -248,16 +255,11 @@ def dense_hessian(spec: ModelSpec, s: float) -> np.ndarray:
     return H
 
 
-def _sparse_energy(c: _Coeffs, m1, m2) -> float:
-    m1x, m1z = m1[0], m1[2]
-    m2x, m2z = m2[0], m2[2]
-    return (
-        -c.s2 * (c.h1 * m1z + c.h2 * m2z)
-        - c.s4 * (m1z * m1z + m2z * m2z)
-        - c.a1 * m1x
-        - c.a2 * m2x
-        - (c.c11 * m1x * m1x + c.c22 * m2x * m2x)
-    )
+def _sparse_energy(c: _Coeffs, x1, z1, x2, z2):
+    """Mean-field part h_m of the sparse energy at m_a = (x_a, 0, z_a)."""
+    _, s2, s4, h1, h2, a1, a2, c11, c22, _ = c
+    return (-s2 * (h1 * z1 + h2 * z2) - s4 * (z1 * z1 + z2 * z2)
+            - a1 * x1 - a2 * x2 - (c11 * x1 * x1 + c22 * x2 * x2))
 
 
 def _field_map(c: _Coeffs):
@@ -267,23 +269,25 @@ def _field_map(c: _Coeffs):
             np.array([4.0 * c.c11, c.s, 4.0 * c.c22, c.s]))
 
 
-def _conjugate_fields(c: _Coeffs, m1, m2):
-    """The field map at (m1, m2), as 3-vectors (mt1, mt2) with no y part."""
-    b, D = _field_map(c)
-    mt = b + D * np.array([m1[0], m1[2], m2[0], m2[2]])
-    return np.array([mt[0], 0.0, mt[1]]), np.array([mt[2], 0.0, mt[3]])
-
-
 def sparse_mean_field_density(spec: ModelSpec, s: float, m: MagPair) -> float:
     """Mean-field part h_m of the sparse model (pairwise terms excluded)."""
     _require(spec, Coupling.SPARSE)
-    return float(_sparse_energy(_coeffs(spec, s), m.m1, m.m2))
+    return _sparse_energy(_coeffs(spec, s), *m.x)
+
+
+def conjugate_fields(spec: ModelSpec, s: float, m: MagPair) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (mt1, mt2) of fields conjugate to the magnetizations,
+    mt_a = -2 d(h_m)/dm_a: the field map b + D x at the in-plane x of
+    ``m``, as 3-vectors whose y components are zero."""
+    _require(spec, Coupling.SPARSE)
+    b, D = _field_map(_coeffs(spec, s))
+    f1x, f1z, f2x, f2z = (b + D * m.x).tolist()
+    return np.array([f1x, 0.0, f1z]), np.array([f2x, 0.0, f2z])
 
 
 def sparse_mean_field_gradient(spec: ModelSpec, s: float, m: MagPair):
     """Analytic gradient of h_m; returns (dh_m/dm1, dh_m/dm2)."""
-    _require(spec, Coupling.SPARSE)
-    mt1, mt2 = _conjugate_fields(_coeffs(spec, s), m.m1, m.m2)
+    mt1, mt2 = conjugate_fields(spec, s, m)
     return mt1 / -2.0, mt2 / -2.0
 
 

@@ -44,9 +44,11 @@ then takes the global solve, and ``global_saddle`` raises ``ConvergenceError``
 with the last unconverged solution when all five inits fail.  Every 4x4 and
 3x3 symmetric eigenproblem in the loop is one direct LAPACK ``dsyevd`` call,
 and a converged solve takes lambda0, the degeneracy and the energy density
-from the eigenvalues the loop already holds at the returned x, with mt =
-b + D x there.  Sweeps and transition detection for either model live in
-``transitions``.
+from the eigenvalues the loop already holds at the returned x.  A
+``SaddleSolution`` stores x and the fields b + D x as Python floats, and a
+warm solve continues from its ``x``: a sparse branch pass builds no
+``MagPair`` or 3-vector.  Sweeps and transition detection for either model
+live in ``transitions``.
 
 The whole construction takes the decoupling fields to be constant in
 imaginary time.  That is a modeling assumption baked into the equations,
@@ -63,8 +65,8 @@ import numpy as np
 
 from .classical import start_set
 from .errors import ConvergenceError
-from .model import (Coupling, MagPair, ModelSpec, _coeffs, _conjugate_fields, _field_map,
-                    _indeterminate_flags, _prefer, _require, _sparse_energy, coupling_matrix)
+from .model import (Coupling, MagPair, ModelSpec, _coeffs, _field_map, _indeterminate_flags,
+                    _prefer, _require, _sparse_energy, conjugate_fields, coupling_matrix)
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _I2 = np.eye(2)
@@ -87,9 +89,13 @@ _ROUNDING_FLOOR = 1e-15
 
 @dataclass(frozen=True)
 class SaddleSolution:
+    """A self-consistent point at s, as Python floats in the order (m1x, m1z,
+    m2x, m2z) of ``ClassicalState.x``: ``x`` the ground expectations (|m_a| <= 1,
+    no y part), ``fields`` the conjugate fields b + D x; ``m`` is derived."""
+
     s: float
-    m: MagPair                  # ground expectations, |m_a| <= 1
-    mt: tuple[np.ndarray, np.ndarray]   # conjugate fields (mt1, mt2)
+    x: tuple[float, float, float, float]
+    fields: tuple[float, float, float, float]
     lambda0: float
     degeneracy: int
     energy: float               # ground-state energy density u
@@ -98,8 +104,13 @@ class SaddleSolution:
     indeterminate: tuple[bool, bool] = (False, False)
 
     @property
+    def m(self) -> MagPair:
+        x1, z1, x2, z2 = self.x
+        return MagPair((x1, 0.0, z1), (x2, 0.0, z2))
+
+    @property
     def m2z(self) -> float:
-        return float(self.m.m2[2])
+        return self.x[3]
 
 
 def build_effective_hamiltonian(mt, K) -> np.ndarray:
@@ -186,37 +197,21 @@ def _response(w, A):
     return A * [sqrt(2.0 / (w1 - w0)), sqrt(2.0 / (w2 - w0)), sqrt(2.0 / (w3 - w0))]
 
 
-def conjugate_fields(spec: ModelSpec, s: float, m: MagPair) -> tuple[np.ndarray, np.ndarray]:
-    """The pair (mt1, mt2) of fields conjugate to the magnetizations,
-    mt_a = -2 d(h_m)/dm_a, as 3-vectors whose y components are zero."""
-    _require(spec, Coupling.SPARSE)
-    return _conjugate_fields(_coeffs(spec, s), m.m1, m.m2)
-
-
 def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
                  max_iter: int = 10000, tol: float = 1e-10) -> SaddleSolution:
-    """Self-consistent solution reached from ``init``.
+    """Self-consistent solution reached from ``init``, by the damped and
+    Newton loop of the module docstring.
 
-    Damped fixed-point steps relax m toward the effective-model expectation;
-    oscillations trigger automatic damping reduction.  The loop takes Newton
-    steps, accepts them only at non-degenerate points with
-    lambda_max(chi D) < 1 and a falling residual, and keeps stepping past
-    ``tol`` until the residual reaches ``_ROUNDING_FLOOR`` or stops falling.
-    From a MagPair (a global start) the damped loop first brings the
-    residual below ``_NEWTON_SWITCH`` (1e-2), which selects the basin.  From
-    a SaddleSolution (a warm start from a neighbouring solve, already in its
-    basin) Newton starts at the first iterate.  A rejected Newton iterate
-    sends the damped loop back to where Newton began; Newton may try once
-    more below min(1e-4, 0.01 x the residual where it first began), and a
-    second rejection leaves the damped loop to finish alone.  A solve still
-    unconverged after ``max_iter`` iterations returns ``converged=False``
-    with the last iterate and its residual; ``PointSolver.warm`` then takes
-    the global solve, and ``global_saddle`` raises ``ConvergenceError`` when
-    every init fails.  A converged solution's ``residual`` is max|e(m) - m|
-    at the returned m, and its lambda0, degeneracy and energy come from the
-    loop's last eigenvalues there.  The y components of ``init`` are
-    dropped: they source no field and the fixed point has none.  ``tol``
-    must be positive and ``max_iter`` at least 1.
+    From a MagPair (a global start) damped steps first bring the residual
+    below ``_NEWTON_SWITCH`` (1e-2), which selects the basin; from a
+    SaddleSolution (a warm start from a neighbouring solve, already in its
+    basin) Newton starts at the first iterate, from its ``x``.  The y
+    components of a MagPair are dropped: they source no field and the fixed
+    point has none.  A solve still unconverged after ``max_iter`` iterations
+    returns ``converged=False`` with the last iterate and its residual.  A
+    converged solution's ``residual`` is max|e(x) - x| at the returned x,
+    and its lambda0, degeneracy and energy come from the loop's last
+    eigenvalues there.  ``tol`` must be positive and ``max_iter`` at least 1.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -226,18 +221,15 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
     c = _coeffs(spec, s)
     b, D = _field_map(c)
     warm = isinstance(init, SaddleSolution)
-    m = init.m if warm else init
-    x0 = np.concatenate([m.m1[::2], m.m2[::2]])
-    x, converged, residual, w = _iterate(_coupling_part(c), b, D, x0, max_iter, tol,
-                                         np.inf if warm else _NEWTON_SWITCH)
-    x1, z1, x2, z2 = x.tolist()
-    mx1, mz1, mx2, mz2 = (b + D * x).tolist()
-    m1, m2, mt1, mt2 = np.array([[x1, 0.0, z1], [x2, 0.0, z2], [mx1, 0.0, mz1], [mx2, 0.0, mz2]])
+    x, converged, residual, w = _iterate(_coupling_part(c), b, D, np.array(init.x), max_iter,
+                                         tol, np.inf if warm else _NEWTON_SWITCH)
+    fields = b + D * x
     lam0 = float(w[0])
-    u = (0.5 * (mt1.dot(m1) + mt2.dot(m2)) + _sparse_energy(c, (x1, 0.0, z1), (x2, 0.0, z2))
+    # one dot per cluster: fields_a . m_a rounds as the product of 3-vectors does
+    u = (0.5 * (fields[:2].dot(x[:2]) + fields[2:].dot(x[2:])) + _sparse_energy(c, *x.tolist())
          + 0.5 * lam0)
     return SaddleSolution(
-        s=float(s), m=MagPair(m1, m2), mt=(mt1, mt2), lambda0=lam0,
+        s=float(s), x=tuple(x.tolist()), fields=tuple(fields.tolist()), lambda0=lam0,
         degeneracy=int(np.count_nonzero(w < lam0 + _DEGENERACY_TOL)),
         energy=float(u), converged=bool(converged), residual=float(residual),
         indeterminate=_indeterminate_flags(spec, s),

@@ -7,8 +7,8 @@ the CLI's ``scan``, ``gap``, ``min-gap`` and ``optimize-xi`` tasks read it.
 ``point_solver`` is the one place where a spec's coupling picks its
 solver: damped Newton on the classical torus (``classical``) for dense
 intercluster coupling, the self-consistent saddle (``saddle``) for
-sparse.  Both solvers' states carry ``energy`` and ``m2z``, which is all
-the detector reads.
+sparse.  Both solvers' states carry ``energy``, ``m2z`` (all the detector
+reads) and the in-plane floats ``x`` = (m1x, m1z, m2x, m2z) a CSV row reads.
 ``analyze``, ``sweep`` and ``detect_transition`` take either spec.
 A forward and a backward continuation sweep give two branches; the lower
 of the two at each grid point is the equilibrium.  The grid interval with

@@ -276,4 +276,4 @@ def test_solvers_and_public_functions_read_one_polynomial(rng):
         sparse = ModelSpec.sparse(xi=xi)
         sol = solve_saddle(sparse, s, random_pair(rng))
         mt = conjugate_fields(sparse, s, sol.m)
-        assert np.array_equal(sol.mt[0], mt[0]) and np.array_equal(sol.mt[1], mt[1])
+        assert sol.fields == (mt[0][0], mt[0][2], mt[1][0], mt[1][2])

@@ -8,7 +8,7 @@ from meanfield_annealer import (ConvergenceError, MagPair, ModelSpec,
                                 conjugate_fields, coupling_matrix,
                                 detect_transition, global_saddle, ground_block,
                                 solve_saddle, sparse_mean_field_density, sweep)
-from meanfield_annealer import saddle
+from meanfield_annealer import classical, cli, saddle
 from meanfield_annealer.ed import sparse_ed
 from meanfield_annealer.eigensolvers import jacobi_eigh
 from meanfield_annealer.model import _coeffs, _field_map
@@ -175,6 +175,37 @@ def test_solution_invariants(sparse_spec, rng):
         H = build_effective_hamiltonian(cf, coupling_matrix(sparse_spec, s))
         _, _, e1, e2 = ground_block(H)
         assert np.abs(np.concatenate([e1 - sol.m.m1, e2 - sol.m.m2])).max() < 1e-9
+
+
+def test_solution_m_and_fields_are_its_stored_floats(rng):
+    for _ in range(20):
+        xi = tuple(rng.uniform(-10, 10, 3))
+        spec, s = ModelSpec.sparse(xi=xi), rng.uniform(0, 0.95)
+        glob = global_saddle(spec, s)
+        for sol in (glob, solve_saddle(spec, s + 0.01, glob)):
+            assert all(type(v) is float for v in sol.x + sol.fields)
+            x1, z1, x2, z2 = sol.x
+            m = sol.m
+            assert m.m1.tobytes() == np.array([x1, 0.0, z1]).tobytes()
+            assert m.m2.tobytes() == np.array([x2, 0.0, z2]).tobytes()
+            assert np.float64(sol.m2z).tobytes() == m.m2[2].tobytes()
+            mt = conjugate_fields(spec, sol.s, m)
+            assert sol.fields == (mt[0][0], mt[0][2], mt[1][0], mt[1][2])
+        st = classical.global_minimize(ModelSpec.dense(xi=xi), s)
+        m = st.m
+        assert np.array(st.x).tobytes() == np.r_[m.m1[::2], m.m2[::2]].tobytes()
+
+
+def test_sparse_pass_and_csv_rows_build_no_magpair(monkeypatch):
+    spec, dense = ModelSpec.sparse(xi=(0.0, 0.0, -4.0)), ModelSpec.dense()
+    grid = np.linspace(0.0, 1.0, 21)
+    analyze(spec, grid)   # warm-up pass
+    dense_state = classical.global_minimize(dense, 0.5)
+    calls = count_calls(monkeypatch, "MagPair", saddle, classical)
+    sol = analyze(spec, grid).equilibrium[10]
+    cli._state_row(spec, 0.5, None, sol, "both", gaps=False)
+    cli._state_row(dense, 0.5, None, dense_state, "both")
+    assert calls == []
 
 
 def test_global_saddle_deterministic(sparse_spec):
@@ -559,7 +590,7 @@ def test_solution_energy_reuses_the_loop_eigenvalues(rng):
         for sol in (glob, solve_saddle(spec, s + 0.01, glob)):
             assert sol.converged
             mt = conjugate_fields(spec, sol.s, sol.m)
-            assert all(np.array_equal(a, b) for a, b in zip(sol.mt, mt))
+            assert sol.fields == (mt[0][0], mt[0][2], mt[1][0], mt[1][2])
             w = np.linalg.eigvalsh(build_effective_hamiltonian(mt, coupling_matrix(spec, sol.s)))
             lam0 = w[0]
             g = int(np.count_nonzero(w < lam0 + 1e-9))

@@ -149,7 +149,7 @@ def test_unconverged_saddle_solve_falls_back_to_global(monkeypatch):
     # module names reaches them
     spec = ModelSpec.sparse()
     prev = global_saddle(spec, 0.5)
-    unconverged = SaddleSolution(s=0.5, m=prev.m, mt=prev.mt, lambda0=0.0, degeneracy=1,
+    unconverged = SaddleSolution(s=0.5, x=prev.x, fields=prev.fields, lambda0=0.0, degeneracy=1,
                                  energy=0.0, converged=False, residual=1.0)
     monkeypatch.setattr(transitions, "solve_saddle", lambda spec, s, init: unconverged)
     monkeypatch.setattr(transitions, "global_saddle", lambda spec, s: "global")
