@@ -264,9 +264,9 @@ def _sparse_energy(c: _Coeffs, x1, z1, x2, z2):
 
 def _field_map(c: _Coeffs):
     """(b, D) with the conjugate fields mt = -2 dh_m/dm = b + D * x for
-    x = (m1x, m1z, m2x, m2z); D = diag(4 c11, s, 4 c22, s)."""
-    return (np.array([2.0 * c.a1, c.s * c.h1, 2.0 * c.a2, c.s * c.h2]),
-            np.array([4.0 * c.c11, c.s, 4.0 * c.c22, c.s]))
+    x = (m1x, m1z, m2x, m2z); D = diag(4 c11, s, 4 c22, s), as 4-tuples."""
+    return ((2.0 * c.a1, c.s * c.h1, 2.0 * c.a2, c.s * c.h2),
+            (4.0 * c.c11, c.s, 4.0 * c.c22, c.s))
 
 
 def sparse_mean_field_density(spec: ModelSpec, s: float, m: MagPair) -> float:
@@ -281,7 +281,7 @@ def conjugate_fields(spec: ModelSpec, s: float, m: MagPair) -> tuple[np.ndarray,
     ``m``, as 3-vectors whose y components are zero."""
     _require(spec, Coupling.SPARSE)
     b, D = _field_map(_coeffs(spec, s))
-    f1x, f1z, f2x, f2z = (b + D * m.x).tolist()
+    f1x, f1z, f2x, f2z = (bi + di * xi for bi, di, xi in zip(b, D, m.x))
     return np.array([f1x, 0.0, f1z]), np.array([f2x, 0.0, f2z])
 
 

@@ -12,7 +12,7 @@ from meanfield_annealer import classical, cli, saddle
 from meanfield_annealer.ed import sparse_ed
 from meanfield_annealer.eigensolvers import jacobi_eigh
 from meanfield_annealer.model import _coeffs, _field_map
-from meanfield_annealer.saddle import _coupling_part, _eigh, _ground, _response
+from meanfield_annealer.saddle import _eigh, _ground, _hamiltonian, _newton_step, _response
 from meanfield_annealer.transitions import analyze
 from conftest import assert_same_verdict, assert_width_within_two_steps, count_calls
 
@@ -122,21 +122,16 @@ def test_solve_saddle_rejects_invalid_tol_and_max_iter(sparse_spec, kwargs):
 def test_unconverged_solve_stops_at_max_iter(monkeypatch):
     # five damped steps from the m2z < 0 init leave the residual far above
     # the Newton switch; the solve reports failure after exactly those five
-    # eigensolves, each of the 4x4 effective Hamiltonian, none a 3x3 Newton
+    # eigensolves, each of the 4x4 effective Hamiltonian, and no Newton
     # response
-    sizes = []
-    eigh = saddle._eigh
-
-    def counted(a):
-        sizes.append(a.shape[0])
-        return eigh(a)
-
-    monkeypatch.setattr(saddle, "_eigh", counted)
+    eighs = count_calls(monkeypatch, "_eigh", saddle)
+    responses = count_calls(monkeypatch, "_response", saddle)
     sol = solve_saddle(ModelSpec.sparse(xi=(0.0, 0.0, -4.0)), 0.5,
                        MagPair([0, 0, 1], [0, 0, -1]), max_iter=5)
     assert not sol.converged
     assert sol.residual > 1e-2
-    assert sizes == [4] * 5
+    assert [a.shape for a, in eighs] == [(4, 4)] * 5
+    assert responses == []
 
 
 def test_global_saddle_raises_with_the_last_unconverged_solution(monkeypatch, sparse_spec):
@@ -266,6 +261,19 @@ def test_detect_sparse_smooth_crossover_on_coarse_grid():
     assert rep.jump_m2z < 0.05
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+@pytest.mark.parametrize("k", [7, 8], ids=["s=0.175", "s=0.2"])
+def test_global_saddle_finds_the_sweep_equilibrium(k):
+    # at xi = (-5, -5, -10), s = 0.175 and 0.2 every start of global_saddle
+    # converges to the m2z ~ -0.75 branch, 0.0055 and 0.0150 above the
+    # equilibrium the backward sweep holds; a kernel change that moved these
+    # basins would make this pass, and the strict xfail would report it
+    spec = ModelSpec.sparse(xi=(-5.0, -5.0, -10.0))
+    grid = np.linspace(0.0, 1.0, 41)
+    eq = analyze(spec, grid).equilibrium[k]
+    assert abs(global_saddle(spec, grid[k]).energy - eq.energy) <= 1e-9
+
+
 def test_saddle_matches_ed_in_strong_pairwise_regime():
     # the large negative pairwise coupling regime, where the weak cluster
     # turns over smoothly; checked away from the steep part of the crossover
@@ -332,22 +340,32 @@ def real_hamiltonian(mt1, mt2, K):
     return np.ascontiguousarray(build_effective_hamiltonian((mt1, mt2), K).real)
 
 
+def float_kernel(w, cols):
+    """(e, B) of the loop's float kernel at the eigenpairs (w, cols) of H:
+    the expectations, and the (4, 3) response factor on a non-degenerate
+    ground state (None on a degenerate one)."""
+    e = np.array(_ground(w, cols))
+    if w[1] < w[0] + saddle._DEGENERACY_TOL:
+        return e, None
+    return e, np.array(_response(w, cols)).T
+
+
 def kernel(H):
-    """(e, B) of the loop's kernel at H: the expectations, and the response
-    factor on a non-degenerate ground state (None on a degenerate one)."""
     w, V = np.linalg.eigh(H)
-    e, Y = _ground(w, V)
-    return e, None if Y is None else _response(w, Y.dot(V[:, 1:]))
+    return float_kernel(w.tolist(), V.T.tolist())
+
+
+OPS = np.array([SINGLE[0], SINGLE[2], SINGLE[3], SINGLE[5]]).real   # X1, Z1, X2, Z2
 
 
 def projector_kernel(w, V):
-    """(e, B) in the unfused form: e from the averaged ground projector
-    contracted with X1, Z1, X2, Z2, and <n|O_i|0> from its own product."""
+    """(e, B) in matrix form: e from the averaged ground projector
+    contracted with X1, Z1, X2, Z2, and <n|O_i|0> from the matrix products."""
     g = int(np.count_nonzero(w < w[0] + 1e-9))
-    e = saddle._OPS @ (V[:, :g] @ V[:, :g].T / g).ravel()
+    e = np.einsum("iab,ab->i", OPS, V[:, :g] @ V[:, :g].T / g)
     if g > 1:
         return e, None
-    A = (saddle._OPS.reshape(4, 4, 4) @ V[:, 0]) @ V[:, 1:]
+    A = (OPS @ V[:, 0]) @ V[:, 1:]
     return e, A * np.sqrt(2.0 / (w[1:] - w[0]))
 
 
@@ -385,7 +403,7 @@ def test_solve_saddle_matches_reference_loop(s, xi12, init):
 
 def response_at(spec, s, x):
     """F(x) = e(x) - x, chi and D at x = (m1x, m1z, m2x, m2z) on the fast path."""
-    b, D = _field_map(_coeffs(spec, s))
+    b, D = map(np.array, _field_map(_coeffs(spec, s)))
     mt = b + D * x
     e, B = kernel(real_hamiltonian(np.r_[mt[0], 0.0, mt[1]], np.r_[mt[2], 0.0, mt[3]],
                                    coupling_matrix(spec, s)))
@@ -419,7 +437,7 @@ def test_linear_response_jacobian_matches_finite_differences(rng):
         s = rng.uniform(0.02, 0.98)
         x = rng.uniform(-1.0, 1.0, 4)
         spec = ModelSpec.sparse(xi=tuple(xi))
-        b, D = _field_map(_coeffs(spec, s))
+        b, D = map(np.array, _field_map(_coeffs(spec, s)))
         K = coupling_matrix(spec, s)
 
         def H_of(mt):
@@ -491,7 +509,7 @@ def test_failed_newton_finish_resumes_the_damped_loop(monkeypatch):
     # x <- e(x), which overshoots on this total-catalyst map (the damped loop
     # halves its damping here): the residual grows, and the solve must go on
     # with the damped loop from the iterate Newton began at.
-    monkeypatch.setattr(saddle, "_response", lambda w, V: np.zeros((4, 3)))
+    monkeypatch.setattr(saddle, "_response", lambda w, cols: [(0.0,) * 4] * 3)
     spec = ModelSpec.sparse(xi=(-5.0, -5.0, -10.0))
     init = MagPair([0, 0, 1], [0, 0, 1])
     for s in (0.205, 0.3):
@@ -510,14 +528,13 @@ def test_newton_finish_rearms_after_one_rejection(monkeypatch):
     response = saddle._response
     calls = {"unstable": 0, "true": 0}
 
-    def unstable_once(w, V):
+    def unstable_once(w, cols):
         if calls["unstable"] == 0:
             calls["unstable"] += 1
-            B = np.zeros((4, 3))
-            B[1, 0] = 2.0 / np.sqrt(s)     # chi D = 4 on m1z, where D = s
-            return B
+            # chi D = 4 on m1z, where D = s
+            return [(0.0, 2.0 / np.sqrt(s), 0.0, 0.0), (0.0,) * 4, (0.0,) * 4]
         calls["true"] += 1
-        return response(w, V)
+        return response(w, cols)
 
     spec = ModelSpec.sparse(xi=(-5.0, -5.0, -10.0))
     init = MagPair([0, 0, 1], [0, 0, 1])
@@ -601,52 +618,89 @@ def test_solution_energy_reuses_the_loop_eigenvalues(rng):
             assert sol.degeneracy == g
 
 
-# -- the loop's kernel: per-solve constants, one product per iteration --------
+# -- the loop's float kernel: two coupling numbers, one eigensolve per iteration
 
 def test_closed_form_coupling_part_is_exact(rng):
-    # -(Kxx X1X2 + Kzz Z1Z2) from the coefficients, against the einsum over
-    # coupling_matrix and against the general builder without fields
+    # the closed-form H: its coupling part (zero fields) against the einsum
+    # over coupling_matrix, and H at random fields against the general
+    # builder, entry for entry
     cases = [(ModelSpec.sparse(xi=tuple(rng.uniform(-10.0, 10.0, 3))), rng.uniform(0.0, 1.0))
              for _ in range(20)]
     cases += [(ModelSpec.sparse(xi=(0.0, 0.0, -4.0)), s) for s in (0.0, 0.5, 1.0)]
     for spec, s in cases:
         K = coupling_matrix(spec, s)
-        Hc = _coupling_part(_coeffs(spec, s)).reshape(4, 4)
-        assert np.array_equal(Hc, -np.einsum("ab,abij->ij", K[::2, ::2],
-                                             saddle._S1S2[::2, ::2].real))
-        assert np.array_equal(Hc, build_effective_hamiltonian((ZERO, ZERO), K).real)
+        c = _coeffs(spec, s)
+        assert np.array_equal(_hamiltonian(c, (0.0,) * 4),
+                              -np.einsum("ab,abij->ij", K[::2, ::2], saddle._S1S2[::2, ::2].real))
+        f = tuple(rng.standard_normal(4).tolist())
+        mt = (np.array([f[0], 0.0, f[1]]), np.array([f[2], 0.0, f[3]]))
+        assert np.array_equal(_hamiltonian(c, f), build_effective_hamiltonian(mt, K).real)
+
+
+def random_real_case(rng):
+    mt1, mt2 = rng.standard_normal(3), rng.standard_normal(3)
+    mt1[1] = mt2[1] = 0.0
+    return mt1, mt2, xz_coupling(*rng.standard_normal(2))
 
 
 def test_fused_kernel_matches_projector_form_and_general_path(rng):
-    # e(x) and chi = B B^T from Y = O|0> against ground_block on the complex
-    # builder and against the unfused projector form, on random real fields
-    # and couplings; two degenerate (g = 2) blocks keep the multiplet average
+    # e(x) and chi = B B^T from the eigenvector columns against ground_block
+    # on the complex builder and against the projector form, on random real
+    # fields and couplings; two degenerate (g = 2) blocks keep the multiplet
+    # average
     cases = [(np.array(XHAT), np.zeros(3), K0, 2),
              (np.zeros(3), np.zeros(3), xz_coupling(0.7, 0.0), 2)]
-    for _ in range(40):
-        mt1, mt2 = rng.standard_normal(3), rng.standard_normal(3)
-        mt1[1] = mt2[1] = 0.0
-        cases.append((mt1, mt2, xz_coupling(*rng.standard_normal(2)), 1))
+    cases += [(*random_real_case(rng), 1) for _ in range(40)]
     for mt1, mt2, K, g in cases:
         _, g_ref, e1, e2 = ground_block(build_effective_hamiltonian((mt1, mt2), K))
         assert g_ref == g
-        w, V = _eigh(real_hamiltonian(mt1, mt2, K))
-        e, Y = _ground(w, V)
-        e_ref, B_ref = projector_kernel(w, V)
+        w, cols = _eigh(real_hamiltonian(mt1, mt2, K))
+        e, B = float_kernel(w, cols)
+        e_ref, B_ref = projector_kernel(np.array(w), np.array(cols).T)
         assert np.abs(e - np.r_[e1[::2], e2[::2]]).max() <= 1e-14
         assert np.abs(e - e_ref).max() <= 1e-14
-        assert (Y is None) == (g > 1)
+        assert (B is None) == (g > 1)
         if g == 1:
-            B = _response(w, Y.dot(V[:, 1:]))
             chi, chi_ref = B @ B.T, B_ref @ B_ref.T
             assert np.abs(chi - chi_ref).max() <= 1e-14 * max(1.0, np.abs(chi_ref).max())
 
 
+def test_cholesky_gate_matches_the_eigenvalue_gate(rng):
+    # the LDL^T factor of I - M exists exactly when lambda_max(M) < 1, for
+    # M = B^T D B; D is scaled to put lambda_max on both sides of 1, and an
+    # accepted step is B (I - M)^-1 B^T D step
+    counts = Counter()
+    while counts[True] < 200 or counts[False] < 200:
+        mt1, mt2, K = random_real_case(rng)
+        w, cols = _eigh(real_hamiltonian(mt1, mt2, K))
+        if w[1] - w[0] < 1e-6:
+            continue
+        B = np.array(_response(w, cols)).T
+        D = rng.standard_normal(4)
+        top = np.linalg.eigvalsh(B.T @ (D[:, None] * B)).max()
+        if top > 0.0 and rng.uniform() < 0.8:
+            D *= rng.uniform(0.9, 1.1) / top
+        M = B.T @ (D[:, None] * B)
+        lam = np.linalg.eigvalsh(M).max()
+        step = rng.standard_normal(4)
+        newton = _newton_step(_response(w, cols), tuple(D.tolist()), step.tolist())
+        if abs(lam - 1.0) <= 1e-12:
+            continue
+        counts[bool(lam < 1.0)] += 1
+        assert (newton is not None) == (lam < 1.0), lam
+        if newton is not None and lam < 0.99:
+            ref = B @ np.linalg.solve(np.eye(3) - M, B.T @ (D * step))
+            assert np.abs(np.array(newton) - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+
 def test_sparse_column_takes_the_unfused_loops_steps(monkeypatch):
-    # every eigensolve of one sparse transition column, by size; 514 and 334
-    # are the counts of the loop before its per-solve constants and products
-    # were fused.  Where Newton stops is decided at the rounding level, so
-    # equal counts mean the same iterates, each one cheaper
-    calls = count_calls(monkeypatch, "_eigh", saddle)
+    # every eigensolve and Newton gate of one sparse transition column: the
+    # matrix-form loop made 514 4x4 and 334 3x3 (gate) eigensolves over the
+    # same 82 solves.  Where Newton stops is decided at the rounding level,
+    # and the float kernel's last digits differ: 22 of those solves end one
+    # or two Newton steps earlier or later, none takes a different path
+    eighs = count_calls(monkeypatch, "_eigh", saddle)
+    gates = count_calls(monkeypatch, "_newton_step", saddle)
     analyze(ModelSpec.sparse(xi=(0.0, 0.0, -4.0)), np.linspace(0.0, 1.0, 21))
-    assert Counter(a.shape[0] for a, in calls) == {4: 514, 3: 334}
+    assert Counter(a.shape for a, in eighs) == {(4, 4): 507}
+    assert len(gates) == 328
