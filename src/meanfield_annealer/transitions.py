@@ -12,7 +12,8 @@ reads) and the in-plane floats ``x`` = (m1x, m1z, m2x, m2z) a CSV row reads.
 ``analyze``, ``sweep`` and ``detect_transition`` take either spec.
 A forward and a backward continuation sweep give two branches; the lower
 of the two at each grid point is the equilibrium.  The grid interval with
-the largest equilibrium weak-cluster magnetization jump is the only
+the largest equilibrium weak-cluster magnetization jump, not counting
+intervals that touch an ``indeterminate`` weak cluster, is the only
 candidate: bisection inside it, from its two end states, locates the
 branch-energy crossing (or the edge where one branch dies), and a
 transition is declared when the m2z jump across that point stays large.
@@ -85,13 +86,17 @@ def branch_sweep(solver: PointSolver, s_grid: np.ndarray, forward: bool = True) 
 
     The first point is a global solve; every later one continues from its
     neighbour, so the sweep follows its branch past the energy crossing,
-    which is what exposes hysteresis.
+    which is what exposes hysteresis.  A point after an ``indeterminate``
+    state (a cluster with no field at s = 0) takes the global solve too:
+    that state is a tie-pick, and a pinned gamma = 1 leaves no transverse
+    field to carry a warm solve off the pole it picked.
     """
     indices = range(len(s_grid)) if forward else range(len(s_grid) - 1, -1, -1)
     states = []
     prev = None
     for i in indices:
-        prev = solver.warm(float(s_grid[i]), prev)
+        prev = solver.warm(float(s_grid[i]),
+                           None if prev is None or any(prev.indeterminate) else prev)
         states.append(prev)
     return states
 
@@ -182,7 +187,8 @@ def analyze(spec: ModelSpec, s_grid=None, jump_threshold: float = 0.5,
     The solver is ``point_solver(spec, n_starts, seed)``, carried on the
     result.  The grid interval (i, i+1) with the largest jump is bisected
     from equilibrium[i] (low-s branch) and equilibrium[i+1] (high-s
-    branch).  The verdict is the m2z jump between the two states the
+    branch); an interval with an end state whose weak cluster is
+    ``indeterminate`` does not count.  The verdict is the m2z jump between the two states the
     bisection ends on, s* the midpoint of its final bracket, and the
     hysteresis width the span of the coexistence window touching the
     interval (0 if none).  A grid jump below ``jump_threshold``, which
@@ -205,7 +211,9 @@ def analyze(spec: ModelSpec, s_grid=None, jump_threshold: float = 0.5,
 
     if len(s_grid) < 2:
         return result(0.0)
-    jumps = np.abs(np.diff([st.m2z for st in eq]))
+    # a tie-picked weak cluster at s = 0 makes no jump to judge
+    jumps = np.array([0.0 if a.indeterminate[1] or b.indeterminate[1] else abs(b.m2z - a.m2z)
+                      for a, b in zip(eq, eq[1:])])
     i = int(np.argmax(jumps))
     width = _window_width(s_grid, [t != "both" for t in tags], i)
     if jumps[i] < jump_threshold:

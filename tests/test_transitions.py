@@ -156,6 +156,23 @@ def test_unconverged_saddle_solve_falls_back_to_global(monkeypatch):
     assert point_solver(spec).warm(0.5, prev) == "global"
 
 
+@pytest.mark.parametrize("make", [ModelSpec.dense, ModelSpec.sparse], ids=["dense", "sparse"])
+def test_pinned_weak_cluster_column_reads_as_its_neighbour(make):
+    # gamma2 pinned at 1 leaves the weak cluster without a transverse field:
+    # its s = 0 state is a tie-pick, and a warm solve cannot leave the pole
+    # it picked.  The sweeps take the global solve after that state and the
+    # jump scan skips its interval, so the column finds the gamma2 = 0.999
+    # column's transition (the dense one reported none, with jump 0)
+    grid = np.linspace(0.0, 1.0, 41)
+    pinned = transitions.analyze(make(gamma2=1.0), grid)
+    near = transitions.analyze(make(gamma2=0.999), grid).report
+    assert pinned.equilibrium[0].indeterminate == (False, True)
+    assert pinned.report.found and near.found
+    assert abs(pinned.report.s_star - near.s_star) <= 1e-4
+    assert abs(pinned.report.s_star - 0.719942) <= 1e-6
+    assert pinned.report.hysteresis_width == pytest.approx(0.975, abs=1e-12)
+
+
 class _State(NamedTuple):
     energy: float
     m2z: float
