@@ -3,16 +3,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from meanfield_annealer import (ConvergenceError, MagPair, ModelSpec,
+from meanfield_annealer import (ConvergenceError, MagPair, ModelSpec, SaddleSolution,
                                 build_effective_hamiltonian,
                                 conjugate_fields, coupling_matrix,
                                 detect_transition, global_saddle, ground_block,
                                 solve_saddle, sparse_mean_field_density, sweep)
-from meanfield_annealer import classical, cli, saddle
+from meanfield_annealer import classical, cli, saddle, transitions
 from meanfield_annealer.ed import sparse_ed
 from meanfield_annealer.eigensolvers import jacobi_eigh
 from meanfield_annealer.model import _coeffs, _field_map
-from meanfield_annealer.saddle import _eigh, _ground, _hamiltonian, _newton_step, _response
+from meanfield_annealer.saddle import _eigh, _expectations, _hamiltonian, _pair_energy
 from meanfield_annealer.transitions import analyze
 from conftest import assert_same_verdict, assert_width_within_two_steps, count_calls
 
@@ -120,18 +120,16 @@ def test_solve_saddle_rejects_invalid_tol_and_max_iter(sparse_spec, kwargs):
 
 
 def test_unconverged_solve_stops_at_max_iter(monkeypatch):
-    # five damped steps from the m2z < 0 init leave the residual far above
-    # the Newton switch; the solve reports failure after exactly those five
-    # eigensolves, each of the 4x4 effective Hamiltonian, and no Newton
-    # response
+    # two Newton steps from the m2z < 0 init leave the residual far above
+    # tol; the solve reports failure after exactly four 4x4 eigensolves: H at
+    # the start's x (its ground state is the start), the two projected
+    # Hessians, and H at the end
     eighs = count_calls(monkeypatch, "_eigh", saddle)
-    responses = count_calls(monkeypatch, "_response", saddle)
     sol = solve_saddle(ModelSpec.sparse(xi=(0.0, 0.0, -4.0)), 0.5,
-                       MagPair([0, 0, 1], [0, 0, -1]), max_iter=5)
+                       MagPair([0, 0, 1], [0, 0, -1]), max_iter=2)
     assert not sol.converged
-    assert sol.residual > 1e-2
-    assert [a.shape for a, in eighs] == [(4, 4)] * 5
-    assert responses == []
+    assert sol.residual > 1e-5
+    assert [a.shape for a, in eighs] == [(4, 4)] * 4
 
 
 def test_global_saddle_raises_with_the_last_unconverged_solution(monkeypatch, sparse_spec):
@@ -241,6 +239,17 @@ def test_sparse_hysteresis_width_independent_of_grid():
     assert_width_within_two_steps(coarse, fine, 21)
 
 
+def test_weak_catalyst_width_on_a_coarse_grid():
+    # fig9_weak xi22 = -8: the branch runs steeply into its fold, and the
+    # damped map lost it on 41 points three steps before the 201-point
+    # width (0.775 against 0.855); Newton on E keeps it to within one step
+    spec = ModelSpec.sparse(xi=(0.0, -8.0, 0.0))
+    coarse = detect_transition(spec, np.linspace(0.0, 1.0, 41))
+    fine = detect_transition(spec, np.linspace(0.0, 1.0, 201))
+    assert coarse.found and fine.found
+    assert abs(coarse.hysteresis_width - fine.hysteresis_width) <= 0.025 + 1e-12
+
+
 def test_total_catalyst_s_star_at_sector_jump():
     # appC_sparse xi = -10: the sector-ED ground-state m2z jumps between
     # s = 0.160 and 0.165 at N = 40, 80 and 160; the backward sweep and the
@@ -261,13 +270,12 @@ def test_detect_sparse_smooth_crossover_on_coarse_grid():
     assert rep.jump_m2z < 0.05
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
 @pytest.mark.parametrize("k", [7, 8], ids=["s=0.175", "s=0.2"])
 def test_global_saddle_finds_the_sweep_equilibrium(k):
-    # at xi = (-5, -5, -10), s = 0.175 and 0.2 every start of global_saddle
-    # converges to the m2z ~ -0.75 branch, 0.0055 and 0.0150 above the
-    # equilibrium the backward sweep holds; a kernel change that moved these
-    # basins would make this pass, and the strict xfail would report it
+    # at xi = (-5, -5, -10), s = 0.175 and 0.2 the damped fixed-point map
+    # took every start of global_saddle to the m2z ~ -0.75 branch, 0.0055 and
+    # 0.0150 above the equilibrium the backward sweep holds; Newton on E
+    # ranks its minima by the energy it descends
     spec = ModelSpec.sparse(xi=(-5.0, -5.0, -10.0))
     grid = np.linspace(0.0, 1.0, 41)
     eq = analyze(spec, grid).equilibrium[k]
@@ -340,21 +348,6 @@ def real_hamiltonian(mt1, mt2, K):
     return np.ascontiguousarray(build_effective_hamiltonian((mt1, mt2), K).real)
 
 
-def float_kernel(w, cols):
-    """(e, B) of the loop's float kernel at the eigenpairs (w, cols) of H:
-    the expectations, and the (4, 3) response factor on a non-degenerate
-    ground state (None on a degenerate one)."""
-    e = np.array(_ground(w, cols))
-    if w[1] < w[0] + saddle._DEGENERACY_TOL:
-        return e, None
-    return e, np.array(_response(w, cols)).T
-
-
-def kernel(H):
-    w, V = np.linalg.eigh(H)
-    return float_kernel(w.tolist(), V.T.tolist())
-
-
 OPS = np.array([SINGLE[0], SINGLE[2], SINGLE[3], SINGLE[5]]).real   # X1, Z1, X2, Z2
 
 
@@ -367,6 +360,10 @@ def projector_kernel(w, V):
         return e, None
     A = (OPS @ V[:, 0]) @ V[:, 1:]
     return e, A * np.sqrt(2.0 / (w[1:] - w[0]))
+
+
+def kernel(H):
+    return projector_kernel(*np.linalg.eigh(H))
 
 
 def test_fast_expectations_match_general_path(rng):
@@ -399,10 +396,11 @@ def test_solve_saddle_matches_reference_loop(s, xi12, init):
     assert np.abs(np.r_[sol.m.m1 - m1, sol.m.m2 - m2]).max() < 1e-9
 
 
-# -- Newton finish: linear response, stability gate, fallback ---------------
+# -- linear response chi D of the map x -> e(x): stable and unstable fixed points
 
 def response_at(spec, s, x):
-    """F(x) = e(x) - x, chi and D at x = (m1x, m1z, m2x, m2z) on the fast path."""
+    """F(x) = e(x) - x, chi and D at x = (m1x, m1z, m2x, m2z), from the
+    projector kernel."""
     b, D = map(np.array, _field_map(_coeffs(spec, s)))
     mt = b + D * x
     e, B = kernel(real_hamiltonian(np.r_[mt[0], 0.0, mt[1]], np.r_[mt[2], 0.0, mt[3]],
@@ -427,43 +425,6 @@ def general_F(spec, s, x):
     _, g, e1, e2 = ground_block(H)
     assert g == 1
     return np.r_[e1[::2], e2[::2]] - x
-
-
-def test_linear_response_jacobian_matches_finite_differences(rng):
-    h = 1e-6
-    points = 0
-    while points < 24:
-        xi = rng.uniform(-8.0, 8.0, 3)
-        s = rng.uniform(0.02, 0.98)
-        x = rng.uniform(-1.0, 1.0, 4)
-        spec = ModelSpec.sparse(xi=tuple(xi))
-        b, D = map(np.array, _field_map(_coeffs(spec, s)))
-        K = coupling_matrix(spec, s)
-
-        def H_of(mt):
-            return real_hamiltonian(np.r_[mt[0], 0.0, mt[1]], np.r_[mt[2], 0.0, mt[3]], K)
-
-        w = np.linalg.eigvalsh(H_of(b + D * x))
-        if w[1] - w[0] < 1e-2:
-            continue
-        points += 1
-        F, chi, _ = response_at(spec, s, x)
-        assert np.abs(F - general_F(spec, s, x)).max() < 1e-12
-        J = chi * D - np.eye(4)
-        J_fd = np.empty((4, 4))
-        chi_fd = np.empty((4, 4))
-        mt = b + D * x
-        for j in range(4):
-            dx = np.zeros(4)
-            dx[j] = h
-            J_fd[:, j] = (general_F(spec, s, x + dx) - general_F(spec, s, x - dx)) / (2 * h)
-            chi_fd[:, j] = (kernel(H_of(mt + dx))[0] - kernel(H_of(mt - dx))[0]) / (2 * h)
-        assert np.abs(J - J_fd).max() <= 1e-6 * np.abs(J).max()
-        assert np.abs(chi - chi_fd).max() <= 1e-6 * np.abs(chi).max()
-        # the measured response itself is symmetric positive semidefinite
-        assert np.abs(chi_fd - chi_fd.T).max() <= 1e-6 * np.abs(chi).max()
-        assert np.linalg.eigvalsh(chi_fd + chi_fd.T).min() >= -1e-6 * np.abs(chi).max()
-        assert np.allclose(chi, chi.T, rtol=0, atol=1e-14)
 
 
 def test_newton_gate_rejects_unstable_middle_fixed_point():
@@ -493,78 +454,16 @@ def test_newton_gate_rejects_unstable_middle_fixed_point():
 
 def test_degenerate_ground_block_keeps_damped_answer():
     # gamma1 = 1 at s = 0 leaves cluster 1 without a field: a doubly
-    # degenerate ground block, where the response is undefined
+    # degenerate ground level, along which E is flat; the solve converges
+    # on a psi inside that multiplet, with cluster 2 along its field
     spec = ModelSpec.sparse(gamma1=1.0)
-    init = MagPair([0, 0, 1], [0, 0, 1])
-    sol = solve_saddle(spec, 0.0, init)
+    sol = solve_saddle(spec, 0.0, MagPair([0, 0, 1], [0, 0, 1]))
     assert sol.converged and sol.degeneracy == 2
-    m1, m2 = reference_solve(spec, 0.0, init)
-    assert np.abs(np.r_[sol.m.m1 - m1, sol.m.m2 - m2]).max() < 1e-15
-    # the damped loop stops one step short of zero; Newton would not
-    assert 0.0 < np.abs(sol.m.m1).max() < 1e-10
-
-
-def test_failed_newton_finish_resumes_the_damped_loop(monkeypatch):
-    # With chi forced to zero the Newton step is the undamped step
-    # x <- e(x), which overshoots on this total-catalyst map (the damped loop
-    # halves its damping here): the residual grows, and the solve must go on
-    # with the damped loop from the iterate Newton began at.
-    monkeypatch.setattr(saddle, "_response", lambda w, cols: [(0.0,) * 4] * 3)
-    spec = ModelSpec.sparse(xi=(-5.0, -5.0, -10.0))
-    init = MagPair([0, 0, 1], [0, 0, 1])
-    for s in (0.205, 0.3):
-        sol = solve_saddle(spec, s, init)
-        assert sol.converged
-        m1, m2 = reference_solve(spec, s, init)
-        assert np.abs(np.r_[sol.m.m1 - m1, sol.m.m2 - m2]).max() < 1e-14
-
-
-def test_newton_finish_rearms_after_one_rejection(monkeypatch):
-    # The first Newton attempt gets a response with lambda_max(chi D) = 4,
-    # which the gate rejects; the damped loop goes on, and the second
-    # attempt, with the true response, must still finish the solve at the
-    # rounding level (unforced solves on this column end at 1e-16 to 3e-15)
-    # instead of leaving it to the damped loop, which stops below tol = 1e-10.
-    response = saddle._response
-    calls = {"unstable": 0, "true": 0}
-
-    def unstable_once(w, cols):
-        if calls["unstable"] == 0:
-            calls["unstable"] += 1
-            # chi D = 4 on m1z, where D = s
-            return [(0.0, 2.0 / np.sqrt(s), 0.0, 0.0), (0.0,) * 4, (0.0,) * 4]
-        calls["true"] += 1
-        return response(w, cols)
-
-    spec = ModelSpec.sparse(xi=(-5.0, -5.0, -10.0))
-    init = MagPair([0, 0, 1], [0, 0, 1])
-    for s in (0.205, 0.3):
-        calls.update(unstable=0, true=0)
-        with monkeypatch.context() as mp:
-            mp.setattr(saddle, "_response", unstable_once)
-            sol = solve_saddle(spec, s, init)
-        assert calls["unstable"] == 1 and calls["true"] >= 1
-        assert sol.converged and sol.residual <= 1e-14
-        with monkeypatch.context() as mp:
-            mp.setattr(saddle, "_NEWTON_SWITCH", 0.0)
-            ref = solve_saddle(spec, s, init, tol=1e-13)
-        assert np.abs(np.r_[sol.m.m1 - ref.m.m1, sol.m.m2 - ref.m.m2]).max() < 1e-10
-
-
-@pytest.mark.parametrize("xi", [(0.0, 0.0, -4.0), (-5.0, -5.0, -10.0), (-10.0, 0.0, 0.0)],
-                         ids=["xi12=-4", "total=-10", "xi11=-10"])
-def test_newton_handover_keeps_damped_basin(monkeypatch, xi):
-    # Newton takes over from residual 1e-2; every solve must still end on
-    # the fixed point the damped loop alone selects from the same start
-    spec = ModelSpec.sparse(xi=xi)
-    grid = np.linspace(0.0, 1.0, 11)
-    solved = {(s, i): solve_saddle(spec, s, init)
-              for s in grid for i, init in enumerate(saddle._SADDLE_INITS)}
-    monkeypatch.setattr(saddle, "_NEWTON_SWITCH", 0.0)
-    for (s, i), sol in solved.items():
-        ref = solve_saddle(spec, s, saddle._SADDLE_INITS[i], tol=1e-13)
-        assert sol.converged and ref.converged
-        assert np.abs(np.r_[sol.m.m1 - ref.m.m1, sol.m.m2 - ref.m.m2]).max() < 1e-10, (s, i)
+    assert sol.residual < 1e-15
+    w, V = np.linalg.eigh(_hamiltonian(_coeffs(spec, 0.0), sol.fields))
+    assert w[1] - w[0] < 1e-12 < w[2] - w[0]
+    assert abs(np.linalg.norm(V[:, :2].T @ sol.psi) - 1.0) < 1e-15
+    assert np.abs(np.array(sol.x[2:]) - [1.0, 0.0]).max() < 1e-15
 
 
 @pytest.mark.parametrize("xi12", [0.0, 4.0, -4.0, 8.0, -7.0])
@@ -596,9 +495,9 @@ def test_default_tol_solution_sits_on_the_fixed_point(spec, s):
 
 
 def test_solution_energy_reuses_the_loop_eigenvalues(rng):
-    # lambda0, the degeneracy and u of a converged solve come from the last
-    # eigenvalues of its loop; they must equal a fresh eigensolve at the
-    # returned m, for global and for warm (Newton-first) solves
+    # lambda0, the degeneracy and u of a converged solve come from its final
+    # eigensolve of H; they must equal a fresh eigensolve at the returned m,
+    # for global and for warm solves
     cases = [(ModelSpec.sparse(gamma1=1.0), 0.0)]   # degeneracy 2
     cases += [(ModelSpec.sparse(xi=tuple(rng.uniform(-10.0, 10.0, 3))), rng.uniform(0.0, 0.95))
               for _ in range(12)]
@@ -618,7 +517,7 @@ def test_solution_energy_reuses_the_loop_eigenvalues(rng):
             assert sol.degeneracy == g
 
 
-# -- the loop's float kernel: two coupling numbers, one eigensolve per iteration
+# -- the solver's float kernel: two coupling numbers, one eigensolve per iteration
 
 def test_closed_form_coupling_part_is_exact(rng):
     # the closed-form H: its coupling part (zero fields) against the einsum
@@ -644,10 +543,10 @@ def random_real_case(rng):
 
 
 def test_fused_kernel_matches_projector_form_and_general_path(rng):
-    # e(x) and chi = B B^T from the eigenvector columns against ground_block
-    # on the complex builder and against the projector form, on random real
-    # fields and couplings; two degenerate (g = 2) blocks keep the multiplet
-    # average
+    # the closed-form expectations of the eigenvector columns of the real H,
+    # averaged over the ground multiplet, against ground_block on the
+    # complex builder and against the projector form, on random real fields
+    # and couplings and on two degenerate (g = 2) blocks
     cases = [(np.array(XHAT), np.zeros(3), K0, 2),
              (np.zeros(3), np.zeros(3), xz_coupling(0.7, 0.0), 2)]
     cases += [(*random_real_case(rng), 1) for _ in range(40)]
@@ -655,52 +554,91 @@ def test_fused_kernel_matches_projector_form_and_general_path(rng):
         _, g_ref, e1, e2 = ground_block(build_effective_hamiltonian((mt1, mt2), K))
         assert g_ref == g
         w, cols = _eigh(real_hamiltonian(mt1, mt2, K))
-        e, B = float_kernel(w, cols)
-        e_ref, B_ref = projector_kernel(np.array(w), np.array(cols).T)
+        e = np.mean([_expectations(*v) for v in cols[:g]], axis=0)
+        e_ref, _ = projector_kernel(np.array(w), np.array(cols).T)
         assert np.abs(e - np.r_[e1[::2], e2[::2]]).max() <= 1e-14
         assert np.abs(e - e_ref).max() <= 1e-14
-        assert (B is None) == (g > 1)
-        if g == 1:
-            chi, chi_ref = B @ B.T, B_ref @ B_ref.T
-            assert np.abs(chi - chi_ref).max() <= 1e-14 * max(1.0, np.abs(chi_ref).max())
 
 
-def test_cholesky_gate_matches_the_eigenvalue_gate(rng):
-    # the LDL^T factor of I - M exists exactly when lambda_max(M) < 1, for
-    # M = B^T D B; D is scaled to put lambda_max on both sides of 1, and an
-    # accepted step is B (I - M)^-1 B^T D step
-    counts = Counter()
-    while counts[True] < 200 or counts[False] < 200:
-        mt1, mt2, K = random_real_case(rng)
-        w, cols = _eigh(real_hamiltonian(mt1, mt2, K))
-        if w[1] - w[0] < 1e-6:
-            continue
-        B = np.array(_response(w, cols)).T
-        D = rng.standard_normal(4)
-        top = np.linalg.eigvalsh(B.T @ (D[:, None] * B)).max()
-        if top > 0.0 and rng.uniform() < 0.8:
-            D *= rng.uniform(0.9, 1.1) / top
-        M = B.T @ (D[:, None] * B)
-        lam = np.linalg.eigvalsh(M).max()
-        step = rng.standard_normal(4)
-        newton = _newton_step(_response(w, cols), tuple(D.tolist()), step.tolist())
-        if abs(lam - 1.0) <= 1e-12:
-            continue
-        counts[bool(lam < 1.0)] += 1
-        assert (newton is not None) == (lam < 1.0), lam
-        if newton is not None and lam < 0.99:
-            ref = B @ np.linalg.solve(np.eye(3) - M, B.T @ (D * step))
-            assert np.abs(np.array(newton) - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+def random_sphere_case(rng):
+    spec = ModelSpec.sparse(xi=tuple(rng.uniform(-10.0, 10.0, 3)))
+    s = rng.uniform(0.0, 1.0)
+    psi = rng.standard_normal(4)
+    return spec, s, psi / np.linalg.norm(psi)
+
+
+def gradient_and_hessian(spec, s, psi):
+    """H(x) psi and H - 2 sum_k D_k (O_k psi)(O_k psi)^T at psi, in numpy."""
+    c = _coeffs(spec, s)
+    b, D = map(np.array, _field_map(c))
+    x = np.einsum("i,kij,j->k", psi, OPS, psi)
+    H = _hamiltonian(c, (b + D * x).tolist())
+    U = OPS @ psi
+    return H @ psi, H - 2.0 * (U.T * D) @ U
+
+
+def test_energy_gradient_is_h_psi_and_its_hessian(rng):
+    # E(psi) = h_m(x) + psi.Hc psi / 2 has gradient H(x) psi and Hessian
+    # H - 2 sum_k D_k (O_k psi)(O_k psi)^T, both by central differences
+    h = 1e-6
+    for _ in range(20):
+        spec, s, psi = random_sphere_case(rng)
+        c = _coeffs(spec, s)
+        grad, hess = gradient_and_hessian(spec, s, psi)
+        steps = np.eye(4) * h
+        grad_fd = [(_pair_energy(c, *(psi + e)) - _pair_energy(c, *(psi - e))) / (2 * h)
+                   for e in steps]
+        hess_fd = np.array([(gradient_and_hessian(spec, s, psi + e)[0]
+                             - gradient_and_hessian(spec, s, psi - e)[0]) / (2 * h)
+                            for e in steps])
+        assert np.abs(grad - grad_fd).max() <= 1e-8 * max(1.0, np.abs(grad).max())
+        assert np.abs(hess - hess_fd).max() <= 1e-8 * max(1.0, np.abs(hess).max())
+
+
+def test_newton_eigensolve_is_the_projected_hessian(monkeypatch, rng):
+    # the matrix a Newton step diagonalizes is P (Hess - lambda) P + psi psi^T,
+    # P = 1 - psi psi^T and lambda = psi.H psi, of which LAPACK reads the lower
+    # triangle; the final eigensolve is H's
+    for _ in range(20):
+        spec, s, psi = random_sphere_case(rng)
+        init = SaddleSolution(s=s, psi=tuple(psi.tolist()), fields=(0.0,) * 4, lambda0=0.0,
+                              degeneracy=1, energy=0.0, converged=True, residual=0.0)
+        with monkeypatch.context() as mp:
+            eighs = count_calls(mp, "_eigh", saddle)
+            sol = solve_saddle(spec, s, init, max_iter=1)
+        grad, hess = gradient_and_hessian(spec, s, psi)
+        lam = psi @ grad
+        P = np.eye(4) - np.outer(psi, psi)
+        ref = P @ (hess - lam * np.eye(4)) @ P + np.outer(psi, psi)
+        assert len(eighs) == 2
+        assert np.abs(np.tril(eighs[0][0] - ref)).max() <= 1e-13
+        assert np.array_equal(eighs[1][0], _hamiltonian(_coeffs(spec, s), sol.fields))
+
+
+def test_excited_level_minimum_is_not_converged():
+    # at xi = (-5, -5, -10), s = 0.15, E has a local minimum on the first
+    # excited level of its own H, 0.058 above the global one: Newton stays on
+    # it, and the level check reports the solve unconverged, so that a warm
+    # sweep that lands there takes the global solve
+    spec, s = ModelSpec.sparse(xi=(-5.0, -5.0, -10.0)), 0.15
+    psi = np.array([-0.346263, 0.250422, -0.850599, -0.306386])
+    init = SaddleSolution(s=s, psi=tuple((psi / np.linalg.norm(psi)).tolist()),
+                          fields=(0.0,) * 4, lambda0=0.0, degeneracy=1, energy=0.0,
+                          converged=True, residual=0.0)
+    sol = solve_saddle(spec, s, init)
+    assert not sol.converged and sol.residual > 1.0
+    w, V = np.linalg.eigh(_hamiltonian(_coeffs(spec, s), sol.fields))
+    assert w[1] - w[0] > 0.1 and abs(V[:, 1] @ sol.psi) > 1.0 - 1e-12
+    assert sol.energy - global_saddle(spec, s).energy > 0.05
 
 
 def test_sparse_column_takes_the_unfused_loops_steps(monkeypatch):
-    # every eigensolve and Newton gate of one sparse transition column: the
-    # matrix-form loop made 514 4x4 and 334 3x3 (gate) eigensolves over the
-    # same 82 solves.  Where Newton stops is decided at the rounding level,
-    # and the float kernel's last digits differ: 22 of those solves end one
-    # or two Newton steps earlier or later, none takes a different path
+    # every eigensolve of one sparse transition column, all 4x4: over its 82
+    # solves, H at the start of the 10 global inits, 262 projected Hessians
+    # of Newton steps and H at the end of each solve
     eighs = count_calls(monkeypatch, "_eigh", saddle)
-    gates = count_calls(monkeypatch, "_newton_step", saddle)
+    solves = count_calls(monkeypatch, "solve_saddle", saddle, transitions)
     analyze(ModelSpec.sparse(xi=(0.0, 0.0, -4.0)), np.linspace(0.0, 1.0, 21))
-    assert Counter(a.shape for a, in eighs) == {(4, 4): 507}
-    assert len(gates) == 328
+    assert len(solves) == 82
+    assert sum(isinstance(init, MagPair) for _, _, init in solves) == 10
+    assert Counter(a.shape for a, in eighs) == {(4, 4): 10 + 262 + 82}

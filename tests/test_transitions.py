@@ -13,10 +13,10 @@ from meanfield_annealer import (ClassicalState, ConvergenceError, MagPair, Model
                                 global_minimize, global_saddle, minimize,
                                 solve_saddle, sparse_ed, sparse_mean_field_density,
                                 sparse_mean_field_gradient, sweep)
-from meanfield_annealer import transitions
+from meanfield_annealer import cli, transitions
 from meanfield_annealer.classical import is_stable_minimum
 from meanfield_annealer.model import TIE_TOL, _prefer
-from meanfield_annealer.transitions import PointSolver, point_solver
+from meanfield_annealer.transitions import PointSolver, analyze, point_solver
 
 UP = MagPair([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
 
@@ -149,8 +149,8 @@ def test_unconverged_saddle_solve_falls_back_to_global(monkeypatch):
     # module names reaches them
     spec = ModelSpec.sparse()
     prev = global_saddle(spec, 0.5)
-    unconverged = SaddleSolution(s=0.5, x=prev.x, fields=prev.fields, lambda0=0.0, degeneracy=1,
-                                 energy=0.0, converged=False, residual=1.0)
+    unconverged = SaddleSolution(s=0.5, psi=prev.psi, fields=prev.fields, lambda0=0.0,
+                                 degeneracy=1, energy=0.0, converged=False, residual=1.0)
     monkeypatch.setattr(transitions, "solve_saddle", lambda spec, s, init: unconverged)
     monkeypatch.setattr(transitions, "global_saddle", lambda spec, s: "global")
     assert point_solver(spec).warm(0.5, prev) == "global"
@@ -201,3 +201,32 @@ def test_prefer_band_edge_is_a_tie():
     clearly_lower = _State(-2 * TIE_TOL, -0.5)
     assert _prefer(clearly_lower, old) is clearly_lower
     assert _prefer(_State(2 * TIE_TOL, 0.9), old) is old
+
+
+# the twelve scan files of the built-in figures, at 21 s-points x 11 columns
+SCAN_FILES = [(path[:-len(".csv")], cfg) for fig in cli.FIGURE_IDS
+              for cfg, path in cli._figure_jobs(fig, "", s_steps=21, axis2_steps=11)
+              if cfg["task"] == "scan"]
+# at xi11 = -6, s = 0.5 both sweeps hold m2z = +0.058, 6.2e-7 above the
+# global minimum at m2z = -0.068; on 41 and 201 s-points the equilibrium is right
+KNOWN_MISSES = {"fig5_strong": "xi11 = -6, s = 0.5: both sweeps 6.2e-7 above global_minimize"}
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(cfg, id=name, marks=[pytest.mark.xfail(strict=True, reason=KNOWN_MISSES[name])]
+                 if name in KNOWN_MISSES else [])
+    for name, cfg in SCAN_FILES])
+def test_every_equilibrium_state_is_the_global_minimum(cfg):
+    # each equilibrium state of a branch pass against an independent global
+    # solve of its model, global_minimize or global_saddle, both ways;
+    # indeterminate states are tie-picks and are left out
+    misses = []
+    for value in cli._axis2_values(cfg):
+        analysis = analyze(cli.build_spec(cfg, value), cli._s_grid(cfg))
+        for state in analysis.equilibrium:
+            if not any(state.indeterminate):
+                gap = state.energy - analysis.solver.global_(state.s).energy
+                if abs(gap) > 1e-9:
+                    misses.append((value, state.s, gap))
+    assert len(SCAN_FILES) == 12
+    assert misses == []
