@@ -177,6 +177,29 @@ def _coeffs(spec: ModelSpec, s: float) -> _Coeffs:
     )
 
 
+def _coeffs_slope(spec: ModelSpec, s: float) -> _Coeffs:
+    """d/ds of ``_coeffs(spec, s)``, field by field, with h1 and h2 kept as
+    the factors of s2.  Both energy polynomials (``_energy``,
+    ``saddle._pair_energy``) are linear in the coefficients, so either one
+    evaluated on these is its partial derivative in s at a fixed state: at
+    a stationary state, the slope of its branch energy (Hellmann-Feynman).
+    ``_field_map`` is not linear in them and does not take these."""
+    s = _check_s(s)
+    w = (1.0 - 2.0 * s) / 4.0
+    return _Coeffs(
+        s=1.0,
+        s2=0.5,
+        s4=0.25,
+        h1=spec.h1,
+        h2=spec.h2,
+        a1=0.0 if spec.gamma1 is not None else -0.5,
+        a2=0.0 if spec.gamma2 is not None else -0.5,
+        c11=w * spec.xi11,
+        c22=w * spec.xi22,
+        c12=w * spec.xi12,
+    )
+
+
 def _indeterminate_flags(spec: ModelSpec, s: float) -> tuple[bool, bool]:
     # nothing couples to a cluster when s = 0 and its transverse field is off
     g1, g2 = _gammas(spec, s)

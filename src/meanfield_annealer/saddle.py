@@ -249,28 +249,36 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
     _require(spec, Coupling.SPARSE)
     c = _coeffs(spec, s)
     b, D = _field_map(c)
+    (b1x, b1z, b2x, b2z), (d1x, d1z, d2x, d2z) = b, D
 
-    def fields_at(x):
-        return tuple(bi + di * xi for bi, di, xi in zip(b, D, x))
+    def fields_at(x1, z1, x2, z2):
+        return b1x + d1x * x1, b1z + d1z * z1, b2x + d2x * x2, b2z + d2z * z2
 
     warm = isinstance(init, SaddleSolution)
     if not all(map(isfinite, (init.psi if warm else init.x) + c)):
         raise ValueError("effective Hamiltonian inputs must be finite")
     # a MagPair start is the ground state of H at its x: a product state can be an
     # excited eigenstate of its own H, a stationary point Newton cannot leave
-    psi = init.psi if warm else tuple(_eigh(_hamiltonian(c, fields_at(init.x)))[1][0])
-    psi = _newton(c, b, D, psi, max_iter, tol)
-    x = x1, z1, x2, z2 = _expectations(*psi)
-    fields = f1x, f1z, f2x, f2z = fields_at(x)
+    psi = init.psi if warm else tuple(_eigh(_hamiltonian(c, fields_at(*init.x)))[1][0])
+    psi = pa, pb, pc, pd = _newton(c, b, D, psi, max_iter, tol)
+    x1, z1, x2, z2 = _expectations(pa, pb, pc, pd)
+    fields = f1x, f1z, f2x, f2z = fields_at(x1, z1, x2, z2)
     w, cols = _eigh(_hamiltonian(c, fields))
     lam0 = w[0]
-    g = sum(wn < lam0 + _DEGENERACY_TOL for wn in w)
-    # psi's projection onto the ground multiplet, and e(x) from it normalized
-    proj = [sum(vi * pi for vi, pi in zip(v, psi)) for v in cols[:g]]
-    weight = sqrt(sum(k * k for k in proj))
-    ground = [sum(k * v[i] for k, v in zip(proj, cols)) / (weight or 1.0) for i in range(4)]
-    residual = max(abs(ei - xi) for ei, xi in zip(_expectations(*ground), x))
-    u = 0.5 * ((f1x * x1 + f1z * z1) + (f2x * x2 + f2z * z2)) + _sparse_energy(c, *x) + 0.5 * lam0
+    top = lam0 + _DEGENERACY_TOL
+    g = (w[0] < top) + (w[1] < top) + (w[2] < top) + (w[3] < top)
+    # psi's projection k onto the ground multiplet, and e(x) from it normalized
+    weight = ga = gb = gc = gd = 0.0
+    for v0, v1, v2, v3 in cols[:g]:
+        k = v0 * pa + v1 * pb + v2 * pc + v3 * pd
+        weight += k * k
+        ga, gb, gc, gd = ga + k * v0, gb + k * v1, gc + k * v2, gd + k * v3
+    weight = sqrt(weight)
+    n = weight or 1.0
+    e1x, e1z, e2x, e2z = _expectations(ga / n, gb / n, gc / n, gd / n)
+    residual = max(abs(e1x - x1), abs(e1z - z1), abs(e2x - x2), abs(e2z - z2))
+    u = (0.5 * ((f1x * x1 + f1z * z1) + (f2x * x2 + f2z * z2))
+         + _sparse_energy(c, x1, z1, x2, z2) + 0.5 * lam0)
     return SaddleSolution(s=float(s), psi=psi, fields=fields, lambda0=lam0, degeneracy=g,
                           energy=u, converged=weight >= 1.0 - _LEVEL_TOL and residual < tol,
                           residual=residual, indeterminate=_indeterminate_flags(spec, s))

@@ -216,10 +216,10 @@ def _min_gap_on(spec: ModelSpec, analysis: BranchAnalysis,
     The grid profile reads ``analysis.equilibrium``.  Each Brent probe at
     s is the lower-energy (``_prefer``) of two warm solves of
     ``analysis.solver``, one from each equilibrium state at the ends of
-    the grid bracket, the rule ``transitions._bisect_crossing`` follows,
-    so a bracket that straddles a branch crossing still reads the
-    equilibrium branch.  The state
-    returned is the grid state or the probe the minimum was read from.
+    the grid bracket, as each probe of ``transitions._locate_crossing``
+    warm-solves both branches, so a bracket that straddles a branch
+    crossing still reads the equilibrium branch.  The state returned is
+    the grid state or the probe the minimum was read from.
     """
     s_grid, eq, solver = analysis.s_grid, analysis.equilibrium, analysis.solver
     profile = _profile(spec, analysis)

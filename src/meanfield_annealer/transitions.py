@@ -7,28 +7,31 @@ the CLI's ``scan``, ``gap``, ``min-gap`` and ``optimize-xi`` tasks read it.
 ``point_solver`` is the one place where a spec's coupling picks its
 solver: damped Newton on the classical torus (``classical``) for dense
 intercluster coupling, the self-consistent saddle (``saddle``) for
-sparse.  Both solvers' states carry ``energy``, ``m2z`` (all the detector
-reads) and the in-plane floats ``x`` = (m1x, m1z, m2x, m2z) a CSV row reads.
+sparse, each with the slope dE/ds of a state's branch.  Both solvers'
+states carry ``energy``, ``m2z`` (all the detector reads) and the in-plane
+floats ``x`` = (m1x, m1z, m2x, m2z) a CSV row reads.
 ``analyze``, ``sweep`` and ``detect_transition`` take either spec.
 A forward and a backward continuation sweep give two branches; the lower
 of the two at each grid point is the equilibrium.  The grid interval with
 the largest equilibrium weak-cluster magnetization jump, not counting
 intervals that touch an ``indeterminate`` weak cluster, is the only
-candidate: bisection inside it, from its two end states, locates the
-branch-energy crossing (or the edge where one branch dies), and a
-transition is declared when the m2z jump across that point stays large.
+candidate: safeguarded Newton on the branch-energy difference inside it,
+from its two end states, locates the branch-energy crossing (or the edge
+where one branch dies), and a transition is declared when the m2z jump
+across that point stays large.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Any, Callable
 
 import numpy as np
 
 from .classical import global_minimize, minimize
 from .errors import ConvergenceError
-from .model import Coupling, ModelSpec, _prefer
-from .saddle import global_saddle, solve_saddle
+from .model import Coupling, ModelSpec, _coeffs_slope, _energy, _prefer
+from .saddle import _pair_energy, global_saddle, solve_saddle
 
 COEXIST_TOL = 0.05
 
@@ -37,10 +40,13 @@ COEXIST_TOL = 0.05
 class PointSolver:
     """A per-point solver: ``global_(s)`` is the multistart equilibrium
     solve, ``local(s, prev)`` continues from a neighbouring state and
-    raises ConvergenceError when it fails."""
+    raises ConvergenceError when it fails, and ``slope(state)`` is dE/ds
+    along the state's branch: the energy polynomial's partial derivative in
+    s at the state, exact at a stationary state (Hellmann-Feynman)."""
 
     global_: Callable[[float], Any]
     local: Callable[[float, Any], Any]
+    slope: Callable[[Any], float]
 
     def warm(self, s: float, prev):
         """Continue a branch from ``prev``; None, or a failed local solve,
@@ -59,7 +65,8 @@ def point_solver(spec: ModelSpec, n_starts: int = 8, seed: int = 0) -> PointSolv
     each call, so wrappers installed on those names see every solve."""
     if spec.coupling is Coupling.DENSE:
         return PointSolver(lambda s: global_minimize(spec, s, n_starts, seed),
-                           lambda s, prev: minimize(spec, s, prev))
+                           lambda s, prev: minimize(spec, s, prev),
+                           lambda st: _energy(_coeffs_slope(spec, st.s), *st.x))
 
     def local(s, prev):
         sol = solve_saddle(spec, s, prev)
@@ -67,7 +74,8 @@ def point_solver(spec: ModelSpec, n_starts: int = 8, seed: int = 0) -> PointSolv
             raise ConvergenceError(f"warm saddle solve did not converge at s={s:g}", best=sol)
         return sol
 
-    return PointSolver(lambda s: global_saddle(spec, s), local)
+    return PointSolver(lambda s: global_saddle(spec, s), local,
+                       lambda st: _pair_energy(_coeffs_slope(spec, st.s), *st.psi))
 
 
 def check_grid(s_grid=None) -> np.ndarray:
@@ -135,23 +143,52 @@ def _equilibrium(fstates, bstates):
     return eq, tags
 
 
-def _bisect_crossing(solver, s_lo, s_hi, state_b, state_a, tol_s=1e-6):
+def _locate_crossing(solver, s_lo, s_hi, state_b, state_a, tol_s=1e-6):
     """Locate the equilibrium switch from the low-s to the high-s branch.
 
     state_b anchors the low-s branch at s_lo, state_a the high-s branch at
-    s_hi.  Where both branches solve at the probe point the energies pick
-    the side; where one branch died, the two solves merge and the surviving
-    solve becomes the anchor on the side it keeps, so a smooth crossover
-    closes the bracket onto one branch and its jump shrinks to zero.
-    Returns the bracket midpoint and the final low-s and high-s anchors.
+    s_hi, and each probe warm-solves both branches from their anchors.
+    Where both branches solve, the sign of E_b - E_a picks the side and the
+    two solves become the anchors; where one branch died, the two solves
+    merge and the surviving solve becomes the anchor on the side it keeps,
+    so a smooth crossover closes the bracket onto one branch and its jump
+    shrinks to zero.
+
+    The probe is safeguarded Newton on E_b - E_a (``rtsafe``; Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4): the
+    point where the anchors' tangent lines E + slope (s - s_anchor) meet.
+    It is the midpoint after a merged probe, where there is no gap to
+    follow, when the lines meet outside the bracket or are parallel, and
+    when the Newton step is more than half the step before last.  The test
+    is on steps, as in rtsafe and zeroin, not on the bracket: Newton
+    converging onto one end leaves the other end standing.  A probe keeps
+    tol_s/2 from both ends.  Once the estimate stops moving (it lies within
+    tol_s/2 of the last probe), one probe goes tol_s/2 into the bracket
+    from there, just across the root, as zeroin's tolerance step does; that
+    step is not taken twice in a row.  Returns the midpoint of the final
+    bracket, at most tol_s wide, and the final low-s and high-s anchors.
     """
     lo, hi = s_lo, s_hi
     anchor_b, anchor_a = state_b, state_a
+    half = 0.5 * tol_s
+    steps = (inf, inf)   # the steps to the last two probes
+    last, merged, across = inf, False, False
     while hi - lo > tol_s:
-        sm = 0.5 * (lo + hi)
+        sm, step_across = 0.5 * (lo + hi), False
+        slope_b, slope_a = solver.slope(anchor_b), solver.slope(anchor_a)
+        if not merged and slope_b != slope_a:
+            sn = anchor_b.s + ((anchor_a.energy - anchor_b.energy
+                                + slope_a * (anchor_b.s - anchor_a.s)) / (slope_b - slope_a))
+            if abs(sn - last) <= half and not across:
+                sm, step_across = (lo + half if last == lo else hi - half), True
+            elif lo < sn < hi and abs(sn - last) <= 0.5 * steps[0]:
+                sm = min(max(sn, lo + half), hi - half)
+        steps = (steps[1], abs(sm - last))
+        last, across = sm, step_across
         st_b = solver.warm(sm, anchor_b)
         st_a = solver.warm(sm, anchor_a)
-        if abs(st_b.m2z - st_a.m2z) < COEXIST_TOL:
+        merged = abs(st_b.m2z - st_a.m2z) < COEXIST_TOL
+        if merged:
             # one branch died inside the bracket; shrink toward its side
             da = abs(st_b.m2z - anchor_a.m2z)
             db = abs(st_b.m2z - anchor_b.m2z)
@@ -185,14 +222,15 @@ def analyze(spec: ModelSpec, s_grid=None, jump_threshold: float = 0.5,
     judge the largest equilibrium m2z jump.
 
     The solver is ``point_solver(spec, n_starts, seed)``, carried on the
-    result.  The grid interval (i, i+1) with the largest jump is bisected
-    from equilibrium[i] (low-s branch) and equilibrium[i+1] (high-s
-    branch); an interval with an end state whose weak cluster is
-    ``indeterminate`` does not count.  The verdict is the m2z jump between the two states the
-    bisection ends on, s* the midpoint of its final bracket, and the
-    hysteresis width the span of the coexistence window touching the
-    interval (0 if none).  A grid jump below ``jump_threshold``, which
-    must be positive, is reported as no transition without bisecting.
+    result.  ``_locate_crossing`` searches the grid interval (i, i+1) with
+    the largest jump, from equilibrium[i] (low-s branch) and
+    equilibrium[i+1] (high-s branch); an interval with an end state whose
+    weak cluster is ``indeterminate`` does not count.  The verdict is the
+    m2z jump between the two states the search ends on, s* the midpoint of
+    its final bracket, at most 1e-6 wide, and the hysteresis width the span
+    of the coexistence window touching the interval (0 if none).  A grid
+    jump below ``jump_threshold``, which must be positive, is reported as
+    no transition without a search.
     """
     if not jump_threshold > 0:
         raise ValueError(f"jump_threshold must be positive, got {jump_threshold!r}")
@@ -218,7 +256,7 @@ def analyze(spec: ModelSpec, s_grid=None, jump_threshold: float = 0.5,
     width = _window_width(s_grid, [t != "both" for t in tags], i)
     if jumps[i] < jump_threshold:
         return result(jumps[i], width)
-    s_star, st_b, st_a = _bisect_crossing(
+    s_star, st_b, st_a = _locate_crossing(
         solver, float(s_grid[i]), float(s_grid[i + 1]), eq[i], eq[i + 1])
     return result(abs(st_a.m2z - st_b.m2z), width, s_star)
 

@@ -253,7 +253,7 @@ def test_weak_catalyst_width_on_a_coarse_grid():
 def test_total_catalyst_s_star_at_sector_jump():
     # appC_sparse xi = -10: the sector-ED ground-state m2z jumps between
     # s = 0.160 and 0.165 at N = 40, 80 and 160; the backward sweep and the
-    # bisection must stay on the high-s branch down to there
+    # crossing search must stay on the high-s branch down to there
     rep = detect_transition(ModelSpec.sparse(xi=(-5.0, -5.0, -10.0)),
                             np.linspace(0.0, 1.0, 41))
     assert rep.found
@@ -262,7 +262,7 @@ def test_total_catalyst_s_star_at_sector_jump():
 
 def test_detect_sparse_smooth_crossover_on_coarse_grid():
     # 11 points make the smooth xi12=8 crossover a large grid jump; the
-    # bisection must close onto one branch instead of keeping that jump
+    # crossing search must close onto one branch instead of keeping that jump
     rep = detect_transition(ModelSpec.sparse(xi=(0.0, 0.0, 8.0)),
                             np.linspace(0.0, 1.0, 11))
     assert not rep.found
@@ -633,12 +633,12 @@ def test_excited_level_minimum_is_not_converged():
 
 
 def test_sparse_column_takes_the_unfused_loops_steps(monkeypatch):
-    # every eigensolve of one sparse transition column, all 4x4: over its 82
-    # solves, H at the start of the 10 global inits, 262 projected Hessians
+    # every eigensolve of one sparse transition column, all 4x4: over its 58
+    # solves, H at the start of the 10 global inits, 198 projected Hessians
     # of Newton steps and H at the end of each solve
     eighs = count_calls(monkeypatch, "_eigh", saddle)
     solves = count_calls(monkeypatch, "solve_saddle", saddle, transitions)
     analyze(ModelSpec.sparse(xi=(0.0, 0.0, -4.0)), np.linspace(0.0, 1.0, 21))
-    assert len(solves) == 82
+    assert len(solves) == 58
     assert sum(isinstance(init, MagPair) for _, _, init in solves) == 10
-    assert Counter(a.shape for a, in eighs) == {(4, 4): 10 + 262 + 82}
+    assert Counter(a.shape for a, in eighs) == {(4, 4): 10 + 198 + 58}

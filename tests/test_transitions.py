@@ -1,3 +1,4 @@
+import dataclasses
 from typing import NamedTuple
 
 import numpy as np
@@ -25,8 +26,8 @@ def test_detect_transition_runs_the_sparse_solver_on_a_sparse_spec():
     # the dense solver on this spec reports no transition (jump 0.334)
     rep = detect_transition(ModelSpec.sparse(xi=(0.0, 0.0, -4.0)), np.linspace(0.0, 1.0, 21))
     assert rep.found
-    assert abs(rep.s_star - 0.4930545806884765) <= 1e-9
-    assert abs(rep.jump_m2z - 1.4523791854440984) <= 1e-9
+    assert abs(rep.s_star - 0.49305503237278925) <= 1e-9
+    assert abs(rep.jump_m2z - 1.4523803787211977) <= 1e-9
 
 
 def test_sweep_states_follow_the_coupling():
@@ -115,7 +116,7 @@ def _recording_solver(local):
         calls.append(("local", s))
         return local(s, prev)
 
-    return PointSolver(global_, traced_local), calls
+    return PointSolver(global_, traced_local, lambda state: 0.0), calls
 
 
 def test_warm_without_a_previous_state_takes_the_global_solve():
@@ -171,6 +172,95 @@ def test_pinned_weak_cluster_column_reads_as_its_neighbour(make):
     assert abs(pinned.report.s_star - near.s_star) <= 1e-4
     assert abs(pinned.report.s_star - 0.719942) <= 1e-6
     assert pinned.report.hysteresis_width == pytest.approx(0.975, abs=1e-12)
+
+
+SLOPE_SPECS = [ModelSpec.dense(xi=(-2.0, 1.0, -4.0)),
+               ModelSpec.dense(xi=(0.0, 0.0, -4.0), gamma2=0.5),
+               ModelSpec.sparse(xi=(0.0, 0.0, -4.0)),
+               ModelSpec.sparse(xi=(-5.0, -5.0, -10.0), gamma1=0.3)]
+
+
+@pytest.mark.parametrize("spec", SLOPE_SPECS,
+                         ids=["dense", "dense-pinned", "sparse", "sparse-pinned"])
+def test_slope_is_the_branch_energy_derivative(spec):
+    # Hellmann-Feynman: at a stationary state dE/ds is the energy
+    # polynomial's partial derivative in s, against a central difference
+    solver = point_solver(spec)
+    h = 1e-5
+    for s in (0.2, 0.45, 0.8):
+        central = (solver.global_(s + h).energy - solver.global_(s - h).energy) / (2 * h)
+        assert abs(solver.slope(solver.global_(s)) - central) <= 1e-6
+
+
+def _crossing_search(spec, n):
+    """The crossing search of one column, with the states of its probes."""
+    grid = np.linspace(0.0, 1.0, n)
+    analysis = analyze(spec, grid)
+    i = int(np.searchsorted(grid, analysis.report.s_star)) - 1
+    probes = []
+
+    def local(s, prev):
+        probes.append(analysis.solver.local(s, prev))
+        return probes[-1]
+
+    solver = dataclasses.replace(analysis.solver, local=local)
+    eq = analysis.equilibrium
+    s_star, _, _ = transitions._locate_crossing(solver, grid[i], grid[i + 1], eq[i], eq[i + 1])
+    assert s_star == analysis.report.s_star
+    return s_star, probes
+
+
+# s* of the bisection this search replaced, to its bracket of 1e-6
+CROSSINGS = [(ModelSpec.sparse(xi=(0.0, 0.0, -4.0)), 21, 0.4930545806884765),
+             (ModelSpec.dense(xi=(0.0, 0.0, 0.0)), 101, 0.7189028930664063)]
+
+
+@pytest.mark.parametrize("spec, n, bisected", CROSSINGS, ids=["sparse", "dense"])
+def test_crossing_search_brackets_the_energy_crossing(spec, n, bisected):
+    tol_s = 1e-6
+    s_star, probes = _crossing_search(spec, n)
+    # each probe warm-solves the low-s branch, then the high-s one; the
+    # final bracket is the nearest probe on either side of s*
+    gap = {st_b.s: st_b.energy - st_a.energy for st_b, st_a in zip(probes[::2], probes[1::2])}
+    lo = max(s for s in gap if s < s_star)
+    hi = min(s for s in gap if s > s_star)
+    assert hi - lo <= tol_s and s_star == 0.5 * (lo + hi)
+    assert gap[lo] <= 0.0 < gap[hi]
+    assert abs(s_star - bisected) <= tol_s
+    # bisection made 32 and 28 solves on these columns
+    assert len(probes) <= 12
+
+
+class _Probe(NamedTuple):
+    s: float
+    energy: float
+    m2z: float
+    slope: float
+
+
+@pytest.mark.parametrize("gap, slope, most", [
+    (lambda s: s - 0.3, lambda s: 1.0, 2),
+    # Newton from the far side overshoots out of the bracket
+    (lambda s: np.arctan(50.0 * (s - 0.3)), lambda s: 50.0 / (1.0 + (50.0 * (s - 0.3)) ** 2), 10),
+    # parallel tangent lines: every probe is a midpoint
+    (lambda s: s - 0.3, lambda s: 0.0, 20),
+    # a triple root, where Newton converges only linearly
+    (lambda s: (s - 0.3) ** 3, lambda s: 3.0 * (s - 0.3) ** 2, 40),
+], ids=["linear", "overshoot", "parallel", "triple-root"])
+def test_crossing_search_safeguards_on_synthetic_branches(gap, slope, most):
+    # branch b has energy gap(s) and m2z = -1, branch a energy 0 and m2z = +1
+    probes = []
+
+    def local(s, prev):
+        probes.append(s)
+        return _Probe(s, gap(s), -1.0, slope(s)) if prev.m2z < 0 else _Probe(s, 0.0, 1.0, 0.0)
+
+    solver = PointSolver(None, local, lambda state: state.slope)
+    s_star, st_b, st_a = transitions._locate_crossing(
+        solver, 0.0, 1.0, _Probe(0.0, gap(0.0), -1.0, slope(0.0)), _Probe(1.0, 0.0, 1.0, 0.0))
+    assert abs(s_star - 0.3) <= 0.5e-6
+    assert (st_b.m2z, st_a.m2z) == (-1.0, 1.0)
+    assert len(probes) <= 2 * most
 
 
 class _State(NamedTuple):
