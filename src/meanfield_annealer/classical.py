@@ -6,8 +6,10 @@ on Python floats over the model's dense kernel: ``minimize`` from one
 start, ``global_minimize`` over a deterministic multistart set.  A
 ``ClassicalState`` carries the angles (t1, t2); its in-plane ``x`` =
 (m1x, m1z, m2x, m2z) and ``m`` are derived, and ``minimize`` continues
-from a state's own angles.  Sweeps and transition detection for either
-model live in ``transitions``.
+from a state's own angles.  A Newton run of either solver (``saddle``
+imports the constants) takes at most ``_MAX_ITER`` iterations and has
+converged below residual ``_TOL``.  Sweeps and transition detection for
+either model live in ``transitions``.
 """
 from __future__ import annotations
 
@@ -15,13 +17,12 @@ import functools
 import sys
 from dataclasses import dataclass
 from math import atan2, cos, hypot, sin
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .model import (Coupling, MagPair, ModelSpec, _angle_hessian, _coeffs, _eigh2, _energy,
-                    _grad, _indeterminate_flags, _prefer, _require)
+                    _grad, _indeterminate_flags, _lowest, _require)
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,10 @@ class ClassicalState:
     def m2z(self) -> float:
         return cos(self.t2)
 
+    @property
+    def converged(self) -> bool:
+        return self.residual < _TOL
+
 
 # ---------------------------------------------------------------------------
 # Damped Newton on the (theta1, theta2) torus, on Python floats through the
@@ -57,37 +62,26 @@ class ClassicalState:
 _EIG_FLOOR = 1e-8   # smallest curvature a Newton step divides by
 _MAX_STEP = 0.5     # rad
 _MAX_ITER = 200
+_TOL = 1e-10        # residual below which a Newton run has converged
+_STABLE_TOL = 1e-9  # how far below zero is_stable_minimum lets a curvature read
 _FOUR_ULPS = 4 * sys.float_info.epsilon
 
 
-class _Point(NamedTuple):
-    """Where a Newton run ended: angles, energy, multipliers, residual."""
-
-    t1: float
-    t2: float
-    energy: float
-    mu: tuple[float, float]
-    residual: float
-
-    @property
-    def m2z(self) -> float:
-        return cos(self.t2)
-
-
-def _newton(k, t1, t2, max_iter, tol) -> _Point:
-    """Damped Newton from the angles (t1, t2); returns where it ended.
+def _newton(k, t1, t2, indeterminate) -> ClassicalState:
+    """Damped Newton from the angles (t1, t2) on the coefficients ``k``;
+    returns the state where it ended, at s = k.s.
 
     Hessian eigenvalues enter by absolute value with a floor, steps are
     capped at 0.5 rad and halved until the energy rises by at most 4 ulps.
     """
     k = tuple(k)   # the kernel's unpack of an exact tuple skips the generic iterator path
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         x1, z1, x2, z2 = sin(t1), cos(t1), sin(t2), cos(t2)
         energy = _energy(k, x1, z1, x2, z2)
         g1x, g1z, g2x, g2z = _grad(k, x1, z1, x2, z2)
         d1 = g1x * z1 - g1z * x1    # dE/dth_a = g_a . t_a
         d2 = g2x * z2 - g2z * x2
-        if max(abs(d1), abs(d2)) < 0.01 * tol:
+        if max(abs(d1), abs(d2)) < 0.01 * _TOL:
             break
         h11, h12, h22 = _angle_hessian(k, x1, z1, x2, z2,
                                        -(g1x * x1 + g1z * z1), -(g2x * x2 + g2z * z2))
@@ -115,7 +109,8 @@ def _newton(k, t1, t2, max_iter, tol) -> _Point:
     mu1 = -(g1x * x1 + g1z * z1)
     mu2 = -(g2x * x2 + g2z * z2)
     res = max(hypot(g1x + mu1 * x1, g1z + mu1 * z1), hypot(g2x + mu2 * x2, g2z + mu2 * z2))
-    return _Point(t1, t2, _energy(k, x1, z1, x2, z2), (mu1, mu2), res)
+    return ClassicalState(k[0], t1, t2, _energy(k, x1, z1, x2, z2), (mu1, mu2), res,
+                          indeterminate)
 
 
 def _unit(th):
@@ -126,34 +121,26 @@ def _angles(m: MagPair) -> tuple[float, float]:
     return atan2(m.m1[0], m.m1[2]), atan2(m.m2[0], m.m2[2])
 
 
-def _state(spec: ModelSpec, s: float, p: _Point) -> ClassicalState:
-    return ClassicalState(float(s), p.t1, p.t2, p.energy, p.mu, p.residual,
-                          _indeterminate_flags(spec, s))
-
-
-def minimize(spec: ModelSpec, s: float, initial: MagPair | ClassicalState,
-             max_iter: int = _MAX_ITER, tol: float = 1e-10) -> ClassicalState:
+def minimize(spec: ModelSpec, s: float, initial: MagPair | ClassicalState) -> ClassicalState:
     """Local minimum of the dense energy density from the given start.
 
     The energy has no y terms and its zz block is negative definite for
     s > 0, so minima lie in the xz plane: damped Newton (``_newton``, shared
     with ``global_minimize``) runs on the two angles, a ClassicalState's own
-    or th_a = atan2(m_ax, m_az) of a MagPair start.
+    or th_a = atan2(m_ax, m_az) of a MagPair start.  A residual not below
+    ``_TOL`` raises ``ConvergenceError``, the state reached as ``best``.
     """
     _require(spec, Coupling.DENSE)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if isinstance(initial, ClassicalState):
         t1, t2 = initial.t1, initial.t2
     elif min(initial.norms()) < 1e-6:
         raise ValueError("initial magnetizations must be unit direction vectors")
     else:
         t1, t2 = _angles(initial)
-    p = _newton(_coeffs(spec, s), t1, t2, max_iter, tol)
-    state = _state(spec, s, p)
-    if p.residual >= tol:
+    state = _newton(_coeffs(spec, s), t1, t2, _indeterminate_flags(spec, s))
+    if not state.converged:
         raise ConvergenceError(
-            f"minimize did not reach residual {tol:g} at s={s:g} (got {p.residual:g})",
+            f"minimize did not reach residual {_TOL:g} at s={s:g} (got {state.residual:g})",
             best=state,
         )
     return state
@@ -194,36 +181,24 @@ def _start_angles(n_starts: int, seed: int) -> tuple[tuple[float, float], ...]:
     return tuple(_angles(start) for start in start_set(n_starts, seed))
 
 
-def global_minimize(spec: ModelSpec, s: float, n_starts: int = 8,
-                    seed: int = 0, tol: float = 1e-10) -> ClassicalState:
+def global_minimize(spec: ModelSpec, s: float, n_starts: int = 8, seed: int = 0) -> ClassicalState:
     """Lowest minimum over the deterministic start set.
 
     The coefficients are folded once and every start runs the same Newton
-    kernel as ``minimize``; starts that miss the residual tolerance are
-    skipped.  Energy ties within 1e-12 are broken toward larger m2z.
+    kernel as ``minimize``; ``model._lowest`` keeps the best start whose
+    residual is below ``_TOL`` (energy ties within 1e-12 go to the larger
+    m2z) and raises ``ConvergenceError`` when none is.
     """
     _require(spec, Coupling.DENSE)
     if n_starts < 8:
         raise ValueError("n_starts must be at least 8")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     k = _coeffs(spec, s)
-    best = failed = None
-    for t1, t2 in _start_angles(n_starts, seed):
-        p = _newton(k, t1, t2, _MAX_ITER, tol)
-        if p.residual >= tol:
-            failed = p
-            continue
-        best = _prefer(p, best)
-    if best is None:
-        raise ConvergenceError(
-            f"all {n_starts} starts failed to converge at s={s:g}",
-            best=_state(spec, s, failed),
-        )
-    return _state(spec, s, best)
+    flags = _indeterminate_flags(spec, s)
+    return _lowest((_newton(k, t1, t2, flags) for t1, t2 in _start_angles(n_starts, seed)),
+                   f"all {n_starts} starts failed to converge at s={s:g}")
 
 
-def is_stable_minimum(spec: ModelSpec, state: ClassicalState, tol: float = 1e-9) -> bool:
+def is_stable_minimum(spec: ModelSpec, state: ClassicalState) -> bool:
     """Check positive semidefiniteness of the reduced Hessian at a state.
 
     In the xz plane the curvature is the 2x2 angle Hessian; the energy has
@@ -233,5 +208,5 @@ def is_stable_minimum(spec: ModelSpec, state: ClassicalState, tol: float = 1e-9)
     t1, t2 = state.t1, state.t2
     h11, h12, h22 = _angle_hessian(_coeffs(spec, state.s), sin(t1), cos(t1), sin(t2), cos(t2),
                                    *state.mu)
-    return bool(_eigh2(h11, h12, h22)[0] >= -tol and min(state.mu) >= -tol)
+    return bool(_eigh2(h11, h12, h22)[0] >= -_STABLE_TOL and min(state.mu) >= -_STABLE_TOL)
 

@@ -30,7 +30,7 @@ from math import isfinite
 import numpy as np
 
 from . import __version__, transitions
-from .ed import dense_ed, extrapolate_gap, gap_sequence, sparse_ed
+from .ed import _DENSE_LIMIT_N, _SPARSE_LIMIT_N, dense_ed, extrapolate_gap, gap_sequence, sparse_ed
 from .errors import (CatalystRangeError, ConfigError, ConvergenceError,
                      DegenerateModeError, InstabilityError, SizeError)
 from .model import Coupling, ModelSpec
@@ -317,10 +317,10 @@ _POSITIVE = [_NUMBER, (lambda v: v > 0, "positive")]
 _NUMBER_OR_NULL = [(lambda v: v is None or _is_number(v), "null or a finite number")]
 _GAMMA = [(lambda v: v == "s" or _is_number(v), "'s' or a finite number")]
 # the ED sizes each coupling's oracle takes, for ed_n and ed_sizes
-_ED_N = {"dense": (lambda n: _is_int(n) and 0 < n <= 2000 and n % 4 == 0,
-                   "a multiple of 4 up to 2000"),
-         "sparse": (lambda n: _is_int(n) and 0 < n <= 14 and n % 2 == 0,
-                    "an even integer up to 14")}
+_ED_N = {"dense": (lambda n: _is_int(n) and 0 < n <= _DENSE_LIMIT_N and n % 4 == 0,
+                   f"a multiple of 4 up to {_DENSE_LIMIT_N}"),
+         "sparse": (lambda n: _is_int(n) and 0 < n <= _SPARSE_LIMIT_N and n % 2 == 0,
+                    f"an even integer up to {_SPARSE_LIMIT_N}")}
 
 # key -> (default, [(test, requirement)]): the first test a value fails
 # is reported as "<key> must be <requirement>, got <value>"
@@ -358,8 +358,8 @@ _KEYS = {
     "ed_sizes": ([100, 200, 400], [(lambda v: (isinstance(v, list)
                                                and all(_ED_N["dense"][0](n) for n in v)
                                                and len(set(v)) >= 2),
-                                    "a non-empty list of positive multiples of 4 up to 2000 "
-                                    "with at least two distinct sizes")]),
+                                    "a non-empty list of positive multiples of 4 up to "
+                                    f"{_DENSE_LIMIT_N} with at least two distinct sizes")]),
     "ed_s_points": ([0.2, 0.8], [(lambda v: isinstance(v, list) and v and all(map(_IN_UNIT[0], v)),
                                   "a list of at least one number in [0, 1]")]),
     "ed_n": (None, []),   # its rule depends on the coupling

@@ -27,7 +27,8 @@ from .model import Coupling, ModelSpec, _coeffs, _require
 
 _MATERIALIZE_LIMIT = 4096  # max dimension EDOperator.to_dense will fill
 _EIGH_LIMIT = 200          # dense eigh below, ARPACK above
-_SPARSE_LIMIT_N = 14
+_DENSE_LIMIT_N = 2000      # largest N of the dense sector oracle
+_SPARSE_LIMIT_N = 14       # largest N of the sparse full-space oracle
 _ARPACK_SEED = 7           # seed of the Gaussian ARPACK start vector
 
 
@@ -70,8 +71,8 @@ def build_dense_sector_operator(spec: ModelSpec, s: float, N: int) -> EDOperator
     N = int(N)
     if N <= 0 or N % 4 != 0:
         raise ValueError("N must be a positive multiple of 4")
-    if N > 2000:
-        raise SizeError(f"N={N} exceeds the N<=2000 budget")
+    if N > _DENSE_LIMIT_N:
+        raise SizeError(f"N={N} exceeds the N<={_DENSE_LIMIT_N} budget")
     c = _coeffs(spec, s)
     d = N // 2 + 1
     S = N / 4.0

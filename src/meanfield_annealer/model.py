@@ -28,6 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ConvergenceError
+
 
 class Coupling(enum.Enum):
     DENSE = "dense"
@@ -123,6 +125,19 @@ def _prefer(new, old):
     if abs(new.energy - old.energy) <= TIE_TOL and new.m2z > old.m2z:
         return new
     return old
+
+
+def _lowest(states, message):
+    """The ``_prefer`` pick among the converged ``states``; with none
+    converged, raises ``ConvergenceError(message)`` whose ``best`` is the
+    last state."""
+    best = last = None
+    for last in states:
+        if last.converged:
+            best = _prefer(last, best)
+    if best is None:
+        raise ConvergenceError(message, best=last)
+    return best
 
 
 def _check_s(s: float) -> float:

@@ -18,19 +18,20 @@ with the rules of ``classical._newton``, on Python floats (the O_k permute
 and sign the entries of psi): per iteration one LAPACK ``dsyevd`` of the
 projected Hessian P(Hess - psi.H psi)P + psi psi^T, P = 1 - psi psi^T, a
 step by |eigenvalue| floored at 1e-8, capped at 0.5 and halved until E
-rises by at most 4 ulps, then renormalized; it stops when the gradient
-reaches 4 ulps or, once below ``tol``, stops falling.  A final ``dsyevd``
-of H(x) gives lambda0, the degeneracy, the energy fields.x / 2 + h_m +
-lambda0 / 2 and the level check: a minimum of E may be an excited level
-of its own H, so psi's projection onto the ground multiplet must have
-norm >= 1 - 1e-8; normalized, it gives e(x) for ``residual`` =
-max|e(x) - x|.  Failing either check is ``converged=False``:
-``PointSolver.warm`` then takes the global solve, and ``global_saddle``
-raises ``ConvergenceError`` when all five inits fail.  A warm solve
-continues from a ``SaddleSolution``'s ``psi``; a ``MagPair`` start is the
-ground state of H at its x.  Zero temperature only; the decoupling fields
-are taken constant in imaginary time, a modeling assumption, not a
-property this module verifies.
+rises by at most 4 ulps, then renormalized, for at most ``_MAX_ITER``
+iterations (``classical``'s constants); it stops when the gradient
+reaches 4 ulps or, once below ``_TOL``, stops falling.  A final
+``dsyevd`` of H(x) gives lambda0, the degeneracy, the energy fields.x / 2
++ h_m + lambda0 / 2 and the level check: a minimum of E may be an
+excited level of its own H, so psi's projection onto the ground
+multiplet must have norm >= 1 - 1e-8; normalized, it gives e(x) for
+``residual`` = max|e(x) - x|, which must be below ``_TOL``.  Failing
+either check is ``converged=False``: ``PointSolver.warm`` then takes the
+global solve, and ``global_saddle`` raises ``ConvergenceError`` when all
+five inits fail.  A warm solve continues from a ``SaddleSolution``'s
+``psi``; a ``MagPair`` start is the ground state of H at its x.  Zero
+temperature only; the decoupling fields are taken constant in imaginary
+time, a modeling assumption, not a property this module verifies.
 """
 from __future__ import annotations
 
@@ -41,10 +42,9 @@ from math import inf, isfinite, sqrt
 
 import numpy as np
 
-from .classical import _EIG_FLOOR, _FOUR_ULPS, _MAX_ITER, _MAX_STEP, start_set
-from .errors import ConvergenceError
+from .classical import _EIG_FLOOR, _FOUR_ULPS, _MAX_ITER, _MAX_STEP, _TOL, start_set
 from .model import (Coupling, MagPair, ModelSpec, _coeffs, _field_map, _indeterminate_flags,
-                    _prefer, _require, _sparse_energy, conjugate_fields, coupling_matrix)
+                    _lowest, _require, _sparse_energy, conjugate_fields, coupling_matrix)
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _I2 = np.eye(2)
@@ -162,7 +162,7 @@ def _pair_energy(c, a, b, cc, d):
             - 0.5 * c.s2 * ((a * a + d * d) - (b * b + cc * cc)))
 
 
-def _newton(c, b, D, psi, max_iter, tol):
+def _newton(c, b, D, psi):
     """Damped Newton for a minimum of E on the unit sphere from the unit
     4-tuple psi, by ``classical._newton``'s rules; returns where it ended."""
     hxx, hzz = -2.0 * c.c12, -c.s2
@@ -170,7 +170,7 @@ def _newton(c, b, D, psi, max_iter, tol):
     dx1, dz, dx2, _ = D   # D = (4 c11, s, 4 c22, s)
     pa, pb, pc, pd = psi
     energy, prev = _pair_energy(c, pa, pb, pc, pd), inf
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         x1, z1, x2, z2 = _expectations(pa, pb, pc, pd)
         f1x, f1z, f2x, f2z = b1x + dx1 * x1, b1z + dz * z1, b2x + dx2 * x2, b2z + dz * z2
         p, q = f1z + f2z, f1z - f2z
@@ -182,8 +182,8 @@ def _newton(c, b, D, psi, max_iter, tol):
         lam = pa * g0 + pb * g1 + pc * g2 + pd * g3
         r0, r1, r2, r3 = g0 - lam * pa, g1 - lam * pb, g2 - lam * pc, g3 - lam * pd
         size = max(abs(r0), abs(r1), abs(r2), abs(r3))
-        # at 4 ulps, or no longer falling once below tol: the rounding floor
-        if size <= _FOUR_ULPS or size >= prev < tol:
+        # at 4 ulps, or no longer falling once below _TOL: the rounding floor
+        if size <= _FOUR_ULPS or size >= prev < _TOL:
             break
         prev = size
         # P A P + psi psi^T = A - psi t^T - t psi^T for A = H - lambda - 2 sum_k
@@ -236,16 +236,11 @@ def _newton(c, b, D, psi, max_iter, tol):
     return pa, pb, pc, pd
 
 
-def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
-                 max_iter: int = _MAX_ITER, tol: float = 1e-10) -> SaddleSolution:
+def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution) -> SaddleSolution:
     """Self-consistent solution reached from ``init`` by Newton on E (module
     docstring): converged when psi is on the ground level of its own H and
-    max|e(x) - x| < ``tol``.  ``tol`` must be positive, ``max_iter`` >= 1.
+    max|e(x) - x| < ``classical._TOL``.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     _require(spec, Coupling.SPARSE)
     c = _coeffs(spec, s)
     b, D = _field_map(c)
@@ -260,7 +255,7 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
     # a MagPair start is the ground state of H at its x: a product state can be an
     # excited eigenstate of its own H, a stationary point Newton cannot leave
     psi = init.psi if warm else tuple(_eigh(_hamiltonian(c, fields_at(*init.x)))[1][0])
-    psi = pa, pb, pc, pd = _newton(c, b, D, psi, max_iter, tol)
+    psi = pa, pb, pc, pd = _newton(c, b, D, psi)
     x1, z1, x2, z2 = _expectations(pa, pb, pc, pd)
     fields = f1x, f1z, f2x, f2z = fields_at(x1, z1, x2, z2)
     w, cols = _eigh(_hamiltonian(c, fields))
@@ -280,24 +275,18 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution,
     u = (0.5 * ((f1x * x1 + f1z * z1) + (f2x * x2 + f2z * z2))
          + _sparse_energy(c, x1, z1, x2, z2) + 0.5 * lam0)
     return SaddleSolution(s=float(s), psi=psi, fields=fields, lambda0=lam0, degeneracy=g,
-                          energy=u, converged=weight >= 1.0 - _LEVEL_TOL and residual < tol,
+                          energy=u, converged=weight >= 1.0 - _LEVEL_TOL and residual < _TOL,
                           residual=residual, indeterminate=_indeterminate_flags(spec, s))
 
 
 _SADDLE_INITS = start_set(5)   # the z-axis sign pairs and the aligned x point
 
 
-def global_saddle(spec: ModelSpec, s: float, tol: float = 1e-10) -> SaddleSolution:
+def global_saddle(spec: ModelSpec, s: float) -> SaddleSolution:
     """Best converged solution over the standard init set, compared by energy.
 
-    Ties within 1e-12 go to the larger weak-cluster magnetization.  With no
-    init converged it raises ``ConvergenceError``, ``best`` the last solution.
+    Ties within 1e-12 go to the larger weak-cluster magnetization; with no
+    init converged, ``model._lowest`` raises with the last solution.
     """
-    best = last = None
-    for init in _SADDLE_INITS:
-        last = solve_saddle(spec, s, init, tol=tol)
-        if last.converged:
-            best = _prefer(last, best)
-    if best is None:
-        raise ConvergenceError(f"no saddle init converged at s={s:g}", best=last)
-    return best
+    return _lowest((solve_saddle(spec, s, init) for init in _SADDLE_INITS),
+                   f"no saddle init converged at s={s:g}")

@@ -24,7 +24,7 @@ from .transitions import BranchAnalysis, analyze
 
 IMAG_TOL = 1e-8
 _STATIONARY_TOL = 1e-8
-_TOL_S = 1e-5   # default s tolerance of the Brent refinement in min_gap
+_TOL_S = 1e-5   # s tolerance of the Brent refinement in min_gap
 
 
 @dataclass(frozen=True)
@@ -131,15 +131,9 @@ def gaps_at(spec: ModelSpec, s: float, n_starts: int = 8, seed: int = 0) -> GapS
     return excitation_gaps(fluctuation_matrix(spec, state))
 
 
-def _gap_point(spec: ModelSpec, s: float, state: ClassicalState) -> GapPoint:
-    d1, d2, flag = gap_or_flag(spec, state)
-    if not flag and any(state.indeterminate):
-        flag = "indeterminate"
-    return GapPoint(float(s), d1, d2, flag)
-
-
 def _profile(spec: ModelSpec, analysis: BranchAnalysis) -> list[GapPoint]:
-    return [_gap_point(spec, s, state) for s, state in zip(analysis.s_grid, analysis.equilibrium)]
+    return [GapPoint(float(s), *gap_or_flag(spec, state))
+            for s, state in zip(analysis.s_grid, analysis.equilibrium)]
 
 
 def gap_profile(spec: ModelSpec, s_grid, n_starts: int = 8, seed: int = 0) -> list[GapPoint]:
@@ -209,8 +203,7 @@ def _minimize_scalar(f, lo, hi, tol):
     return x, fx
 
 
-def _min_gap_on(spec: ModelSpec, analysis: BranchAnalysis,
-                tol_s: float) -> tuple[float, float, ClassicalState]:
+def _min_gap_on(spec: ModelSpec, analysis: BranchAnalysis) -> tuple[float, float, ClassicalState]:
     """``min_gap`` on the states of one ``analyze`` pass over its grid.
 
     The grid profile reads ``analysis.equilibrium``.  Each Brent probe at
@@ -243,14 +236,14 @@ def _min_gap_on(spec: ModelSpec, analysis: BranchAnalysis,
         probes[s] = _prefer(from_hi, from_lo)
         return excitation_gaps(fluctuation_matrix(spec, probes[s])).delta1
 
-    s_best, d_best = _minimize_scalar(objective, s_grid[i_lo], s_grid[i_hi], tol_s)
+    s_best, d_best = _minimize_scalar(objective, s_grid[i_lo], s_grid[i_hi], _TOL_S)
     if grid_best.delta1 < d_best:
         return float(grid_best.s), float(grid_best.delta1), eq[i_min]
     return float(s_best), float(d_best), probes[float(s_best)]
 
 
-def min_gap(spec: ModelSpec, s_grid, n_starts: int = 8, seed: int = 0,
-            tol_s: float = _TOL_S) -> tuple[float, float, ClassicalState]:
+def min_gap(spec: ModelSpec, s_grid, n_starts: int = 8,
+            seed: int = 0) -> tuple[float, float, ClassicalState]:
     """Minimum (s, delta1, state) of the lower gap branch over the grid, Brent-refined.
 
     One ``transitions.analyze`` pass over the grid gives every state: the
@@ -262,7 +255,7 @@ def min_gap(spec: ModelSpec, s_grid, n_starts: int = 8, seed: int = 0,
     warning is emitted and the value returned anyway.
     """
     _require(spec, Coupling.DENSE)
-    return _min_gap_on(spec, analyze(spec, s_grid, n_starts=n_starts, seed=seed), tol_s)
+    return _min_gap_on(spec, analyze(spec, s_grid, n_starts=n_starts, seed=seed))
 
 
 def optimize_catalyst(spec_family, xi_range, tol_xi: float = 0.05,
@@ -286,7 +279,7 @@ def optimize_catalyst(spec_family, xi_range, tol_xi: float = 0.05,
                 f"first-order transition inside the optimization range at xi={xi:g}",
                 xi=xi,
             )
-        return -_min_gap_on(spec, analysis, _TOL_S)[1]
+        return -_min_gap_on(spec, analysis)[1]
 
     xi_star, neg = _minimize_scalar(neg_min_gap, min(xi_range), max(xi_range), tol_xi)
     return float(xi_star), float(-neg)

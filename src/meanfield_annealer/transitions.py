@@ -34,6 +34,7 @@ from .model import Coupling, ModelSpec, _coeffs_slope, _energy, _prefer
 from .saddle import _pair_energy, global_saddle, solve_saddle
 
 COEXIST_TOL = 0.05
+_TOL_S = 1e-6   # width of the final bracket of the crossing search
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def _equilibrium(fstates, bstates):
     return eq, tags
 
 
-def _locate_crossing(solver, s_lo, s_hi, state_b, state_a, tol_s=1e-6):
+def _locate_crossing(solver, s_lo, s_hi, state_b, state_a):
     """Locate the equilibrium switch from the low-s to the high-s branch.
 
     state_b anchors the low-s branch at s_lo, state_a the high-s branch at
@@ -162,18 +163,18 @@ def _locate_crossing(solver, s_lo, s_hi, state_b, state_a, tol_s=1e-6):
     when the Newton step is more than half the step before last.  The test
     is on steps, as in rtsafe and zeroin, not on the bracket: Newton
     converging onto one end leaves the other end standing.  A probe keeps
-    tol_s/2 from both ends.  Once the estimate stops moving (it lies within
-    tol_s/2 of the last probe), one probe goes tol_s/2 into the bracket
+    _TOL_S/2 from both ends.  Once the estimate stops moving (it lies within
+    _TOL_S/2 of the last probe), one probe goes _TOL_S/2 into the bracket
     from there, just across the root, as zeroin's tolerance step does; that
     step is not taken twice in a row.  Returns the midpoint of the final
-    bracket, at most tol_s wide, and the final low-s and high-s anchors.
+    bracket, at most _TOL_S wide, and the final low-s and high-s anchors.
     """
     lo, hi = s_lo, s_hi
     anchor_b, anchor_a = state_b, state_a
-    half = 0.5 * tol_s
+    half = 0.5 * _TOL_S
     steps = (inf, inf)   # the steps to the last two probes
     last, merged, across = inf, False, False
-    while hi - lo > tol_s:
+    while hi - lo > _TOL_S:
         sm, step_across = 0.5 * (lo + hi), False
         slope_b, slope_a = solver.slope(anchor_b), solver.slope(anchor_a)
         if not merged and slope_b != slope_a:

@@ -170,14 +170,25 @@ def test_is_stable_minimum_rejects_saddle(dense_spec):
     assert is_stable_minimum(dense_spec, minimize(dense_spec, 1.0, MagPair(UP, UP)))
 
 
-def test_minimize_nonconvergence_carries_best(dense_spec):
+def test_minimize_nonconvergence_carries_best(monkeypatch, dense_spec):
     # an unreachable tolerance must surface as a ConvergenceError with the
     # best iterate attached
+    monkeypatch.setattr(classical, "_TOL", 1e-300)
     with pytest.raises(ConvergenceError) as err:
-        minimize(dense_spec, 0.5, MagPair([0.3, 0.5, 0.8], [-0.4, 0.2, 0.9]),
-                 tol=1e-300)
+        minimize(dense_spec, 0.5, MagPair([0.3, 0.5, 0.8], [-0.4, 0.2, 0.9]))
     assert err.value.best is not None
     assert err.value.best.m.is_unit(1e-9)
+
+
+def test_global_minimize_raises_with_the_last_unconverged_start(monkeypatch, dense_spec):
+    # with no Newton iteration every start stays where it began, off the
+    # stationary set at s = 0.5: the error carries the last start's state
+    monkeypatch.setattr(classical, "_MAX_ITER", 0)
+    with pytest.raises(ConvergenceError, match="all 8 starts failed to converge") as err:
+        global_minimize(dense_spec, 0.5)
+    best = err.value.best
+    assert (best.t1, best.t2) == classical._start_angles(8, 0)[-1]
+    assert best.s == 0.5 and not best.converged
 
 
 def test_global_minimize_picks_lowest(dense_spec):

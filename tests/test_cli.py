@@ -198,6 +198,21 @@ def test_main_exit_codes(tmp_path, capsys):
     assert not (tmp_path / "w.csv").exists()
 
 
+def test_config_shape_and_range_order_errors(tmp_path, capsys):
+    # a JSON list is not a config, and a range whose min exceeds its max
+    # breaks a rule across keys: each exits 2 before anything is written
+    bad = tmp_path / "bad.json"
+    for raw, message in (([{"output": "bad.csv"}], "config must be a flat JSON object"),
+                         ({"output": "bad.csv", "s_min": 0.8, "s_max": 0.2},
+                          "s_min must be at most s_max, got 0.8"),
+                         ({"output": "bad.csv", "axis2": "xi", "axis2_min": 1.0,
+                           "axis2_max": -1.0}, "axis2_min must be at most axis2_max, got 1.0")):
+        bad.write_text(json.dumps(raw))
+        assert main(["scan", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
 def test_worker_pool_sized_by_columns(tmp_path, monkeypatch):
     # a fake pool records the size asked for and maps serially, so no
     # process is started whatever --workers says

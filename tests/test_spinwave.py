@@ -182,11 +182,12 @@ def test_gap_profile_continuity_and_jump():
 
 
 def test_gap_profile_flags_degenerate_point():
-    # nothing acts on the weak cluster at s=0 when its schedule is pinned
-    # high; the zero mode must surface as a marker, not a crash or a drop
-    prof = gap_profile(ModelSpec.dense(gamma2=1.0), [0.0, 0.1])
-    assert prof[0].delta1 is None and prof[0].flag == "degenerate"
-    assert prof[1].delta1 is not None and prof[1].flag == ""
+    # nothing acts on a cluster at s=0 when its schedule is pinned high;
+    # the zero mode must surface as a marker, not a crash or a drop
+    for pinned in ("gamma1", "gamma2"):
+        prof = gap_profile(ModelSpec.dense(**{pinned: 1.0}), [0.0, 0.1])
+        assert prof[0].delta1 is None and prof[0].flag == "degenerate"
+        assert prof[1].delta1 is not None and prof[1].flag == ""
 
 
 def test_gap_profile_reads_the_checked_grid():
@@ -224,6 +225,13 @@ def test_min_gap_single_point():
     s, d, state = min_gap(spec, [0.5])
     assert s == 0.5 and state.s == 0.5
     assert d == pytest.approx(gaps_at(spec, 0.5).delta1)
+
+
+def test_min_gap_raises_with_no_gap_on_the_grid():
+    # the one grid point is s = 0 with the strong cluster pinned at gamma = 1:
+    # flagged degenerate, so there is no gap to minimize
+    with pytest.raises(InstabilityError, match="gap undefined on the whole grid"):
+        min_gap(ModelSpec.dense(gamma1=1.0), [0.0])
 
 
 def test_golden_section_on_quadratic():
@@ -347,8 +355,6 @@ def test_golden_section_rejects_nonpositive_tol():
     for tol in (0.0, -1e-3, float("nan")):
         with pytest.raises(ValueError, match="tol must be positive"):
             _minimize_scalar(lambda t: t * t, -1.0, 1.0, tol)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        min_gap(ModelSpec.dense(xi=(0.0, 0.0, -4.0)), [0.4, 0.5, 0.6], tol_s=0.0)
 
     def family(xi):
         raise AssertionError("tol is checked before any xi is evaluated")
