@@ -279,7 +279,7 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution) -> S
                           residual=residual, indeterminate=_indeterminate_flags(spec, s))
 
 
-_SADDLE_INITS = start_set(5)   # the z-axis sign pairs and the aligned x point
+_SADDLE_INITS = start_set(7)   # the z-axis sign pairs, the aligned and antiparallel x points
 
 
 def global_saddle(spec: ModelSpec, s: float) -> SaddleSolution:

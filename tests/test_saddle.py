@@ -273,6 +273,15 @@ def test_global_saddle_finds_the_sweep_equilibrium(k):
     assert abs(global_saddle(spec, grid[k]).energy - eq.energy) <= 1e-9
 
 
+def test_global_saddle_finds_the_antiparallel_minimum():
+    # off the figure grids: the lowest minimum has antiparallel x components,
+    # and the z-axis and aligned starts all reach the aligned one, 0.077 higher
+    sol = global_saddle(ModelSpec.sparse(xi=(5.27, 9.48, -5.57)), 0.413)
+    assert abs(sol.energy + 1.2793095878715146) <= 1e-9
+    m1x, _, m2x, _ = sol.x
+    assert m1x < -0.9 and m2x > 0.99
+
+
 def test_saddle_matches_ed_in_strong_pairwise_regime():
     # the large negative pairwise coupling regime, where the weak cluster
     # turns over smoothly; checked away from the steep part of the crossover
@@ -626,12 +635,12 @@ def test_excited_level_minimum_is_not_converged():
 
 
 def test_sparse_column_takes_the_unfused_loops_steps(monkeypatch):
-    # every eigensolve of one sparse transition column, all 4x4: over its 58
-    # solves, H at the start of the 10 global inits, 198 projected Hessians
+    # every eigensolve of one sparse transition column, all 4x4: over its 62
+    # solves, H at the start of the 14 global inits, 200 projected Hessians
     # of Newton steps and H at the end of each solve
     eighs = count_calls(monkeypatch, "_eigh", saddle)
     solves = count_calls(monkeypatch, "solve_saddle", saddle, transitions)
     analyze(ModelSpec.sparse(xi=(0.0, 0.0, -4.0)), np.linspace(0.0, 1.0, 21))
-    assert len(solves) == 58
-    assert sum(isinstance(init, MagPair) for _, _, init in solves) == 10
-    assert Counter(a.shape for a, in eighs) == {(4, 4): 10 + 198 + 58}
+    assert len(solves) == 62
+    assert sum(isinstance(init, MagPair) for _, _, init in solves) == 14
+    assert Counter(a.shape for a, in eighs) == {(4, 4): 14 + 200 + 62}
