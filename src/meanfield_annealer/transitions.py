@@ -11,14 +11,16 @@ sparse, each with the slope dE/ds of a state's branch.  Both solvers'
 states carry ``energy``, ``m2z`` (all the detector reads) and the in-plane
 floats ``x`` = (m1x, m1z, m2x, m2z) a CSV row reads.
 ``analyze``, ``sweep`` and ``detect_transition`` take either spec.
-A forward and a backward continuation sweep give two branches; the lower
-of the two at each grid point is the equilibrium.  The grid interval with
-the largest equilibrium weak-cluster magnetization jump, not counting
-intervals that touch an ``indeterminate`` weak cluster, is the only
-candidate: safeguarded Newton on the branch-energy difference inside it,
-from its two end states, locates the branch-energy crossing (or the edge
-where one branch dies), and a transition is declared when the m2z jump
-across that point stays large.
+A forward and a backward continuation sweep give two branches; the
+backward sweep solves only where it can leave the forward branch and takes
+the forward states elsewhere.  The lower of the two at each grid point is
+the equilibrium.  The grid interval with the largest equilibrium
+weak-cluster magnetization jump, not counting intervals that touch an
+``indeterminate`` weak cluster, is the only candidate: safeguarded Newton
+on the branch-energy difference inside it, from its two end states,
+locates the branch-energy crossing (or the edge where one branch dies),
+and a transition is declared when the m2z jump across that point stays
+large.
 """
 from __future__ import annotations
 
@@ -90,7 +92,14 @@ def check_grid(s_grid=None) -> np.ndarray:
     return np.unique(grid)
 
 
-def branch_sweep(solver: PointSolver, s_grid: np.ndarray, forward: bool = True) -> list:
+def _same_state(a, b) -> bool:
+    """Two states on one branch: all four x within 1e-8, neither indeterminate."""
+    return (not any(a.indeterminate) and not any(b.indeterminate)
+            and max(abs(p - q) for p, q in zip(a.x, b.x)) <= 1e-8)
+
+
+def branch_sweep(solver: PointSolver, s_grid: np.ndarray, forward: bool = True,
+                 along=None) -> list:
     """Warm-started continuation along the grid, in traversal order.
 
     The first point is a global solve; every later one continues from its
@@ -99,14 +108,32 @@ def branch_sweep(solver: PointSolver, s_grid: np.ndarray, forward: bool = True) 
     state (a cluster with no field at s = 0) takes the global solve too:
     that state is a tie-pick, and a pinned gamma = 1 leaves no transverse
     field to carry a warm solve off the pole it picked.
+
+    ``along``, the forward sweep's states, makes a backward sweep solve
+    only where it can leave that branch.  A global start on the forward
+    state (``_same_state``) takes the forward states down to the forward
+    sweep's last m2z step above COEXIST_TOL and continues from there; the
+    first state on the forward one with no such step below ends the sweep
+    on the forward states.
     """
-    indices = range(len(s_grid)) if forward else range(len(s_grid) - 1, -1, -1)
+    if along is not None and forward:
+        raise ValueError("along is the forward sweep: it steers a backward sweep only")
+    top = len(s_grid) - 1
+    steps = [] if along is None else [
+        k for k in range(top) if abs(along[k + 1].m2z - along[k].m2z) > COEXIST_TOL]
+    i, di = (0, 1) if forward else (top, -1)
     states = []
     prev = None
-    for i in indices:
+    while 0 <= i <= top:
         prev = solver.warm(float(s_grid[i]),
                            None if prev is None or any(prev.indeterminate) else prev)
         states.append(prev)
+        if along is not None:
+            low = max((k + 1 for k in steps if k < i), default=0)   # bottom of i's run
+            if (i == top or low == 0) and _same_state(prev, along[i]):
+                states += along[low:i][::-1]
+                prev, i = along[low], low
+        i += di
     return states
 
 
@@ -220,7 +247,8 @@ def _window_width(s_grid, coexist, i) -> float:
 def analyze(spec: ModelSpec, s_grid=None, jump_threshold: float = 0.5,
             n_starts: int = 8, seed: int = 0) -> BranchAnalysis:
     """Sweep either model both ways along ``check_grid(s_grid)``, then
-    judge the largest equilibrium m2z jump.
+    judge the largest equilibrium m2z jump; the backward sweep solves only
+    where it can leave the forward branch.
 
     The solver is ``point_solver(spec, n_starts, seed)``, carried on the
     result.  ``_locate_crossing`` searches the grid interval (i, i+1) with
@@ -238,7 +266,7 @@ def analyze(spec: ModelSpec, s_grid=None, jump_threshold: float = 0.5,
     s_grid = check_grid(s_grid)
     solver = point_solver(spec, n_starts, seed)
     fstates = branch_sweep(solver, s_grid, forward=True)
-    bstates = branch_sweep(solver, s_grid, forward=False)[::-1]
+    bstates = branch_sweep(solver, s_grid, forward=False, along=fstates)[::-1]
     eq, tags = _equilibrium(fstates, bstates)
 
     def result(jump, width=0.0, s_star=float("nan")):

@@ -635,12 +635,12 @@ def test_excited_level_minimum_is_not_converged():
 
 
 def test_sparse_column_takes_the_unfused_loops_steps(monkeypatch):
-    # every eigensolve of one sparse transition column, all 4x4: over its 62
-    # solves, H at the start of the 14 global inits, 200 projected Hessians
+    # every eigensolve of one sparse transition column, all 4x4: over its 60
+    # solves, H at the start of the 14 global inits, 194 projected Hessians
     # of Newton steps and H at the end of each solve
     eighs = count_calls(monkeypatch, "_eigh", saddle)
     solves = count_calls(monkeypatch, "solve_saddle", saddle, transitions)
     analyze(ModelSpec.sparse(xi=(0.0, 0.0, -4.0)), np.linspace(0.0, 1.0, 21))
-    assert len(solves) == 62
+    assert len(solves) == 60
     assert sum(isinstance(init, MagPair) for _, _, init in solves) == 14
-    assert Counter(a.shape for a, in eighs) == {(4, 4): 14 + 200 + 62}
+    assert Counter(a.shape for a, in eighs) == {(4, 4): 14 + 194 + 60}

@@ -14,10 +14,11 @@ from meanfield_annealer import (ClassicalState, ConvergenceError, MagPair, Model
                                 global_minimize, global_saddle, minimize,
                                 solve_saddle, sparse_ed, sparse_mean_field_density,
                                 sparse_mean_field_gradient, sweep)
-from meanfield_annealer import cli, transitions
+from meanfield_annealer import cli, saddle, transitions
 from meanfield_annealer.classical import is_stable_minimum
 from meanfield_annealer.model import TIE_TOL, _prefer
 from meanfield_annealer.transitions import PointSolver, analyze, point_solver
+from conftest import count_calls
 
 UP = MagPair([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
 
@@ -172,6 +173,87 @@ def test_pinned_weak_cluster_column_reads_as_its_neighbour(make):
     assert abs(pinned.report.s_star - near.s_star) <= 1e-4
     assert abs(pinned.report.s_star - 0.719942) <= 1e-6
     assert pinned.report.hysteresis_width == pytest.approx(0.975, abs=1e-12)
+
+
+class _Scripted(NamedTuple):
+    s: float
+    m2z: float
+    indeterminate: tuple = (False, False)
+
+    @property
+    def x(self):
+        return (0.0, 1.0, 0.0, self.m2z)
+
+
+def _backward_along(forward_m2z, backward_m2z):
+    """A backward sweep along scripted forward states, whose global and warm
+    solves both return the backward script's state at their grid point:
+    the sweep's m2z per grid point, and the points it solved, in order."""
+    grid = np.linspace(0.0, 1.0, len(forward_m2z))
+    solved = []
+
+    def solve(s, prev=None):
+        solved.append(int(np.flatnonzero(grid == s)[0]))
+        return _Scripted(s, backward_m2z[solved[-1]])
+
+    along = [_Scripted(s, m) for s, m in zip(grid, forward_m2z)]
+    states = transitions.branch_sweep(PointSolver(solve, solve, None), grid,
+                                      forward=False, along=along)
+    return [st.m2z for st in states[::-1]], solved
+
+
+def test_backward_sweep_solves_below_the_upper_window():
+    # two forward m2z jumps, at (2, 3) and (6, 7): the global start matches,
+    # so the top run 7..10 is the forward one; at 4 and 3 the backward state
+    # matches too, but the lower window is still ahead, so it solves on
+    # until it rejoins below that window, at 1
+    nan = float("nan")
+    forward = [-1, -1, -1, 1, 1, 1, 1, -1, -1, -1, -1]
+    backward = [nan, -1, 1, 1, 1, -1, -1, nan, nan, nan, -1]
+    m2z, solved = _backward_along(forward, backward)
+    assert solved == [10, 6, 5, 4, 3, 2, 1]
+    assert m2z == [-1, -1, 1, 1, 1, -1, -1, -1, -1, -1, -1]
+
+
+def test_backward_sweep_from_a_metastable_forward_end_copies_no_top_run():
+    # the forward sweep ends on the +1 branch, the global start at s = 1 is
+    # on the -1 one: the backward sweep solves down to where it meets the
+    # forward states with no forward jump below
+    forward = [-1] * 5 + [1] * 6
+    m2z, solved = _backward_along(forward, [-1] * 11)
+    assert solved == [10, 9, 8, 7, 6, 5, 4]
+    assert m2z == [-1] * 11
+
+
+def test_backward_sweep_of_a_crossover_solves_only_its_global_start():
+    # forward m2z steps of 0.045, none above COEXIST_TOL
+    forward = list(np.linspace(-0.9, 0.9, 41))
+    m2z, solved = _backward_along(forward, forward)
+    assert solved == [40] and m2z == forward
+    # without the forward states, and in the public sweep, every point is solved
+    grid = np.linspace(0.0, 1.0, 41)
+    solver = PointSolver(lambda s: _Scripted(s, 0.0), lambda s, prev: _Scripted(s, 0.0), None)
+    assert len(transitions.branch_sweep(solver, grid, forward=False)) == 41
+    with pytest.raises(ValueError, match="backward sweep only"):
+        transitions.branch_sweep(solver, grid, forward=True, along=[])
+
+
+# warm solves per column of the benchmark's dense-scan (minimize, 101
+# points) and sparse-scan (solve_saddle, 21 points) columns; with a full
+# backward sweep they were 208/200/208 and 58/58/58/50/50
+SWEEP_COUNTS = [(ModelSpec.dense(xi=(0.0, 0.0, xi)), 101, "minimize", (transitions,), n)
+                for xi, n in ((0.0, 155), (-4.0, 106), (-10.0, 137))]
+SWEEP_COUNTS += [(ModelSpec.sparse(xi=(0.0, 0.0, xi)), 21, "solve_saddle", (saddle, transitions), n)
+                 for xi, n in ((0.0, 54), (4.0, 51), (-4.0, 60), (8.0, 38), (-7.0, 42))]
+
+
+@pytest.mark.parametrize("spec, n, name, modules, count", SWEEP_COUNTS,
+                         ids=[f"{spec.coupling.value}-xi{spec.xi12:g}" for spec, *_ in SWEEP_COUNTS])
+def test_column_solve_counts(monkeypatch, spec, n, name, modules, count):
+    # the sparse counts include the 7 starts of each of the two global solves
+    calls = count_calls(monkeypatch, name, *modules)
+    analyze(spec, np.linspace(0.0, 1.0, n))
+    assert len(calls) == count
 
 
 SLOPE_SPECS = [ModelSpec.dense(xi=(-2.0, 1.0, -4.0)),
