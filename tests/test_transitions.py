@@ -230,7 +230,7 @@ def test_backward_sweep_of_a_crossover_solves_only_its_global_start():
     forward = list(np.linspace(-0.9, 0.9, 41))
     m2z, solved = _backward_along(forward, forward)
     assert solved == [40] and m2z == forward
-    # without the forward states, and in the public sweep, every point is solved
+    # without the forward states, every point is solved
     grid = np.linspace(0.0, 1.0, 41)
     solver = PointSolver(lambda s: _Scripted(s, 0.0), lambda s, prev: _Scripted(s, 0.0), None)
     assert len(transitions.branch_sweep(solver, grid, forward=False)) == 41
@@ -240,7 +240,8 @@ def test_backward_sweep_of_a_crossover_solves_only_its_global_start():
 
 # warm solves per column of the benchmark's dense-scan (minimize, 101
 # points) and sparse-scan (solve_saddle, 21 points) columns; with a full
-# backward sweep they were 208/200/208 and 58/58/58/50/50
+# backward sweep (and five starts per global saddle solve) they were
+# 208/200/208 and 58/58/58/50/50
 SWEEP_COUNTS = [(ModelSpec.dense(xi=(0.0, 0.0, xi)), 101, "minimize", (transitions,), n)
                 for xi, n in ((0.0, 155), (-4.0, 106), (-10.0, 137))]
 SWEEP_COUNTS += [(ModelSpec.sparse(xi=(0.0, 0.0, xi)), 21, "solve_saddle", (saddle, transitions), n)
