@@ -119,7 +119,7 @@ def branch_sweep(solver: PointSolver, s_grid: np.ndarray, forward: bool = True,
     if along is not None and forward:
         raise ValueError("along is the forward sweep: it steers a backward sweep only")
     top = len(s_grid) - 1
-    steps = [] if along is None else [
+    jumps = [] if along is None else [   # forward m2z jumps over (k, k + 1)
         k for k in range(top) if abs(along[k + 1].m2z - along[k].m2z) > COEXIST_TOL]
     i, di = (0, 1) if forward else (top, -1)
     states = []
@@ -129,7 +129,7 @@ def branch_sweep(solver: PointSolver, s_grid: np.ndarray, forward: bool = True,
                            None if prev is None or any(prev.indeterminate) else prev)
         states.append(prev)
         if along is not None:
-            low = max((k + 1 for k in steps if k < i), default=0)   # bottom of i's run
+            low = max((k + 1 for k in jumps if k < i), default=0)   # bottom of i's run
             if (i == top or low == 0) and _same_state(prev, along[i]):
                 states += along[low:i][::-1]
                 prev, i = along[low], low
