@@ -75,9 +75,9 @@ def _newton(k, t1, t2, indeterminate) -> ClassicalState:
     capped at 0.5 rad and halved until the energy rises by at most 4 ulps.
     """
     k = tuple(k)   # the kernel's unpack of an exact tuple skips the generic iterator path
+    x1, z1, x2, z2 = sin(t1), cos(t1), sin(t2), cos(t2)
+    energy = _energy(k, x1, z1, x2, z2)
     for _ in range(_MAX_ITER):
-        x1, z1, x2, z2 = sin(t1), cos(t1), sin(t2), cos(t2)
-        energy = _energy(k, x1, z1, x2, z2)
         g1x, g1z, g2x, g2z = _grad(k, x1, z1, x2, z2)
         d1 = g1x * z1 - g1z * x1    # dE/dth_a = g_a . t_a
         d2 = g2x * z2 - g2z * x2
@@ -96,21 +96,22 @@ def _newton(k, t1, t2, indeterminate) -> ClassicalState:
             step2 *= _MAX_STEP / n
         # a few ulps of slack: near convergence the decrease is below rounding
         bound = energy + _FOUR_ULPS * max(1.0, abs(energy))
-        for _ in range(60):
+        for _ in range(60):   # the last trial is taken either way, its floats carried
             u1, u2 = t1 + step1, t2 + step2
-            if _energy(k, sin(u1), cos(u1), sin(u2), cos(u2)) <= bound:
+            x1, z1, x2, z2 = sin(u1), cos(u1), sin(u2), cos(u2)
+            energy = _energy(k, x1, z1, x2, z2)
+            if energy <= bound:
                 break
             step1 *= 0.5
             step2 *= 0.5
         t1, t2 = u1, u2
-    x1, z1, x2, z2 = sin(t1), cos(t1), sin(t2), cos(t2)
-    g1x, g1z, g2x, g2z = _grad(k, x1, z1, x2, z2)
+    else:   # out of iterations: the gradient read last is the previous point's
+        g1x, g1z, g2x, g2z = _grad(k, x1, z1, x2, z2)
     # mu_a = -g_a . m_a; the residual is the part of g_a off m_a
     mu1 = -(g1x * x1 + g1z * z1)
     mu2 = -(g2x * x2 + g2z * z2)
     res = max(hypot(g1x + mu1 * x1, g1z + mu1 * z1), hypot(g2x + mu2 * x2, g2z + mu2 * z2))
-    return ClassicalState(k[0], t1, t2, _energy(k, x1, z1, x2, z2), (mu1, mu2), res,
-                          indeterminate)
+    return ClassicalState(k[0], t1, t2, energy, (mu1, mu2), res, indeterminate)
 
 
 def _unit(th):

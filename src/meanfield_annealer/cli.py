@@ -123,19 +123,16 @@ class Row:
     branch: str = ""
     flags: str = ""
 
-    def fields(self):
-        return [_fmt(getattr(self, name)) for name in CSV_HEADER]
-
 
 CSV_HEADER = [f.name for f in dataclasses.fields(Row)]
 
 
 def write_csv(path, rows):
+    # a Row's __init__ sets its fields in declaration order, so vars() lists them as CSV_HEADER
+    lines = [",".join(CSV_HEADER), *(",".join(map(_fmt, vars(row).values())) for row in rows), ""]
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\r\n")
-        for row in rows:
-            fh.write(",".join(row.fields()) + "\r\n")
+        fh.write("\r\n".join(lines))
     os.replace(tmp, path)
 
 

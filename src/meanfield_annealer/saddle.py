@@ -28,7 +28,7 @@ multiplet must have norm >= 1 - 1e-8; normalized, it gives e(x) for
 ``residual`` = max|e(x) - x|, which must be below ``_TOL``.  Failing
 either check is ``converged=False``: ``PointSolver.warm`` then takes the
 global solve, and ``global_saddle`` raises ``ConvergenceError`` when all
-five inits fail.  A warm solve continues from a ``SaddleSolution``'s
+seven inits fail.  A warm solve continues from a ``SaddleSolution``'s
 ``psi``; a ``MagPair`` start is the ground state of H at its x.  Zero
 temperature only; the decoupling fields are taken constant in imaginary
 time, a modeling assumption, not a property this module verifies.

@@ -29,9 +29,24 @@ _TOL_S = 1e-5   # s tolerance of the Brent refinement in min_gap
 
 @dataclass(frozen=True)
 class GapSpectrum:
+    """The two gap branches; ``eigvecs`` is derived on access from the
+    Colpa floats (l11, l21, l22, p11, p12, p22, lo, hi, x1, x2) of
+    ``excitation_gaps``."""
+
     delta1: float
     delta2: float
-    eigvecs: np.ndarray  # rows are the two normalized quasi-particle vectors
+    colpa: tuple[float, ...]
+
+    @property
+    def eigvecs(self) -> np.ndarray:
+        """Rows are the two normalized quasi-particle vectors (u, v)."""
+        l11, l21, l22, p11, p12, p22, lo, hi, x1, x2 = self.colpa
+        rows = []
+        for e, y1, y2 in ((sqrt(lo), x1, x2), (sqrt(hi), -x2, x1)):
+            q1, q2 = l11 * y1 / sqrt(e), (l21 * y1 + l22 * y2) / sqrt(e)   # q = L y / sqrt(eps)
+            p1, p2 = (p11 * q1 + p12 * q2) / e, (p12 * q1 + p22 * q2) / e   # p = P q / eps
+            rows.append(((p1 + q1) / 2, (p2 + q2) / 2, (p1 - q1) / 2, (p2 - q2) / 2))
+        return np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -64,7 +79,8 @@ def fluctuation_matrix(spec: ModelSpec, state: ClassicalState) -> np.ndarray:
     # A = (A+B + A-B)/2 and B = (A+B - A-B)/2 with A+B = (h11, h12, h22), A-B = diag(mu)
     a1, a2, b1, b2 = (h11 + mu1) / 2, (h22 + mu2) / 2, (h11 - mu1) / 2, (h22 - mu2) / 2
     c = h12 / 2
-    return np.array([[a1, c, b1, c], [c, a2, c, b2], [-b1, -c, -a1, -c], [-c, -b2, -c, -a2]])
+    return np.array([a1, c, b1, c, c, a2, c, b2,
+                     -b1, -c, -a1, -c, -c, -b2, -c, -a2]).reshape(4, 4)
 
 
 def excitation_gaps(E: np.ndarray) -> GapSpectrum:
@@ -101,12 +117,8 @@ def excitation_gaps(E: np.ndarray) -> GapSpectrum:
     l22 = sqrt(d)
     lo, hi, x1, x2 = _eigh2(q11 * p11 + l21 * (2.0 * l11 * p12 + l21 * p22),
                             l22 * (l11 * p12 + l21 * p22), d * p22)
-    rows = []
-    for e, y1, y2 in ((sqrt(lo), x1, x2), (sqrt(hi), -x2, x1)):
-        q1, q2 = l11 * y1 / sqrt(e), (l21 * y1 + l22 * y2) / sqrt(e)   # q = L y / sqrt(eps)
-        p1, p2 = (p11 * q1 + p12 * q2) / e, (p12 * q1 + p22 * q2) / e   # p = P q / eps
-        rows.append(((p1 + q1) / 2, (p2 + q2) / 2, (p1 - q1) / 2, (p2 - q2) / 2))
-    return GapSpectrum(4.0 * sqrt(lo), 4.0 * sqrt(hi), eigvecs=np.array(rows))
+    return GapSpectrum(4.0 * sqrt(lo), 4.0 * sqrt(hi),
+                       (l11, l21, l22, p11, p12, p22, lo, hi, x1, x2))
 
 
 def gap_or_flag(spec: ModelSpec,

@@ -9,7 +9,7 @@ from meanfield_annealer import (ConvergenceError, MagPair, ModelSpec,
                                 dense_gradient, dense_hessian,
                                 detect_transition, global_minimize, minimize,
                                 start_set, sweep)
-from meanfield_annealer import classical, transitions
+from meanfield_annealer import classical, model, transitions
 from meanfield_annealer.classical import is_stable_minimum
 from meanfield_annealer.ed import dense_ed
 from conftest import assert_same_verdict, assert_width_within_two_steps, count_calls
@@ -189,6 +189,52 @@ def test_global_minimize_raises_with_the_last_unconverged_start(monkeypatch, den
     best = err.value.best
     assert (best.t1, best.t2) == classical._start_angles(8, 0)[-1]
     assert best.s == 0.5 and not best.converged
+
+
+_CARRIED_SPECS = [ModelSpec.dense(), ModelSpec.dense(xi=(0.0, 0.0, -4.0)),
+                  ModelSpec.dense(xi=(-6.0, 0.0, 0.0)), ModelSpec.dense(xi=(1.5, -2.0, -10.0)),
+                  ModelSpec.dense(gamma2=1.0), ModelSpec.dense(xi=(0.0, 0.0, -4.0), gamma1=0.5)]
+
+
+def _fresh(spec, state):
+    """(energy, mu, residual) from one new kernel evaluation at the state's angles."""
+    k = tuple(model._coeffs(spec, state.s))
+    x1, z1, x2, z2 = state.x
+    g1x, g1z, g2x, g2z = model._grad(k, x1, z1, x2, z2)
+    mu1, mu2 = -(g1x * x1 + g1z * z1), -(g2x * x2 + g2z * z2)
+    res = max(math.hypot(g1x + mu1 * x1, g1z + mu1 * z1),
+              math.hypot(g2x + mu2 * x2, g2z + mu2 * z2))
+    return model._energy(k, x1, z1, x2, z2), (mu1, mu2), res
+
+
+def _state_or_best(solve, *args):
+    try:
+        return solve(*args)
+    except ConvergenceError as err:
+        return err.best
+
+
+@pytest.mark.parametrize("max_iter", [None, 1, 0])
+def test_newton_state_is_its_own_angles_evaluated_afresh(monkeypatch, max_iter):
+    # _newton carries the accepted trial's energy and reads the stopping
+    # iteration's gradient; every float it returns must be what a fresh
+    # evaluation at the returned angles gives, bitwise, also when the
+    # iteration budget runs out after a step (max_iter 1) or before any (0)
+    if max_iter is not None:
+        monkeypatch.setattr(classical, "_MAX_ITER", max_iter)
+    rng = np.random.default_rng(5)
+    starts = start_set(8) + [MagPair(rng.standard_normal(3), rng.standard_normal(3))
+                             for _ in range(3)]
+    checked = 0
+    for spec in _CARRIED_SPECS:
+        for s in (0.0, 0.3, 0.5, 0.72, 1.0):
+            states = [_state_or_best(minimize, spec, s, start) for start in starts]
+            states.append(_state_or_best(global_minimize, spec, s))
+            for state in states:
+                assert (state.energy, state.mu, state.residual) == _fresh(spec, state), \
+                    (spec, s, max_iter)
+                checked += 1
+    assert checked == len(_CARRIED_SPECS) * 5 * (len(starts) + 1)
 
 
 def test_global_minimize_picks_lowest(dense_spec):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from meanfield_annealer import (CatalystRangeError, ClassicalState,
-                                DegenerateModeError, InstabilityError,
+                                DegenerateModeError, InstabilityError, MagPair,
                                 ModelSpec, StationarityError, excitation_gaps,
                                 fluctuation_matrix, gap_profile, gaps_at,
-                                dense_hessian, global_minimize, min_gap,
+                                dense_hessian, global_minimize, min_gap, minimize,
                                 optimize_catalyst)
-from meanfield_annealer import saddle, spinwave, transitions
+from meanfield_annealer import model, saddle, spinwave, transitions
 from meanfield_annealer.ed import dense_ed, extrapolate_gap, gap_sequence
 from meanfield_annealer.spinwave import _minimize_scalar, gap_or_flag
 from conftest import count_calls
@@ -163,6 +163,64 @@ def test_zero_mode_rejected():
     Z = np.diag([0.2, 0.0])
     with pytest.raises(DegenerateModeError):
         excitation_gaps(np.block([[M, Z], [-Z, -M]]))
+
+
+def _colpa_reference(spec, state):
+    """(E, delta1, delta2, eigvecs) by the mode matrix and Colpa formula
+    written out in full, eigvecs built at once: the gap path must give
+    these floats bitwise."""
+    t1, t2 = state.t1, state.t2
+    mu1, mu2 = state.mu
+    h11, h12, h22 = model._angle_hessian(model._coeffs(spec, state.s), math.sin(t1),
+                                         math.cos(t1), math.sin(t2), math.cos(t2), mu1, mu2)
+    a1, a2, b1, b2 = (h11 + mu1) / 2, (h22 + mu2) / 2, (h11 - mu1) / 2, (h22 - mu2) / 2
+    c = h12 / 2
+    E = np.array([[a1, c, b1, c], [c, a2, c, b2], [-b1, -c, -a1, -c], [-c, -b2, -c, -a2]])
+    p11, p12, p22 = a1 + b1, c + c, a2 + b2
+    q11, q12, q22 = a1 - b1, c - c, a2 - b2
+    l11 = math.sqrt(q11)
+    l21 = q12 / l11
+    d = q22 - l21 * l21
+    l22 = math.sqrt(d)
+    lo, hi, x1, x2 = model._eigh2(q11 * p11 + l21 * (2.0 * l11 * p12 + l21 * p22),
+                                  l22 * (l11 * p12 + l21 * p22), d * p22)
+    rows = []
+    for e, y1, y2 in ((math.sqrt(lo), x1, x2), (math.sqrt(hi), -x2, x1)):
+        q1, q2 = l11 * y1 / math.sqrt(e), (l21 * y1 + l22 * y2) / math.sqrt(e)
+        p1, p2 = (p11 * q1 + p12 * q2) / e, (p12 * q1 + p22 * q2) / e
+        rows.append(((p1 + q1) / 2, (p2 + q2) / 2, (p1 - q1) / 2, (p2 - q2) / 2))
+    return E, 4.0 * math.sqrt(lo), 4.0 * math.sqrt(hi), np.array(rows)
+
+
+def test_gap_path_matches_the_colpa_formula_on_fig3_states():
+    # every equilibrium state of fig3's three columns at 21 points: the mode
+    # matrix, both gaps and the quasi-particle vectors, bitwise
+    checked = 0
+    for xi12 in (0.0, -4.0, -10.0):
+        spec = ModelSpec.dense(xi=(0.0, 0.0, xi12))
+        for state in transitions.analyze(spec, np.linspace(0.0, 1.0, 21)).equilibrium:
+            E, delta1, delta2, eigvecs = _colpa_reference(spec, state)
+            F = fluctuation_matrix(spec, state)
+            g = excitation_gaps(F)
+            assert np.array_equal(F, E) and F.dtype == np.float64 and F.shape == (4, 4)
+            assert (g.delta1, g.delta2) == (delta1, delta2), (xi12, state.s)
+            assert np.array_equal(g.eigvecs, eigvecs) and g.eigvecs.shape == (2, 4)
+            assert gap_or_flag(spec, state) == (delta1, delta2, "")
+            checked += 1
+    assert checked == 63
+
+
+def test_gap_or_flag_flags_where_the_form_fails():
+    # stationary points off the minimum: at s = 1 with m1 down the
+    # out-of-plane curvature mu1 is negative, and the s = 0.3 point (where
+    # Newton stays) has imaginary frequencies; the pinned-schedule zero
+    # mode is test_gap_profile_flags_degenerate_point
+    spec = ModelSpec.dense()
+    down_up = minimize(spec, 1.0, MagPair([0.0, 0.0, -1.0], [0.0, 0.0, 1.0]))
+    saddle_point = minimize(spec, 0.3, ClassicalState(0.3, 0.9710094664375121,
+                                                      -1.5085106992210844, 0.0, (0.0, 0.0), 1.0))
+    assert gap_or_flag(spec, down_up) == (None, None, "degenerate")
+    assert gap_or_flag(spec, saddle_point) == (None, None, "instability")
 
 
 def test_gap_profile_continuity_and_jump():
