@@ -34,7 +34,7 @@ print("\n== finite-size gap at the transition point shrinks with N ==")
 rep = detect_transition(dense)
 print(f"  transition at s*={rep.s_star:.5f}")
 for N in (40, 80, 120):
-    r = dense_ed(dense, rep.s_star, N, tol=1e-13)
+    r = dense_ed(dense, rep.s_star, N)
     print(f"  N={N:4d}: gap={r.gap:.6f}")
 
 print("\n== sparse model vs full-space ED at N=12 ==")

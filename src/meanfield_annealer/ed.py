@@ -30,6 +30,8 @@ _EIGH_LIMIT = 200          # dense eigh below, ARPACK above
 _DENSE_LIMIT_N = 2000      # largest N of the dense sector oracle
 _SPARSE_LIMIT_N = 14       # largest N of the sparse full-space oracle
 _ARPACK_SEED = 7           # seed of the Gaussian ARPACK start vector
+_ARPACK_TOL = 1e-12        # ARPACK's relative accuracy
+_MULTIPLET_TOL = 1e-10     # eigenvalues this close to the lowest are ground states
 
 
 @dataclass(frozen=True)
@@ -44,13 +46,16 @@ class EDResult:
 class EDOperator:
     """Symmetric operator: an exactly symmetric CSR ``matrix``, the ``matvec``
     ARPACK applies (the builders pass ``matrix.dot``) and the magnetization
-    diagonals."""
+    diagonals; ``dim`` is the matrix's."""
 
-    dim: int
     matvec: Callable[[np.ndarray], np.ndarray]
     m1z_diag: np.ndarray
     m2z_diag: np.ndarray
     matrix: Any
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
     def to_dense(self) -> np.ndarray:
         if self.dim > _MATERIALIZE_LIMIT:
@@ -90,8 +95,7 @@ def build_dense_sector_operator(spec: ModelSpec, s: float, N: int) -> EDOperator
                         (c.c22, eye, X @ X), (c.c12, X, X)):
         if coeff:
             H = H - (N * coeff) * sp.kron(A, B, format="csr")
-    return EDOperator(dim=d * d, matvec=H.dot, m1z_diag=np.repeat(mz, d),
-                      m2z_diag=np.tile(mz, d), matrix=H)
+    return EDOperator(matvec=H.dot, m1z_diag=np.repeat(mz, d), m2z_diag=np.tile(mz, d), matrix=H)
 
 
 def _full_space_table(N: int) -> np.ndarray:
@@ -154,7 +158,7 @@ def _full_space_operator(spec: ModelSpec, s: float, N: int, pairs) -> EDOperator
         data[:, k] = coeff
     indptr = np.arange(0, dim * width + 1, width, dtype=np.int32)
     H = sp.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(dim, dim))
-    return EDOperator(dim=dim, matvec=H.dot, m1z_diag=z1 / n2, m2z_diag=z2 / n2, matrix=H)
+    return EDOperator(matvec=H.dot, m1z_diag=z1 / n2, m2z_diag=z2 / n2, matrix=H)
 
 
 def build_sparse_full_hamiltonian(spec: ModelSpec, s: float, N: int) -> EDOperator:
@@ -173,11 +177,11 @@ def build_dense_full_operator(spec: ModelSpec, s: float, N: int) -> EDOperator:
     return _full_space_operator(spec, s, N, [(r, n2 + rp) for r in range(n2) for rp in range(n2)])
 
 
-def ed_solve(op: EDOperator, k: int = 2, tol: float = 1e-12) -> EDResult:
+def ed_solve(op: EDOperator, k: int = 2) -> EDResult:
     """Lowest-k eigenpairs and ground-state magnetizations of an EDOperator.
 
     Dense ``eigh`` on ``op.to_dense()`` handles dimensions up to 200;
-    ARPACK ``eigsh`` (smallest algebraic, relative accuracy ``tol``) takes
+    ARPACK ``eigsh`` (smallest algebraic, relative accuracy 1e-12) takes
     over above that, from a Gaussian start vector drawn with a fixed seed so
     that no symmetry sector is missed and reruns are identical.  Ground
     states degenerate within 1e-10 are averaged over the whole multiplet:
@@ -197,15 +201,15 @@ def ed_solve(op: EDOperator, k: int = 2, tol: float = 1e-12) -> EDResult:
         A = LinearOperator((op.dim, op.dim), matvec=op.matvec, dtype=float)
         v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(op.dim)
         try:
-            w, V = eigsh(A, k=k, which="SA", tol=tol, v0=v0)
+            w, V = eigsh(A, k=k, which="SA", tol=_ARPACK_TOL, v0=v0)
         except ArpackNoConvergence as err:
             raise ConvergenceError(f"ARPACK did not converge at dim {op.dim}: {err}") from err
         order = np.argsort(w)
         w, V = w[order], V[:, order]
-        if w[-1] < w[0] + 1e-10 and op.dim <= _MATERIALIZE_LIMIT:
+        if w[-1] < w[0] + _MULTIPLET_TOL and op.dim <= _MATERIALIZE_LIMIT:
             w, V = np.linalg.eigh(op.to_dense())
     # degeneracy-averaged ground expectations
-    nground = max(1, int(np.sum(w < w[0] + 1e-10)))
+    nground = max(1, int(np.sum(w < w[0] + _MULTIPLET_TOL)))
     P = (V[:, :nground] ** 2).sum(axis=1) / nground
     m1z = float(P @ op.m1z_diag)
     m2z = float(P @ op.m2z_diag)
@@ -213,14 +217,14 @@ def ed_solve(op: EDOperator, k: int = 2, tol: float = 1e-12) -> EDResult:
                     gap=float(w[1] - w[0]) if len(w) > 1 else 0.0)
 
 
-def dense_ed(spec: ModelSpec, s: float, N: int, k: int = 2, **kw) -> EDResult:
+def dense_ed(spec: ModelSpec, s: float, N: int, k: int = 2) -> EDResult:
     """Sector ED of the dense model; ``ed_solve`` picks the solver by size."""
-    return ed_solve(build_dense_sector_operator(spec, s, N), k=k, **kw)
+    return ed_solve(build_dense_sector_operator(spec, s, N), k=k)
 
 
-def sparse_ed(spec: ModelSpec, s: float, N: int, k: int = 2, **kw) -> EDResult:
+def sparse_ed(spec: ModelSpec, s: float, N: int, k: int = 2) -> EDResult:
     """Full-space ED of the sparse model at small N."""
-    return ed_solve(build_sparse_full_hamiltonian(spec, s, N), k=k, **kw)
+    return ed_solve(build_sparse_full_hamiltonian(spec, s, N), k=k)
 
 
 def gap_sequence(spec: ModelSpec, s: float, sizes) -> np.ndarray:

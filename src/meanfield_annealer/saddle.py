@@ -20,9 +20,10 @@ projected Hessian P(Hess - psi.H psi)P + psi psi^T, P = 1 - psi psi^T, a
 step by |eigenvalue| floored at 1e-8, capped at 0.5 and halved until E
 rises by at most 4 ulps, then renormalized, for at most ``_MAX_ITER``
 iterations (``classical``'s constants); it stops when the gradient
-reaches 4 ulps or, once below ``_TOL``, stops falling.  A final
-``dsyevd`` of H(x) gives lambda0, the degeneracy, the energy fields.x / 2
-+ h_m + lambda0 / 2 and the level check: a minimum of E may be an
+reaches 4 ulps or, once below ``_TOL``, stops falling.  The solution's
+energy is the E(psi) that run carried (on the ground level it equals
+fields.x / 2 + h_m + lambda0 / 2).  A final ``dsyevd`` of H(x) gives
+lambda0, the degeneracy and the level check: a minimum of E may be an
 excited level of its own H, so psi's projection onto the ground
 multiplet must have norm >= 1 - 1e-8; normalized, it gives e(x) for
 ``residual`` = max|e(x) - x|, which must be below ``_TOL``.  Failing
@@ -73,7 +74,7 @@ class SaddleSolution:
     fields: tuple[float, float, float, float]
     lambda0: float
     degeneracy: int
-    energy: float               # ground-state energy density u
+    energy: float               # E(psi), the energy the Newton run minimized
     converged: bool
     residual: float
     indeterminate: tuple[bool, bool] = (False, False)
@@ -164,7 +165,7 @@ def _pair_energy(c, a, b, cc, d):
 
 def _newton(c, b, D, psi):
     """Damped Newton for a minimum of E on the unit sphere from the unit
-    4-tuple psi, by ``classical._newton``'s rules; returns where it ended."""
+    4-tuple psi, by ``classical._newton``'s rules; returns the end psi and its E."""
     hxx, hzz = -2.0 * c.c12, -c.s2
     b1x, b1z, b2x, b2z = b
     dx1, dz, dx2, _ = D   # D = (4 c11, s, 4 c22, s)
@@ -233,7 +234,7 @@ def _newton(c, b, D, psi):
                 break
             s0, s1, s2, s3 = 0.5 * s0, 0.5 * s1, 0.5 * s2, 0.5 * s3
         pa, pb, pc, pd, energy = ta, tb, tc, td, e
-    return pa, pb, pc, pd
+    return pa, pb, pc, pd, energy
 
 
 def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution) -> SaddleSolution:
@@ -255,9 +256,9 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution) -> S
     # a MagPair start is the ground state of H at its x: a product state can be an
     # excited eigenstate of its own H, a stationary point Newton cannot leave
     psi = init.psi if warm else tuple(_eigh(_hamiltonian(c, fields_at(*init.x)))[1][0])
-    psi = pa, pb, pc, pd = _newton(c, b, D, psi)
+    pa, pb, pc, pd, energy = _newton(c, b, D, psi)
     x1, z1, x2, z2 = _expectations(pa, pb, pc, pd)
-    fields = f1x, f1z, f2x, f2z = fields_at(x1, z1, x2, z2)
+    fields = fields_at(x1, z1, x2, z2)
     w, cols = _eigh(_hamiltonian(c, fields))
     lam0 = w[0]
     top = lam0 + _DEGENERACY_TOL
@@ -272,10 +273,9 @@ def solve_saddle(spec: ModelSpec, s: float, init: MagPair | SaddleSolution) -> S
     n = weight or 1.0
     e1x, e1z, e2x, e2z = _expectations(ga / n, gb / n, gc / n, gd / n)
     residual = max(abs(e1x - x1), abs(e1z - z1), abs(e2x - x2), abs(e2z - z2))
-    u = (0.5 * ((f1x * x1 + f1z * z1) + (f2x * x2 + f2z * z2))
-         + _sparse_energy(c, x1, z1, x2, z2) + 0.5 * lam0)
-    return SaddleSolution(s=float(s), psi=psi, fields=fields, lambda0=lam0, degeneracy=g,
-                          energy=u, converged=weight >= 1.0 - _LEVEL_TOL and residual < _TOL,
+    return SaddleSolution(s=float(s), psi=(pa, pb, pc, pd), fields=fields, lambda0=lam0,
+                          degeneracy=g, energy=energy,
+                          converged=weight >= 1.0 - _LEVEL_TOL and residual < _TOL,
                           residual=residual, indeterminate=_indeterminate_flags(spec, s))
 
 

@@ -120,7 +120,7 @@ def branch_sweep(solver: PointSolver, s_grid: np.ndarray, forward: bool = True,
         raise ValueError("along is the forward sweep: it steers a backward sweep only")
     top = len(s_grid) - 1
     jumps = [] if along is None else [   # forward m2z jumps over (k, k + 1)
-        k for k in range(top) if abs(along[k + 1].m2z - along[k].m2z) > COEXIST_TOL]
+        k for k in range(top) if not _same_branch(along[k], along[k + 1])]
     i, di = (0, 1) if forward else (top, -1)
     states = []
     prev = None
@@ -154,21 +154,17 @@ class BranchAnalysis:
     report: TransitionReport
 
 
+def _same_branch(a, b) -> bool:
+    """One branch: m2z within COEXIST_TOL; tags, forward jumps and merged probes read it."""
+    return abs(a.m2z - b.m2z) <= COEXIST_TOL
+
+
 def _equilibrium(fstates, bstates):
-    """Equilibrium state and tag per grid point.  Where the sweeps agree
-    (m2z within COEXIST_TOL, tag "both") the lower energy wins, an exact tie
-    going forward; elsewhere ``model._prefer`` picks.  The first rule stays:
-    on fig2 at 41 x 21 points ``_prefer`` would pick the other state at 213
-    of the 576 "both" points and change a printed CSV field at 95."""
-    eq, tags = [], []
-    for f, b in zip(fstates, bstates):
-        if abs(f.m2z - b.m2z) <= COEXIST_TOL:
-            eq.append(f if f.energy <= b.energy else b)
-            tags.append("both")
-        else:
-            eq.append(_prefer(b, f))
-            tags.append("backward" if eq[-1] is b else "forward")
-    return eq, tags
+    """Per grid point the equilibrium, ``model._prefer(backward, forward)``, and
+    its tag: "both" on one branch (``_same_branch``), else the sweep picked."""
+    eq = [_prefer(b, f) for f, b in zip(fstates, bstates)]
+    return eq, ["both" if _same_branch(f, b) else "backward" if e is b else "forward"
+                for e, f, b in zip(eq, fstates, bstates)]
 
 
 def _locate_crossing(solver, s_lo, s_hi, state_b, state_a):
@@ -215,7 +211,7 @@ def _locate_crossing(solver, s_lo, s_hi, state_b, state_a):
         last, across = sm, step_across
         st_b = solver.warm(sm, anchor_b)
         st_a = solver.warm(sm, anchor_a)
-        merged = abs(st_b.m2z - st_a.m2z) < COEXIST_TOL
+        merged = _same_branch(st_b, st_a)
         if merged:
             # one branch died inside the bracket; shrink toward its side
             da = abs(st_b.m2z - anchor_a.m2z)

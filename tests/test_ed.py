@@ -153,7 +153,7 @@ def test_jacobi_and_lanczos_paths_agree(dense_spec):
 def _minus_one_and_a_half(z1, z2):
     """-1.5 I as an EDOperator, so every state is a ground state."""
     H = -1.5 * sp.identity(len(z1), format="csr")
-    return EDOperator(dim=len(z1), matvec=H.dot, m1z_diag=z1, m2z_diag=z2, matrix=H)
+    return EDOperator(matvec=H.dot, m1z_diag=z1, m2z_diag=z2, matrix=H)
 
 
 def test_ed_solve_breakdown_falls_back_to_eigh():
@@ -318,8 +318,7 @@ def test_variational_convergence_rate(dense_spec):
 def test_gap_shrinks_with_size_at_transition(dense_spec):
     rep = detect_transition(dense_spec)
     assert rep.found
-    gaps = [dense_ed(dense_spec, rep.s_star, N, tol=1e-13).gap
-            for N in (40, 80, 120)]
+    gaps = [dense_ed(dense_spec, rep.s_star, N).gap for N in (40, 80, 120)]
     assert gaps[0] > gaps[1] > gaps[2] > 0.0
 
 

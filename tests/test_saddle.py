@@ -518,6 +518,23 @@ def test_solution_energy_reuses_the_loop_eigenvalues(rng):
             assert sol.degeneracy == g
 
 
+def test_solution_energy_is_the_pair_energy_its_newton_run_carried(monkeypatch, rng):
+    # global, warm and MagPair-started solves store E(psi) of the psi they
+    # return, bitwise; so does an unconverged one
+    def carried(spec, sol):
+        return sol.energy == _pair_energy(_coeffs(spec, sol.s), *sol.psi)
+
+    for _ in range(12):
+        spec, s = ModelSpec.sparse(xi=tuple(rng.uniform(-10.0, 10.0, 3))), rng.uniform(0.0, 0.95)
+        glob = global_saddle(spec, s)
+        cold = solve_saddle(spec, s, MagPair([0, 0, 1], [0, 0, -1]))
+        assert all(carried(spec, sol) for sol in (glob, solve_saddle(spec, s + 0.01, glob), cold))
+    monkeypatch.setattr(saddle, "_MAX_ITER", 2)
+    spec = ModelSpec.sparse(xi=(0.0, 0.0, -4.0))
+    sol = solve_saddle(spec, 0.5, MagPair([0, 0, 1], [0, 0, -1]))
+    assert not sol.converged and carried(spec, sol)
+
+
 # -- the solver's float kernel: two coupling numbers, one eigensolve per iteration
 
 def test_closed_form_coupling_part_is_exact(rng):

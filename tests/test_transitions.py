@@ -17,7 +17,7 @@ from meanfield_annealer import (ClassicalState, ConvergenceError, MagPair, Model
 from meanfield_annealer import cli, saddle, transitions
 from meanfield_annealer.classical import is_stable_minimum
 from meanfield_annealer.model import TIE_TOL, _prefer
-from meanfield_annealer.transitions import PointSolver, analyze, point_solver
+from meanfield_annealer.transitions import COEXIST_TOL, PointSolver, analyze, point_solver
 from conftest import count_calls
 
 UP = MagPair([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
@@ -346,6 +346,23 @@ def test_crossing_search_safeguards_on_synthetic_branches(gap, slope, most):
     assert len(probes) <= 2 * most
 
 
+def test_crossing_search_merges_probes_exactly_coexist_tol_apart():
+    # branch b (m2z = -1) dies above s = 0.3, where its warm solve lands at
+    # m2z = 0, exactly COEXIST_TOL from branch a: the probes merge and the
+    # bracket closes onto the death point.  Read as two branches, E_b - E_a
+    # = 0 there would move the low end past it
+    def local(s, prev):
+        if prev.m2z > 0.0:
+            return _Probe(s, 0.0, COEXIST_TOL, 0.0)
+        return _Probe(s, -1.0, -1.0, 0.0) if s < 0.3 else _Probe(s, 0.0, 0.0, 0.0)
+
+    solver = PointSolver(None, local, lambda state: state.slope)
+    s_star, st_b, st_a = transitions._locate_crossing(
+        solver, 0.0, 1.0, _Probe(0.0, -1.0, -1.0, 0.0), _Probe(1.0, 0.0, COEXIST_TOL, 0.0))
+    assert abs(s_star - 0.3) <= 0.5e-6
+    assert (st_b.m2z, st_a.m2z) == (-1.0, COEXIST_TOL)
+
+
 class _State(NamedTuple):
     energy: float
     m2z: float
@@ -376,6 +393,20 @@ def test_prefer_band_edge_is_a_tie():
     assert _prefer(_State(2 * TIE_TOL, 0.9), old) is old
 
 
+def test_equilibrium_picks_by_prefer_on_one_branch_too():
+    # m2z within COEXIST_TOL (tag "both"), energies within TIE_TOL: the
+    # larger m2z wins whichever sweep holds it, as between branches
+    low, high = _State(-0.5 * TIE_TOL, 0.5), _State(0.0, 0.52)
+    eq, tags = transitions._equilibrium([high, low], [low, high])
+    assert eq[0] is high and eq[1] is high and tags == ["both", "both"]
+    # exactly COEXIST_TOL apart is one branch; beyond it the tag names the pick
+    near, far = _State(0.0, COEXIST_TOL), _State(0.0, np.nextafter(COEXIST_TOL, 1.0))
+    eq, tags = transitions._equilibrium([_State(-1.0, 0.0)] * 2, [near, far])
+    assert tags == ["both", "forward"]
+    eq, tags = transitions._equilibrium([_State(1.0, 0.0)] * 2, [near, far])
+    assert eq[0] is near and eq[1] is far and tags == ["both", "backward"]
+
+
 # the twelve scan files of the built-in figures, at 21 s-points x 11 columns
 SCAN_FILES = [(path[:-len(".csv")], cfg) for fig in cli.FIGURE_IDS
               for cfg, path in cli._figure_jobs(fig, "", s_steps=21, axis2_steps=11)
@@ -403,3 +434,43 @@ def test_every_equilibrium_state_is_the_global_minimum(cfg):
                     misses.append((value, state.s, gap))
     assert len(SCAN_FILES) == 12
     assert misses == []
+
+
+# -- the mirror symmetry: exchange the clusters and reverse z.  Both models'
+# energies are invariant, so an error in one hand-written term of a kernel
+# shows as a mirrored spec's different answer; a symmetric error does not
+
+def _mirror(spec):
+    """(h1, h2, xi11, xi22, xi12, gamma1, gamma2) -> (-h2, -h1, xi22, xi11,
+    xi12, gamma2, gamma1)."""
+    return dataclasses.replace(spec, h1=-spec.h2, h2=-spec.h1, xi11=spec.xi22, xi22=spec.xi11,
+                               gamma1=spec.gamma2, gamma2=spec.gamma1)
+
+
+@pytest.mark.parametrize("make, solve", [(ModelSpec.dense, global_minimize),
+                                         (ModelSpec.sparse, global_saddle)],
+                         ids=["global_minimize", "global_saddle"])
+def test_global_solvers_commute_with_the_mirror(make, solve):
+    # a state (m1x, m1z, m2x, m2z) maps to (m2x, -m2z, m1x, -m1z)
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        h1, h2 = rng.uniform(0.2, 1.5), rng.uniform(-1.5, -0.2)
+        gamma1, gamma2 = (rng.uniform(0.0, 1.0) if rng.random() < 0.3 else None for _ in "12")
+        spec = make(xi=tuple(rng.uniform(-10.0, 10.0, 3)), h1=h1, h2=h2,
+                    gamma1=gamma1, gamma2=gamma2)
+        s = rng.uniform(0.05, 0.95)
+        st, mirrored = solve(spec, s), solve(_mirror(spec), s)
+        x1, z1, x2, z2 = st.x
+        assert abs(st.energy - mirrored.energy) <= 1e-12
+        assert max(abs(p - q) for p, q in zip((x2, -z2, x1, -z1), mirrored.x)) <= 1e-9
+
+
+@pytest.mark.parametrize("cfg", [cfg for _, cfg in SCAN_FILES], ids=[n for n, _ in SCAN_FILES])
+def test_branch_pass_energies_commute_with_the_mirror(cfg):
+    # the equilibrium energy per grid point; where two states tie within
+    # TIE_TOL the pick goes to the larger m2z, which the mirror does not keep
+    grid = cli._s_grid(cfg)
+    for value in cli._axis2_values(cfg):
+        spec = cli.build_spec(cfg, value)
+        eq, mirrored = (analyze(sp, grid).equilibrium for sp in (spec, _mirror(spec)))
+        assert max(abs(a.energy - b.energy) for a, b in zip(eq, mirrored)) <= 2e-12
